@@ -22,7 +22,7 @@ import numpy as np
 
 from .linalg import COMPOSED_ATOL, ID2, X_DIR, Z_DIR, dagger, kron, partial_trace
 from .measurement import SharpSetting, UnsharpSetting, effect, projector, sqrt_effect
-from .states import PureTwoQubitState, TwoQubitState, bell_state
+from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
 
 BOB = "bob"
 
@@ -137,12 +137,12 @@ class ConditionalTable:
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape != (2, 2, 2, 2):
-            raise ValueError(f"table must have shape (2,2,2,2), got {probs.shape}")
+            raise InvariantError(f"table must have shape (2,2,2,2), got {probs.shape}")
         if probs.min() < -COMPOSED_ATOL or probs.max() > 1.0 + COMPOSED_ATOL:
-            raise ValueError("conditional probabilities must lie in [0, 1]")
+            raise InvariantError("conditional probabilities must lie in [0, 1]")
         row_sums = probs.sum(axis=-1)
         if not np.allclose(row_sums, 1.0, rtol=0.0, atol=COMPOSED_ATOL):
-            raise ValueError("each conditioning cell must sum to 1")
+            raise InvariantError("each conditioning cell must sum to 1")
         object.__setattr__(self, "probs", probs)
 
 

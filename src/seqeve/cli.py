@@ -1,8 +1,13 @@
 """Command-line driver: chain evaluation, sharpness planning, branch reports.
 
+``unbounded`` computes the one Schmidt angle that every leaf of the branch
+tree shares by a scalar recursion, evaluates it once per Alice strategy and
+repeats the result over the 2^n leaf rows, each of weight exactly 2^-n.
+
 Exit codes: 0 success, 2 input error, 3 computation infeasibility,
-4 reference-value mismatch.  Output files are byte-identical across runs
-for identical inputs; run metadata lives in '#'-prefixed header lines.
+4 reference-value mismatch, 5 internal invariant failure.  Output files are
+byte-identical across runs for identical inputs; run metadata lives in
+'#'-prefixed header lines.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from pathlib import Path
 
 from . import __version__
 from .chain import BOB, ZeroProbabilityError
+from .linalg import ID2
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
 from .scenario import (
     MAX_UNBOUNDED_DEPTH,
@@ -22,14 +28,15 @@ from .scenario import (
     parse_angle_token,
     to_chain_spec,
 )
+from .states import InvariantError
 from .steering import report
 from .unbounded import (
     ADAPTED,
     CANONICAL,
+    BranchNode,
     DegenerateStateError,
-    alice_facing_count,
-    branch_tree,
     evaluate_branch,
+    leaf_theta,
 )
 
 # Published minimal-sharpness chains for targets 0.1 / 0.2 / 0.3 on the
@@ -212,43 +219,41 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"lambdas: at most {MAX_UNBOUNDED_DEPTH} weak measurements"
         )
-    leaves = branch_tree(theta1, tuple(weak))
-    if any(leaf.degenerate for leaf in leaves):
-        raise DegenerateStateError("degenerate branch encountered")
-    rows = []
-    avg_canonical = 0.0
-    avg_adapted = 0.0
-    for leaf in leaves:
-        rep_c = evaluate_branch(leaf, CANONICAL)
-        rep_a = evaluate_branch(leaf, ADAPTED)
-        avg_canonical += leaf.probability * rep_c.key_rate
-        avg_adapted += leaf.probability * rep_a.key_rate
-        rows.append(
-            {
-                "branch": "".join(str(c) for c in leaf.outcomes),
-                "theta": leaf.theta,
-                "weight": leaf.probability,
-                "lhs_canonical": rep_c.lhs,
-                "key_rate_canonical": rep_c.key_rate,
-                "lhs_adapted": rep_a.lhs,
-                "key_rate_adapted": rep_a.key_rate,
-            }
-        )
+    depth = len(weak)
+    leaf = BranchNode(
+        outcomes=(0,) * depth,
+        theta=leaf_theta(theta1, weak),
+        u_alice=ID2,
+        probability=2.0**-depth,
+    )
+    rep_c = evaluate_branch(leaf, CANONICAL)
+    rep_a = evaluate_branch(leaf, ADAPTED)
+    values = {
+        "theta": leaf.theta,
+        "weight": leaf.probability,
+        "lhs_canonical": rep_c.lhs,
+        "key_rate_canonical": rep_c.key_rate,
+        "lhs_adapted": rep_a.lhs,
+        "key_rate_adapted": rep_a.key_rate,
+    }
+    # Every leaf shares the angle and weight, so rows differ only in label
+    # and the weight-averaged rates equal the leaf rates.
+    rows = [{"branch": format(k, f"0{depth}b"), **values} for k in range(2**depth)]
     rows.append(
         {
             "branch": "summary",
             "theta": None,
-            "weight": sum(leaf.probability for leaf in leaves),
+            "weight": 1.0,
             "lhs_canonical": None,
-            "key_rate_canonical": avg_canonical,
+            "key_rate_canonical": rep_c.key_rate,
             "lhs_adapted": None,
-            "key_rate_adapted": avg_adapted,
+            "key_rate_adapted": rep_a.key_rate,
         }
     )
     header = [
         f"seqeve {__version__}",
-        f"mode=unbounded depth={len(weak)} leaves={len(leaves)} "
-        f"alice_facing={alice_facing_count(leaves)}",
+        f"mode=unbounded depth={depth} leaves={2**depth} "
+        f"alice_facing={2 ** (depth - 1)}",
     ]
     _write_rows(
         rows,
@@ -318,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, DegenerateStateError, ZeroProbabilityError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         # Validation failures from the domain layer are input errors too.
         print(f"input error: {exc}", file=sys.stderr)

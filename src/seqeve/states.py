@@ -12,6 +12,21 @@ from .linalg import ATOL, is_hermitian
 RANK_ONE_ATOL = 1e-10
 
 
+class InvariantError(ValueError):
+    """A computed object broke a physical invariant beyond its tolerance.
+
+    Raised by the validation of internally built states and tables, so a
+    failure of the program is not reported as a fault in the user's input.
+    """
+
+
+def check_tilt_angle(theta: float) -> float:
+    """Return theta if it lies in (0, pi/4], else raise ValueError."""
+    if not 0.0 < theta <= math.pi / 4.0:
+        raise ValueError(f"tilt angle must lie in (0, pi/4], got {theta}")
+    return theta
+
+
 @dataclass(frozen=True)
 class TwoQubitState:
     """4x4 density matrix; unit trace, Hermitian, positive semidefinite."""
@@ -21,14 +36,16 @@ class TwoQubitState:
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
-            raise ValueError(f"density matrix must be 4x4, got shape {rho.shape}")
+            raise InvariantError(f"density matrix must be 4x4, got shape {rho.shape}")
         if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
-            raise ValueError(f"trace must be 1, got {np.trace(rho)}")
+            raise InvariantError(f"trace must be 1, got {np.trace(rho)}")
         if not is_hermitian(rho, atol=ATOL):
-            raise ValueError("density matrix must be Hermitian")
+            raise InvariantError("density matrix must be Hermitian")
         eigs = np.linalg.eigvalsh(rho)
         if eigs.min() < -ATOL:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
+            raise InvariantError(
+                f"density matrix has negative eigenvalue {eigs.min():.3e}"
+            )
         object.__setattr__(self, "rho", rho)
 
 
@@ -67,8 +84,7 @@ def tilted_state(theta: float) -> PureTwoQubitState:
     maximally entangled state.  Degenerate (product) inputs are rejected,
     tests that need them can build PureTwoQubitState directly.
     """
-    if not 0.0 < theta <= math.pi / 4.0:
-        raise ValueError(f"tilt angle must lie in (0, pi/4], got {theta}")
+    check_tilt_angle(theta)
     return PureTwoQubitState(
         np.array([math.cos(theta), 0.0, 0.0, math.sin(theta)], dtype=complex)
     )

@@ -19,7 +19,7 @@ import numpy as np
 from .chain import ConditionalTable, table_from_operators
 from .linalg import ATOL, ID2, PAULI_X, PAULI_Z, dagger
 from .measurement import WeakKrausSetting, weak_kraus
-from .states import PureTwoQubitState, tilted_state
+from .states import PureTwoQubitState, check_tilt_angle, tilted_state
 from .steering import SteeringReport, report_from_table
 
 DEGENERATE_THETA = 1e-8
@@ -229,6 +229,34 @@ def branch_tree(
     return leaves
 
 
+def leaf_theta(theta1: float, weak_angles: tuple[float, ...] | list[float]) -> float:
+    """Schmidt angle shared by every leaf of ``branch_tree(theta1, weak_angles)``.
+
+    A weak step of angle a on cos(t)|00> + sin(t)|11> gives either outcome
+    with probability 1/2 and maps sin(2t) to sin(2t) sin(2a), so all 2^n
+    leaves carry one angle and the weight 2^-n.  The new angle is taken as
+    an atan2 of sin(2t') and cos(2t') = hypot(cos(2t), sin(2t) cos(2a));
+    asin(sin(2t')) would lose about half the digits near pi/4.
+
+    Inputs are validated as in branch_tree.  Raises DegenerateStateError as
+    soon as an angle falls below the product-state threshold.
+    """
+    settings = [WeakKrausSetting(a) for a in weak_angles]
+    if not settings:
+        raise ValueError("at least one weak measurement is required")
+    theta = check_tilt_angle(theta1)
+    for depth, setting in enumerate(settings, start=1):
+        sin_t, cos_t = math.sin(2.0 * theta), math.cos(2.0 * theta)
+        sin_a, cos_a = math.sin(2.0 * setting.angle), math.cos(2.0 * setting.angle)
+        theta = 0.5 * math.atan2(sin_t * sin_a, math.hypot(cos_t, sin_t * cos_a))
+        if theta < DEGENERATE_THETA:
+            raise DegenerateStateError(
+                f"Schmidt angle {theta:.3e} after weak measurement {depth} is "
+                "below the product-state threshold"
+            )
+    return theta
+
+
 def alice_facing_count(leaves: list[BranchNode]) -> int:
     """Distinct outcome histories with the last outcome marginalized."""
     return len({leaf.outcomes[:-1] for leaf in leaves})
@@ -238,8 +266,7 @@ def canonical_settings(
     theta: float,
 ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
     """Tilt-matched observables: Alice (sz, cos2t*sz + sin2t*sx), Bob (sz, sx)."""
-    if not 0.0 < theta <= math.pi / 4.0:
-        raise ValueError(f"tilt angle must lie in (0, pi/4], got {theta}")
+    check_tilt_angle(theta)
     a2 = math.cos(2.0 * theta) * PAULI_Z + math.sin(2.0 * theta) * PAULI_X
     return (PAULI_Z.copy(), a2), (PAULI_Z.copy(), PAULI_X.copy())
 

@@ -9,6 +9,7 @@ from helpers import random_direction
 from seqeve import (
     BOB,
     ChainSpec,
+    InvariantError,
     PartySettings,
     SharpSetting,
     TwoQubitState,
@@ -260,9 +261,9 @@ class TestConditionalTable:
 
     def test_validation_rejects_bad_table(self):
         bad = np.full((2, 2, 2, 2), 0.4)
-        with pytest.raises(ValueError, match="sum to 1"):
+        with pytest.raises(InvariantError, match="sum to 1"):
             ConditionalTable(bad)
-        with pytest.raises(ValueError, match="shape"):
+        with pytest.raises(InvariantError, match="shape"):
             ConditionalTable(np.zeros((2, 2, 2)))
 
 

@@ -2,9 +2,11 @@
 
 import json
 import math
+import sys
 
 import pytest
 
+import seqeve.unbounded
 from seqeve.cli import main
 
 TWO_EVE_DOC = """\
@@ -26,6 +28,23 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def count_calls(monkeypatch, name):
+    """Count calls of seqeve.unbounded.<name> through every seqeve binding."""
+    original = getattr(seqeve.unbounded, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "seqeve" or mod_name.startswith("seqeve."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 def parse_csv(text):
@@ -206,3 +225,33 @@ class TestUnboundedCommand:
 
     def test_bad_angle_exits_2(self, capsys):
         assert main(["unbounded", "--theta1", "2.0", "--lambdas", "0.3"]) == 2
+
+    @pytest.mark.parametrize("depth", [1, 10])
+    def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
+        evaluations = count_calls(monkeypatch, "evaluate_branch")
+        decompositions = count_calls(monkeypatch, "schmidt_decompose")
+        angles = ",".join(["0.6"] * depth)
+        assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
+        assert len(evaluations) == 2
+        assert len(decompositions) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == 2**depth + 1
+
+    # theta1 = 0.3 with weak angles 0.1 shrinks sin(2 theta) by sin(0.2) per
+    # step: the leaf angle is 2.2e-3 at depth 3, 8.7e-5 at 5 and 6.9e-7 at 8.
+    @pytest.mark.parametrize(
+        "depth, code, message",
+        [
+            (3, 0, ""),
+            (5, 5, "internal error: conditional probabilities"),
+            (8, 3, "infeasible: Alice input 0 outcome 1"),
+        ],
+    )
+    def test_small_leaf_angles_exit_codes(self, capsys, depth, code, message):
+        angles = ",".join(["0.1"] * depth)
+        assert main(["unbounded", "--theta1", "0.3", "--lambdas", angles]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message) and "input error" not in err
+
+    def test_degenerate_branch_exits_3(self, capsys):
+        assert main(["unbounded", "--theta1", "0.3", "--lambdas", "1e-5,1e-5"]) == 3
+        assert "product-state threshold" in capsys.readouterr().err

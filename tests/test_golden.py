@@ -1,0 +1,35 @@
+"""Byte-for-byte comparison of command output against files in tests/golden/.
+
+A golden file is the stdout of ``seqeve <argv>`` for the argv listed next to
+its name below.  Regenerate one only when a change of output is intended,
+and say why in the change that does it.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from seqeve.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+PI_4 = "0.7853981633974483"
+PI_6 = "0.5235987755982988"
+JSON = ["--format", "json"]
+UNBOUNDED_PI = ["unbounded", "--theta1", PI_4, "--lambdas", PI_6]
+UNBOUNDED_MIXED = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"]
+CHAIN_MIXED = ["chain", "--scenario", str(GOLDEN / "chain_mixed.yaml")]
+
+CASES = {
+    "unbounded_pi4_pi6.csv": UNBOUNDED_PI,
+    "unbounded_pi4_pi6.json": UNBOUNDED_PI + JSON,
+    "unbounded_mixed3.csv": UNBOUNDED_MIXED,
+    "unbounded_mixed3.json": UNBOUNDED_MIXED + JSON,
+    "plan_check_paper.txt": ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"],
+    "chain_mixed.json": CHAIN_MIXED + JSON,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_file(name, capsys):
+    assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from helpers import random_pure_amp
-from seqeve import PureTwoQubitState, TwoQubitState, bell_state, tilted_state
+from seqeve import (
+    InvariantError,
+    PureTwoQubitState,
+    TwoQubitState,
+    bell_state,
+    tilted_state,
+)
 
 
 def test_bell_amplitudes():
@@ -55,18 +61,18 @@ def test_density_from_pure_state_passes_invariants():
 
 
 def test_two_qubit_state_rejects_trace_violation():
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(InvariantError, match="trace"):
         TwoQubitState(np.eye(4, dtype=complex))
 
 
 def test_two_qubit_state_rejects_non_hermitian():
     rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     rho[0, 1] = 0.5
-    with pytest.raises(ValueError, match="Hermitian"):
+    with pytest.raises(InvariantError, match="Hermitian"):
         TwoQubitState(rho)
 
 
 def test_two_qubit_state_rejects_negative_eigenvalue():
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(ValueError, match="negative eigenvalue"):
+    with pytest.raises(InvariantError, match="negative eigenvalue"):
         TwoQubitState(rho)

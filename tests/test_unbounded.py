@@ -19,6 +19,7 @@ from seqeve import (
     canonical_settings,
     correct_and_forward,
     evaluate_branch,
+    leaf_theta,
     partial_trace,
     schmidt_decompose,
     tilted_state,
@@ -190,6 +191,41 @@ class TestBranchTree:
     def test_requires_at_least_one_angle(self):
         with pytest.raises(ValueError, match="at least one"):
             branch_tree(math.pi / 4, ())
+
+
+class TestLeafTheta:
+    def test_known_angles(self):
+        assert leaf_theta(math.pi / 4, (math.pi / 6,)) == pytest.approx(
+            math.pi / 6, abs=1e-15
+        )
+        assert leaf_theta(math.pi / 4, (math.pi / 4,) * 3) == pytest.approx(
+            math.pi / 4, abs=1e-15
+        )
+
+    def test_matches_the_tree_near_pi_over_4(self):
+        # sin(2t) is flat here: taking asin of it loses about half the digits.
+        q = math.pi / 4
+        for eps in (1e-12, 1e-10, 1e-8, 1e-6):
+            for theta1, angles in ((q, (q - eps,)), (q - eps, (q - eps, q - eps / 2))):
+                oracle = branch_tree(theta1, angles)[0].theta
+                assert leaf_theta(theta1, angles) == pytest.approx(oracle, abs=1e-12)
+
+    def test_degenerate_where_the_tree_prunes(self):
+        assert any(leaf.degenerate for leaf in branch_tree(0.3, (1e-5, 1e-5)))
+        with pytest.raises(DegenerateStateError, match="weak measurement 2"):
+            leaf_theta(0.3, (1e-5, 1e-5))
+
+    def test_validates_like_branch_tree(self):
+        for theta1, angles, match in (
+            (math.pi / 4, (), "at least one"),
+            (0.0, (0.3,), "tilt angle"),
+            (math.pi / 2, (0.3,), "tilt angle"),
+            (0.5, (0.3, 0.9), "weak angle"),
+            (0.5, (0.0,), "weak angle"),
+        ):
+            for route in (branch_tree, leaf_theta):
+                with pytest.raises(ValueError, match=match):
+                    route(theta1, angles)
 
 
 class TestCanonicalSettings:
