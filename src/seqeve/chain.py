@@ -7,6 +7,13 @@ parameter, 1/2 by default) and updates the state with the Lueders rule.
 Earlier Eves are always marginalized non-selectively (summed over outcomes,
 averaged over inputs) when a later party's statistics are computed.
 
+The state is carried in Pauli coordinates (Horodecki & Horodecki, PRA 54,
+1838 (1996)): Alice's Bloch vector a, the second qubit's Bloch vector b and
+the 3x3 correlation matrix T.  A non-selective Eve acts on the second qubit
+only, as a real 3x3 map M (b <- M b, T <- T M^T), and every conditional
+table is a closed form in (a, b, T).  Each state a table is built from is
+rebuilt as a 4x4 density matrix and validated.
+
 Alice's projector is never folded into the propagated state: her sharp
 measurement commutes with every operation on the other qubit, so it is
 applied lazily when a conditional table is built.  The explicit per-outcome
@@ -16,13 +23,30 @@ the two routes is covered by tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import COMPOSED_ATOL, ID2, X_DIR, Z_DIR, dagger, kron, partial_trace
+from .linalg import (
+    COMPOSED_ATOL,
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
+    X_DIR,
+    Z_DIR,
+    dagger,
+    kron,
+    partial_trace,
+)
 from .measurement import SharpSetting, UnsharpSetting, effect, projector, sqrt_effect
 from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
+
+if TYPE_CHECKING:
+    from .steering import SteeringReport
 
 BOB = "bob"
 
@@ -31,23 +55,14 @@ ZERO_PROB_ATOL = 1e-12
 
 Setting = SharpSetting | UnsharpSetting
 
+# _PAULI_BASIS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, built once so
+# that rebuilding a density matrix from Pauli coordinates needs no kron.
+_PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
+_PAULI_BASIS = np.array([[kron(p, q) for q in _PAULIS] for p in _PAULIS])
+
 
 class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an Alice outcome of probability zero."""
-
-
-def _outcome_effect(setting: Setting, outcome: int) -> np.ndarray:
-    """POVM element for a party's outcome (projector in the sharp case)."""
-    if isinstance(setting, UnsharpSetting):
-        return effect(setting, outcome)
-    return projector(setting, outcome)
-
-
-def _update_kraus(setting: Setting, outcome: int) -> np.ndarray:
-    """Lueders update operator (sqrt of the effect)."""
-    if isinstance(setting, UnsharpSetting):
-        return sqrt_effect(setting, outcome)
-    return projector(setting, outcome)
 
 
 @dataclass(frozen=True)
@@ -140,8 +155,8 @@ class ConditionalTable:
             raise InvariantError(f"table must have shape (2,2,2,2), got {probs.shape}")
         if probs.min() < -COMPOSED_ATOL or probs.max() > 1.0 + COMPOSED_ATOL:
             raise InvariantError("conditional probabilities must lie in [0, 1]")
-        row_sums = probs.sum(axis=-1)
-        if not np.allclose(row_sums, 1.0, rtol=0.0, atol=COMPOSED_ATOL):
+        # Written as "not <=" so that a NaN sum fails too.
+        if not np.abs(probs.sum(axis=-1) - 1.0).max() <= COMPOSED_ATOL:
             raise InvariantError("each conditioning cell must sum to 1")
         object.__setattr__(self, "probs", probs)
 
@@ -193,21 +208,6 @@ def post_measurement_state(
     return partial_trace(op @ state.rho @ dagger(op), keep="B")
 
 
-def _nonselective_step(
-    rho: np.ndarray, eve: PartySettings, bias: float
-) -> np.ndarray:
-    """Average the Eve's Lueders channel over her inputs and outcomes."""
-    out = np.zeros_like(rho)
-    for k, setting in enumerate(eve.settings):
-        weight = bias if k == 0 else 1.0 - bias
-        if weight == 0.0:
-            continue
-        for c in (0, 1):
-            op = kron(ID2, _update_kraus(setting, c))
-            out += weight * (op @ rho @ dagger(op))
-    return out
-
-
 def _party_index(spec: ChainSpec, party: int | str) -> int:
     """Number of Eves acting before the queried party."""
     if party == BOB:
@@ -217,17 +217,104 @@ def _party_index(spec: ChainSpec, party: int | str) -> int:
     raise ValueError(f"party must be an Eve index in 1..{spec.n_eves} or BOB")
 
 
-def propagate(spec: ChainSpec, party: int | str) -> TwoQubitState:
+def _effect_coords(party: PartySettings) -> np.ndarray:
+    """Pauli coordinates (1, +-lambda n) of 2E for each [input, outcome].
+
+    The effect of outcome 0 (1) is E = (I +- lambda n.sigma)/2, with
+    lambda = 1 for a sharp setting, so its rows pair with a state's
+    coordinates in the closed-form probabilities of ``PauliState.table``.
+    """
+    coords = np.ones((2, 2, 4))
+    for k, setting in enumerate(party.settings):
+        lam = setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0
+        vec = lam * setting.direction.unit_vector()
+        coords[k, 0, 1:] = vec
+        coords[k, 1, 1:] = -vec
+    return coords
+
+
+def _eve_map(eve: PartySettings, bias: float) -> np.ndarray:
+    """An Eve's input-averaged non-selective Lueders channel on Pauli coordinates.
+
+    Sharpness lambda along n keeps the Bloch component along n and shrinks
+    the transverse ones by sqrt(1 - lambda^2); the channel is unital.  The
+    4x4 map acts as coords <- coords @ map.T.
+    """
+    out = np.zeros((4, 4))
+    out[0, 0] = 1.0
+    for weight, setting in zip((bias, 1.0 - bias), eve.settings):
+        n = setting.direction.unit_vector()
+        along = np.outer(n, n)
+        quality = math.sqrt(1.0 - setting.sharpness * setting.sharpness)
+        out[1:, 1:] += weight * (along + quality * (np.eye(3) - along))
+    return out
+
+
+@dataclass(frozen=True)
+class PauliState:
+    """Two-qubit state as its Pauli coordinates R[mu, nu] = Tr(rho sigma_mu (x) sigma_nu).
+
+    R = [[1, b^T], [a, T]] with Alice's Bloch vector a, the second qubit's
+    Bloch vector b and the correlation matrix T.
+    """
+
+    coords: np.ndarray
+
+    @cached_property
+    def state(self) -> TwoQubitState:
+        """rho = sum R[mu, nu] sigma_mu (x) sigma_nu / 4, validated on first use."""
+        return TwoQubitState(np.tensordot(self.coords, _PAULI_BASIS, 2) / 4.0)
+
+    @classmethod
+    def of(cls, initial: PureTwoQubitState) -> PauliState:
+        rho = initial.density_matrix()
+        return cls(np.einsum("mnij,ji->mn", _PAULI_BASIS, rho).real)
+
+    def after(self, eve: PartySettings, bias: float) -> PauliState:
+        """State after one Eve measured non-selectively on the second qubit."""
+        return PauliState(self.coords @ _eve_map(eve, bias).T)
+
+    def table(self, alice: PartySettings, party: PartySettings) -> ConditionalTable:
+        """Closed-form conditional table of ``party`` (second qubit) versus Alice.
+
+        P(c | k, i, a) = (1 + s_a a.m_i + s_c lambda_k (b.n_k + s_a m_i^T T n_k))
+        / (4 p_alice), with p_alice = (1 + s_a a.m_i) / 2 and s = +1 (-1) for
+        outcome 0 (1).
+        """
+        self.state  # validates every state a table is built from, once
+        alice_rows = _effect_coords(alice).reshape(4, 4)  # rows (i, a)
+        party_rows = _effect_coords(party).reshape(4, 4)  # rows (k, c)
+        p_alice = 0.5 * (alice_rows @ self.coords[:, 0])
+        low = np.flatnonzero(p_alice < ZERO_PROB_ATOL)
+        if low.size:
+            i, a = divmod(int(low[0]), 2)
+            raise ZeroProbabilityError(
+                f"Alice input {i} outcome {a} has probability {p_alice[low[0]]:.3e}"
+            )
+        joint = 0.25 * (alice_rows @ self.coords @ party_rows.T)
+        probs = (joint / p_alice[:, None]).reshape(2, 2, 2, 2)
+        return ConditionalTable(probs.transpose(2, 0, 1, 3))
+
+
+def pauli_state(spec: ChainSpec, party: int | str) -> PauliState:
     """Joint Alice/party state after all earlier Eves measured non-selectively.
 
-    ``party`` is a 1-based Eve index or ``BOB``.  Alice's qubit is untouched;
-    her projectors are applied later, at table-construction time.
+    ``party`` is a 1-based Eve index or ``BOB``.
     """
     upstream = _party_index(spec, party)
-    rho = spec.initial.density_matrix()
+    current = PauliState.of(spec.initial)
     for eve, bias in zip(spec.eves[:upstream], spec.input_bias[:upstream]):
-        rho = _nonselective_step(rho, eve, bias)
-    return TwoQubitState(rho)
+        current = current.after(eve, bias)
+    return current
+
+
+def propagate(spec: ChainSpec, party: int | str) -> TwoQubitState:
+    """Density matrix of ``pauli_state(spec, party)``.
+
+    Alice's qubit is untouched; her projectors are applied later, at
+    table-construction time.
+    """
+    return pauli_state(spec, party).state
 
 
 def table_from_operators(
@@ -259,15 +346,22 @@ def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
     """Conditional outcome table of one party versus Alice.
 
     Earlier Eves are marginalized over inputs (with their biases) and
-    outcomes; the party's own statistics use its effect operators on the
-    propagated state.
+    outcomes; the party's own statistics use its effects on the propagated
+    state.
     """
-    rho = propagate(spec, party).rho
     settings = spec.bob if party == BOB else spec.eves[_party_index(spec, party)]
-    alice_projs = [
-        [projector(s, a) for a in (0, 1)] for s in spec.alice.settings
-    ]
-    party_ops = [
-        [_outcome_effect(s, c) for c in (0, 1)] for s in settings.settings
-    ]
-    return table_from_operators(rho, alice_projs, party_ops)
+    return pauli_state(spec, party).table(spec.alice, settings)
+
+
+def reports(spec: ChainSpec) -> list[SteeringReport]:
+    """Steering reports of Eve 1..N and then Bob, from one propagation pass."""
+    # steering imports this module, so its scoring is imported on first use.
+    from .steering import report_from_table
+
+    current = PauliState.of(spec.initial)
+    tables = []
+    for eve, bias in zip(spec.eves, spec.input_bias):
+        tables.append(current.table(spec.alice, eve))
+        current = current.after(eve, bias)
+    tables.append(current.table(spec.alice, spec.bob))
+    return [report_from_table(table) for table in tables]

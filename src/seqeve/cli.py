@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chain import BOB, ZeroProbabilityError
+from .chain import ZeroProbabilityError, reports
 from .linalg import ID2
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
 from .scenario import (
@@ -29,7 +29,6 @@ from .scenario import (
     to_chain_spec,
 )
 from .states import InvariantError
-from .steering import report
 from .unbounded import (
     ADAPTED,
     CANONICAL,
@@ -89,39 +88,47 @@ def _write_rows(
         text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ScenarioError(f"out: cannot write {path}: {exc.strerror}") from exc
+
+
+def _list_tokens(text: str, option: str) -> list[str]:
+    """Comma-separated items of a list option, stripped; none may be empty."""
+    tokens = [tok.strip() for tok in text.split(",")]
+    if "" in tokens:
+        raise ScenarioError(f"{option}: empty item in {text!r}")
+    return tokens
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+    try:
+        scenario = load_scenario(args.scenario)
+    except OSError as exc:
+        raise ScenarioError(
+            f"scenario: cannot read {args.scenario}: {exc.strerror}"
+        ) from exc
     if scenario.mode != "chain":
         raise ScenarioError(f"mode: expected 'chain', got {scenario.mode!r}")
     spec = to_chain_spec(scenario)
-    rows = []
-    for m in range(1, spec.n_eves + 1):
-        rep = report(spec, m)
-        rows.append(
-            {
-                "party": f"eve{m}",
-                "input_model": scenario.eves[m - 1].settings,
-                "lambda": scenario.eves[m - 1].sharpness,
-                "lhs": rep.lhs,
-                "delta": rep.delta,
-                "key_rate": rep.key_rate,
-            }
-        )
-    rep = report(spec, BOB)
-    rows.append(
+    parties = [
+        (f"eve{m}", eve.settings, eve.sharpness)
+        for m, eve in enumerate(scenario.eves, start=1)
+    ]
+    parties.append(("bob", scenario.bob.settings, None))
+    rows = [
         {
-            "party": "bob",
-            "input_model": scenario.bob.settings,
-            "lambda": None,
+            "party": party,
+            "input_model": model,
+            "lambda": lam,
             "lhs": rep.lhs,
             "delta": rep.delta,
             "key_rate": rep.key_rate,
         }
-    )
+        for (party, model, lam), rep in zip(parties, reports(spec))
+    ]
     fmt = args.format or scenario.output.format
     path = args.out or scenario.output.path
     header = [
@@ -179,12 +186,11 @@ def _check_reference(results: dict[float, PlanResult]) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    tokens = _list_tokens(args.rates, "rates")
     try:
-        targets = [float(tok) for tok in args.rates.split(",") if tok.strip()]
+        targets = [float(tok) for tok in tokens]
     except ValueError:
         raise ScenarioError(f"rates: cannot parse {args.rates!r}")
-    if not targets:
-        raise ScenarioError("rates: at least one target rate is required")
     for rate in targets:
         if not 0.0 < rate < 1.0:
             raise ScenarioError(f"rates: targets must lie in (0, 1), got {rate}")
@@ -210,11 +216,8 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
     theta1 = parse_angle_token(args.theta1, "theta1")
     weak = [
         parse_angle_token(tok, f"lambdas[{idx}]")
-        for idx, tok in enumerate(args.lambdas.split(","))
-        if tok.strip()
+        for idx, tok in enumerate(_list_tokens(args.lambdas, "lambdas"))
     ]
-    if not weak:
-        raise ScenarioError("lambdas: at least one weak angle is required")
     if len(weak) > MAX_UNBOUNDED_DEPTH:
         raise ScenarioError(
             f"lambdas: at most {MAX_UNBOUNDED_DEPTH} weak measurements"

@@ -2,9 +2,11 @@
 
 Given a target key rate per Eve, find the minimal sharpness each Eve needs
 (bisection against the full simulator), and the longest chain for which Bob
-still beats every Eve's rate.  A closed-form recursion valid for the
-maximally entangled state with sigma_z/sigma_x settings and unbiased inputs
-serves as an independent oracle for both searches.
+still beats every Eve's rate.  The accepted prefix is propagated once per
+Eve position, so each bisection probe costs one closed-form table.  A
+closed-form recursion valid for the maximally entangled state with
+sigma_z/sigma_x settings and unbiased inputs serves as an independent
+oracle for both searches.
 """
 
 from __future__ import annotations
@@ -12,8 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import BOB, mub_chain
-from .steering import delta_for_rate, key_rate, report
+from .chain import (
+    BOB,
+    PartySettings,
+    PauliState,
+    mub_chain,
+    mub_sharp_pair,
+    mub_unsharp_pair,
+    pauli_state,
+)
+from .steering import delta_for_rate, key_rate, report, report_from_table
 
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 50
@@ -21,6 +31,11 @@ BISECTION_MAX_ITER = 50
 # Reasons a chain cannot be extended by one more Eve.
 EVE_UNREACHABLE = "eve-rate-unreachable"
 BOB_SUPREMACY = "bob-supremacy"
+
+# Alice's and Bob's settings in every planned chain.
+_MUB_SHARP = mub_sharp_pair()
+# Input bias of every planned Eve, as in mub_chain.
+_MUB_BIAS = 0.5
 
 
 class InfeasibleError(RuntimeError):
@@ -63,14 +78,34 @@ def rate_from_correlation(corr: float) -> float:
     return key_rate(min(delta, 0.25))
 
 
-def _eve_rate(prefix: tuple[float, ...], lam: float) -> float:
-    spec = mub_chain(prefix + (lam,))
-    return report(spec, len(prefix) + 1).key_rate
+def _rate(state: PauliState, party: PartySettings) -> float:
+    """Key rate of ``party`` measuring the second qubit of ``state``."""
+    return report_from_table(state.table(_MUB_SHARP, party)).key_rate
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
     """Bob's key rate when every listed Eve measures at the given sharpness."""
     return report(mub_chain(tuple(lambdas)), BOB).key_rate
+
+
+def _min_sharpness(upstream: PauliState, position: int, target_rate: float) -> float:
+    """Bisection for the Eve at ``position`` who sees the state ``upstream``."""
+    if _rate(upstream, mub_unsharp_pair(1.0)) < target_rate:
+        raise InfeasibleError(
+            position,
+            EVE_UNREACHABLE,
+            f"rate at sharpness 1 is below target {target_rate}",
+        )
+    lo, hi = 0.0, 1.0  # rate(lo) < target <= rate(hi) throughout
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo < BISECTION_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if _rate(upstream, mub_unsharp_pair(mid)) >= target_rate:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
@@ -83,23 +118,8 @@ def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     if target_rate <= 0.0:
         raise ValueError(f"target rate must be positive, got {target_rate}")
     prefix = tuple(prefix)
-    position = len(prefix) + 1
-    if _eve_rate(prefix, 1.0) < target_rate:
-        raise InfeasibleError(
-            position,
-            EVE_UNREACHABLE,
-            f"rate at sharpness 1 is below target {target_rate}",
-        )
-    lo, hi = 0.0, 1.0  # rate(lo) < target <= rate(hi) throughout
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _eve_rate(prefix, mid) >= target_rate:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    upstream = pauli_state(mub_chain(prefix), BOB)
+    return _min_sharpness(upstream, len(prefix) + 1, target_rate)
 
 
 def max_eves(target_rate: float) -> PlanResult:
@@ -112,20 +132,22 @@ def max_eves(target_rate: float) -> PlanResult:
     if not 0.0 < target_rate < 1.0:
         raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
     accepted: tuple[float, ...] = ()
+    upstream = pauli_state(mub_chain(accepted), BOB)
     stop_reason = ""
     while True:
         try:
-            lam = lambda_min_for_rate(accepted, target_rate)
+            lam = _min_sharpness(upstream, len(accepted) + 1, target_rate)
         except InfeasibleError as exc:
             stop_reason = exc.reason
             break
-        candidate = accepted + (lam,)
-        if bob_rate(candidate) > target_rate:
-            accepted = candidate
+        candidate = upstream.after(mub_unsharp_pair(lam), _MUB_BIAS)
+        if _rate(candidate, _MUB_SHARP) > target_rate:
+            accepted += (lam,)
+            upstream = candidate
         else:
             stop_reason = BOB_SUPREMACY
             break
-    final_bob = bob_rate(accepted)
+    final_bob = _rate(upstream, _MUB_SHARP)
     return PlanResult(
         target_rate=target_rate,
         lambdas=accepted,

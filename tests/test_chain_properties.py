@@ -1,0 +1,101 @@
+"""Property tests: the Pauli-coordinate chain kernel against the 4x4 oracle.
+
+``tests/oracles.py`` propagates 4x4 density matrices with explicit Kraus
+operators; ``seqeve.chain`` must agree with it on general chains.  The
+planner's bisection assumes the rates are monotone in the new Eve's
+sharpness, which is checked here as well.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from seqeve import (
+    BOB,
+    BlochDirection,
+    ChainSpec,
+    PartySettings,
+    SharpSetting,
+    UnsharpSetting,
+    conditional_table,
+    mub_chain,
+    propagate,
+    report,
+    tilted_state,
+)
+from seqeve.chain import reports
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+# Checking every party of a chain costs O(N^2) Eve steps, with N up to 40.
+CHAIN_PROPERTY = settings(max_examples=20, deadline=None, derandomize=True)
+MAX_EVES = 40
+MAX_PREFIX = 6
+
+directions = st.builds(
+    BlochDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)
+)
+sharpness = st.floats(0.01, 1.0)
+biases = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+def sharp_pairs():
+    return st.builds(
+        PartySettings,
+        st.builds(SharpSetting, directions),
+        st.builds(SharpSetting, directions),
+    )
+
+
+def unsharp_pairs():
+    return st.builds(
+        PartySettings,
+        st.builds(UnsharpSetting, directions, sharpness),
+        st.builds(UnsharpSetting, directions, sharpness),
+    )
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(0, MAX_EVES))
+    eves = draw(st.lists(unsharp_pairs(), min_size=n, max_size=n))
+    return ChainSpec(
+        initial=tilted_state(draw(st.floats(0.05, math.pi / 4))),
+        alice=draw(sharp_pairs()),
+        eves=tuple(eves),
+        bob=draw(sharp_pairs()),
+        input_bias=tuple(draw(biases) for _ in eves),
+    )
+
+
+def parties(spec):
+    return list(range(1, spec.n_eves + 1)) + [BOB]
+
+
+@CHAIN_PROPERTY
+@given(chains())
+def test_kernel_matches_the_4x4_oracle(spec):
+    settings_seen = list(spec.eves) + [spec.bob]
+    for party, seen, rho in zip(parties(spec), settings_seen, oracles.chain_rhos(spec)):
+        expected = oracles.table(spec.alice, seen, rho).probs
+        assert np.abs(conditional_table(spec, party).probs - expected).max() <= 1e-12
+        assert np.abs(propagate(spec, party).rho - rho).max() <= 1e-12
+
+
+@CHAIN_PROPERTY
+@given(chains())
+def test_one_pass_reports_equal_per_party_reports(spec):
+    assert reports(spec) == [report(spec, party) for party in parties(spec)]
+
+
+@PROPERTY
+@given(st.lists(sharpness, max_size=MAX_PREFIX), sharpness, sharpness)
+def test_rates_are_monotone_in_the_new_eve_sharpness(prefix, lam1, lam2):
+    weak, sharp = sorted((lam1, lam2))
+    position = len(prefix) + 1
+    weak_spec, sharp_spec = mub_chain(prefix + [weak]), mub_chain(prefix + [sharp])
+    eve_weak = report(weak_spec, position).key_rate
+    assert eve_weak <= report(sharp_spec, position).key_rate + 1e-12
+    assert report(sharp_spec, BOB).key_rate <= report(weak_spec, BOB).key_rate + 1e-12

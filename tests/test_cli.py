@@ -4,10 +4,16 @@ import json
 import math
 import sys
 
+from pathlib import Path
+
 import pytest
 
+import seqeve.chain
+import seqeve.linalg
 import seqeve.unbounded
+from seqeve.chain import PauliState
 from seqeve.cli import main
+from seqeve.planner import max_eves
 
 TWO_EVE_DOC = """\
 mode: chain
@@ -20,8 +26,10 @@ eves:
     settings: mub
 """
 
+CHAIN_MIXED = Path(__file__).parent / "golden" / "chain_mixed.yaml"
 NO_EVE_DOC = "mode: chain\nstate: {kind: bell}\n"
 PROJECTIVE_EVE_DOC = "mode: chain\neves:\n  - lambda: 1.0\n"
+UNBOUNDED_SMALL = ["unbounded", "--theta1", "0.5", "--lambdas", "0.3"]
 
 
 def write(tmp_path, name, text):
@@ -30,15 +38,16 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def count_calls(monkeypatch, name):
-    """Count calls of seqeve.unbounded.<name> through every seqeve binding."""
-    original = getattr(seqeve.unbounded, name)
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.<name> through every seqeve binding."""
+    original = getattr(owner, name)
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
+    monkeypatch.setattr(owner, name, counted)
     for mod_name, module in list(sys.modules.items()):
         if mod_name == "seqeve" or mod_name.startswith("seqeve."):
             for attr, value in list(vars(module).items()):
@@ -129,6 +138,82 @@ class TestChainCommand:
         scenario = write(tmp_path, "plan.yaml", "mode: plan\ntargets: [0.1]\n")
         assert main(["chain", "--scenario", scenario]) == 2
         assert "mode" in capsys.readouterr().err
+
+
+class TestWorkCounts:
+    def test_planner_builds_no_kron_and_never_propagates(self, monkeypatch):
+        krons = count_calls(monkeypatch, seqeve.linalg, "kron")
+        propagations = count_calls(monkeypatch, seqeve.chain, "propagate")
+        assert max_eves(0.1).max_eves == 4
+        assert len(krons) == 0
+        assert len(propagations) == 0
+
+    def test_chain_command_propagates_once(self, monkeypatch, capsys):
+        starts = count_calls(monkeypatch, PauliState, "of")
+        steps = count_calls(monkeypatch, PauliState, "after")
+        propagations = count_calls(monkeypatch, seqeve.chain, "propagate")
+        krons = count_calls(monkeypatch, seqeve.linalg, "kron")
+        assert main(["chain", "--scenario", str(CHAIN_MIXED)]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == 4
+        # One pass through the three Eves of the file.
+        assert (len(starts), len(steps)) == (1, 3)
+        assert len(propagations) == 0
+        assert len(krons) == 0
+
+
+class TestFileSystemErrors:
+    @pytest.mark.parametrize(
+        "make_argv, message",
+        [
+            (
+                lambda tmp: ["chain", "--scenario", str(tmp / "missing.yaml")],
+                "input error: scenario: cannot read",
+            ),
+            (
+                lambda tmp: ["chain", "--scenario", str(tmp)],
+                "input error: scenario: cannot read",
+            ),
+            (
+                lambda tmp: UNBOUNDED_SMALL + ["--out", str(tmp / "missing" / "x.csv")],
+                "input error: out: cannot write",
+            ),
+        ],
+        ids=["missing-scenario", "directory-scenario", "missing-out-directory"],
+    )
+    def test_exits_2_without_traceback(self, tmp_path, capsys, make_argv, message):
+        assert main(make_argv(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith(message)
+
+
+class TestListOptions:
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["plan", "--rates", "0.3,,0.2"], "rates"),
+            (["plan", "--rates", "0.3,"], "rates"),
+            (["unbounded", "--theta1", "0.5", "--lambdas", "0.3,,0.2"], "lambdas"),
+            (["unbounded", "--theta1", "0.5", "--lambdas", "0.3,"], "lambdas"),
+        ],
+    )
+    def test_empty_item_exits_2(self, capsys, argv, option):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {option}: empty item")
+
+    @pytest.mark.parametrize(
+        "spaced, plain",
+        [
+            (["plan", "--rates", "0.3, 0.2 "], ["plan", "--rates", "0.3,0.2"]),
+            (
+                ["unbounded", "--theta1", "0.5", "--lambdas", " 0.3, deg:20"],
+                ["unbounded", "--theta1", "0.5", "--lambdas", "0.3,deg:20"],
+            ),
+        ],
+    )
+    def test_spaces_around_items_parse(self, capsys, spaced, plain):
+        assert main(spaced) == 0
+        spaced_out = capsys.readouterr().out
+        assert main(plain) == 0
+        assert spaced_out == capsys.readouterr().out
 
 
 class TestPlanCommand:
@@ -228,8 +313,8 @@ class TestUnboundedCommand:
 
     @pytest.mark.parametrize("depth", [1, 10])
     def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
-        evaluations = count_calls(monkeypatch, "evaluate_branch")
-        decompositions = count_calls(monkeypatch, "schmidt_decompose")
+        evaluations = count_calls(monkeypatch, seqeve.unbounded, "evaluate_branch")
+        decompositions = count_calls(monkeypatch, seqeve.unbounded, "schmidt_decompose")
         angles = ",".join(["0.6"] * depth)
         assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
         assert len(evaluations) == 2
