@@ -16,9 +16,8 @@ rebuilt as a 4x4 density matrix and validated.
 
 Alice's projector is never folded into the propagated state: her sharp
 measurement commutes with every operation on the other qubit, so it is
-applied lazily when a conditional table is built.  The explicit per-outcome
-forking route exists as ``post_measurement_state`` and the equivalence of
-the two routes is covered by tests.
+applied lazily when a conditional table is built.  The tests check this
+against an explicit per-outcome forking route.
 """
 
 from __future__ import annotations
@@ -30,19 +29,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .linalg import (
-    COMPOSED_ATOL,
-    ID2,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    X_DIR,
-    Z_DIR,
-    dagger,
-    kron,
-    partial_trace,
-)
-from .measurement import SharpSetting, UnsharpSetting, effect, projector, sqrt_effect
+from .linalg import COMPOSED_ATOL, ID2, PAULI_X, PAULI_Y, PAULI_Z, X_DIR, Z_DIR, kron
+from .measurement import SharpSetting, UnsharpSetting
 from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
 
 if TYPE_CHECKING:
@@ -159,53 +147,6 @@ class ConditionalTable:
         if not np.abs(probs.sum(axis=-1) - 1.0).max() <= COMPOSED_ATOL:
             raise InvariantError("each conditioning cell must sum to 1")
         object.__setattr__(self, "probs", probs)
-
-
-def assemblage(
-    state: TwoQubitState, alice_setting: SharpSetting, a: int
-) -> np.ndarray:
-    """Unnormalized conditional state on the second qubit given Alice's outcome.
-
-    Trace equals Alice's outcome probability.
-    """
-    proj = projector(alice_setting, a)
-    return partial_trace(kron(proj, ID2) @ state.rho, keep="B")
-
-
-def eve1_conditional(
-    state: TwoQubitState,
-    alice_setting: SharpSetting,
-    a: int,
-    eve_setting: UnsharpSetting,
-    c: int,
-) -> float:
-    """P(first Eve sees c | Alice measured alice_setting and saw a)."""
-    proj = projector(alice_setting, a)
-    p_alice = float(np.trace(kron(proj, ID2) @ state.rho).real)
-    if p_alice < ZERO_PROB_ATOL:
-        raise ZeroProbabilityError(
-            f"Alice outcome {a} has probability {p_alice:.3e}"
-        )
-    joint = float(
-        np.trace(kron(proj, effect(eve_setting, c)) @ state.rho).real
-    )
-    return joint / p_alice
-
-
-def post_measurement_state(
-    state: TwoQubitState,
-    alice_setting: SharpSetting,
-    a: int,
-    eve_setting: UnsharpSetting,
-    c: int,
-) -> np.ndarray:
-    """Unnormalized reduced state forwarded to the next party.
-
-    Applies Alice's projector and the Eve's Lueders update, then traces out
-    Alice.  The trace equals the joint probability of (a, c).
-    """
-    op = kron(projector(alice_setting, a), sqrt_effect(eve_setting, c))
-    return partial_trace(op @ state.rho @ dagger(op), keep="B")
 
 
 def _party_index(spec: ChainSpec, party: int | str) -> int:

@@ -21,13 +21,7 @@ from . import __version__
 from .chain import ZeroProbabilityError, reports
 from .linalg import ID2
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
-from .scenario import (
-    MAX_UNBOUNDED_DEPTH,
-    ScenarioError,
-    load_scenario,
-    parse_angle_token,
-    to_chain_spec,
-)
+from .scenario import ScenarioError, load_scenario, parse_angle_token, to_chain_spec
 from .states import InvariantError
 from .unbounded import (
     ADAPTED,
@@ -50,6 +44,8 @@ LAMBDA_TOL = 1e-3
 COARSE_LAMBDA_TOL = 5e-3
 COARSE_ENTRIES = {(0.1, 2)}
 BOB_RATE_TOL = 2e-3
+# Caps the 2^n rows that ``unbounded`` writes.
+MAX_UNBOUNDED_DEPTH = 12
 
 
 def _fmt(value: object) -> str:
@@ -110,8 +106,6 @@ def cmd_chain(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"scenario: cannot read {args.scenario}: {exc.strerror}"
         ) from exc
-    if scenario.mode != "chain":
-        raise ScenarioError(f"mode: expected 'chain', got {scenario.mode!r}")
     spec = to_chain_spec(scenario)
     parties = [
         (f"eve{m}", eve.settings, eve.sharpness)

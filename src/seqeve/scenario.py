@@ -18,10 +18,9 @@ from .linalg import BlochDirection
 from .measurement import SharpSetting, UnsharpSetting
 from .states import PureTwoQubitState, bell_state, tilted_state
 
-MODES = ("chain", "plan", "unbounded")
+MODES = ("chain",)
 SETTINGS_MODELS = ("mub", "explicit")
 OUTPUT_FORMATS = ("csv", "json")
-MAX_UNBOUNDED_DEPTH = 12
 
 
 class ScenarioError(ValueError):
@@ -136,9 +135,6 @@ class Scenario:
     alice: PartySpec = PartySpec()
     bob: PartySpec = PartySpec()
     eves: tuple[EveSpec, ...] = ()
-    targets: tuple[float, ...] = ()
-    theta1: float | None = None
-    weak_lambdas: tuple[float, ...] = ()
     output: OutputSpec = field(default_factory=OutputSpec)
 
 
@@ -259,24 +255,13 @@ def loads_scenario(text: str) -> Scenario:
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
     mapping = _require_mapping(raw, "scenario")
-    _check_keys(
-        mapping,
-        {
-            "mode",
-            "state",
-            "alice",
-            "bob",
-            "eves",
-            "targets",
-            "theta1",
-            "weak_lambdas",
-            "output",
-        },
-        "scenario",
-    )
+    # Checked before the keys, so a document of another mode is named as such.
     mode = mapping.get("mode")
     if mode not in MODES:
         raise ScenarioError(f"mode: must be one of {MODES}, got {mode!r}")
+    _check_keys(
+        mapping, {"mode", "state", "alice", "bob", "eves", "output"}, "scenario"
+    )
 
     state = _parse_state(mapping.get("state", {"kind": "bell"}))
     alice = _parse_party(mapping.get("alice"), "alice")
@@ -291,67 +276,14 @@ def loads_scenario(text: str) -> Scenario:
             _parse_eve(entry, f"eves[{idx}]") for idx, entry in enumerate(raw_eves)
         )
 
-    targets: tuple[float, ...] = ()
-    if "targets" in mapping and mapping["targets"] is not None:
-        raw_targets = mapping["targets"]
-        if not isinstance(raw_targets, list) or not raw_targets:
-            raise ScenarioError("targets: expected a non-empty list of rates")
-        parsed = []
-        for idx, entry in enumerate(raw_targets):
-            rate = _number(entry, f"targets[{idx}]")
-            if not 0.0 < rate < 1.0:
-                raise ScenarioError(f"targets[{idx}]: must lie in (0, 1), got {rate}")
-            parsed.append(rate)
-        targets = tuple(parsed)
-
-    theta1 = None
-    if "theta1" in mapping and mapping["theta1"] is not None:
-        theta1 = parse_angle(mapping["theta1"], "theta1")
-        if not 0.0 < theta1 <= math.pi / 4.0:
-            raise ScenarioError(f"theta1: must lie in (0, pi/4], got {theta1}")
-
-    weak_lambdas: tuple[float, ...] = ()
-    if "weak_lambdas" in mapping and mapping["weak_lambdas"] is not None:
-        raw_weak = mapping["weak_lambdas"]
-        if not isinstance(raw_weak, list) or not raw_weak:
-            raise ScenarioError("weak_lambdas: expected a non-empty list of angles")
-        parsed_weak = []
-        for idx, entry in enumerate(raw_weak):
-            angle = parse_angle(entry, f"weak_lambdas[{idx}]")
-            if not 0.0 < angle <= math.pi / 4.0:
-                raise ScenarioError(
-                    f"weak_lambdas[{idx}]: must lie in (0, pi/4], got {angle}"
-                )
-            parsed_weak.append(angle)
-        if len(parsed_weak) > MAX_UNBOUNDED_DEPTH:
-            raise ScenarioError(
-                f"weak_lambdas: at most {MAX_UNBOUNDED_DEPTH} weak measurements"
-            )
-        weak_lambdas = tuple(parsed_weak)
-
-    scenario = Scenario(
+    return Scenario(
         mode=mode,
         state=state,
         alice=alice,
         bob=bob,
         eves=eves,
-        targets=targets,
-        theta1=theta1,
-        weak_lambdas=weak_lambdas,
         output=_parse_output(mapping.get("output")),
     )
-    _validate_mode(scenario)
-    return scenario
-
-
-def _validate_mode(scenario: Scenario) -> None:
-    if scenario.mode == "plan" and not scenario.targets:
-        raise ScenarioError("targets: required for mode 'plan'")
-    if scenario.mode == "unbounded":
-        if scenario.theta1 is None:
-            raise ScenarioError("theta1: required for mode 'unbounded'")
-        if not scenario.weak_lambdas:
-            raise ScenarioError("weak_lambdas: required for mode 'unbounded'")
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -381,12 +313,6 @@ def dumps_scenario(scenario: Scenario) -> str:
             if eve.directions is not None:
                 entry["directions"] = [_direction_dict(d) for d in eve.directions]
             doc["eves"].append(entry)
-    if scenario.targets:
-        doc["targets"] = list(scenario.targets)
-    if scenario.theta1 is not None:
-        doc["theta1"] = scenario.theta1
-    if scenario.weak_lambdas:
-        doc["weak_lambdas"] = list(scenario.weak_lambdas)
     doc["output"] = {"format": scenario.output.format}
     if scenario.output.path is not None:
         doc["output"]["path"] = scenario.output.path

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ConditionalTable, table_from_operators
-from .linalg import ATOL, ID2, PAULI_X, PAULI_Z, dagger
+from .chain import ZERO_PROB_ATOL, ConditionalTable, ZeroProbabilityError
+from .linalg import ATOL, ID2
 from .measurement import WeakKrausSetting, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
 from .steering import SteeringReport, report_from_table
@@ -75,14 +75,6 @@ class BranchNode:
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class AdaptedMeasurement:
-    """Alice's outcome-adapted second observable for one branch."""
-
-    mu: float
-    operator: np.ndarray
-
-
 def _fix_column_phases(u: np.ndarray, vt: np.ndarray) -> None:
     """Make each column of u real-nonnegative at its dominant entry (in place)."""
     for k in range(2):
@@ -138,17 +130,6 @@ def _apply_weak(
             f"weak measurement outcome {outcome} has probability {prob:.3e}"
         )
     return PureTwoQubitState(mat.reshape(4) / math.sqrt(prob)), prob
-
-
-def weak_step(
-    psi: PureTwoQubitState, setting: WeakKrausSetting, outcome: int
-) -> tuple[SchmidtForm, float]:
-    """One weak measurement step: apply, renormalize, Schmidt-decompose.
-
-    The returned probability is the pre-normalization squared norm.
-    """
-    post, prob = _apply_weak(psi, setting, outcome)
-    return schmidt_decompose(post), prob
 
 
 def correct_and_forward(sf: SchmidtForm) -> PureTwoQubitState:
@@ -262,40 +243,16 @@ def alice_facing_count(leaves: list[BranchNode]) -> int:
     return len({leaf.outcomes[:-1] for leaf in leaves})
 
 
-def canonical_settings(
-    theta: float,
-) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Tilt-matched observables: Alice (sz, cos2t*sz + sin2t*sx), Bob (sz, sx)."""
-    check_tilt_angle(theta)
-    a2 = math.cos(2.0 * theta) * PAULI_Z + math.sin(2.0 * theta) * PAULI_X
-    return (PAULI_Z.copy(), a2), (PAULI_Z.copy(), PAULI_X.copy())
-
-
-def adapted_alice_measurement(node: BranchNode) -> AdaptedMeasurement:
-    """Alice's precomputable second observable for a branch.
-
-    mu satisfies tan(mu) = sin(2*theta) and the observable is the branch
-    unitary conjugation of cos(mu)*sz + sin(mu)*sx.
-    """
-    if node.degenerate:
-        raise DegenerateStateError("cannot adapt measurements to a product branch")
-    mu = math.atan(math.sin(2.0 * node.theta))
-    base = math.cos(mu) * PAULI_Z + math.sin(mu) * PAULI_X
-    return AdaptedMeasurement(
-        mu=mu, operator=node.u_alice @ base @ dagger(node.u_alice)
-    )
-
-
-def _observable_projectors(op: np.ndarray) -> list[np.ndarray]:
-    """Outcome projectors (I +- op)/2 of a Hermitian involution."""
-    return [0.5 * (ID2 + op), 0.5 * (ID2 - op)]
-
-
 def branch_conditional_table(node: BranchNode, alice_choice: str) -> ConditionalTable:
     """Alice/Bob conditional table for one branch under a settings choice.
 
-    Both of Alice's observables are conjugated by the accumulated branch
-    unitary; Bob's are the fixed sigma_z and sigma_x.
+    Alice's unitary cancels (it conjugates her observables and the state
+    alike), so the table is a closed form in the Schmidt amplitudes of
+    cos(t)|00> + sin(t)|11>.  Alice measures cos(phi) sz + sin(phi) sx with
+    phi = 0 for input 0 and, for input 1, phi = 2t (canonical) or
+    atan(sin 2t) (adapted).  Her outcome's eigenvector (x, y) leaves Bob
+    v = (x cos t, y sin t) with p_alice = |v|^2, and Bob's sigma_z and sigma_x
+    outcomes follow from v_0^2 and (v_0 +- v_1)^2 / 2.
     """
     if alice_choice not in ALICE_STRATEGIES:
         raise ValueError(
@@ -303,17 +260,29 @@ def branch_conditional_table(node: BranchNode, alice_choice: str) -> Conditional
         )
     if node.degenerate:
         raise DegenerateStateError("cannot evaluate a degenerate branch")
-    u = node.u_alice
-    a1 = u @ PAULI_Z @ dagger(u)
-    if alice_choice == CANONICAL:
-        (_, a2_base), _ = canonical_settings(node.theta)
-        a2 = u @ a2_base @ dagger(u)
-    else:
-        a2 = adapted_alice_measurement(node).operator
-    rho = branch_state(node.theta, u).density_matrix()
-    alice_grid = [_observable_projectors(a1), _observable_projectors(a2)]
-    bob_grid = [_observable_projectors(PAULI_Z), _observable_projectors(PAULI_X)]
-    return table_from_operators(rho, alice_grid, bob_grid)
+    check_tilt_angle(node.theta)
+    cos_t, sin_t = math.cos(node.theta), math.sin(node.theta)
+    second = (
+        2.0 * node.theta
+        if alice_choice == CANONICAL
+        else math.atan(math.sin(2.0 * node.theta))
+    )
+    probs = np.empty((2, 2, 2, 2))  # [bob input k, alice input i, a, c]
+    for i, phi in enumerate((0.0, second)):
+        cos_h, sin_h = math.cos(0.5 * phi), math.sin(0.5 * phi)
+        for a, (x, y) in enumerate(((cos_h, sin_h), (-sin_h, cos_h))):
+            v0, v1 = x * cos_t, y * sin_t
+            p_alice = v0 * v0 + v1 * v1
+            if p_alice < ZERO_PROB_ATOL:
+                raise ZeroProbabilityError(
+                    f"Alice input {i} outcome {a} has probability {p_alice:.3e}"
+                )
+            probs[0, i, a] = (v0 * v0 / p_alice, v1 * v1 / p_alice)
+            probs[1, i, a] = (
+                0.5 * (v0 + v1) ** 2 / p_alice,
+                0.5 * (v0 - v1) ** 2 / p_alice,
+            )
+    return ConditionalTable(probs)
 
 
 def evaluate_branch(node: BranchNode, alice_choice: str) -> SteeringReport:

@@ -1,21 +1,39 @@
-"""The 4x4 density-matrix route of the chain: oracle for the Pauli-coordinate kernel.
+"""4x4 density-matrix routes: oracles for the closed forms in ``seqeve``.
 
-Each Eve is applied as her Lueders channel with explicit Kraus operators
-lifted to two qubits, and tables come from operator traces, so no
-propagation or table arithmetic is shared with ``seqeve.chain``.
+The chain is propagated with each Eve's Lueders channel, Kraus operators
+lifted to two qubits, and the branch tables of the weak strategy are taken
+with Alice's observables conjugated by each leaf's own unitary.  Every table
+comes from operator traces (``chain.table_from_operators``), so none of the
+closed-form propagation or table arithmetic checked here is shared.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from seqeve.chain import (
+    ZERO_PROB_ATOL,
     ChainSpec,
     ConditionalTable,
     PartySettings,
     UnsharpSetting,
+    ZeroProbabilityError,
     table_from_operators,
 )
-from seqeve.linalg import ID2, dagger, kron
-from seqeve.measurement import effect, projector, sqrt_effect
+from seqeve.linalg import ID2, PAULI_X, PAULI_Z, dagger, kron, partial_trace
+from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
+from seqeve.states import TwoQubitState, check_tilt_angle
+from seqeve.unbounded import (
+    ALICE_STRATEGIES,
+    CANONICAL,
+    BranchNode,
+    DegenerateStateError,
+    SchmidtForm,
+    _apply_weak,
+    branch_state,
+    schmidt_decompose,
+)
 
 
 def _outcome_effect(setting, outcome: int) -> np.ndarray:
@@ -53,3 +71,131 @@ def table(alice: PartySettings, party: PartySettings, rho: np.ndarray) -> Condit
     alice_projs = [[projector(s, a) for a in (0, 1)] for s in alice.settings]
     party_ops = [[_outcome_effect(s, c) for c in (0, 1)] for s in party.settings]
     return table_from_operators(rho, alice_projs, party_ops)
+
+
+def assemblage(
+    state: TwoQubitState, alice_setting: SharpSetting, a: int
+) -> np.ndarray:
+    """Unnormalized conditional state on the second qubit given Alice's outcome.
+
+    Trace equals Alice's outcome probability.
+    """
+    proj = projector(alice_setting, a)
+    return partial_trace(kron(proj, ID2) @ state.rho, keep="B")
+
+
+def eve1_conditional(
+    state: TwoQubitState,
+    alice_setting: SharpSetting,
+    a: int,
+    eve_setting: UnsharpSetting,
+    c: int,
+) -> float:
+    """P(first Eve sees c | Alice measured alice_setting and saw a)."""
+    proj = projector(alice_setting, a)
+    p_alice = float(np.trace(kron(proj, ID2) @ state.rho).real)
+    if p_alice < ZERO_PROB_ATOL:
+        raise ZeroProbabilityError(
+            f"Alice outcome {a} has probability {p_alice:.3e}"
+        )
+    joint = float(
+        np.trace(kron(proj, effect(eve_setting, c)) @ state.rho).real
+    )
+    return joint / p_alice
+
+
+def post_measurement_state(
+    state: TwoQubitState,
+    alice_setting: SharpSetting,
+    a: int,
+    eve_setting: UnsharpSetting,
+    c: int,
+) -> np.ndarray:
+    """Unnormalized reduced state forwarded to the next party.
+
+    Applies Alice's projector and the Eve's Lueders update, then traces out
+    Alice.  The trace equals the joint probability of (a, c).
+    """
+    op = kron(projector(alice_setting, a), sqrt_effect(eve_setting, c))
+    return partial_trace(op @ state.rho @ dagger(op), keep="B")
+
+
+def weak_step(psi, setting, outcome: int) -> tuple[SchmidtForm, float]:
+    """One weak measurement step: apply, renormalize, Schmidt-decompose.
+
+    The returned probability is the pre-normalization squared norm.
+    """
+    post, prob = _apply_weak(psi, setting, outcome)
+    return schmidt_decompose(post), prob
+
+
+@dataclass(frozen=True)
+class AdaptedMeasurement:
+    """Alice's outcome-adapted second observable for one branch."""
+
+    mu: float
+    operator: np.ndarray
+
+
+def canonical_settings(
+    theta: float,
+) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Tilt-matched observables: Alice (sz, cos2t*sz + sin2t*sx), Bob (sz, sx)."""
+    check_tilt_angle(theta)
+    a2 = math.cos(2.0 * theta) * PAULI_Z + math.sin(2.0 * theta) * PAULI_X
+    return (PAULI_Z.copy(), a2), (PAULI_Z.copy(), PAULI_X.copy())
+
+
+def adapted_alice_measurement(node: BranchNode) -> AdaptedMeasurement:
+    """Alice's second observable for a branch.
+
+    mu satisfies tan(mu) = sin(2*theta) and the observable is the branch
+    unitary conjugation of cos(mu)*sz + sin(mu)*sx.
+    """
+    if node.degenerate:
+        raise DegenerateStateError("cannot adapt measurements to a product branch")
+    mu = math.atan(math.sin(2.0 * node.theta))
+    base = math.cos(mu) * PAULI_Z + math.sin(mu) * PAULI_X
+    return AdaptedMeasurement(
+        mu=mu, operator=node.u_alice @ base @ dagger(node.u_alice)
+    )
+
+
+def _observable_projectors(op: np.ndarray) -> list[np.ndarray]:
+    """Outcome projectors (I +- op)/2 of a Hermitian involution."""
+    return [0.5 * (ID2 + op), 0.5 * (ID2 - op)]
+
+
+def branch_operators(node: BranchNode, alice_choice: str):
+    """(rho, Alice's projector grid, Bob's) of a leaf, indexed [input][outcome].
+
+    rho is (u_alice x I)(cos t|00> + sin t|11>) and both of Alice's
+    observables are conjugated by the same unitary; Bob's are the fixed
+    sigma_z and sigma_x.
+    """
+    if alice_choice not in ALICE_STRATEGIES:
+        raise ValueError(f"unknown alice_choice {alice_choice!r}")
+    u = node.u_alice
+    a1 = u @ PAULI_Z @ dagger(u)
+    if alice_choice == CANONICAL:
+        (_, a2_base), _ = canonical_settings(node.theta)
+        a2 = u @ a2_base @ dagger(u)
+    else:
+        a2 = adapted_alice_measurement(node).operator
+    rho = branch_state(node.theta, u).density_matrix()
+    alice_grid = [_observable_projectors(a1), _observable_projectors(a2)]
+    bob_grid = [_observable_projectors(PAULI_Z), _observable_projectors(PAULI_X)]
+    return rho, alice_grid, bob_grid
+
+
+def branch_table(node: BranchNode, alice_choice: str) -> ConditionalTable:
+    """Branch table from operator traces, with the leaf's own Alice unitary."""
+    return table_from_operators(*branch_operators(node, alice_choice))
+
+
+def alice_marginals(node: BranchNode, alice_choice: str) -> np.ndarray:
+    """P(a | i) of a leaf from operator traces, indexed [input i, outcome a]."""
+    rho, alice_grid, _ = branch_operators(node, alice_choice)
+    return np.array(
+        [[np.trace(kron(proj, ID2) @ rho).real for proj in row] for row in alice_grid]
+    )

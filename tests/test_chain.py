@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_direction
+from oracles import assemblage, eve1_conditional, post_measurement_state
 from seqeve import (
     BOB,
     ChainSpec,
@@ -16,17 +17,14 @@ from seqeve import (
     UnsharpSetting,
     ZeroProbabilityError,
     Z_DIR,
-    assemblage,
     bell_state,
     conditional_table,
     effect,
-    eve1_conditional,
     kron,
     mub_chain,
     mub_sharp_pair,
     mub_unsharp_pair,
     partial_trace,
-    post_measurement_state,
     propagate,
     shrink_factor,
     tilted_state,

@@ -315,19 +315,27 @@ class TestUnboundedCommand:
     def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
         evaluations = count_calls(monkeypatch, seqeve.unbounded, "evaluate_branch")
         decompositions = count_calls(monkeypatch, seqeve.unbounded, "schmidt_decompose")
+        krons = count_calls(monkeypatch, seqeve.linalg, "kron")
+        traces = count_calls(monkeypatch, seqeve.chain, "table_from_operators")
         angles = ",".join(["0.6"] * depth)
         assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
         assert len(evaluations) == 2
         assert len(decompositions) == 0
+        assert len(krons) == 0
+        assert len(traces) == 0
         assert len(parse_csv(capsys.readouterr().out)) == 2**depth + 1
 
     # theta1 = 0.3 with weak angles 0.1 shrinks sin(2 theta) by sin(0.2) per
-    # step: the leaf angle is 2.2e-3 at depth 3, 8.7e-5 at 5 and 6.9e-7 at 8.
+    # step: the leaf angle is 2.2e-3 at depth 3, 8.7e-5 at 5, 3.4e-6 at 7 and
+    # 6.9e-7 at 8, where Alice's marginal sin^2(theta) = 4.7e-13 is below
+    # ZERO_PROB_ATOL.
     @pytest.mark.parametrize(
         "depth, code, message",
         [
             (3, 0, ""),
-            (5, 5, "internal error: conditional probabilities"),
+            (5, 0, ""),
+            (6, 0, ""),
+            (7, 0, ""),
             (8, 3, "infeasible: Alice input 0 outcome 1"),
         ],
     )

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from seqeve import ScenarioError, loads_scenario
+from seqeve import Scenario, ScenarioError, loads_scenario
+from seqeve.cli import main
 from seqeve.scenario import dumps_scenario, to_chain_spec
 
 CHAIN_DOC = """\
@@ -40,12 +41,6 @@ eves:
     bias: 0.25
 """
 
-UNBOUNDED_DOC = """\
-mode: unbounded
-theta1: 0.7853981633974483
-weak_lambdas: [0.5235987755982988, deg:45]
-"""
-
 
 def test_parses_chain_scenario():
     scenario = loads_scenario(CHAIN_DOC)
@@ -66,12 +61,6 @@ def test_degree_prefix_converts():
     assert scenario.eves[0].bias == 0.25
 
 
-def test_unbounded_scenario_fields():
-    scenario = loads_scenario(UNBOUNDED_DOC)
-    assert scenario.theta1 == pytest.approx(math.pi / 4, abs=1e-12)
-    assert scenario.weak_lambdas[1] == pytest.approx(math.pi / 4, abs=1e-12)
-
-
 @pytest.mark.parametrize(
     "doc,field",
     [
@@ -82,10 +71,6 @@ def test_unbounded_scenario_fields():
         ("mode: chain\neves:\n  - lambda: 0.5\n    bias: 2.0\n", "eves[0].bias"),
         ("mode: chain\nstate: {kind: tilted}\n", "state.theta"),
         ("mode: chain\nstate: {kind: bell, theta: 0.2}\n", "state.theta"),
-        ("mode: plan\n", "targets"),
-        ("mode: plan\ntargets: [1.2]\n", "targets[0]"),
-        ("mode: unbounded\nweak_lambdas: [0.3]\n", "theta1"),
-        ("mode: unbounded\ntheta1: 0.5\n", "weak_lambdas"),
         ("mode: chain\nnoise: 0.1\n", "scenario.noise"),
         ("mode: chain\noutput: {format: xml}\n", "output.format"),
         (
@@ -105,7 +90,7 @@ def test_validation_names_offending_field(doc, field):
 
 
 def test_round_trip_identity():
-    for doc in (CHAIN_DOC, EXPLICIT_DOC, UNBOUNDED_DOC):
+    for doc in (CHAIN_DOC, EXPLICIT_DOC):
         first = loads_scenario(doc)
         second = loads_scenario(dumps_scenario(first))
         assert first == second
@@ -113,24 +98,20 @@ def test_round_trip_identity():
         assert loads_scenario(dumps_scenario(second)) == second
 
 
-def test_round_trip_plan_scenario():
-    doc = "mode: plan\ntargets: [0.1, 0.2, 0.3]\n"
-    first = loads_scenario(doc)
-    assert first.targets == (0.1, 0.2, 0.3)
-    assert loads_scenario(dumps_scenario(first)) == first
-
-
 def test_to_chain_spec_rejects_other_modes():
     with pytest.raises(ScenarioError, match="mode"):
-        to_chain_spec(loads_scenario("mode: plan\ntargets: [0.1]\n"))
+        to_chain_spec(Scenario(mode="plan"))
+
+
+def test_plan_mode_is_rejected(tmp_path, capsys):
+    with pytest.raises(ScenarioError, match="^mode: "):
+        loads_scenario("mode: plan\n")
+    path = tmp_path / "plan.yaml"
+    path.write_text("mode: plan\n", encoding="utf-8")
+    assert main(["chain", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("input error: mode: ")
 
 
 def test_not_yaml_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="YAML"):
         loads_scenario("mode: [unclosed\n")
-
-
-def test_weak_lambda_depth_cap():
-    angles = ", ".join(["0.3"] * 13)
-    with pytest.raises(ScenarioError, match="weak_lambdas"):
-        loads_scenario(f"mode: unbounded\ntheta1: 0.5\nweak_lambdas: [{angles}]\n")

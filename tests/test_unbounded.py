@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 
 from helpers import random_pure_amp
+from oracles import adapted_alice_measurement, canonical_settings, weak_step
 from seqeve import (
     ADAPTED,
     CANONICAL,
+    BranchNode,
     DegenerateStateError,
     PureTwoQubitState,
     WeakKrausSetting,
-    adapted_alice_measurement,
     bell_state,
     branch_tree,
-    canonical_settings,
     correct_and_forward,
     evaluate_branch,
     leaf_theta,
@@ -24,7 +24,6 @@ from seqeve import (
     schmidt_decompose,
     tilted_state,
     weak_kraus,
-    weak_step,
 )
 from seqeve.linalg import ID2, PAULI_X, PAULI_Z
 from seqeve.unbounded import alice_facing_count, branch_state
@@ -270,8 +269,6 @@ class TestAdaptedMeasurement:
                 sf = schmidt_decompose(psi)
             except DegenerateStateError:
                 continue
-            from seqeve import BranchNode
-
             node = BranchNode((0,), sf.theta, sf.u_alice, 1.0)
             eigs = np.sort(np.linalg.eigvalsh(adapted_alice_measurement(node).operator))
             np.testing.assert_allclose(eigs, [-1.0, 1.0], atol=1e-10)
@@ -327,6 +324,19 @@ class TestEvaluateBranch:
                 rate = evaluate_branch(leaf, choice).key_rate
                 by_theta.setdefault(key, rate)
                 assert rate == pytest.approx(by_theta[key], abs=1e-10)
+
+    @pytest.mark.parametrize("theta", np.geomspace(1.1e-6, 1e-2, 12).tolist())
+    def test_small_angles_evaluate(self, theta):
+        # Down to where Alice's smallest marginal sin^2(theta) nears 1e-12.
+        leaf = BranchNode((0,), theta, ID2, 1.0)
+        for choice in (CANONICAL, ADAPTED):
+            rep = evaluate_branch(leaf, choice)
+            assert 0.0 <= rep.key_rate <= 1.0
+
+    @pytest.mark.parametrize("choice", [CANONICAL, ADAPTED])
+    def test_rejects_angle_outside_tilt_range(self, choice):
+        with pytest.raises(ValueError, match="tilt angle"):
+            evaluate_branch(BranchNode((0,), 1.0, ID2, 1.0), choice)
 
     def test_rejects_unknown_choice(self):
         (leaf,) = [n for n in branch_tree(math.pi / 4, (math.pi / 4,)) if n.outcomes == (0,)]

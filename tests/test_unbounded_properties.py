@@ -1,19 +1,29 @@
-"""Property tests: the scalar leaf-angle route against the branch-tree oracle.
+"""Property tests: the scalar unbounded route against the branch-tree oracle.
 
-``branch_tree`` builds every outcome history with an SVD per node and stays
-the reference; ``leaf_theta`` and ``seqeve unbounded`` must agree with it.
+``branch_tree`` builds every outcome history with an SVD per node and
+``oracles.branch_table`` takes each leaf's table from 4x4 operator traces
+with the leaf's own Alice unitary; they stay the reference.  ``leaf_theta``,
+the closed-form branch table and ``seqeve unbounded`` must agree with them.
 """
 
-import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import seqeve.cli
-from seqeve import ADAPTED, CANONICAL, branch_tree, evaluate_branch, leaf_theta
-from seqeve.linalg import ID2
+from seqeve import (
+    ADAPTED,
+    CANONICAL,
+    branch_tree,
+    evaluate_branch,
+    leaf_theta,
+    report_from_table,
+)
+from seqeve.unbounded import branch_conditional_table
 
 MAX_DEPTH = 8
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -39,16 +49,32 @@ def test_every_tree_leaf_has_the_recursion_angle_and_weight(tree):
         assert abs(leaf.probability - 2.0 ** -len(angles)) <= 1e-12
 
 
+def oracle_report(leaf, choice):
+    return report_from_table(oracles.branch_table(leaf, choice))
+
+
+@PROPERTY
+@given(trees(0.3))
+def test_closed_form_tables_match_the_operator_oracle(tree):
+    # The oracle divides a trace by Alice's marginal P(a|i), so its entries
+    # carry roundoff of about 1e-16 / P(a|i); compare the joint P(a, c|i, k).
+    for leaf in branch_tree(*tree):
+        for choice in (CANONICAL, ADAPTED):
+            closed = branch_conditional_table(leaf, choice).probs
+            oracle = oracles.branch_table(leaf, choice).probs
+            marginal = oracles.alice_marginals(leaf, choice)[None, :, :, None]
+            assert np.abs((closed - oracle) * marginal).max() <= 1e-12
+
+
 @PROPERTY
 @given(trees(0.3), st.integers(min_value=0))
 def test_evaluate_branch_ignores_the_alice_unitary(tree, index):
     leaves = branch_tree(*tree)
     leaf = leaves[index % len(leaves)]
-    bare = dataclasses.replace(leaf, u_alice=ID2)
     for choice in (CANONICAL, ADAPTED):
-        rotated, plain = evaluate_branch(leaf, choice), evaluate_branch(bare, choice)
-        assert abs(rotated.lhs - plain.lhs) <= 1e-9
-        assert abs(rotated.key_rate - plain.key_rate) <= 1e-9
+        closed, rotated = evaluate_branch(leaf, choice), oracle_report(leaf, choice)
+        assert abs(closed.lhs - rotated.lhs) <= 1e-9
+        assert abs(closed.key_rate - rotated.key_rate) <= 1e-9
 
 
 @CLI_PROPERTY
@@ -74,7 +100,7 @@ def test_cli_rows_match_the_tree_oracle(tree):
         assert abs(row["theta"] - leaf.theta) <= 1e-9
         assert abs(row["weight"] - leaf.probability) <= 1e-9
         for choice in (CANONICAL, ADAPTED):
-            rep = evaluate_branch(leaf, choice)
+            rep = oracle_report(leaf, choice)
             assert abs(row[f"lhs_{choice}"] - rep.lhs) <= 1e-9
             assert abs(row[f"key_rate_{choice}"] - rep.key_rate) <= 1e-9
             averages[choice] += leaf.probability * rep.key_rate
