@@ -15,9 +15,6 @@ import numpy as np
 # slack per composition layer.
 ATOL = 1e-12
 COMPOSED_ATOL = 1e-10
-# Negative eigenvalues above this magnitude signal a corrupted state rather
-# than roundoff.
-NEG_EIG_LIMIT = 1e-9
 
 ID2 = np.eye(2, dtype=complex)
 ID4 = np.eye(4, dtype=complex)
@@ -58,35 +55,6 @@ def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
     if keep == "B":
         return np.einsum("iaib->ab", r)
     raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Square root of a Hermitian PSD 2x2 matrix via closed-form spectra.
-
-    Eigenvalues follow from trace and determinant, so no iteration is
-    involved.  Eigenvalues in [-1e-9, 0) are clamped to zero; anything more
-    negative is rejected as a corrupted input.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not is_hermitian(m, atol=NEG_EIG_LIMIT):
-        raise ValueError("psd_sqrt requires a Hermitian matrix")
-    half_tr = 0.5 * (m[0, 0].real + m[1, 1].real)
-    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
-    gap = math.sqrt(max(half_tr * half_tr - det, 0.0))
-    lo = half_tr - gap
-    hi = half_tr + gap
-    if lo < -NEG_EIG_LIMIT:
-        raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
-    lo = max(lo, 0.0)
-    hi = max(hi, 0.0)
-    if gap < ATOL:
-        # Scalar multiple of the identity.
-        return math.sqrt(hi) * ID2
-    proj_hi = (m - lo * ID2) / (hi - lo)
-    proj_lo = (m - hi * ID2) / (lo - hi)
-    return math.sqrt(hi) * proj_hi + math.sqrt(lo) * proj_lo
 
 
 @dataclass(frozen=True)

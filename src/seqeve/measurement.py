@@ -63,14 +63,6 @@ class WeakKrausSetting:
             raise ValueError(f"weak angle must lie in (0, pi/4], got {self.angle}")
 
 
-@dataclass(frozen=True)
-class TradeoffPair:
-    """Quality factor / precision pair on the optimal trade-off circle."""
-
-    quality_factor: float
-    precision: float
-
-
 def projector(setting: SharpSetting, outcome: int) -> np.ndarray:
     """Rank-1 projector for the given outcome of a sharp spin measurement."""
     sign = -1.0 if _check_outcome(outcome) else 1.0
@@ -88,7 +80,7 @@ def sqrt_effect(setting: UnsharpSetting, outcome: int) -> np.ndarray:
     """Square root of the effect operator, used in the Lueders state update.
 
     Closed form: sqrt((1+lam)/2) on the outcome projector plus
-    sqrt((1-lam)/2) on its complement; agrees with psd_sqrt(effect(...)).
+    sqrt((1-lam)/2) on its complement, the spectral square root of effect(...).
     """
     lam = setting.sharpness
     outcome = _check_outcome(outcome)
@@ -113,15 +105,3 @@ def weak_kraus(setting: WeakKrausSetting, outcome: int) -> np.ndarray:
         c, s = s, c
     return c * _PLUS_PROJ + s * _MINUS_PROJ
 
-
-def tradeoff(sharpness: float) -> TradeoffPair:
-    """Information-gain / disturbance pair for a given sharpness.
-
-    Precision equals the sharpness and the quality factor is
-    sqrt(1 - sharpness^2), saturating quality^2 + precision^2 = 1.
-    """
-    if not 0.0 < sharpness <= 1.0:
-        raise ValueError(f"sharpness must lie in (0, 1], got {sharpness}")
-    return TradeoffPair(
-        quality_factor=math.sqrt(1.0 - sharpness * sharpness), precision=sharpness
-    )

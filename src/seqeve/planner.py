@@ -1,11 +1,16 @@
 """Inverse problems for the eavesdropping chain.
 
-Given a target key rate per Eve, find the minimal sharpness each Eve needs
-(bisection against the full simulator), and the longest chain for which Bob
-still beats every Eve's rate.  The accepted prefix is propagated once per
-Eve position, so each bisection probe costs one closed-form table.  A
-closed-form recursion valid for the maximally entangled state with
-sigma_z/sigma_x settings and unbiased inputs serves as an independent
+Given a target key rate per Eve, find the minimal sharpness each Eve needs,
+and the longest chain for which Bob still beats every Eve's rate.  With the
+upstream state and the directions fixed, every entry of the new Eve's table
+is 1/2 +- lambda X / (4 p_alice), so the steering-inequality value is affine
+in her sharpness: lhs(lambda) = 1/2 + lambda C with C = lhs(1) - 1/2.  One
+table at lambda = 1 therefore gives both feasibility and the exact minimum
+lambda* = (1/4 + delta(target)) / C.  The solve snaps lambda* up to the
+2^-20 grid and checks it against the neighbouring grid point, so each Eve
+costs 3 closed-form tables.  The accepted prefix is propagated once per Eve
+position.  A closed-form recursion valid for the maximally entangled state
+with sigma_z/sigma_x settings and unbiased inputs serves as an independent
 oracle for both searches.
 """
 
@@ -25,8 +30,8 @@ from .chain import (
 )
 from .steering import delta_for_rate, key_rate, report, report_from_table
 
-BISECTION_TOL = 1e-6
-BISECTION_MAX_ITER = 50
+# Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
+_GRID = 2**20
 
 # Reasons a chain cannot be extended by one more Eve.
 EVE_UNREACHABLE = "eve-rate-unreachable"
@@ -89,31 +94,38 @@ def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
 
 
 def _min_sharpness(upstream: PauliState, position: int, target_rate: float) -> float:
-    """Bisection for the Eve at ``position`` who sees the state ``upstream``."""
-    if _rate(upstream, mub_unsharp_pair(1.0)) < target_rate:
+    """Smallest grid sharpness for the Eve at ``position`` who sees ``upstream``."""
+    sharp = report_from_table(upstream.table(_MUB_SHARP, mub_unsharp_pair(1.0)))
+    if sharp.key_rate < target_rate:
         raise InfeasibleError(
             position,
             EVE_UNREACHABLE,
             f"rate at sharpness 1 is below target {target_rate}",
         )
-    lo, hi = 0.0, 1.0  # rate(lo) < target <= rate(hi) throughout
-    for _ in range(BISECTION_MAX_ITER):
-        if hi - lo < BISECTION_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if _rate(upstream, mub_unsharp_pair(mid)) >= target_rate:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # lhs(lambda) = 1/2 + lambda (lhs(1) - 1/2) must reach 3/4 + delta(target).
+    exact = (0.25 + delta_for_rate(target_rate)) / (sharp.lhs - 0.5)
+
+    def reaches(k: int) -> bool:
+        return _rate(upstream, mub_unsharp_pair(k / _GRID)) >= target_rate
+
+    # Roundoff can put the exact minimum on either side of a grid point.
+    k = min(max(math.ceil(exact * _GRID), 1), _GRID)
+    while not reaches(k):
+        k += 1
+    while k > 1 and reaches(k - 1):
+        k -= 1
+    return k / _GRID
 
 
 def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     """Smallest sharpness giving Eve ``len(prefix)+1`` at least the target rate.
 
-    Bisection on the monotone sharpness-to-rate map, to absolute tolerance
-    1e-6 in the sharpness.  Raises InfeasibleError when even a projective
-    measurement cannot reach the target.
+    The steering value is affine in the new Eve's sharpness, so one table at
+    sharpness 1 gives the exact minimum.  It is snapped up to the 2^-20 grid
+    (within 1e-6 of the minimum) and checked against the neighbouring grid
+    point on the monotone sharpness-to-rate map: 3 tables per Eve.  The
+    returned sharpness reaches the target rate.  Raises InfeasibleError when
+    even a projective measurement cannot reach the target.
     """
     if target_rate <= 0.0:
         raise ValueError(f"target rate must be positive, got {target_rate}")

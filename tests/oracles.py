@@ -1,10 +1,12 @@
-"""4x4 density-matrix routes: oracles for the closed forms in ``seqeve``.
+"""Slow general routes: oracles for the closed forms in ``seqeve``.
 
 The chain is propagated with each Eve's Lueders channel, Kraus operators
 lifted to two qubits, and the branch tables of the weak strategy are taken
 with Alice's observables conjugated by each leaf's own unitary.  Every table
 comes from operator traces (``chain.table_from_operators``), so none of the
-closed-form propagation or table arithmetic checked here is shared.
+closed-form propagation or table arithmetic checked here is shared.  The
+planner's exact sharpness solve is checked against plain bisection, and the
+closed-form square root of an effect against a spectral one.
 """
 
 import math
@@ -17,13 +19,27 @@ from seqeve.chain import (
     ChainSpec,
     ConditionalTable,
     PartySettings,
+    PauliState,
     UnsharpSetting,
     ZeroProbabilityError,
+    mub_sharp_pair,
+    mub_unsharp_pair,
     table_from_operators,
 )
-from seqeve.linalg import ID2, PAULI_X, PAULI_Z, dagger, kron, partial_trace
+from seqeve.linalg import (
+    ATOL,
+    ID2,
+    PAULI_X,
+    PAULI_Z,
+    dagger,
+    is_hermitian,
+    kron,
+    partial_trace,
+)
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
+from seqeve.planner import EVE_UNREACHABLE, InfeasibleError
 from seqeve.states import TwoQubitState, check_tilt_angle
+from seqeve.steering import report_from_table
 from seqeve.unbounded import (
     ALICE_STRATEGIES,
     CANONICAL,
@@ -198,4 +214,90 @@ def alice_marginals(node: BranchNode, alice_choice: str) -> np.ndarray:
     rho, alice_grid, _ = branch_operators(node, alice_choice)
     return np.array(
         [[np.trace(kron(proj, ID2) @ rho).real for proj in row] for row in alice_grid]
+    )
+
+
+BISECTION_TOL = 1e-6
+BISECTION_MAX_ITER = 50
+
+
+def _mub_rate(state: PauliState, party: PartySettings) -> float:
+    """Key rate of ``party`` measuring the second qubit of ``state``."""
+    return report_from_table(state.table(mub_sharp_pair(), party)).key_rate
+
+
+def bisect_min_sharpness(
+    upstream: PauliState, position: int, target_rate: float
+) -> float:
+    """Bisection for the Eve at ``position`` who sees the state ``upstream``."""
+    if _mub_rate(upstream, mub_unsharp_pair(1.0)) < target_rate:
+        raise InfeasibleError(
+            position,
+            EVE_UNREACHABLE,
+            f"rate at sharpness 1 is below target {target_rate}",
+        )
+    lo, hi = 0.0, 1.0  # rate(lo) < target <= rate(hi) throughout
+    for _ in range(BISECTION_MAX_ITER):
+        if hi - lo < BISECTION_TOL:
+            break
+        mid = 0.5 * (lo + hi)
+        if _mub_rate(upstream, mub_unsharp_pair(mid)) >= target_rate:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# Negative eigenvalues above this magnitude signal a corrupted state rather
+# than roundoff.
+NEG_EIG_LIMIT = 1e-9
+
+
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Square root of a Hermitian PSD 2x2 matrix via closed-form spectra.
+
+    Eigenvalues follow from trace and determinant, so no iteration is
+    involved.  Eigenvalues in [-1e-9, 0) are clamped to zero; anything more
+    negative is rejected as a corrupted input.
+    """
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
+    if not is_hermitian(m, atol=NEG_EIG_LIMIT):
+        raise ValueError("psd_sqrt requires a Hermitian matrix")
+    half_tr = 0.5 * (m[0, 0].real + m[1, 1].real)
+    det = (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]).real
+    gap = math.sqrt(max(half_tr * half_tr - det, 0.0))
+    lo = half_tr - gap
+    hi = half_tr + gap
+    if lo < -NEG_EIG_LIMIT:
+        raise ValueError(f"matrix has negative eigenvalue {lo:.3e}")
+    lo = max(lo, 0.0)
+    hi = max(hi, 0.0)
+    if gap < ATOL:
+        # Scalar multiple of the identity.
+        return math.sqrt(hi) * ID2
+    proj_hi = (m - lo * ID2) / (hi - lo)
+    proj_lo = (m - hi * ID2) / (lo - hi)
+    return math.sqrt(hi) * proj_hi + math.sqrt(lo) * proj_lo
+
+
+@dataclass(frozen=True)
+class TradeoffPair:
+    """Quality factor / precision pair on the optimal trade-off circle."""
+
+    quality_factor: float
+    precision: float
+
+
+def tradeoff(sharpness: float) -> TradeoffPair:
+    """Information-gain / disturbance pair for a given sharpness.
+
+    Precision equals the sharpness and the quality factor is
+    sqrt(1 - sharpness^2), saturating quality^2 + precision^2 = 1.
+    """
+    if not 0.0 < sharpness <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {sharpness}")
+    return TradeoffPair(
+        quality_factor=math.sqrt(1.0 - sharpness * sharpness), precision=sharpness
     )

@@ -18,6 +18,7 @@ from helpers import (
     random_pure_qubit_density,
     random_qubit_density,
 )
+from oracles import psd_sqrt, tradeoff
 from seqeve import (
     ADAPTED,
     BOB,
@@ -41,12 +42,10 @@ from seqeve import (
     mub_sharp_pair,
     projector,
     propagate,
-    psd_sqrt,
     report,
     schmidt_decompose,
     shrink_factor,
     sqrt_effect,
-    tradeoff,
     weak_kraus,
     WeakKrausSetting,
 )

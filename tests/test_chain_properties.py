@@ -2,8 +2,9 @@
 
 ``tests/oracles.py`` propagates 4x4 density matrices with explicit Kraus
 operators; ``seqeve.chain`` must agree with it on general chains.  The
-planner's bisection assumes the rates are monotone in the new Eve's
-sharpness, which is checked here as well.
+planner's exact solve assumes that the steering value is affine in the new
+Eve's sharpness, and its snap to the 2^-20 grid assumes that the rates are
+monotone in it.  Both are checked here as well.
 """
 
 import math
@@ -21,12 +22,13 @@ from seqeve import (
     SharpSetting,
     UnsharpSetting,
     conditional_table,
+    fgi_lhs,
     mub_chain,
     propagate,
     report,
     tilted_state,
 )
-from seqeve.chain import reports
+from seqeve.chain import PauliState, reports
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 # Checking every party of a chain costs O(N^2) Eve steps, with N up to 40.
@@ -99,3 +101,26 @@ def test_rates_are_monotone_in_the_new_eve_sharpness(prefix, lam1, lam2):
     eve_weak = report(weak_spec, position).key_rate
     assert eve_weak <= report(sharp_spec, position).key_rate + 1e-12
     assert report(sharp_spec, BOB).key_rate <= report(weak_spec, BOB).key_rate + 1e-12
+
+
+@PROPERTY
+@given(
+    st.floats(0.05, math.pi / 4),
+    sharp_pairs(),
+    st.lists(st.tuples(unsharp_pairs(), biases), max_size=MAX_PREFIX),
+    directions,
+    directions,
+    sharpness,
+)
+def test_steering_value_is_affine_in_the_new_eve_sharpness(
+    theta, alice, upstream_eves, dir0, dir1, lam
+):
+    state = PauliState.of(tilted_state(theta))
+    for eve, bias in upstream_eves:
+        state = state.after(eve, bias)
+
+    def lhs(s):
+        eve = PartySettings(UnsharpSetting(dir0, s), UnsharpSetting(dir1, s))
+        return fgi_lhs(state.table(alice, eve))
+
+    assert abs((lhs(lam) - 0.5) - lam * (lhs(1.0) - 0.5)) <= 1e-12

@@ -148,6 +148,20 @@ class TestWorkCounts:
         assert len(krons) == 0
         assert len(propagations) == 0
 
+    def test_plan_check_paper_solves_each_eve_with_three_tables(
+        self, monkeypatch, capsys
+    ):
+        tables = count_calls(monkeypatch, PauliState, "table")
+        steps = count_calls(monkeypatch, PauliState, "after")
+        krons = count_calls(monkeypatch, seqeve.linalg, "kron")
+        assert main(["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]) == 0
+        assert capsys.readouterr().out.count(": ok (") == 15
+        # 12 Eve solves (9 accepted, 3 stopped by Bob) at 3 tables each, plus
+        # one Bob table per candidate Eve and one per finished plan.
+        assert len(tables) == 51
+        assert len(steps) == 12
+        assert len(krons) == 0
+
     def test_chain_command_propagates_once(self, monkeypatch, capsys):
         starts = count_calls(monkeypatch, PauliState, "of")
         steps = count_calls(monkeypatch, PauliState, "after")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_direction, random_hermitian4, random_psd2
+from oracles import psd_sqrt
 from seqeve import (
     BlochDirection,
     X_DIR,
@@ -14,7 +15,6 @@ from seqeve import (
     direction_operator,
     kron,
     partial_trace,
-    psd_sqrt,
     tilted_state,
 )
 from seqeve.linalg import ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_direction, random_qubit_density
+from oracles import psd_sqrt, tradeoff
 from seqeve import (
     SharpSetting,
     UnsharpSetting,
@@ -14,9 +15,7 @@ from seqeve import (
     Z_DIR,
     effect,
     projector,
-    psd_sqrt,
     sqrt_effect,
-    tradeoff,
     weak_kraus,
 )
 from seqeve.linalg import ID2, PAULI_X
