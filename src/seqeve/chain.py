@@ -47,6 +47,9 @@ Setting = SharpSetting | UnsharpSetting
 # that rebuilding a density matrix from Pauli coordinates needs no kron.
 _PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
 _PAULI_BASIS = np.array([[kron(p, q) for q in _PAULIS] for p in _PAULIS])
+# The same basis as one (16, 16) matrix: row 4 mu + nu holds the flattened
+# sigma_mu (x) sigma_nu, so rho.ravel() = R.ravel() @ _PAULI_ROWS / 4.
+_PAULI_ROWS = _PAULI_BASIS.reshape(16, 16)
 
 
 class ZeroProbabilityError(ValueError):
@@ -67,6 +70,24 @@ class PartySettings:
     @property
     def settings(self) -> tuple[Setting, Setting]:
         return (self.input0, self.input1)
+
+    @cached_property
+    def effect_rows(self) -> np.ndarray:
+        """Pauli coordinates (1, +-lambda n) of 2E, one row per (input, outcome).
+
+        The effect of outcome 0 (1) is E = (I +- lambda n.sigma)/2, with
+        lambda = 1 for a sharp setting, so its rows pair with a state's
+        coordinates in the closed-form probabilities of ``PauliState.table``.
+        Built once per settings object and read-only.
+        """
+        rows = np.ones((4, 4))
+        for k, setting in enumerate(self.settings):
+            lam = setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0
+            vec = lam * setting.direction.unit_vector()
+            rows[2 * k, 1:] = vec
+            rows[2 * k + 1, 1:] = -vec
+        rows.flags.writeable = False
+        return rows
 
 
 def mub_sharp_pair() -> PartySettings:
@@ -158,22 +179,6 @@ def _party_index(spec: ChainSpec, party: int | str) -> int:
     raise ValueError(f"party must be an Eve index in 1..{spec.n_eves} or BOB")
 
 
-def _effect_coords(party: PartySettings) -> np.ndarray:
-    """Pauli coordinates (1, +-lambda n) of 2E for each [input, outcome].
-
-    The effect of outcome 0 (1) is E = (I +- lambda n.sigma)/2, with
-    lambda = 1 for a sharp setting, so its rows pair with a state's
-    coordinates in the closed-form probabilities of ``PauliState.table``.
-    """
-    coords = np.ones((2, 2, 4))
-    for k, setting in enumerate(party.settings):
-        lam = setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0
-        vec = lam * setting.direction.unit_vector()
-        coords[k, 0, 1:] = vec
-        coords[k, 1, 1:] = -vec
-    return coords
-
-
 def _eve_map(eve: PartySettings, bias: float) -> np.ndarray:
     """An Eve's input-averaged non-selective Lueders channel on Pauli coordinates.
 
@@ -204,7 +209,8 @@ class PauliState:
     @cached_property
     def state(self) -> TwoQubitState:
         """rho = sum R[mu, nu] sigma_mu (x) sigma_nu / 4, validated on first use."""
-        return TwoQubitState(np.tensordot(self.coords, _PAULI_BASIS, 2) / 4.0)
+        flat = self.coords.reshape(16) @ _PAULI_ROWS
+        return TwoQubitState(flat.reshape(4, 4) / 4.0)
 
     @classmethod
     def of(cls, initial: PureTwoQubitState) -> PauliState:
@@ -223,8 +229,8 @@ class PauliState:
         outcome 0 (1).
         """
         self.state  # validates every state a table is built from, once
-        alice_rows = _effect_coords(alice).reshape(4, 4)  # rows (i, a)
-        party_rows = _effect_coords(party).reshape(4, 4)  # rows (k, c)
+        alice_rows = alice.effect_rows  # rows (i, a)
+        party_rows = party.effect_rows  # rows (k, c)
         p_alice = 0.5 * (alice_rows @ self.coords[:, 0])
         low = np.flatnonzero(p_alice < ZERO_PROB_ATOL)
         if low.size:

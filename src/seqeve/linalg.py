@@ -29,7 +29,8 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
-    return bool(np.allclose(m, dagger(m), rtol=0.0, atol=atol))
+    """max |m - m^dag| <= atol; written as "<=" so that a NaN entry fails."""
+    return bool(np.abs(m - dagger(m)).max() <= atol)
 
 
 def mats_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:

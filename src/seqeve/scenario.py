@@ -3,6 +3,11 @@
 Unknown keys are rejected (fail-closed) and every validation message names
 the offending field.  Angles are plain numbers in radians; the string form
 "deg:30" converts from degrees.
+
+Documents are parsed with PyYAML's libyaml loader (``CSafeLoader``) when
+PyYAML was built with it, else with the pure-Python ``SafeLoader``.  Both
+share the safe resolver and constructor, so they build the same document.
+yaml is imported on first use: ``plan`` and ``unbounded`` never load it.
 """
 
 from __future__ import annotations
@@ -10,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import yaml
 
 from .chain import ChainSpec, PartySettings, mub_sharp_pair, mub_unsharp_pair
 from .linalg import BlochDirection
@@ -250,8 +253,11 @@ def _parse_output(raw: object) -> OutputSpec:
 
 def loads_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document."""
+    import yaml
+
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
     mapping = _require_mapping(raw, "scenario")
@@ -296,6 +302,8 @@ def _direction_dict(d: BlochDirection) -> dict:
 
 def dumps_scenario(scenario: Scenario) -> str:
     """Canonical serialization; parsing the result restores the scenario."""
+    import yaml
+
     doc: dict = {"mode": scenario.mode}
     if scenario.state.kind == "bell":
         doc["state"] = {"kind": "bell"}

@@ -37,8 +37,10 @@ class TwoQubitState:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape != (4, 4):
             raise InvariantError(f"density matrix must be 4x4, got shape {rho.shape}")
-        if abs(np.trace(rho).real - 1.0) > ATOL or abs(np.trace(rho).imag) > ATOL:
-            raise InvariantError(f"trace must be 1, got {np.trace(rho)}")
+        trace = np.trace(rho)
+        # Written as "not <=" so that a NaN trace fails too.
+        if not (abs(trace.real - 1.0) <= ATOL and abs(trace.imag) <= ATOL):
+            raise InvariantError(f"trace must be 1, got {trace}")
         if not is_hermitian(rho, atol=ATOL):
             raise InvariantError("density matrix must be Hermitian")
         eigs = np.linalg.eigvalsh(rho)

@@ -29,6 +29,8 @@ from seqeve import (
     tilted_state,
 )
 from seqeve.chain import PauliState, reports
+from seqeve.linalg import ID2, kron
+from seqeve.measurement import projector
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 # Checking every party of a chain costs O(N^2) Eve steps, with N up to 40.
@@ -124,3 +126,27 @@ def test_steering_value_is_affine_in_the_new_eve_sharpness(
         return fgi_lhs(state.table(alice, eve))
 
     assert abs((lhs(lam) - 0.5) - lam * (lhs(1.0) - 0.5)) <= 1e-12
+
+
+@CHAIN_PROPERTY
+@given(chains())
+def test_alice_marginals_ignore_every_eve(spec):
+    """No signalling: P(a | i) in every party's table is its initial value."""
+    alice_projs = [
+        kron(projector(setting, a), ID2) for setting in spec.alice.settings for a in (0, 1)
+    ]
+
+    def oracle_marginals(rho):
+        return np.array([np.trace(p @ rho).real for p in alice_projs])
+
+    def kernel_marginals(state):
+        return 0.5 * (spec.alice.effect_rows @ state.coords[:, 0])
+
+    rhos = oracles.chain_rhos(spec)
+    initial = oracle_marginals(rhos[0])
+    state = PauliState.of(spec.initial)
+    assert np.abs(kernel_marginals(state) - initial).max() <= 1e-12
+    for eve, bias, rho in zip(spec.eves, spec.input_bias, rhos[1:]):
+        state = state.after(eve, bias)
+        assert np.abs(oracle_marginals(rho) - initial).max() <= 1e-12
+        assert np.abs(kernel_marginals(state) - initial).max() <= 1e-12

@@ -11,7 +11,8 @@ import pytest
 import seqeve.chain
 import seqeve.linalg
 import seqeve.unbounded
-from seqeve.chain import PauliState
+from seqeve.chain import ConditionalTable, PauliState
+from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import max_eves
 
@@ -172,6 +173,30 @@ class TestWorkCounts:
         # One pass through the three Eves of the file.
         assert (len(starts), len(steps)) == (1, 3)
         assert len(propagations) == 0
+        assert len(krons) == 0
+
+    @pytest.mark.parametrize("n_eves", [0, 1, 9])
+    def test_chain_validates_every_state_and_table(
+        self, monkeypatch, capsys, tmp_path, n_eves
+    ):
+        states = count_calls(monkeypatch, TwoQubitState, "__post_init__")
+        tables = count_calls(monkeypatch, ConditionalTable, "__post_init__")
+        krons = count_calls(monkeypatch, seqeve.linalg, "kron")
+        eves = "".join(
+            f"  - {{lambda: {0.1 + 0.08 * m}, settings: explicit, bias: 0.3, "
+            f"directions: [{{theta: {0.3 * m}, phi: 0.5}}, {{theta: 1.2}}]}}\n"
+            for m in range(n_eves)
+        )
+        doc = (
+            "mode: chain\nstate: {kind: tilted, theta: 0.6}\n"
+            "alice: {settings: explicit, directions: [{theta: 0.1}, {theta: 1.4}]}\n"
+            + (f"eves:\n{eves}" if n_eves else "")
+        )
+        assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
+        # The state seen by each Eve and by Bob, and each of their tables.
+        assert len(states) == n_eves + 1
+        assert len(tables) == n_eves + 1
         assert len(krons) == 0
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_direction, random_hermitian4, random_psd2
 from oracles import psd_sqrt
@@ -17,7 +19,7 @@ from seqeve import (
     partial_trace,
     tilted_state,
 )
-from seqeve.linalg import ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z
+from seqeve.linalg import ATOL, ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z, is_hermitian
 
 
 class TestKron:
@@ -172,3 +174,21 @@ class TestDirectionOperator:
             np.testing.assert_allclose(op @ op, ID2, atol=1e-12)
             np.testing.assert_allclose(op, op.conj().T, atol=1e-12)
             assert np.trace(op) == pytest.approx(0.0, abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.floats(-16.0, -8.0),
+    st.sampled_from((None, complex(math.nan, 0.0), complex(0.0, math.nan))),
+    st.integers(0, 15),
+)
+def test_is_hermitian_agrees_with_allclose(seed, log_noise, nan_part, nan_at):
+    """The max-abs test equals allclose at rtol 0, NaN entries included."""
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = random_hermitian4(rng) + 10.0**log_noise * noise
+    if nan_part is not None:
+        m[divmod(nan_at, 4)] += nan_part
+    expected = bool(np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL))
+    assert is_hermitian(m) is expected

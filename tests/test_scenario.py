@@ -1,12 +1,37 @@
 """Tests for scenario parsing, validation, and canonical serialization."""
 
+import contextlib
+import copy
+import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqeve import Scenario, ScenarioError, loads_scenario
+import seqeve
+from seqeve import BlochDirection, Scenario, ScenarioError, loads_scenario
 from seqeve.cli import main
-from seqeve.scenario import dumps_scenario, to_chain_spec
+from seqeve.scenario import (
+    EveSpec,
+    OutputSpec,
+    PartySpec,
+    StateSpec,
+    dumps_scenario,
+    to_chain_spec,
+)
+
+LOADERS = settings(max_examples=150, deadline=None, derandomize=True)
+needs_libyaml = pytest.mark.skipif(
+    not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml"
+)
+# The detail after this prefix is worded by whichever parser found the error.
+YAML_ERROR = "scenario: not valid YAML ("
 
 CHAIN_DOC = """\
 mode: chain
@@ -115,3 +140,174 @@ def test_plan_mode_is_rejected(tmp_path, capsys):
 def test_not_yaml_is_a_scenario_error():
     with pytest.raises(ScenarioError, match="YAML"):
         loads_scenario("mode: [unclosed\n")
+
+
+def test_cli_import_leaves_yaml_unloaded():
+    src = str(Path(seqeve.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, seqeve.cli; print('yaml' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
+
+
+@needs_libyaml
+def test_parses_with_libyaml_and_falls_back_to_safe_loader(monkeypatch):
+    used = []
+    real_load = yaml.load
+    c_loader = yaml.CSafeLoader
+
+    def spy(stream, Loader):
+        used.append(Loader)
+        return real_load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", spy)
+    first = loads_scenario(EXPLICIT_DOC)
+    monkeypatch.delattr(yaml, "CSafeLoader")
+    assert loads_scenario(EXPLICIT_DOC) == first
+    assert used == [c_loader, yaml.SafeLoader]
+
+
+# Loader equivalence ---------------------------------------------------------
+
+directions = st.builds(
+    BlochDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)
+)
+direction_pairs = st.tuples(directions, directions)
+states = st.one_of(
+    st.just(StateSpec("bell")),
+    st.builds(StateSpec, st.just("tilted"), st.floats(0.0, math.pi / 4, exclude_min=True)),
+)
+parties = st.one_of(
+    st.just(PartySpec()), st.builds(PartySpec, st.just("explicit"), direction_pairs)
+)
+sharpness = st.floats(0.0, 1.0, exclude_min=True)
+biases = st.floats(0.0, 1.0)
+eves = st.one_of(
+    st.builds(EveSpec, sharpness, st.just("mub"), st.none(), biases),
+    st.builds(EveSpec, sharpness, st.just("explicit"), direction_pairs, biases),
+)
+scenarios = st.builds(
+    Scenario,
+    st.just("chain"),
+    states,
+    parties,
+    parties,
+    st.lists(eves, max_size=4).map(tuple),
+    st.builds(
+        OutputSpec,
+        st.sampled_from(("csv", "json")),
+        st.one_of(st.none(), st.text(max_size=12)),
+    ),
+)
+
+WRONG_TYPES = ["abc", "deg:abc", True, None, 7, [], {}, [1, 2], {"theta": 0.1}]
+NON_FINITE = [math.nan, math.inf, -math.inf, "deg:nan", "deg:inf", "deg:-inf"]
+
+
+def _paths(node, path=()):
+    """Every node of a parsed document, as a key/index path from the root."""
+    yield path
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from _paths(value, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def near_valid_documents(draw):
+    """A valid document with one fault: wrong type, non-finite angle,
+    list where a mapping belongs, or an unclosed flow collection."""
+    doc = yaml.safe_load(dumps_scenario(draw(scenarios)))
+    kind = draw(
+        st.sampled_from(("wrong-type", "non-finite", "list-for-mapping", "unclosed"))
+    )
+    if kind == "unclosed":
+        text = yaml.safe_dump(doc, sort_keys=True, default_flow_style=True)
+        closers = [i for i, ch in enumerate(text) if ch in "]}"]
+        cut = draw(st.sampled_from(closers))
+        return text[:cut] + text[cut + 1 :]
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if kind == "wrong-type":
+        value = draw(st.sampled_from(WRONG_TYPES))
+    elif kind == "non-finite":
+        value = draw(st.sampled_from(NON_FINITE))
+    else:
+        node = _at(doc, path)
+        value = list(node.values()) if isinstance(node, dict) else [node]
+    flow = draw(st.sampled_from((False, True, None)))
+    return yaml.safe_dump(
+        _replaced(doc, path, value), sort_keys=True, default_flow_style=flow
+    )
+
+
+def _parsed(text, *, fallback):
+    """loads_scenario's result, or its error up to the parser's own detail."""
+    with pytest.MonkeyPatch.context() as mp:
+        if fallback:
+            mp.delattr(yaml, "CSafeLoader")
+        try:
+            return loads_scenario(text)
+        except ScenarioError as exc:
+            return _error_prefix(str(exc))
+
+
+def _error_prefix(message):
+    head, sep, _ = message.partition(YAML_ERROR)
+    return head + sep if sep else message
+
+
+def _chain_run(text, workdir, *, fallback):
+    """(exit code, stderr prefix, output bytes) of ``seqeve chain`` on ``text``."""
+    scenario, out = workdir / "scenario.yaml", workdir / "out.csv"
+    scenario.write_text(text, encoding="utf-8")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+        if fallback:
+            mp.delattr(yaml, "CSafeLoader")
+        code = main(["chain", "--scenario", str(scenario), "--out", str(out)])
+    written = out.read_bytes() if out.exists() else None
+    return code, _error_prefix(err.getvalue()), written
+
+
+@needs_libyaml
+@LOADERS
+@given(scenarios)
+def test_both_loaders_restore_dumped_scenarios(scenario):
+    text = dumps_scenario(scenario)
+    assert _parsed(text, fallback=False) == scenario
+    assert _parsed(text, fallback=True) == scenario
+
+
+@needs_libyaml
+@LOADERS
+@given(near_valid_documents())
+def test_both_loaders_agree_on_near_valid_documents(tmp_path_factory, text):
+    workdir = tmp_path_factory.mktemp("loaders", numbered=True)
+    assert _parsed(text, fallback=False) == _parsed(text, fallback=True)
+    fast = _chain_run(text, workdir, fallback=False)
+    assert fast == _chain_run(text, workdir, fallback=True)
+    assert fast[0] in (0, 2, 3)

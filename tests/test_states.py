@@ -65,6 +65,16 @@ def test_two_qubit_state_rejects_trace_violation():
         TwoQubitState(np.eye(4, dtype=complex))
 
 
+@pytest.mark.parametrize(
+    "nan", [complex(math.nan, 0.0), complex(0.0, math.nan)], ids=["real", "imaginary"]
+)
+def test_two_qubit_state_rejects_nan_trace(nan):
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    rho[1, 1] += nan
+    with pytest.raises(InvariantError, match="trace"):
+        TwoQubitState(rho)
+
+
 def test_two_qubit_state_rejects_non_hermitian():
     rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     rho[0, 1] = 0.5
