@@ -15,25 +15,8 @@ from .chain import (
     mub_unsharp_pair,
     propagate,
 )
-from .linalg import (
-    ATOL,
-    COMPOSED_ATOL,
-    BlochDirection,
-    X_DIR,
-    Z_DIR,
-    direction_operator,
-    kron,
-    partial_trace,
-)
-from .measurement import (
-    SharpSetting,
-    UnsharpSetting,
-    WeakKrausSetting,
-    effect,
-    projector,
-    sqrt_effect,
-    weak_kraus,
-)
+from .linalg import ATOL, COMPOSED_ATOL, X_DIR, Z_DIR, BlochDirection
+from .measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
 from .planner import (
     InfeasibleError,
     PlanResult,
@@ -64,12 +47,8 @@ from .unbounded import (
     CANONICAL,
     BranchNode,
     DegenerateStateError,
-    SchmidtForm,
-    branch_tree,
-    correct_and_forward,
     evaluate_branch,
     leaf_theta,
-    schmidt_decompose,
 )
 
 __all__ = [
@@ -90,7 +69,6 @@ __all__ = [
     "PureTwoQubitState",
     "Scenario",
     "ScenarioError",
-    "SchmidtForm",
     "SharpSetting",
     "SteeringReport",
     "TwoQubitState",
@@ -101,17 +79,12 @@ __all__ = [
     "ZeroProbabilityError",
     "bell_state",
     "bob_rate",
-    "branch_tree",
     "closed_form_chain",
     "conditional_table",
-    "correct_and_forward",
     "delta_for_rate",
-    "direction_operator",
-    "effect",
     "evaluate_branch",
     "fgi_lhs",
     "key_rate",
-    "kron",
     "lambda_min_for_rate",
     "leaf_theta",
     "load_scenario",
@@ -120,14 +93,9 @@ __all__ = [
     "mub_chain",
     "mub_sharp_pair",
     "mub_unsharp_pair",
-    "partial_trace",
-    "projector",
     "propagate",
     "report",
     "report_from_table",
-    "schmidt_decompose",
     "shrink_factor",
-    "sqrt_effect",
     "tilted_state",
-    "weak_kraus",
 ]

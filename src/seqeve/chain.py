@@ -25,16 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .linalg import COMPOSED_ATOL, ID2, PAULI_X, PAULI_Y, PAULI_Z, X_DIR, Z_DIR, kron
 from .measurement import SharpSetting, UnsharpSetting
 from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
-
-if TYPE_CHECKING:
-    from .steering import SteeringReport
 
 BOB = "bob"
 
@@ -169,6 +165,23 @@ class ConditionalTable:
             raise InvariantError("each conditioning cell must sum to 1")
         object.__setattr__(self, "probs", probs)
 
+    @classmethod
+    def conditioned(cls, joint: np.ndarray, p_alice: np.ndarray) -> ConditionalTable:
+        """Table from joint probabilities divided by Alice's marginal.
+
+        ``joint[2i + a, 2k + c]`` is P(a, c | i, k) and ``p_alice[2i + a]`` is
+        P(a | i).  Raises ZeroProbabilityError when an Alice outcome has
+        probability below ZERO_PROB_ATOL.
+        """
+        low = np.flatnonzero(p_alice < ZERO_PROB_ATOL)
+        if low.size:
+            i, a = divmod(int(low[0]), 2)
+            raise ZeroProbabilityError(
+                f"Alice input {i} outcome {a} has probability {p_alice[low[0]]:.3e}"
+            )
+        probs = (joint / p_alice[:, None]).reshape(2, 2, 2, 2)
+        return cls(probs.transpose(2, 0, 1, 3))
+
 
 def _party_index(spec: ChainSpec, party: int | str) -> int:
     """Number of Eves acting before the queried party."""
@@ -232,15 +245,8 @@ class PauliState:
         alice_rows = alice.effect_rows  # rows (i, a)
         party_rows = party.effect_rows  # rows (k, c)
         p_alice = 0.5 * (alice_rows @ self.coords[:, 0])
-        low = np.flatnonzero(p_alice < ZERO_PROB_ATOL)
-        if low.size:
-            i, a = divmod(int(low[0]), 2)
-            raise ZeroProbabilityError(
-                f"Alice input {i} outcome {a} has probability {p_alice[low[0]]:.3e}"
-            )
         joint = 0.25 * (alice_rows @ self.coords @ party_rows.T)
-        probs = (joint / p_alice[:, None]).reshape(2, 2, 2, 2)
-        return ConditionalTable(probs.transpose(2, 0, 1, 3))
+        return ConditionalTable.conditioned(joint, p_alice)
 
 
 def pauli_state(spec: ChainSpec, party: int | str) -> PauliState:
@@ -270,23 +276,11 @@ def table_from_operators(
     party_effects: list[list[np.ndarray]],
 ) -> ConditionalTable:
     """Conditional table from explicit operator grids indexed [input][outcome]."""
-    probs = np.empty((2, 2, 2, 2))
-    for i in (0, 1):
-        for a in (0, 1):
-            p_alice = float(np.trace(kron(alice_projectors[i][a], ID2) @ rho).real)
-            if p_alice < ZERO_PROB_ATOL:
-                raise ZeroProbabilityError(
-                    f"Alice input {i} outcome {a} has probability {p_alice:.3e}"
-                )
-            for k in (0, 1):
-                for c in (0, 1):
-                    joint = float(
-                        np.trace(
-                            kron(alice_projectors[i][a], party_effects[k][c]) @ rho
-                        ).real
-                    )
-                    probs[k, i, a, c] = joint / p_alice
-    return ConditionalTable(probs)
+    alice = [proj for row in alice_projectors for proj in row]  # row 2i + a
+    party = [eff for row in party_effects for eff in row]  # column 2k + c
+    p_alice = np.array([np.trace(kron(p, ID2) @ rho).real for p in alice])
+    joint = np.array([[np.trace(kron(p, e) @ rho).real for e in party] for p in alice])
+    return ConditionalTable.conditioned(joint, p_alice)
 
 
 def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
@@ -300,15 +294,12 @@ def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
     return pauli_state(spec, party).table(spec.alice, settings)
 
 
-def reports(spec: ChainSpec) -> list[SteeringReport]:
-    """Steering reports of Eve 1..N and then Bob, from one propagation pass."""
-    # steering imports this module, so its scoring is imported on first use.
-    from .steering import report_from_table
-
+def tables(spec: ChainSpec) -> list[ConditionalTable]:
+    """Conditional tables of Eve 1..N and then Bob, from one propagation pass."""
     current = PauliState.of(spec.initial)
-    tables = []
+    out = []
     for eve, bias in zip(spec.eves, spec.input_bias):
-        tables.append(current.table(spec.alice, eve))
+        out.append(current.table(spec.alice, eve))
         current = current.after(eve, bias)
-    tables.append(current.table(spec.alice, spec.bob))
-    return [report_from_table(table) for table in tables]
+    out.append(current.table(spec.alice, spec.bob))
+    return out

@@ -18,11 +18,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chain import ZeroProbabilityError, reports
+from .chain import ZeroProbabilityError
 from .linalg import ID2
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
 from .scenario import ScenarioError, load_scenario, parse_angle_token, to_chain_spec
 from .states import InvariantError
+from .steering import reports
 from .unbounded import (
     ADAPTED,
     CANONICAL,

@@ -17,7 +17,6 @@ ATOL = 1e-12
 COMPOSED_ATOL = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
-ID4 = np.eye(4, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -33,29 +32,9 @@ def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
     return bool(np.abs(m - dagger(m)).max() <= atol)
 
 
-def mats_equal(a: np.ndarray, b: np.ndarray, atol: float = ATOL) -> bool:
-    """Entrywise equality at absolute tolerance."""
-    return bool(np.allclose(a, b, rtol=0.0, atol=atol))
-
-
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, used to lift single-qubit operators to two qubits."""
     return np.kron(a, b)
-
-
-def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Trace a 4x4 two-qubit operator down to the kept subsystem.
-
-    ``keep`` is ``"A"`` (first qubit) or ``"B"`` (second qubit).  Works for
-    any matrix, not only density operators, so it can absorb projected
-    states as well.
-    """
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ajbj->ab", r)
-    if keep == "B":
-        return np.einsum("iaib->ab", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ the offending field.  Angles are plain numbers in radians; the string form
 Documents are parsed with PyYAML's libyaml loader (``CSafeLoader``) when
 PyYAML was built with it, else with the pure-Python ``SafeLoader``.  Both
 share the safe resolver and constructor, so they build the same document.
+A ``%YAML`` directive must name version 1.1 or 1.2 under either loader.
 yaml is imported on first use: ``plan`` and ``unbounded`` never load it.
 """
 
@@ -21,9 +22,10 @@ from .linalg import BlochDirection
 from .measurement import SharpSetting, UnsharpSetting
 from .states import PureTwoQubitState, bell_state, tilted_state
 
-MODES = ("chain",)
 SETTINGS_MODELS = ("mub", "explicit")
 OUTPUT_FORMATS = ("csv", "json")
+# %YAML directive versions that both loaders accept; libyaml refuses the rest.
+YAML_VERSIONS = ((1, 1), (1, 2))
 
 
 class ScenarioError(ValueError):
@@ -80,48 +82,56 @@ def _number(value: object, field_name: str) -> float:
     return out
 
 
+Directions = tuple[BlochDirection, BlochDirection]
+
+
 @dataclass(frozen=True)
 class StateSpec:
-    kind: str
+    """Initial state: the Bell state when ``theta`` is None, else tilted."""
+
     theta: float | None = None
 
+    @property
+    def kind(self) -> str:
+        return "bell" if self.theta is None else "tilted"
+
     def build(self) -> PureTwoQubitState:
-        if self.kind == "bell":
-            return bell_state()
-        assert self.theta is not None
-        return tilted_state(self.theta)
+        return bell_state() if self.theta is None else tilted_state(self.theta)
 
 
 @dataclass(frozen=True)
 class PartySpec:
-    """Measurement settings declaration for Alice or Bob."""
+    """Sharp settings of Alice or Bob: the MUB pair when ``directions`` is None."""
 
-    settings: str = "mub"
-    directions: tuple[BlochDirection, BlochDirection] | None = None
+    directions: Directions | None = None
+
+    @property
+    def settings(self) -> str:
+        return "mub" if self.directions is None else "explicit"
 
     def build(self) -> PartySettings:
-        if self.settings == "mub":
+        if self.directions is None:
             return mub_sharp_pair()
-        assert self.directions is not None
-        return PartySettings(
-            SharpSetting(self.directions[0]), SharpSetting(self.directions[1])
-        )
+        return PartySettings(*(SharpSetting(d) for d in self.directions))
 
 
 @dataclass(frozen=True)
 class EveSpec:
+    """Unsharp settings of one Eve: the MUB pair when ``directions`` is None."""
+
     sharpness: float
-    settings: str = "mub"
-    directions: tuple[BlochDirection, BlochDirection] | None = None
+    directions: Directions | None = None
     bias: float = 0.5
 
+    @property
+    def settings(self) -> str:
+        return "mub" if self.directions is None else "explicit"
+
     def build(self) -> PartySettings:
-        if self.settings == "mub":
+        if self.directions is None:
             return mub_unsharp_pair(self.sharpness)
-        assert self.directions is not None
         return PartySettings(
-            UnsharpSetting(self.directions[0], self.sharpness),
-            UnsharpSetting(self.directions[1], self.sharpness),
+            *(UnsharpSetting(d, self.sharpness) for d in self.directions)
         )
 
 
@@ -133,8 +143,7 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    mode: str
-    state: StateSpec = StateSpec("bell")
+    state: StateSpec = StateSpec()
     alice: PartySpec = PartySpec()
     bob: PartySpec = PartySpec()
     eves: tuple[EveSpec, ...] = ()
@@ -154,9 +163,19 @@ def _parse_direction(raw: object, field_name: str) -> BlochDirection:
         raise ScenarioError(f"{field_name}: {exc}")
 
 
-def _parse_direction_pair(
-    mapping: dict, field_name: str
-) -> tuple[BlochDirection, BlochDirection]:
+def _parse_directions(mapping: dict, field_name: str) -> Directions | None:
+    """The ``settings`` and ``directions`` keys: None for MUB, else the pair."""
+    model = mapping.get("settings", "mub")
+    if model not in SETTINGS_MODELS:
+        raise ScenarioError(
+            f"{field_name}.settings: must be one of {SETTINGS_MODELS}, got {model!r}"
+        )
+    if model == "mub":
+        if "directions" in mapping:
+            raise ScenarioError(
+                f"{field_name}.directions: only valid for explicit settings"
+            )
+        return None
     raw = mapping.get("directions")
     if not isinstance(raw, list) or len(raw) != 2:
         raise ScenarioError(
@@ -168,15 +187,6 @@ def _parse_direction_pair(
     )
 
 
-def _parse_settings_model(mapping: dict, field_name: str) -> str:
-    model = mapping.get("settings", "mub")
-    if model not in SETTINGS_MODELS:
-        raise ScenarioError(
-            f"{field_name}.settings: must be one of {SETTINGS_MODELS}, got {model!r}"
-        )
-    return model
-
-
 def _parse_state(raw: object) -> StateSpec:
     mapping = _require_mapping(raw, "state")
     _check_keys(mapping, {"kind", "theta"}, "state")
@@ -186,13 +196,13 @@ def _parse_state(raw: object) -> StateSpec:
     if kind == "bell":
         if "theta" in mapping:
             raise ScenarioError("state.theta: only valid for kind 'tilted'")
-        return StateSpec("bell")
+        return StateSpec()
     if "theta" not in mapping:
         raise ScenarioError("state.theta: required for kind 'tilted'")
     theta = parse_angle(mapping["theta"], "state.theta")
     if not 0.0 < theta <= math.pi / 4.0:
         raise ScenarioError(f"state.theta: must lie in (0, pi/4], got {theta}")
-    return StateSpec("tilted", theta)
+    return StateSpec(theta)
 
 
 def _parse_party(raw: object, field_name: str) -> PartySpec:
@@ -200,14 +210,7 @@ def _parse_party(raw: object, field_name: str) -> PartySpec:
         return PartySpec()
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, {"settings", "directions"}, field_name)
-    model = _parse_settings_model(mapping, field_name)
-    if model == "mub":
-        if "directions" in mapping:
-            raise ScenarioError(
-                f"{field_name}.directions: only valid for explicit settings"
-            )
-        return PartySpec("mub")
-    return PartySpec("explicit", _parse_direction_pair(mapping, field_name))
+    return PartySpec(_parse_directions(mapping, field_name))
 
 
 def _parse_eve(raw: object, field_name: str) -> EveSpec:
@@ -223,16 +226,7 @@ def _parse_eve(raw: object, field_name: str) -> EveSpec:
     bias = _number(mapping.get("bias", 0.5), f"{field_name}.bias")
     if not 0.0 <= bias <= 1.0:
         raise ScenarioError(f"{field_name}.bias: must lie in [0, 1], got {bias}")
-    model = _parse_settings_model(mapping, field_name)
-    if model == "mub":
-        if "directions" in mapping:
-            raise ScenarioError(
-                f"{field_name}.directions: only valid for explicit settings"
-            )
-        return EveSpec(sharpness, "mub", None, bias)
-    return EveSpec(
-        sharpness, "explicit", _parse_direction_pair(mapping, field_name), bias
-    )
+    return EveSpec(sharpness, _parse_directions(mapping, field_name), bias)
 
 
 def _parse_output(raw: object) -> OutputSpec:
@@ -257,14 +251,22 @@ def loads_scenario(text: str) -> Scenario:
 
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
+        # Only the directives ahead of the first document are scanned.
+        for token in yaml.scan(text, Loader=loader):
+            if isinstance(token, yaml.DirectiveToken):
+                if token.name == "YAML" and token.value not in YAML_VERSIONS:
+                    version = "%d.%d" % token.value
+                    raise yaml.YAMLError(f"%YAML {version} is not 1.1 or 1.2")
+            elif not isinstance(token, yaml.StreamStartToken):
+                break
         raw = yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
     mapping = _require_mapping(raw, "scenario")
     # Checked before the keys, so a document of another mode is named as such.
     mode = mapping.get("mode")
-    if mode not in MODES:
-        raise ScenarioError(f"mode: must be one of {MODES}, got {mode!r}")
+    if mode != "chain":
+        raise ScenarioError(f"mode: must be one of ('chain',), got {mode!r}")
     _check_keys(
         mapping, {"mode", "state", "alice", "bob", "eves", "output"}, "scenario"
     )
@@ -283,7 +285,6 @@ def loads_scenario(text: str) -> Scenario:
         )
 
     return Scenario(
-        mode=mode,
         state=state,
         alice=alice,
         bob=bob,
@@ -296,31 +297,30 @@ def load_scenario(path: str | Path) -> Scenario:
     return loads_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def _direction_dict(d: BlochDirection) -> dict:
-    return {"theta": float(d.theta), "phi": float(d.phi)}
+def _with_settings(entry: dict, party: PartySpec | EveSpec) -> dict:
+    """``entry`` plus the party's ``settings`` and any explicit ``directions``."""
+    entry["settings"] = party.settings
+    if party.directions is not None:
+        entry["directions"] = [
+            {"theta": float(d.theta), "phi": float(d.phi)} for d in party.directions
+        ]
+    return entry
 
 
 def dumps_scenario(scenario: Scenario) -> str:
     """Canonical serialization; parsing the result restores the scenario."""
     import yaml
 
-    doc: dict = {"mode": scenario.mode}
-    if scenario.state.kind == "bell":
-        doc["state"] = {"kind": "bell"}
-    else:
-        doc["state"] = {"kind": "tilted", "theta": scenario.state.theta}
-    for name, party in (("alice", scenario.alice), ("bob", scenario.bob)):
-        entry: dict = {"settings": party.settings}
-        if party.directions is not None:
-            entry["directions"] = [_direction_dict(d) for d in party.directions]
-        doc[name] = entry
+    doc: dict = {"mode": "chain", "state": {"kind": scenario.state.kind}}
+    if scenario.state.theta is not None:
+        doc["state"]["theta"] = scenario.state.theta
+    doc["alice"] = _with_settings({}, scenario.alice)
+    doc["bob"] = _with_settings({}, scenario.bob)
     if scenario.eves:
-        doc["eves"] = []
-        for eve in scenario.eves:
-            entry = {"lambda": eve.sharpness, "settings": eve.settings, "bias": eve.bias}
-            if eve.directions is not None:
-                entry["directions"] = [_direction_dict(d) for d in eve.directions]
-            doc["eves"].append(entry)
+        doc["eves"] = [
+            _with_settings({"lambda": eve.sharpness, "bias": eve.bias}, eve)
+            for eve in scenario.eves
+        ]
     doc["output"] = {"format": scenario.output.format}
     if scenario.output.path is not None:
         doc["output"]["path"] = scenario.output.path
@@ -328,9 +328,7 @@ def dumps_scenario(scenario: Scenario) -> str:
 
 
 def to_chain_spec(scenario: Scenario) -> ChainSpec:
-    """Build the simulator input for a chain-mode scenario."""
-    if scenario.mode != "chain":
-        raise ScenarioError(f"mode: expected 'chain', got {scenario.mode!r}")
+    """Build the simulator input for a scenario."""
     return ChainSpec(
         initial=scenario.state.build(),
         alice=scenario.alice.build(),

@@ -9,8 +9,6 @@ import numpy as np
 
 from .linalg import ATOL, is_hermitian
 
-RANK_ONE_ATOL = 1e-10
-
 
 class InvariantError(ValueError):
     """A computed object broke a physical invariant beyond its tolerance.

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chain import ChainSpec, ConditionalTable, conditional_table
+from .chain import ChainSpec, ConditionalTable, conditional_table, tables
 
 THRESHOLD = 0.75
 MAX_DELTA = 0.25
@@ -78,3 +78,8 @@ def report_from_table(table: ConditionalTable) -> SteeringReport:
 def report(spec: ChainSpec, party: int | str) -> SteeringReport:
     """Steering report for one Eve (1-based index) or BOB in a chain."""
     return report_from_table(conditional_table(spec, party))
+
+
+def reports(spec: ChainSpec) -> list[SteeringReport]:
+    """Steering reports of Eve 1..N and then Bob, from one propagation pass."""
+    return [report_from_table(table) for table in tables(spec)]

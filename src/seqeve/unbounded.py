@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ZERO_PROB_ATOL, ConditionalTable, ZeroProbabilityError
+from .chain import ConditionalTable
 from .linalg import ATOL, ID2
 from .measurement import WeakKrausSetting, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
@@ -238,11 +238,6 @@ def leaf_theta(theta1: float, weak_angles: tuple[float, ...] | list[float]) -> f
     return theta
 
 
-def alice_facing_count(leaves: list[BranchNode]) -> int:
-    """Distinct outcome histories with the last outcome marginalized."""
-    return len({leaf.outcomes[:-1] for leaf in leaves})
-
-
 def branch_conditional_table(node: BranchNode, alice_choice: str) -> ConditionalTable:
     """Alice/Bob conditional table for one branch under a settings choice.
 
@@ -267,22 +262,14 @@ def branch_conditional_table(node: BranchNode, alice_choice: str) -> Conditional
         if alice_choice == CANONICAL
         else math.atan(math.sin(2.0 * node.theta))
     )
-    probs = np.empty((2, 2, 2, 2))  # [bob input k, alice input i, a, c]
+    joint = np.empty((4, 4))  # row 2i + a, column 2k + c
     for i, phi in enumerate((0.0, second)):
         cos_h, sin_h = math.cos(0.5 * phi), math.sin(0.5 * phi)
         for a, (x, y) in enumerate(((cos_h, sin_h), (-sin_h, cos_h))):
             v0, v1 = x * cos_t, y * sin_t
-            p_alice = v0 * v0 + v1 * v1
-            if p_alice < ZERO_PROB_ATOL:
-                raise ZeroProbabilityError(
-                    f"Alice input {i} outcome {a} has probability {p_alice:.3e}"
-                )
-            probs[0, i, a] = (v0 * v0 / p_alice, v1 * v1 / p_alice)
-            probs[1, i, a] = (
-                0.5 * (v0 + v1) ** 2 / p_alice,
-                0.5 * (v0 - v1) ** 2 / p_alice,
-            )
-    return ConditionalTable(probs)
+            plus, minus = 0.5 * (v0 + v1) ** 2, 0.5 * (v0 - v1) ** 2
+            joint[2 * i + a] = (v0 * v0, v1 * v1, plus, minus)
+    return ConditionalTable.conditioned(joint, joint[:, 0] + joint[:, 1])
 
 
 def evaluate_branch(node: BranchNode, alice_choice: str) -> SteeringReport:

@@ -34,7 +34,6 @@ from seqeve.linalg import (
     dagger,
     is_hermitian,
     kron,
-    partial_trace,
 )
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError
@@ -50,6 +49,24 @@ from seqeve.unbounded import (
     branch_state,
     schmidt_decompose,
 )
+
+
+ID4 = np.eye(4, dtype=complex)
+
+
+def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
+    """Trace a 4x4 two-qubit operator down to the kept subsystem.
+
+    ``keep`` is ``"A"`` (first qubit) or ``"B"`` (second qubit).  Works for
+    any matrix, not only density operators, so it can absorb projected
+    states as well.
+    """
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    if keep == "A":
+        return np.einsum("ajbj->ab", r)
+    if keep == "B":
+        return np.einsum("iaib->ab", r)
+    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
 
 
 def _outcome_effect(setting, outcome: int) -> np.ndarray:
@@ -175,6 +192,11 @@ def adapted_alice_measurement(node: BranchNode) -> AdaptedMeasurement:
     return AdaptedMeasurement(
         mu=mu, operator=node.u_alice @ base @ dagger(node.u_alice)
     )
+
+
+def alice_facing_count(leaves: list[BranchNode]) -> int:
+    """Distinct outcome histories with the last outcome marginalized."""
+    return len({leaf.outcomes[:-1] for leaf in leaves})
 
 
 def _observable_projectors(op: np.ndarray) -> list[np.ndarray]:

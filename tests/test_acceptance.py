@@ -28,31 +28,26 @@ from seqeve import (
     UnsharpSetting,
     bell_state,
     bob_rate,
-    branch_tree,
     closed_form_chain,
     conditional_table,
-    effect,
     evaluate_branch,
     fgi_lhs,
-    kron,
     lambda_min_for_rate,
     loads_scenario,
     max_eves,
     mub_chain,
     mub_sharp_pair,
-    projector,
     propagate,
     report,
-    schmidt_decompose,
     shrink_factor,
-    sqrt_effect,
-    weak_kraus,
     WeakKrausSetting,
 )
 from seqeve.chain import PartySettings, table_from_operators
 from seqeve.cli import main
-from seqeve.linalg import ID2
+from seqeve.linalg import ID2, kron
+from seqeve.measurement import effect, projector, sqrt_effect, weak_kraus
 from seqeve.scenario import dumps_scenario
+from seqeve.unbounded import branch_tree, schmidt_decompose
 
 
 def criterion(num: str, label: str):

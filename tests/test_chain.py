@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_direction
-from oracles import assemblage, eve1_conditional, post_measurement_state
+from oracles import assemblage, eve1_conditional, partial_trace, post_measurement_state
 from seqeve import (
     BOB,
     ChainSpec,
@@ -19,18 +19,16 @@ from seqeve import (
     Z_DIR,
     bell_state,
     conditional_table,
-    effect,
-    kron,
     mub_chain,
     mub_sharp_pair,
     mub_unsharp_pair,
-    partial_trace,
     propagate,
     shrink_factor,
     tilted_state,
 )
 from seqeve.chain import ConditionalTable
-from seqeve.linalg import ID2, PAULI_X, PAULI_Z
+from seqeve.linalg import ID2, PAULI_X, PAULI_Z, kron
+from seqeve.measurement import effect
 
 Z_SHARP = SharpSetting(Z_DIR)
 
@@ -236,7 +234,7 @@ class TestConditionalTable:
         eve2 = spec.eves[1]
         alice_settings = spec.alice.settings
         for i, alice in enumerate(alice_settings):
-            from seqeve import projector
+            from seqeve.measurement import projector
 
             for a in (0, 1):
                 p_alice = float(
@@ -271,7 +269,7 @@ class TestNoSignalling:
         for _ in range(50):
             spec = random_chain(rng)
             initial = spec.initial.density_matrix()
-            from seqeve import projector
+            from seqeve.measurement import projector
 
             reference = {
                 (i, a): float(

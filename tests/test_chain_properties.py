@@ -28,9 +28,10 @@ from seqeve import (
     report,
     tilted_state,
 )
-from seqeve.chain import PauliState, reports
-from seqeve.linalg import ID2, kron
+from seqeve.chain import PauliState
+from seqeve.linalg import COMPOSED_ATOL, ID2, kron
 from seqeve.measurement import projector
+from seqeve.steering import MAX_DELTA, THRESHOLD, reports
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 # Checking every party of a chain costs O(N^2) Eve steps, with N up to 40.
@@ -92,6 +93,18 @@ def test_kernel_matches_the_4x4_oracle(spec):
 @given(chains())
 def test_one_pass_reports_equal_per_party_reports(spec):
     assert reports(spec) == [report(spec, party) for party in parties(spec)]
+
+
+@CHAIN_PROPERTY
+@given(chains())
+def test_reports_lie_in_range(spec):
+    """lhs in [0, 1], delta = max(lhs - 3/4, 0) in [0, 1/4], rate in [0, 1]."""
+    for rep in reports(spec):
+        assert -COMPOSED_ATOL <= rep.lhs <= 1.0 + COMPOSED_ATOL
+        assert rep.delta == max(rep.lhs - THRESHOLD, 0.0)
+        assert rep.delta <= MAX_DELTA + COMPOSED_ATOL
+        assert 0.0 <= rep.key_rate <= 1.0
+        assert rep.violated == (rep.delta > 0.0)
 
 
 @PROPERTY

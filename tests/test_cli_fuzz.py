@@ -1,0 +1,100 @@
+"""Fuzzing the exit-code contract of ``plan`` and ``unbounded`` arguments.
+
+Every argument string must exit 0, 2 or 3; argparse's own SystemExit(2)
+counts as 2.  Exit 5 (an internal invariant failure) is allowed only with
+its "internal error:" message, and no other exception may escape ``main``.
+"""
+
+import contextlib
+import io
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seqeve.cli import main
+
+FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
+# Random inputs of the small-angle sweep, as many as were first run by hand.
+SMALL_ANGLE_FUZZ = settings(max_examples=3000, deadline=None, derandomize=True)
+
+JUNK = ["", " ", "abc", "-", "--x", "-inf", "1e400", "0x1", "1_0", "deg:", "pi/4"]
+NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity", "deg:nan", "deg:inf"]
+# Items without a comma, so that a list keeps the drawn number of items.
+free_text = st.text(st.characters(blacklist_characters=","), max_size=6)
+
+
+def run(argv):
+    """(exit code, stderr) of ``main(argv)``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejected the arguments
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_contract(argv):
+    code, err = run(argv)
+    assert code in (0, 2, 3, 5), (argv, code, err)
+    if code == 5:
+        assert err.startswith("internal error:"), (argv, err)
+    return code
+
+
+@st.composite
+def item_lists(draw, valid, fuzzed, max_size):
+    """Comma-joined valid items, about half the time with one item fuzzed."""
+    items = draw(st.lists(valid, max_size=max_size))
+    if items and draw(st.booleans()):
+        items[draw(st.integers(0, len(items) - 1))] = draw(fuzzed)
+    return ",".join(items)
+
+
+valid_rates = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).map(repr)
+rate_items = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["0", "1", "0.0", "1.0", "-0.1", "1e-300"] + NON_FINITE + JUNK),
+    free_text,
+)
+
+
+@FUZZ
+@given(item_lists(valid_rates, rate_items, max_size=4), st.booleans())
+def test_plan_rates_keep_the_exit_contract(rates, check_paper):
+    argv = ["plan", "--rates", rates]
+    assert_contract(argv + ["--check-paper"] if check_paper else argv)
+
+
+valid_angles = st.one_of(
+    st.floats(0.0, math.pi / 4, exclude_min=True).map(repr),
+    st.floats(0.0, 45.0, exclude_min=True).map(lambda deg: f"deg:{deg!r}"),
+)
+angle_tokens = st.one_of(
+    st.floats(-10.0, 10.0).map(repr),
+    st.floats(-360.0, 360.0).map(lambda deg: f"deg:{deg!r}"),
+    st.sampled_from(["0", "-0.0", "0.7853981633974484", "0.7853981633974485"]),
+    st.sampled_from(NON_FINITE + JUNK + ["deg:45", "deg:0", "deg:1e400"]),
+    free_text,
+)
+
+
+@FUZZ
+@given(valid_angles | angle_tokens, item_lists(valid_angles, angle_tokens, max_size=14))
+def test_unbounded_angles_keep_the_exit_contract(theta1, weak):
+    assert_contract(["unbounded", "--theta1", theta1, "--lambdas", weak])
+
+
+# Log-uniform angles from 1e-9 up to pi/4, where leaf angles and Alice
+# marginals reach the DEGENERATE_THETA and ZERO_PROB_ATOL thresholds.
+small_angles = st.floats(math.log(1e-9), math.log(math.pi / 4)).map(
+    lambda x: repr(math.exp(x))
+)
+
+
+@SMALL_ANGLE_FUZZ
+@given(small_angles, st.lists(small_angles, min_size=1, max_size=12))
+def test_unbounded_small_angles_exit_0_2_or_3(theta1, weak):
+    argv = ["unbounded", "--theta1", theta1, "--lambdas", ",".join(weak)]
+    assert assert_contract(argv) in (0, 2, 3)

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_direction, random_hermitian4, random_psd2
-from oracles import psd_sqrt
-from seqeve import (
-    BlochDirection,
-    X_DIR,
-    Z_DIR,
-    bell_state,
+from oracles import ID4, partial_trace, psd_sqrt
+from seqeve import BlochDirection, X_DIR, Z_DIR, bell_state, tilted_state
+from seqeve.linalg import (
+    ATOL,
+    ID2,
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     direction_operator,
+    is_hermitian,
     kron,
-    partial_trace,
-    tilted_state,
 )
-from seqeve.linalg import ATOL, ID2, ID4, PAULI_X, PAULI_Y, PAULI_Z, is_hermitian
 
 
 class TestKron:

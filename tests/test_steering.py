@@ -16,13 +16,13 @@ from seqeve import (
     delta_for_rate,
     fgi_lhs,
     key_rate,
-    kron,
     mub_chain,
     mub_sharp_pair,
     report,
     shrink_factor,
 )
 from seqeve.chain import table_from_operators
+from seqeve.linalg import kron
 from seqeve.measurement import projector
 
 

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 
 from helpers import random_pure_amp
-from oracles import adapted_alice_measurement, canonical_settings, weak_step
+from oracles import (
+    adapted_alice_measurement,
+    alice_facing_count,
+    canonical_settings,
+    partial_trace,
+    weak_step,
+)
 from seqeve import (
     ADAPTED,
     CANONICAL,
@@ -16,17 +22,18 @@ from seqeve import (
     PureTwoQubitState,
     WeakKrausSetting,
     bell_state,
-    branch_tree,
-    correct_and_forward,
     evaluate_branch,
     leaf_theta,
-    partial_trace,
-    schmidt_decompose,
     tilted_state,
-    weak_kraus,
 )
 from seqeve.linalg import ID2, PAULI_X, PAULI_Z
-from seqeve.unbounded import alice_facing_count, branch_state
+from seqeve.measurement import weak_kraus
+from seqeve.unbounded import (
+    branch_state,
+    branch_tree,
+    correct_and_forward,
+    schmidt_decompose,
+)
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,15 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 import seqeve.cli
-from seqeve import (
-    ADAPTED,
-    CANONICAL,
-    branch_tree,
-    evaluate_branch,
-    leaf_theta,
-    report_from_table,
-)
-from seqeve.unbounded import branch_conditional_table
+from seqeve import ADAPTED, CANONICAL, evaluate_branch, leaf_theta, report_from_table
+from seqeve.unbounded import branch_conditional_table, branch_tree
 
 MAX_DEPTH = 8
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
