@@ -3,6 +3,8 @@
 ``unbounded`` computes the one Schmidt angle that every leaf of the branch
 tree shares by a scalar recursion, evaluates it once per Alice strategy and
 repeats the result over the 2^n leaf rows, each of weight exactly 2^-n.
+The rows share their value objects, so the writer formats those values
+once and each leaf row costs only its label.
 
 Exit codes: 0 success, 2 input error, 3 computation infeasibility,
 4 reference-value mismatch, 5 internal invariant failure.  Output files are
@@ -13,16 +15,18 @@ byte-identical across runs for identical inputs; run metadata lives in
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .chain import ZeroProbabilityError
 from .linalg import ID2
+from .measurement import WeakKrausSetting
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
 from .scenario import ScenarioError, load_scenario, parse_angle_token, to_chain_spec
-from .states import InvariantError
+from .states import InvariantError, check_tilt_angle
 from .steering import reports
 from .unbounded import (
     ADAPTED,
@@ -47,6 +51,10 @@ COARSE_ENTRIES = {(0.1, 2)}
 BOB_RATE_TOL = 2e-3
 # Caps the 2^n rows that ``unbounded`` writes.
 MAX_UNBOUNDED_DEPTH = 12
+# Options whose value may start with '-' (a negative number or list item).
+DASH_VALUE_OPTIONS = ("--rates", "--theta1", "--lambdas")
+# json.dumps spells the non-finite floats as JavaScript does.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(value: object) -> str:
@@ -58,10 +66,22 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _json_value(value: object) -> object:
+def _json_scalar(value: object) -> str:
+    """One cell as ``json.dumps`` writes it, floats first cut to six digits."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
     if isinstance(value, float):
-        return float(f"{value:.6g}")
-    return value
+        text = repr(float(f"{value:.6g}"))
+        return _JSON_NON_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _write_rows(
@@ -71,18 +91,45 @@ def _write_rows(
     fmt: str,
     path: str | None,
 ) -> None:
+    """Write rows as CSV under '#' header lines, or as an indented JSON list.
+
+    The JSON text is the layout of ``json.dumps(rows, indent=2)``, written
+    directly.  The first column labels a row; the rest of each row is
+    rendered once per distinct tuple of value objects, so the 2^n leaf rows
+    of ``unbounded``, which share theirs, cost one label each.  The memo is
+    keyed on identity, because equal values such as 1 and 1.0 or 0.0 and
+    -0.0 render differently.  ``columns`` must not be empty.
+    """
     if fmt == "json":
-        text = json.dumps(
-            [{k: _json_value(row.get(k)) for k in columns} for row in rows],
-            indent=2,
-        )
-        text += "\n"
+        # One key per column name, as a row dict given to json.dumps has.
+        columns = list(dict.fromkeys(columns))
+        cell = _json_scalar
+        seps = ["  {\n    "] + [",\n    "] * (len(columns) - 1)
+        prefixes = [
+            f"{sep}{encode_basestring_ascii(col)}: " for sep, col in zip(seps, columns)
+        ]
+        close = "\n  }"
+        start, join, end = ("[\n", ",\n", "\n]\n") if rows else ("[]\n", "", "")
     else:
-        lines = [f"# {line}" for line in header_lines]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(row.get(col)) for col in columns))
-        text = "\n".join(lines) + "\n"
+        cell = _fmt
+        prefixes = [""] + [","] * (len(columns) - 1)
+        close = "\n"
+        start = "".join(f"# {line}\n" for line in header_lines)
+        start, join, end = start + ",".join(columns) + "\n", "", ""
+    label, lead = columns[0], prefixes[0]
+    rest, rest_prefixes = columns[1:], prefixes[1:]
+    tails: dict[tuple, tuple[tuple, str]] = {}
+    texts = []
+    for row in rows:
+        key = tuple(map(id, map(row.get, rest)))
+        tail = tails.get(key)
+        if tail is None:
+            values = tuple(map(row.get, rest))
+            text = "".join([p + cell(v) for p, v in zip(rest_prefixes, values)])
+            # The rows and the memo hold every keyed value, so no id is reused.
+            tail = tails[key] = (values, text + close)
+        texts.append(lead + cell(row.get(label)) + tail[1])
+    text = start + join.join(texts) + end
     if path is None:
         sys.stdout.write(text)
         return
@@ -207,10 +254,20 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+def _angle(token: str, field_name: str, check: Callable[[float], object]) -> float:
+    """An angle option item, range-checked by ``check`` under its own name."""
+    angle = parse_angle_token(token, field_name)
+    try:
+        check(angle)
+    except ValueError as exc:
+        raise ScenarioError(f"{field_name}: {exc}") from None
+    return angle
+
+
 def cmd_unbounded(args: argparse.Namespace) -> int:
-    theta1 = parse_angle_token(args.theta1, "theta1")
+    theta1 = _angle(args.theta1, "theta1", check_tilt_angle)
     weak = [
-        parse_angle_token(tok, f"lambdas[{idx}]")
+        _angle(tok, f"lambdas[{idx}]", WeakKrausSetting)
         for idx, tok in enumerate(_list_tokens(args.lambdas, "lambdas"))
     ]
     if len(weak) > MAX_UNBOUNDED_DEPTH:
@@ -310,9 +367,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_dash_values(argv: list[str]) -> list[str]:
+    """Write '--lambdas -0.1,0.2' as '--lambdas=-0.1,0.2'.
+
+    argparse reads a value that starts with '-' and is not a plain negative
+    number as an option, and stops with "expected one argument"; attached,
+    the value reaches the range check that names it.
+    """
+    out: list[str] = []
+    for tok in argv:
+        dash_value = tok.startswith("-") and not tok.startswith("--")
+        if dash_value and out and out[-1] in DASH_VALUE_OPTIONS:
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parser.parse_args(_attach_dash_values(argv))
     try:
         return args.func(args)
     except ScenarioError as exc:

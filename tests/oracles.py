@@ -6,9 +6,12 @@ with Alice's observables conjugated by each leaf's own unitary.  Every table
 comes from operator traces (``chain.table_from_operators``), so none of the
 closed-form propagation or table arithmetic checked here is shared.  The
 planner's exact sharpness solve is checked against plain bisection, and the
-closed-form square root of an effect against a spectral one.
+closed-form square root of an effect against a spectral one.  The command
+line's row writer is checked against a renderer that formats every cell of
+every row and leaves the JSON layout to ``json.dumps``.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -323,3 +326,34 @@ def tradeoff(sharpness: float) -> TradeoffPair:
     return TradeoffPair(
         quality_factor=math.sqrt(1.0 - sharpness * sharpness), precision=sharpness
     )
+
+
+def _csv_cell(value: object) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.6g}"
+    return str(value)
+
+
+def _json_cell(value: object) -> object:
+    if isinstance(value, float):
+        return float(f"{value:.6g}")
+    return value
+
+
+def render_rows(
+    rows: list[dict], columns: list[str], header_lines: list[str], fmt: str
+) -> str:
+    """The text ``cli._write_rows`` writes, rendered cell by cell."""
+    if fmt == "json":
+        text = json.dumps(
+            [{k: _json_cell(row.get(k)) for k in columns} for row in rows],
+            indent=2,
+        )
+        return text + "\n"
+    lines = [f"# {line}" for line in header_lines]
+    lines.append(",".join(columns))
+    for row in rows:
+        lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
+    return "\n".join(lines) + "\n"

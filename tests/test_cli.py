@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import seqeve.chain
+import seqeve.cli
 import seqeve.linalg
 import seqeve.unbounded
 from seqeve.chain import ConditionalTable, PauliState
@@ -199,6 +200,18 @@ class TestWorkCounts:
         assert len(tables) == n_eves + 1
         assert len(krons) == 0
 
+    def test_unbounded_formats_each_distinct_row_tail_once(self, monkeypatch, capsys):
+        cells = count_calls(monkeypatch, seqeve.cli, "_fmt")
+        angles = ",".join(["0.6"] * 10)
+        assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
+        rows = parse_csv(capsys.readouterr().out)
+        labels = {row["branch"] for row in rows}
+        values = [args[0] for args in cells if args[0] not in labels]
+        # The six cells after the label of one leaf row and of the summary,
+        # not 2^10 x 6: every leaf row shares its value objects.
+        assert len(values) == 2 * 6
+        assert len(cells) - len(values) == len(rows) == 2**10 + 1
+
 
 class TestFileSystemErrors:
     @pytest.mark.parametrize(
@@ -237,6 +250,21 @@ class TestListOptions:
     def test_empty_item_exits_2(self, capsys, argv, option):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"input error: {option}: empty item")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["unbounded", "--theta1", "0.5", "--lambdas", "-0.001,0.2"], "lambdas[0]"),
+            (["unbounded", "--theta1", "0.5", "--lambdas", "-1e-3"], "lambdas[0]"),
+            (["unbounded", "--theta1", "-1e-3", "--lambdas", "0.2"], "theta1"),
+            (["plan", "--rates", "-1e-3"], "rates"),
+            (["plan", "--rates", "-0.1,0.2", "--check-paper"], "rates"),
+        ],
+    )
+    def test_negative_first_item_reaches_the_range_check(self, capsys, argv, message):
+        # argparse alone reads '-0.001,0.2' as an option: "expected one argument".
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}: ")
 
     @pytest.mark.parametrize(
         "spaced, plain",

@@ -43,12 +43,19 @@ def assert_contract(argv):
     return code
 
 
+# Negative numbers that argparse alone would read as options ('-1e-3').
+negative_items = st.floats(min_value=0.0, exclude_min=True).map(lambda x: f"-{x!r}")
+
+
 @st.composite
 def item_lists(draw, valid, fuzzed, max_size):
-    """Comma-joined valid items, about half the time with one item fuzzed."""
+    """Comma-joined valid items, about half the time with one item fuzzed,
+    and about a quarter of the time with a negative first item."""
     items = draw(st.lists(valid, max_size=max_size))
     if items and draw(st.booleans()):
         items[draw(st.integers(0, len(items) - 1))] = draw(fuzzed)
+    if items and draw(st.integers(0, 3)) == 0:
+        items[0] = draw(negative_items)
     return ",".join(items)
 
 
@@ -84,6 +91,23 @@ angle_tokens = st.one_of(
 @given(valid_angles | angle_tokens, item_lists(valid_angles, angle_tokens, max_size=14))
 def test_unbounded_angles_keep_the_exit_contract(theta1, weak):
     assert_contract(["unbounded", "--theta1", theta1, "--lambdas", weak])
+
+
+@FUZZ
+@given(
+    st.sampled_from(["rates", "lambdas"]),
+    negative_items,
+    st.lists(valid_rates, max_size=3),
+)
+def test_negative_first_item_names_the_option(option, first, rest):
+    items = ",".join([first, *rest])
+    if option == "rates":
+        argv, field = ["plan", "--rates", items], "rates"
+    else:
+        argv, field = ["unbounded", "--theta1", "0.5", "--lambdas", items], "lambdas[0]"
+    code, err = run(argv)
+    assert code == 2
+    assert err.startswith(f"input error: {field}: "), (argv, err)
 
 
 # Log-uniform angles from 1e-9 up to pi/4, where leaf angles and Alice
