@@ -46,7 +46,6 @@ _PAULI_BASIS = np.array([[kron(p, q) for q in _PAULIS] for p in _PAULIS])
 # The same basis as one (16, 16) matrix: row 4 mu + nu holds the flattened
 # sigma_mu (x) sigma_nu, so rho.ravel() = R.ravel() @ _PAULI_ROWS / 4.
 _PAULI_ROWS = _PAULI_BASIS.reshape(16, 16)
-_ID3 = np.eye(3)
 
 
 class ZeroProbabilityError(ValueError):
@@ -85,20 +84,6 @@ class PartySettings:
             rows[2 * k + 1, 1:] = -vec
         rows.flags.writeable = False
         return rows
-
-    @cached_property
-    def axis_projectors(self) -> np.ndarray:
-        """[n n^T per input, I - n n^T per input] for the unit directions n.
-
-        Shape (2, 2, 3, 3): the Bloch components along and across each
-        input's axis, for ``_eve_map``.  Built once per settings object and
-        read-only.
-        """
-        n = np.array([setting.direction.unit_vector() for setting in self.settings])
-        along = n[:, :, None] * n[:, None, :]
-        out = np.array([along, _ID3 - along])
-        out.flags.writeable = False
-        return out
 
 
 def mub_sharp_pair() -> PartySettings:
@@ -216,12 +201,11 @@ def _eve_map(eve: PartySettings, bias: float) -> np.ndarray:
     """
     out = np.zeros((4, 4))
     out[0, 0] = 1.0
-    along, across = eve.axis_projectors
-    for weight, setting, along_k, across_k in zip(
-        (bias, 1.0 - bias), eve.settings, along, across
-    ):
+    for weight, setting in zip((bias, 1.0 - bias), eve.settings):
+        n = setting.direction.unit_vector()
+        along = np.outer(n, n)
         quality = math.sqrt(1.0 - setting.sharpness * setting.sharpness)
-        out[1:, 1:] += weight * (along_k + quality * across_k)
+        out[1:, 1:] += weight * (along + quality * (np.eye(3) - along))
     return out
 
 

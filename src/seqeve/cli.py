@@ -3,7 +3,7 @@
 ``unbounded`` computes the one Schmidt angle that every leaf of the branch
 tree shares by a scalar recursion, evaluates it once per Alice strategy and
 repeats the result over the 2^n leaf rows, each of weight exactly 2^-n.
-The rows share their value objects, so the writer formats those values
+The rows share their value objects, so the CSV writer formats those values
 once and each leaf row costs only its label.
 
 Exit codes: 0 success, 2 input error, 3 computation infeasibility,
@@ -15,18 +15,17 @@ byte-identical across runs for identical inputs; run metadata lives in
 from __future__ import annotations
 
 import argparse
+import json
+import math
 import sys
-from collections.abc import Callable
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .chain import ZeroProbabilityError
 from .linalg import ID2
-from .measurement import WeakKrausSetting
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
 from .scenario import ScenarioError, load_scenario, parse_angle_token, to_chain_spec
-from .states import InvariantError, check_tilt_angle
+from .states import InvariantError
 from .steering import reports
 from .unbounded import (
     ADAPTED,
@@ -53,8 +52,6 @@ BOB_RATE_TOL = 2e-3
 MAX_UNBOUNDED_DEPTH = 12
 # Options whose value may start with '-' (a negative number or list item).
 DASH_VALUE_OPTIONS = ("--rates", "--theta1", "--lambdas")
-# json.dumps spells the non-finite floats as JavaScript does.
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _fmt(value: object) -> str:
@@ -66,22 +63,10 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _json_scalar(value: object) -> str:
-    """One cell as ``json.dumps`` writes it, floats first cut to six digits."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
+def _json_value(value: object) -> object:
     if isinstance(value, float):
-        text = repr(float(f"{value:.6g}"))
-        return _JSON_NON_FINITE.get(text, text)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        return float(f"{value:.6g}")
+    return value
 
 
 def _write_rows(
@@ -93,43 +78,32 @@ def _write_rows(
 ) -> None:
     """Write rows as CSV under '#' header lines, or as an indented JSON list.
 
-    The JSON text is the layout of ``json.dumps(rows, indent=2)``, written
-    directly.  The first column labels a row; the rest of each row is
-    rendered once per distinct tuple of value objects, so the 2^n leaf rows
-    of ``unbounded``, which share theirs, cost one label each.  The memo is
-    keyed on identity, because equal values such as 1 and 1.0 or 0.0 and
-    -0.0 render differently.  ``columns`` must not be empty.
+    A CSV row's cells after the first (label) column are formatted once per
+    distinct tuple of value objects, so the 2^n leaf rows of ``unbounded``,
+    which share theirs, cost one label each.  The memo is keyed on identity,
+    because equal values such as 1 and 1.0 or 0.0 and -0.0 format
+    differently.  ``columns`` must not be empty.
     """
     if fmt == "json":
-        # One key per column name, as a row dict given to json.dumps has.
-        columns = list(dict.fromkeys(columns))
-        cell = _json_scalar
-        seps = ["  {\n    "] + [",\n    "] * (len(columns) - 1)
-        prefixes = [
-            f"{sep}{encode_basestring_ascii(col)}: " for sep, col in zip(seps, columns)
-        ]
-        close = "\n  }"
-        start, join, end = ("[\n", ",\n", "\n]\n") if rows else ("[]\n", "", "")
+        text = json.dumps(
+            [{k: _json_value(row.get(k)) for k in columns} for row in rows],
+            indent=2,
+        )
+        text += "\n"
     else:
-        cell = _fmt
-        prefixes = [""] + [","] * (len(columns) - 1)
-        close = "\n"
-        start = "".join(f"# {line}\n" for line in header_lines)
-        start, join, end = start + ",".join(columns) + "\n", "", ""
-    label, lead = columns[0], prefixes[0]
-    rest, rest_prefixes = columns[1:], prefixes[1:]
-    tails: dict[tuple, tuple[tuple, str]] = {}
-    texts = []
-    for row in rows:
-        key = tuple(map(id, map(row.get, rest)))
-        tail = tails.get(key)
-        if tail is None:
+        label, rest = columns[0], columns[1:]
+        tails: dict[tuple, tuple[tuple, str]] = {}
+        lines = [f"# {line}" for line in header_lines]
+        lines.append(",".join(columns))
+        for row in rows:
             values = tuple(map(row.get, rest))
-            text = "".join([p + cell(v) for p, v in zip(rest_prefixes, values)])
-            # The rows and the memo hold every keyed value, so no id is reused.
-            tail = tails[key] = (values, text + close)
-        texts.append(lead + cell(row.get(label)) + tail[1])
-    text = start + join.join(texts) + end
+            key = tuple(map(id, values))
+            tail = tails.get(key)
+            if tail is None:
+                # The memo holds every keyed value, so no id is reused.
+                tail = tails[key] = (values, "".join("," + _fmt(v) for v in values))
+            lines.append(_fmt(row.get(label)) + tail[1])
+        text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
         return
@@ -254,20 +228,22 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _angle(token: str, field_name: str, check: Callable[[float], object]) -> float:
-    """An angle option item, range-checked by ``check`` under its own name."""
+def _unit_angle(token: str, field_name: str) -> float:
+    """An angle option item in (0, pi/4], the range of tilt and weak angles.
+
+    Checked here so that the error names the item, as ``leaf_theta``'s own
+    checks cannot.
+    """
     angle = parse_angle_token(token, field_name)
-    try:
-        check(angle)
-    except ValueError as exc:
-        raise ScenarioError(f"{field_name}: {exc}") from None
+    if not 0.0 < angle <= math.pi / 4.0:
+        raise ScenarioError(f"{field_name}: must lie in (0, pi/4], got {angle}")
     return angle
 
 
 def cmd_unbounded(args: argparse.Namespace) -> int:
-    theta1 = _angle(args.theta1, "theta1", check_tilt_angle)
+    theta1 = _unit_angle(args.theta1, "theta1")
     weak = [
-        _angle(tok, f"lambdas[{idx}]", WeakKrausSetting)
+        _unit_angle(tok, f"lambdas[{idx}]")
         for idx, tok in enumerate(_list_tokens(args.lambdas, "lambdas"))
     ]
     if len(weak) > MAX_UNBOUNDED_DEPTH:
@@ -331,6 +307,7 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqeve",
+        allow_abbrev=False,
         description=(
             "Simulate sequential unsharp-measurement eavesdropping of a "
             "steering-based QKD link"
@@ -338,13 +315,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_chain = sub.add_parser("chain", help="evaluate a chain scenario file")
+    p_chain = sub.add_parser(
+        "chain", help="evaluate a chain scenario file", allow_abbrev=False
+    )
     p_chain.add_argument("--scenario", required=True, help="scenario file path")
     p_chain.add_argument("--out", default=None, help="output file (default stdout)")
     p_chain.add_argument("--format", choices=("csv", "json"), default=None)
     p_chain.set_defaults(func=cmd_chain)
 
-    p_plan = sub.add_parser("plan", help="minimal sharpness chains per target rate")
+    p_plan = sub.add_parser(
+        "plan", help="minimal sharpness chains per target rate", allow_abbrev=False
+    )
     p_plan.add_argument(
         "--rates", required=True, help="comma-separated target key rates"
     )
@@ -355,7 +336,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.set_defaults(func=cmd_plan)
 
-    p_unb = sub.add_parser("unbounded", help="branch tree of the weak strategy")
+    p_unb = sub.add_parser(
+        "unbounded", help="branch tree of the weak strategy", allow_abbrev=False
+    )
     p_unb.add_argument("--theta1", required=True, help="initial tilt angle (radians)")
     p_unb.add_argument(
         "--lambdas", required=True, help="comma-separated weak angles (radians)"
@@ -372,7 +355,8 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
     argparse reads a value that starts with '-' and is not a plain negative
     number as an option, and stops with "expected one argument"; attached,
-    the value reaches the range check that names it.
+    the value reaches the range check that names it.  The parsers take no
+    abbreviated option names, so an exact match finds every such option.
     """
     out: list[str] = []
     for tok in argv:

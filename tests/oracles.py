@@ -8,7 +8,7 @@ closed-form propagation or table arithmetic checked here is shared.  The
 planner's exact sharpness solve is checked against plain bisection, and the
 closed-form square root of an effect against a spectral one.  The command
 line's row writer is checked against a renderer that formats every cell of
-every row and leaves the JSON layout to ``json.dumps``.
+every row.
 """
 
 import json

@@ -145,23 +145,6 @@ class TestPostMeasurementState:
             assert total == pytest.approx(1.0, abs=1e-12)
 
 
-class TestAxisProjectors:
-    def test_cached_read_only_outer_products(self):
-        rng = np.random.default_rng(3)
-        eve = PartySettings(
-            UnsharpSetting(random_direction(rng), 0.4),
-            UnsharpSetting(random_direction(rng), 0.7),
-        )
-        along, across = eve.axis_projectors
-        for k, setting in enumerate(eve.settings):
-            n = setting.direction.unit_vector()
-            assert np.array_equal(along[k], np.outer(n, n))
-            assert np.array_equal(across[k], np.eye(3) - np.outer(n, n))
-        assert eve.axis_projectors is eve.axis_projectors
-        with pytest.raises(ValueError):
-            along[0, 0, 0] = 1.0
-
-
 class TestPropagate:
     def test_empty_chain_returns_initial(self):
         spec = mub_chain(())

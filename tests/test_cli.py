@@ -267,6 +267,36 @@ class TestListOptions:
         assert capsys.readouterr().err.startswith(f"input error: {message}: ")
 
     @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["unbounded", "--theta1", "0.5", "--lambda", "-0.1,0.2"],
+                "the following arguments are required: --lambdas",
+            ),
+            (
+                ["unbounded", "--theta", "-1e-3", "--lambdas", "0.2"],
+                "the following arguments are required: --theta1",
+            ),
+            (
+                ["plan", "--rate", "-1e-3"],
+                "the following arguments are required: --rates",
+            ),
+            (
+                ["unbounded", "--theta1", "0.5", "--lambdas", "0.2", "--form", "json"],
+                "unrecognized arguments: --form json",
+            ),
+        ],
+    )
+    def test_abbreviated_option_names_are_refused(self, capsys, argv, message):
+        # Only exact names exist, so no value is read under a guessed option.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "expected one argument" not in err
+
+    @pytest.mark.parametrize(
         "spaced, plain",
         [
             (["plan", "--rates", "0.3, 0.2 "], ["plan", "--rates", "0.3,0.2"]),

@@ -1,9 +1,8 @@
 """The command line's row writer against the cell-by-cell oracle renderer.
 
-``cli._write_rows`` renders each distinct tail of a row (every value after
-the label) once, and writes the JSON layout by hand; ``oracles.render_rows``
-formats every cell and leaves the layout to ``json.dumps``.  Both must give
-the same bytes.
+``cli._write_rows`` formats each distinct tail of a CSV row (every value
+after the label) once; ``oracles.render_rows`` formats every cell of every
+row.  Both must give the same bytes, in CSV and in JSON.
 """
 
 import contextlib
