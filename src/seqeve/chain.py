@@ -14,6 +14,15 @@ only, as a real 3x3 map M (b <- M b, T <- T M^T), and every conditional
 table is a closed form in (a, b, T).  Each state a table is built from is
 rebuilt as a 4x4 density matrix and validated.
 
+``tables`` evaluates a whole chain in one stacked pass: the N Eve maps are
+built from (N, 2, 3) direction and (N, 2) sharpness arrays, the N+1 states
+are carried as one (N+1, 4, 4) stack (the N sequential 4x4 products are the
+only loop), and the stack of density matrices, Alice's marginals and the
+tables are each computed and validated by one array operation.  Since no
+Eve touches Alice's qubit, column 0 of R and so Alice's marginal is the
+same for every party.  The per-party functions are the one-party case of
+the same code and agree with the stack bit for bit.
+
 Alice's projector is never folded into the propagated state: her sharp
 measurement commutes with every operation on the other qubit, so it is
 applied lazily when a conditional table is built.  The tests check this
@@ -22,7 +31,6 @@ against an explicit per-outcome forking route.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -46,6 +54,7 @@ _PAULI_BASIS = np.array([[kron(p, q) for q in _PAULIS] for p in _PAULIS])
 # The same basis as one (16, 16) matrix: row 4 mu + nu holds the flattened
 # sigma_mu (x) sigma_nu, so rho.ravel() = R.ravel() @ _PAULI_ROWS / 4.
 _PAULI_ROWS = _PAULI_BASIS.reshape(16, 16)
+_EYE3 = np.eye(3)
 
 
 class ZeroProbabilityError(ValueError):
@@ -76,14 +85,39 @@ class PartySettings:
         coordinates in the closed-form probabilities of ``PauliState.table``.
         Built once per settings object and read-only.
         """
-        rows = np.ones((4, 4))
-        for k, setting in enumerate(self.settings):
-            lam = setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0
-            vec = lam * setting.direction.unit_vector()
-            rows[2 * k, 1:] = vec
-            rows[2 * k + 1, 1:] = -vec
+        rows = _effect_rows(*_setting_arrays((self,)))[0]
         rows.flags.writeable = False
         return rows
+
+
+def _setting_arrays(
+    parties: tuple[PartySettings, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (n, 2, 3) and sharpnesses (n, 2) of the parties' inputs.
+
+    A sharp setting has sharpness 1.
+    """
+    per_setting = np.array(
+        [
+            (
+                *setting.direction.components(),
+                setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0,
+            )
+            for party in parties
+            for setting in party.settings
+        ],
+        dtype=float,
+    ).reshape(-1, 2, 4)
+    return per_setting[..., :3], per_setting[..., 3]
+
+
+def _effect_rows(directions: np.ndarray, sharpness: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) effect rows of ``PartySettings.effect_rows``, row 2k + c."""
+    vec = sharpness[..., None] * directions
+    rows = np.ones(directions.shape[:-2] + (4, 4))
+    rows[..., 0::2, 1:] = vec
+    rows[..., 1::2, 1:] = -vec
+    return rows
 
 
 def mub_sharp_pair() -> PartySettings:
@@ -149,14 +183,15 @@ def mub_chain(
 class ConditionalTable:
     """P(party outcome c | party input k, Alice input i, Alice outcome a).
 
-    ``probs[k, i, a, c]`` with every (k, i, a) row normalized to 1.
+    ``probs[k, i, a, c]`` with every (k, i, a) row normalized to 1.  A
+    (..., 2, 2, 2, 2) stack of tables is validated as a whole.
     """
 
     probs: np.ndarray
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
-        if probs.shape != (2, 2, 2, 2):
+        if probs.shape[-4:] != (2, 2, 2, 2):
             raise InvariantError(f"table must have shape (2,2,2,2), got {probs.shape}")
         if probs.min() < -COMPOSED_ATOL or probs.max() > 1.0 + COMPOSED_ATOL:
             raise InvariantError("conditional probabilities must lie in [0, 1]")
@@ -169,18 +204,21 @@ class ConditionalTable:
     def conditioned(cls, joint: np.ndarray, p_alice: np.ndarray) -> ConditionalTable:
         """Table from joint probabilities divided by Alice's marginal.
 
-        ``joint[2i + a, 2k + c]`` is P(a, c | i, k) and ``p_alice[2i + a]`` is
-        P(a | i).  Raises ZeroProbabilityError when an Alice outcome has
-        probability below ZERO_PROB_ATOL.
+        ``joint[..., 2i + a, 2k + c]`` is P(a, c | i, k) and
+        ``p_alice[..., 2i + a]`` is P(a | i); both may carry the same leading
+        stack axes.  Raises ZeroProbabilityError, naming the first of them,
+        when an Alice outcome has probability below ZERO_PROB_ATOL.
         """
-        low = np.flatnonzero(p_alice < ZERO_PROB_ATOL)
-        if low.size:
-            i, a = divmod(int(low[0]), 2)
+        if p_alice.min() < ZERO_PROB_ATOL:
+            first = int(np.argmax(p_alice < ZERO_PROB_ATOL))
+            i, a = divmod(first % 4, 2)
             raise ZeroProbabilityError(
-                f"Alice input {i} outcome {a} has probability {p_alice[low[0]]:.3e}"
+                f"Alice input {i} outcome {a} has probability "
+                f"{p_alice.flat[first]:.3e}"
             )
-        probs = (joint / p_alice[:, None]).reshape(2, 2, 2, 2)
-        return cls(probs.transpose(2, 0, 1, 3))
+        probs = (joint / p_alice[..., :, None]).reshape(joint.shape[:-2] + (2,) * 4)
+        # Axes (..., i, a, k, c) to (..., k, i, a, c).
+        return cls(probs.swapaxes(-4, -2).swapaxes(-3, -2))
 
 
 def _party_index(spec: ChainSpec, party: int | str) -> int:
@@ -192,20 +230,34 @@ def _party_index(spec: ChainSpec, party: int | str) -> int:
     raise ValueError(f"party must be an Eve index in 1..{spec.n_eves} or BOB")
 
 
-def _eve_map(eve: PartySettings, bias: float) -> np.ndarray:
-    """An Eve's input-averaged non-selective Lueders channel on Pauli coordinates.
+def _eve_maps(
+    directions: np.ndarray, sharpness: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """Each Eve's input-averaged non-selective Lueders channel on Pauli coordinates.
 
     Sharpness lambda along n keeps the Bloch component along n and shrinks
-    the transverse ones by sqrt(1 - lambda^2); the channel is unital.  The
-    4x4 map acts as coords <- coords @ map.T.
+    the transverse ones by sqrt(1 - lambda^2); the channel is unital.  Takes
+    the (N, 2, 3) directions and (N, 2) sharpnesses of ``_setting_arrays``
+    and the (N,) input biases; map j acts as coords <- coords @ maps[j].T.
     """
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0
-    for weight, setting in zip((bias, 1.0 - bias), eve.settings):
-        n = setting.direction.unit_vector()
-        along = np.outer(n, n)
-        quality = math.sqrt(1.0 - setting.sharpness * setting.sharpness)
-        out[1:, 1:] += weight * (along + quality * (np.eye(3) - along))
+    along = directions[..., :, None] * directions[..., None, :]
+    quality = np.sqrt(1.0 - sharpness * sharpness)[..., None, None]
+    terms = along + quality * (_EYE3 - along)
+    weight = bias[..., None, None]
+    out = np.zeros(bias.shape + (4, 4))
+    out[..., 0, 0] = 1.0
+    out[..., 1:, 1:] = (
+        weight * terms[..., 0, :, :] + (1.0 - weight) * terms[..., 1, :, :]
+    )
+    return out
+
+
+def _propagate_all(start: np.ndarray, maps: np.ndarray) -> np.ndarray:
+    """Coordinates ``start`` and after each of the N maps in turn, (N+1, 4, 4)."""
+    out = np.empty((len(maps) + 1, 4, 4))
+    out[0] = start
+    for j, step in enumerate(maps):
+        out[j + 1] = out[j] @ step.T
     return out
 
 
@@ -214,7 +266,8 @@ class PauliState:
     """Two-qubit state as its Pauli coordinates R[mu, nu] = Tr(rho sigma_mu (x) sigma_nu).
 
     R = [[1, b^T], [a, T]] with Alice's Bloch vector a, the second qubit's
-    Bloch vector b and the correlation matrix T.
+    Bloch vector b and the correlation matrix T.  ``coords`` may also be a
+    (..., 4, 4) stack of states, such as the N+1 states of a chain.
     """
 
     coords: np.ndarray
@@ -222,8 +275,9 @@ class PauliState:
     @cached_property
     def state(self) -> TwoQubitState:
         """rho = sum R[mu, nu] sigma_mu (x) sigma_nu / 4, validated on first use."""
-        flat = self.coords.reshape(16) @ _PAULI_ROWS
-        return TwoQubitState(flat.reshape(4, 4) / 4.0)
+        shape = self.coords.shape
+        flat = self.coords.reshape(shape[:-2] + (16,)) @ _PAULI_ROWS
+        return TwoQubitState(flat.reshape(shape) / 4.0)
 
     @classmethod
     def of(cls, initial: PureTwoQubitState) -> PauliState:
@@ -232,21 +286,39 @@ class PauliState:
 
     def after(self, eve: PartySettings, bias: float) -> PauliState:
         """State after one Eve measured non-selectively on the second qubit."""
-        return PauliState(self.coords @ _eve_map(eve, bias).T)
+        step = _eve_maps(*_setting_arrays((eve,)), np.array([bias]))[0]
+        return PauliState(self.coords @ step.T)
 
     def table(self, alice: PartySettings, party: PartySettings) -> ConditionalTable:
-        """Closed-form conditional table of ``party`` (second qubit) versus Alice.
+        """Closed-form conditional table of ``party`` (second qubit) versus Alice."""
+        return self.tables(alice.effect_rows, party.effect_rows)
+
+    def tables(self, alice_rows: np.ndarray, party_rows: np.ndarray) -> ConditionalTable:
+        """Closed-form conditional tables, one per state of the stack.
 
         P(c | k, i, a) = (1 + s_a a.m_i + s_c lambda_k (b.n_k + s_a m_i^T T n_k))
         / (4 p_alice), with p_alice = (1 + s_a a.m_i) / 2 and s = +1 (-1) for
-        outcome 0 (1).
+        outcome 0 (1).  ``party_rows`` holds the (..., 4, 4) effect rows of
+        the party measuring each state.  Column 0 of R, and so Alice's
+        marginal, is the same for every state of a chain; it is still taken
+        from each state, in one product, and checked once for the stack.
         """
         self.state  # validates every state a table is built from, once
-        alice_rows = alice.effect_rows  # rows (i, a)
-        party_rows = party.effect_rows  # rows (k, c)
-        p_alice = 0.5 * (alice_rows @ self.coords[:, 0])
-        joint = 0.25 * (alice_rows @ self.coords @ party_rows.T)
+        p_alice = 0.5 * (alice_rows @ self.coords[..., :1])[..., 0]
+        joint = 0.25 * (alice_rows @ self.coords @ party_rows.swapaxes(-1, -2))
         return ConditionalTable.conditioned(joint, p_alice)
+
+
+def _chain_states(
+    spec: ChainSpec, directions: np.ndarray, sharpness: np.ndarray
+) -> PauliState:
+    """Initial state, then the state after each of the first n Eves, stacked.
+
+    ``directions`` and ``sharpness`` are the ``_setting_arrays`` of those n.
+    """
+    bias = np.array(spec.input_bias[: len(directions)])
+    maps = _eve_maps(directions, sharpness, bias)
+    return PauliState(_propagate_all(PauliState.of(spec.initial).coords, maps))
 
 
 def pauli_state(spec: ChainSpec, party: int | str) -> PauliState:
@@ -254,11 +326,10 @@ def pauli_state(spec: ChainSpec, party: int | str) -> PauliState:
 
     ``party`` is a 1-based Eve index or ``BOB``.
     """
-    upstream = _party_index(spec, party)
-    current = PauliState.of(spec.initial)
-    for eve, bias in zip(spec.eves[:upstream], spec.input_bias[:upstream]):
-        current = current.after(eve, bias)
-    return current
+    upstream = spec.eves[: _party_index(spec, party)]
+    if not upstream:  # no Eve before the party: no arrays to build
+        return PauliState.of(spec.initial)
+    return PauliState(_chain_states(spec, *_setting_arrays(upstream)).coords[-1])
 
 
 def propagate(spec: ChainSpec, party: int | str) -> TwoQubitState:
@@ -294,12 +365,17 @@ def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
     return pauli_state(spec, party).table(spec.alice, settings)
 
 
-def tables(spec: ChainSpec) -> list[ConditionalTable]:
-    """Conditional tables of Eve 1..N and then Bob, from one propagation pass."""
-    current = PauliState.of(spec.initial)
-    out = []
-    for eve, bias in zip(spec.eves, spec.input_bias):
-        out.append(current.table(spec.alice, eve))
-        current = current.after(eve, bias)
-    out.append(current.table(spec.alice, spec.bob))
-    return out
+def tables(spec: ChainSpec) -> ConditionalTable:
+    """Conditional tables of Eve 1..N and then Bob, stacked (N+1, 2, 2, 2, 2).
+
+    One pass: the N Eve maps and effect rows are built as arrays, the N+1
+    states are propagated as one (N+1, 4, 4) stack and validated together,
+    and every table comes from one stacked product.  Entry j equals
+    ``conditional_table`` of party j+1 bit for bit.
+    """
+    directions, sharpness = _setting_arrays(spec.eves)
+    states = _chain_states(spec, directions, sharpness)
+    rows = np.concatenate(
+        (_effect_rows(directions, sharpness), spec.bob.effect_rows[None])
+    )
+    return states.tables(spec.alice.effect_rows, rows)

@@ -15,6 +15,7 @@ byte-identical across runs for identical inputs; run metadata lives in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -350,6 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call of a process and reused.
+
+    Each parse fills a fresh namespace, so no option value or default
+    carries over from one call to the next.
+    """
+    return build_parser()
+
+
 def _attach_dash_values(argv: list[str]) -> list[str]:
     """Write '--lambdas -0.1,0.2' as '--lambdas=-0.1,0.2'.
 
@@ -369,9 +380,8 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    args = parser.parse_args(_attach_dash_values(argv))
+    args = _parser().parse_args(_attach_dash_values(argv))
     try:
         return args.func(args)
     except ScenarioError as exc:

@@ -23,8 +23,8 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a (..., n, n) stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def is_hermitian(m: np.ndarray, atol: float = ATOL) -> bool:
@@ -52,11 +52,13 @@ class BlochDirection:
         if not 0.0 <= self.phi <= 2.0 * math.pi:
             raise ValueError(f"phi must lie in [0, 2*pi], got {self.phi}")
 
-    def unit_vector(self) -> np.ndarray:
+    def components(self) -> tuple[float, float, float]:
+        """Cartesian components (x, y, z) of the unit vector."""
         st = math.sin(self.theta)
-        return np.array(
-            [st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta)]
-        )
+        return (st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta))
+
+    def unit_vector(self) -> np.ndarray:
+        return np.array(self.components())
 
 
 Z_DIR = BlochDirection(0.0, 0.0)

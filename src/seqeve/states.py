@@ -27,24 +27,33 @@ def check_tilt_angle(theta: float) -> float:
 
 @dataclass(frozen=True)
 class TwoQubitState:
-    """4x4 density matrix; unit trace, Hermitian, positive semidefinite."""
+    """4x4 density matrix; unit trace, Hermitian, positive semidefinite.
+
+    ``rho`` may also be a (..., 4, 4) stack, validated as a whole by one
+    trace, one Hermiticity and one ``eigvalsh`` check.  A failure names the
+    first offending matrix's trace or lowest eigenvalue.
+    """
 
     rho: np.ndarray
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
+        if rho.shape[-2:] != (4, 4):
             raise InvariantError(f"density matrix must be 4x4, got shape {rho.shape}")
-        trace = np.trace(rho)
+        traces = np.trace(rho, axis1=-2, axis2=-1)
+        off = np.maximum(abs(traces.real - 1.0), abs(traces.imag))
         # Written as "not <=" so that a NaN trace fails too.
-        if not (abs(trace.real - 1.0) <= ATOL and abs(trace.imag) <= ATOL):
-            raise InvariantError(f"trace must be 1, got {trace}")
+        if not off.max() <= ATOL:
+            first = np.argmax(~(off <= ATOL))
+            raise InvariantError(f"trace must be 1, got {traces.flat[first]}")
         if not is_hermitian(rho, atol=ATOL):
             raise InvariantError("density matrix must be Hermitian")
         eigs = np.linalg.eigvalsh(rho)
         if eigs.min() < -ATOL:
+            lowest = eigs.min(axis=-1)
+            first = np.argmax(lowest < -ATOL)
             raise InvariantError(
-                f"density matrix has negative eigenvalue {eigs.min():.3e}"
+                f"density matrix has negative eigenvalue {lowest.flat[first]:.3e}"
             )
         object.__setattr__(self, "rho", rho)
 

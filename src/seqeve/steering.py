@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chain import ChainSpec, ConditionalTable, conditional_table, tables
 
 THRESHOLD = 0.75
@@ -32,18 +34,20 @@ class SteeringReport:
     violated: bool
 
 
-def fgi_lhs(table: ConditionalTable) -> float:
+def fgi_lhs(table: ConditionalTable) -> float | np.ndarray:
     """Left-hand side of the steering inequality for a conditional table.
 
-    Values above 3/4 certify steering; 1 is maximal.
+    Values above 3/4 certify steering; 1 is maximal.  A stack of tables
+    gives an array of values, one per table.
     """
-    total = 0.0
-    for k in (0, 1):
-        cells = table.probs[k, k]  # indexed [alice outcome a, party outcome c]
-        keep = min(cells[0, 0], cells[1, 1])
-        flip = min(cells[0, 1], cells[1, 0])
-        total += max(keep, flip)
-    return 0.5 * total
+    probs = table.probs
+    # Rows (k, i) = (0, 0) and (1, 1); columns (a, c) = 00, 01, 10, 11.
+    cells = probs.reshape(probs.shape[:-4] + (4, 4))[..., ::3, :]
+    keep = np.minimum(cells[..., 0], cells[..., 3])
+    flip = np.minimum(cells[..., 1], cells[..., 2])
+    best = np.maximum(keep, flip)
+    lhs = 0.5 * (best[..., 0] + best[..., 1])
+    return lhs if lhs.ndim else float(lhs)
 
 
 def key_rate(delta: float) -> float:
@@ -67,12 +71,15 @@ def delta_for_rate(rate: float) -> float:
     return THRESHOLD * (scale - 1.0) / (scale + 1.0)
 
 
-def report_from_table(table: ConditionalTable) -> SteeringReport:
-    lhs = fgi_lhs(table)
+def _scored(lhs: float) -> SteeringReport:
     delta = max(lhs - THRESHOLD, 0.0)
     return SteeringReport(
         lhs=lhs, delta=delta, key_rate=key_rate(delta), violated=delta > 0.0
     )
+
+
+def report_from_table(table: ConditionalTable) -> SteeringReport:
+    return _scored(fgi_lhs(table))
 
 
 def report(spec: ChainSpec, party: int | str) -> SteeringReport:
@@ -81,5 +88,9 @@ def report(spec: ChainSpec, party: int | str) -> SteeringReport:
 
 
 def reports(spec: ChainSpec) -> list[SteeringReport]:
-    """Steering reports of Eve 1..N and then Bob, from one propagation pass."""
-    return [report_from_table(table) for table in tables(spec)]
+    """Steering reports of Eve 1..N and then Bob, from one stacked pass.
+
+    The N+1 inequality values come from one array computation; each key
+    rate is a scalar ``math.log2``.
+    """
+    return [_scored(lhs) for lhs in fgi_lhs(tables(spec)).tolist()]

@@ -5,6 +5,8 @@ lifted to two qubits, and the branch tables of the weak strategy are taken
 with Alice's observables conjugated by each leaf's own unitary.  Every table
 comes from operator traces (``chain.table_from_operators``), so none of the
 closed-form propagation or table arithmetic checked here is shared.  The
+stacked chain pass is also checked, bit for bit, against the per-Eve loop of
+4x4 Pauli-coordinate products and scalar steering values it replaced.  The
 planner's exact sharpness solve is checked against plain bisection, and the
 closed-form square root of an effect against a spectral one.  The command
 line's row writer is checked against a renderer that formats every cell of
@@ -240,6 +242,59 @@ def alice_marginals(node: BranchNode, alice_choice: str) -> np.ndarray:
     return np.array(
         [[np.trace(kron(proj, ID2) @ rho).real for proj in row] for row in alice_grid]
     )
+
+
+def pauli_effect_rows(party: PartySettings) -> np.ndarray:
+    """Rows (1, +-lambda n) of 2E, one per (input, outcome), built setting by setting."""
+    rows = np.ones((4, 4))
+    for k, setting in enumerate(party.settings):
+        lam = setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0
+        vec = lam * setting.direction.unit_vector()
+        rows[2 * k, 1:] = vec
+        rows[2 * k + 1, 1:] = -vec
+    return rows
+
+
+def pauli_eve_map(eve: PartySettings, bias: float) -> np.ndarray:
+    """One Eve's input-averaged Lueders channel on Pauli coordinates, 4x4."""
+    out = np.zeros((4, 4))
+    out[0, 0] = 1.0
+    for weight, setting in zip((bias, 1.0 - bias), eve.settings):
+        n = setting.direction.unit_vector()
+        along = np.outer(n, n)
+        quality = math.sqrt(1.0 - setting.sharpness * setting.sharpness)
+        out[1:, 1:] += weight * (along + quality * (np.eye(3) - along))
+    return out
+
+
+def pauli_table(coords: np.ndarray, alice: PartySettings, party: PartySettings):
+    """probs[k, i, a, c] of one state's Pauli coordinates, in closed form."""
+    alice_rows = pauli_effect_rows(alice)
+    p_alice = 0.5 * (alice_rows @ coords[:, 0])
+    joint = 0.25 * (alice_rows @ coords @ pauli_effect_rows(party).T)
+    return (joint / p_alice[:, None]).reshape(2, 2, 2, 2).transpose(2, 0, 1, 3)
+
+
+def pauli_tables(spec: ChainSpec) -> list[np.ndarray]:
+    """Tables of Eve 1..N and then Bob, one 4x4 state and one Eve map at a time."""
+    coords = PauliState.of(spec.initial).coords
+    out = []
+    for eve, bias in zip(spec.eves, spec.input_bias):
+        out.append(pauli_table(coords, spec.alice, eve))
+        coords = coords @ pauli_eve_map(eve, bias).T
+    out.append(pauli_table(coords, spec.alice, spec.bob))
+    return out
+
+
+def scalar_fgi_lhs(probs: np.ndarray) -> float:
+    """Steering value of one table, cell by cell with Python min and max."""
+    total = 0.0
+    for k in (0, 1):
+        cells = probs[k, k]  # indexed [alice outcome a, party outcome c]
+        keep = min(cells[0, 0], cells[1, 1])
+        flip = min(cells[0, 1], cells[1, 0])
+        total += max(keep, flip)
+    return 0.5 * total
 
 
 BISECTION_TOL = 1e-6

@@ -10,7 +10,7 @@ monotone in it.  Both are checked here as well.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -28,7 +28,7 @@ from seqeve import (
     report,
     tilted_state,
 )
-from seqeve.chain import PauliState
+from seqeve.chain import PauliState, tables
 from seqeve.linalg import COMPOSED_ATOL, ID2, kron
 from seqeve.measurement import projector
 from seqeve.steering import MAX_DELTA, THRESHOLD, reports
@@ -75,6 +75,27 @@ def chains(draw):
     )
 
 
+def explicit_chain(input_bias):
+    """A fixed chain of explicit Eves, one per bias."""
+    return ChainSpec(
+        initial=tilted_state(0.6),
+        alice=PartySettings(
+            SharpSetting(BlochDirection(0.1)), SharpSetting(BlochDirection(1.4, 0.3))
+        ),
+        eves=tuple(
+            PartySettings(
+                UnsharpSetting(BlochDirection(0.3 * m, 0.5), 0.1 + 0.08 * m),
+                UnsharpSetting(BlochDirection(1.2), 0.5),
+            )
+            for m in range(len(input_bias))
+        ),
+        bob=PartySettings(
+            SharpSetting(BlochDirection(0.7, 2.0)), SharpSetting(BlochDirection(2.5))
+        ),
+        input_bias=tuple(input_bias),
+    )
+
+
 def parties(spec):
     return list(range(1, spec.n_eves + 1)) + [BOB]
 
@@ -91,8 +112,26 @@ def test_kernel_matches_the_4x4_oracle(spec):
 
 @CHAIN_PROPERTY
 @given(chains())
+@example(explicit_chain(()))
+@example(explicit_chain((0.0, 1.0, 1.0, 0.0, 0.5)))
 def test_one_pass_reports_equal_per_party_reports(spec):
+    stacked = tables(spec).probs
+    assert stacked.shape == (spec.n_eves + 1, 2, 2, 2, 2)
+    for probs, party in zip(stacked, parties(spec)):
+        assert np.array_equal(probs, conditional_table(spec, party).probs)
     assert reports(spec) == [report(spec, party) for party in parties(spec)]
+
+
+@CHAIN_PROPERTY
+@given(chains())
+@example(explicit_chain(()))
+@example(explicit_chain((0.0, 1.0, 1.0, 0.0, 0.5)))
+def test_stacked_pass_equals_the_per_eve_loop(spec):
+    """The stack does the per-Eve loop's arithmetic, so it agrees bit for bit."""
+    expected = oracles.pauli_tables(spec)
+    assert np.array_equal(tables(spec).probs, np.stack(expected))
+    lhs = [rep.lhs for rep in reports(spec)]
+    assert lhs == [oracles.scalar_fgi_lhs(probs) for probs in expected]
 
 
 @CHAIN_PROPERTY

@@ -6,6 +6,7 @@ import sys
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import seqeve.chain
@@ -56,6 +57,20 @@ def count_calls(monkeypatch, owner, name):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+def explicit_chain_doc(n_eves, alice=""):
+    """A chain of ``n_eves`` explicit, biased Eves on a tilted state."""
+    eves = "".join(
+        f"  - {{lambda: {0.1 + 0.08 * m}, settings: explicit, bias: 0.3, "
+        f"directions: [{{theta: {0.3 * m}, phi: 0.5}}, {{theta: 1.2}}]}}\n"
+        for m in range(n_eves)
+    )
+    return (
+        "mode: chain\nstate: {kind: tilted, theta: 0.6}\n"
+        + alice
+        + (f"eves:\n{eves}" if n_eves else "")
+    )
 
 
 def parse_csv(text):
@@ -166,13 +181,14 @@ class TestWorkCounts:
 
     def test_chain_command_propagates_once(self, monkeypatch, capsys):
         starts = count_calls(monkeypatch, PauliState, "of")
-        steps = count_calls(monkeypatch, PauliState, "after")
+        passes = count_calls(monkeypatch, seqeve.chain, "_propagate_all")
         propagations = count_calls(monkeypatch, seqeve.chain, "propagate")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         assert main(["chain", "--scenario", str(CHAIN_MIXED)]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == 4
-        # One pass through the three Eves of the file.
-        assert (len(starts), len(steps)) == (1, 3)
+        # One stacked pass: 1 start and the 3 Eve steps of the file.
+        assert len(starts) == 1
+        assert [len(maps) for _, maps in passes] == [3]
         assert len(propagations) == 0
         assert len(krons) == 0
 
@@ -183,21 +199,16 @@ class TestWorkCounts:
         states = count_calls(monkeypatch, TwoQubitState, "__post_init__")
         tables = count_calls(monkeypatch, ConditionalTable, "__post_init__")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
-        eves = "".join(
-            f"  - {{lambda: {0.1 + 0.08 * m}, settings: explicit, bias: 0.3, "
-            f"directions: [{{theta: {0.3 * m}, phi: 0.5}}, {{theta: 1.2}}]}}\n"
-            for m in range(n_eves)
-        )
-        doc = (
-            "mode: chain\nstate: {kind: tilted, theta: 0.6}\n"
-            "alice: {settings: explicit, directions: [{theta: 0.1}, {theta: 1.4}]}\n"
-            + (f"eves:\n{eves}" if n_eves else "")
+        doc = explicit_chain_doc(
+            n_eves,
+            "alice: {settings: explicit, directions: [{theta: 0.1}, {theta: 1.4}]}\n",
         )
         assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
-        # The state seen by each Eve and by Bob, and each of their tables.
-        assert len(states) == n_eves + 1
-        assert len(tables) == n_eves + 1
+        # The state seen by each Eve and by Bob, and each of their tables, all
+        # through one stacked validator call each.
+        assert [np.shape(state.rho)[:-2] for state, in states] == [(n_eves + 1,)]
+        assert [np.shape(table.probs)[:-4] for table, in tables] == [(n_eves + 1,)]
         assert len(krons) == 0
 
     def test_unbounded_formats_each_distinct_row_tail_once(self, monkeypatch, capsys):
@@ -211,6 +222,106 @@ class TestWorkCounts:
         # not 2^10 x 6: every leaf row shares its value objects.
         assert len(values) == 2 * 6
         assert len(cells) - len(values) == len(rows) == 2**10 + 1
+
+
+# Pauli map of the transpose on the second qubit: positive, not completely
+# positive, so it leaves an entangled state with a negative eigenvalue.
+PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, -1.0, 1.0])
+# Coordinates of |0><0| (x) I/2: a valid state in which Alice's sigma_z
+# outcome 1 has probability 0.
+ALICE_UP_PRODUCT = np.zeros((4, 4))
+ALICE_UP_PRODUCT[0, 0] = ALICE_UP_PRODUCT[3, 0] = 1.0
+
+
+class TestFaultInjection:
+    """A fault at one party of a 9-Eve chain stops the stacked pass.
+
+    Each fault is injected into one entry of the stacked Eve maps, states or
+    effect rows, and must surface with the exit code and message it had when
+    every party was checked on its own.
+    """
+
+    N_EVES = 9
+
+    def run_chain(self, tmp_path, capsys):
+        doc = explicit_chain_doc(self.N_EVES)
+        code = main(["chain", "--scenario", write(tmp_path, "c.yaml", doc)])
+        return code, capsys.readouterr().err.strip()
+
+    def corrupt(self, monkeypatch, name, fault):
+        """Wrap chain.<name> so that ``fault`` edits its (N or N+1)-deep result."""
+        original = getattr(seqeve.chain, name)
+
+        def wrapped(*args):
+            out = original(*args)
+            if len(out) >= self.N_EVES:
+                fault(out)
+            return out
+
+        monkeypatch.setattr(seqeve.chain, name, wrapped)
+
+    @pytest.mark.parametrize(
+        "k, lowest", [(1, "-4.660e-01"), (4, "-4.398e-01"), (9, "-1.842e-01")]
+    )
+    def test_non_physical_eve_map_exits_5(
+        self, monkeypatch, tmp_path, capsys, k, lowest
+    ):
+        def fault(maps):
+            maps[k - 1] = PARTIAL_TRANSPOSE
+
+        self.corrupt(monkeypatch, "_eve_maps", fault)
+        assert self.run_chain(tmp_path, capsys) == (
+            5,
+            f"internal error: density matrix has negative eigenvalue {lowest}",
+        )
+
+    @pytest.mark.parametrize("k", [1, 4, 10])
+    def test_zero_alice_marginal_at_one_party_exits_3(
+        self, monkeypatch, tmp_path, capsys, k
+    ):
+        def fault(coords):
+            coords[k - 1] = ALICE_UP_PRODUCT
+
+        self.corrupt(monkeypatch, "_propagate_all", fault)
+        assert self.run_chain(tmp_path, capsys) == (
+            3,
+            "infeasible: Alice input 0 outcome 1 has probability 0.000e+00",
+        )
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_table_entry_outside_unit_interval_exits_5(
+        self, monkeypatch, tmp_path, capsys, k
+    ):
+        def fault(rows):
+            rows[k - 1, :, 1:] *= 20.0  # Eve k at 20 times her sharpness
+
+        self.corrupt(monkeypatch, "_effect_rows", fault)
+        assert self.run_chain(tmp_path, capsys) == (
+            5,
+            "internal error: conditional probabilities must lie in [0, 1]",
+        )
+
+
+class TestParserReuse:
+    def test_each_call_sees_its_own_defaults(self, monkeypatch, tmp_path, capsys):
+        seqeve.cli._parser.cache_clear()
+        builds = count_calls(monkeypatch, seqeve.cli, "build_parser")
+        json_doc = TWO_EVE_DOC + "output: {format: json}\n"
+        json_chain = ["chain", "--scenario", write(tmp_path, "j.yaml", json_doc)]
+        csv_chain = ["chain", "--scenario", write(tmp_path, "c.yaml", TWO_EVE_DOC)]
+
+        def output(argv):
+            assert main(argv) == 0
+            return capsys.readouterr().out
+
+        assert json.loads(output(UNBOUNDED_SMALL + ["--format", "json"]))
+        assert len(json.loads(output(json_chain))) == 3
+        assert len(parse_csv(output(csv_chain))) == 3
+        assert len(parse_csv(output(UNBOUNDED_SMALL))) == 3
+        assert output(["plan", "--rates", "0.3"]).startswith("target 0.3:")
+        assert len(parse_csv(output(json_chain + ["--format", "csv"]))) == 3
+        assert len(json.loads(output(json_chain))) == 3
+        assert len(builds) == 1
 
 
 class TestFileSystemErrors:
