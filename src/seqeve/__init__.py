@@ -42,14 +42,7 @@ from .steering import (
     report,
     report_from_table,
 )
-from .unbounded import (
-    ADAPTED,
-    CANONICAL,
-    BranchNode,
-    DegenerateStateError,
-    evaluate_branch,
-    leaf_theta,
-)
+from .unbounded import ADAPTED, CANONICAL, DegenerateStateError, leaf_report, leaf_theta
 
 __all__ = [
     "ADAPTED",
@@ -58,7 +51,6 @@ __all__ = [
     "CANONICAL",
     "COMPOSED_ATOL",
     "BlochDirection",
-    "BranchNode",
     "ChainSpec",
     "ConditionalTable",
     "DegenerateStateError",
@@ -82,10 +74,10 @@ __all__ = [
     "closed_form_chain",
     "conditional_table",
     "delta_for_rate",
-    "evaluate_branch",
     "fgi_lhs",
     "key_rate",
     "lambda_min_for_rate",
+    "leaf_report",
     "leaf_theta",
     "load_scenario",
     "loads_scenario",

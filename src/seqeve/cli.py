@@ -1,10 +1,12 @@
 """Command-line driver: chain evaluation, sharpness planning, branch reports.
 
+Each command hands the writer its rows as (label, values) pairs, where
+``values`` is the tuple of cells after the label, in column order.
 ``unbounded`` computes the one Schmidt angle that every leaf of the branch
 tree shares by a scalar recursion, evaluates it once per Alice strategy and
-repeats the result over the 2^n leaf rows, each of weight exactly 2^-n.
-The rows share their value objects, so the CSV writer formats those values
-once and each leaf row costs only its label.
+pairs the 2^n leaf labels with one values tuple, each leaf of weight
+exactly 2^-n.  The CSV writer formats a row's values only when they are not
+the previous row's tuple, so each leaf row costs only its label.
 
 Exit codes: 0 success, 2 input error, 3 computation infeasibility,
 4 reference-value mismatch, 5 internal invariant failure.  Output files are
@@ -23,19 +25,11 @@ from pathlib import Path
 
 from . import __version__
 from .chain import ZeroProbabilityError
-from .linalg import ID2
 from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
 from .scenario import ScenarioError, load_scenario, parse_angle_token, to_chain_spec
 from .states import InvariantError
 from .steering import reports
-from .unbounded import (
-    ADAPTED,
-    CANONICAL,
-    BranchNode,
-    DegenerateStateError,
-    evaluate_branch,
-    leaf_theta,
-)
+from .unbounded import ADAPTED, CANONICAL, DegenerateStateError, leaf_report, leaf_theta
 
 # Published minimal-sharpness chains for targets 0.1 / 0.2 / 0.3 on the
 # maximally entangled state, with Bob's resulting rate and the chain length.
@@ -71,39 +65,34 @@ def _json_value(value: object) -> object:
 
 
 def _write_rows(
-    rows: list[dict],
+    rows: list[tuple[object, tuple]],
     columns: list[str],
     header_lines: list[str],
     fmt: str,
     path: str | None,
 ) -> None:
-    """Write rows as CSV under '#' header lines, or as an indented JSON list.
+    """Write (label, values) rows as CSV under '#' header lines, or as JSON.
 
-    A CSV row's cells after the first (label) column are formatted once per
-    distinct tuple of value objects, so the 2^n leaf rows of ``unbounded``,
-    which share theirs, cost one label each.  The memo is keyed on identity,
-    because equal values such as 1 and 1.0 or 0.0 and -0.0 format
-    differently.  ``columns`` must not be empty.
+    ``values`` holds a row's cells after the label, in the order of
+    ``columns``.  A CSV row whose values are the same tuple object as the
+    previous row's reuses that row's formatted cells, so the 2^n leaf rows
+    of ``unbounded``, which share one tuple, cost one label each.  JSON is
+    an indented list of objects keyed by ``columns``.
     """
     if fmt == "json":
-        text = json.dumps(
-            [{k: _json_value(row.get(k)) for k in columns} for row in rows],
-            indent=2,
-        )
-        text += "\n"
+        objects = [
+            dict(zip(columns, map(_json_value, (label, *values))))
+            for label, values in rows
+        ]
+        text = json.dumps(objects, indent=2) + "\n"
     else:
-        label, rest = columns[0], columns[1:]
-        tails: dict[tuple, tuple[tuple, str]] = {}
         lines = [f"# {line}" for line in header_lines]
         lines.append(",".join(columns))
-        for row in rows:
-            values = tuple(map(row.get, rest))
-            key = tuple(map(id, values))
-            tail = tails.get(key)
-            if tail is None:
-                # The memo holds every keyed value, so no id is reused.
-                tail = tails[key] = (values, "".join("," + _fmt(v) for v in values))
-            lines.append(_fmt(row.get(label)) + tail[1])
+        last, tail = None, ""
+        for label, values in rows:
+            if values is not last:
+                last, tail = values, "".join("," + _fmt(v) for v in values)
+            lines.append(_fmt(label) + tail)
         text = "\n".join(lines) + "\n"
     if path is None:
         sys.stdout.write(text)
@@ -129,6 +118,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
         raise ScenarioError(
             f"scenario: cannot read {args.scenario}: {exc.strerror}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario: cannot read {args.scenario}: {exc}") from exc
     spec = to_chain_spec(scenario)
     parties = [
         (f"eve{m}", eve.settings, eve.sharpness)
@@ -136,14 +127,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     ]
     parties.append(("bob", scenario.bob.settings, None))
     rows = [
-        {
-            "party": party,
-            "input_model": model,
-            "lambda": lam,
-            "lhs": rep.lhs,
-            "delta": rep.delta,
-            "key_rate": rep.key_rate,
-        }
+        (party, (model, lam, rep.lhs, rep.delta, rep.key_rate))
         for (party, model, lam), rep in zip(parties, reports(spec))
     ]
     fmt = args.format or scenario.output.format
@@ -152,13 +136,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
         f"seqeve {__version__}",
         f"mode=chain state={scenario.state.kind} eves={spec.n_eves}",
     ]
-    _write_rows(
-        rows,
-        ["party", "input_model", "lambda", "lhs", "delta", "key_rate"],
-        header,
-        fmt,
-        path,
-    )
+    columns = ["party", "input_model", "lambda", "lhs", "delta", "key_rate"]
+    _write_rows(rows, columns, header, fmt, path)
     return 0
 
 
@@ -252,56 +231,29 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
             f"lambdas: at most {MAX_UNBOUNDED_DEPTH} weak measurements"
         )
     depth = len(weak)
-    leaf = BranchNode(
-        outcomes=(0,) * depth,
-        theta=leaf_theta(theta1, weak),
-        u_alice=ID2,
-        probability=2.0**-depth,
-    )
-    rep_c = evaluate_branch(leaf, CANONICAL)
-    rep_a = evaluate_branch(leaf, ADAPTED)
-    values = {
-        "theta": leaf.theta,
-        "weight": leaf.probability,
-        "lhs_canonical": rep_c.lhs,
-        "key_rate_canonical": rep_c.key_rate,
-        "lhs_adapted": rep_a.lhs,
-        "key_rate_adapted": rep_a.key_rate,
-    }
-    # Every leaf shares the angle and weight, so rows differ only in label
-    # and the weight-averaged rates equal the leaf rates.
-    rows = [{"branch": format(k, f"0{depth}b"), **values} for k in range(2**depth)]
-    rows.append(
-        {
-            "branch": "summary",
-            "theta": None,
-            "weight": 1.0,
-            "lhs_canonical": None,
-            "key_rate_canonical": rep_c.key_rate,
-            "lhs_adapted": None,
-            "key_rate_adapted": rep_a.key_rate,
-        }
-    )
+    theta = leaf_theta(theta1, weak)
+    rep_c = leaf_report(theta, CANONICAL)
+    rep_a = leaf_report(theta, ADAPTED)
+    # Every leaf shares the angle and weight, so the leaf rows share one
+    # values tuple and the weight-averaged rates equal the leaf rates.
+    leaf = (theta, 2.0**-depth, rep_c.lhs, rep_c.key_rate, rep_a.lhs, rep_a.key_rate)
+    rows = [(format(k, f"0{depth}b"), leaf) for k in range(2**depth)]
+    rows.append(("summary", (None, 1.0, None, rep_c.key_rate, None, rep_a.key_rate)))
     header = [
         f"seqeve {__version__}",
         f"mode=unbounded depth={depth} leaves={2**depth} "
         f"alice_facing={2 ** (depth - 1)}",
     ]
-    _write_rows(
-        rows,
-        [
-            "branch",
-            "theta",
-            "weight",
-            "lhs_canonical",
-            "key_rate_canonical",
-            "lhs_adapted",
-            "key_rate_adapted",
-        ],
-        header,
-        args.format,
-        args.out,
-    )
+    columns = [
+        "branch",
+        "theta",
+        "weight",
+        "lhs_canonical",
+        "key_rate_canonical",
+        "lhs_adapted",
+        "key_rate_adapted",
+    ]
+    _write_rows(rows, columns, header, args.format, args.out)
     return 0
 
 

@@ -238,8 +238,8 @@ def leaf_theta(theta1: float, weak_angles: tuple[float, ...] | list[float]) -> f
     return theta
 
 
-def branch_conditional_table(node: BranchNode, alice_choice: str) -> ConditionalTable:
-    """Alice/Bob conditional table for one branch under a settings choice.
+def branch_conditional_table(theta: float, alice_choice: str) -> ConditionalTable:
+    """Alice/Bob conditional table of a branch of Schmidt angle theta.
 
     Alice's unitary cancels (it conjugates her observables and the state
     alike), so the table is a closed form in the Schmidt amplitudes of
@@ -253,14 +253,10 @@ def branch_conditional_table(node: BranchNode, alice_choice: str) -> Conditional
         raise ValueError(
             f"alice_choice must be one of {ALICE_STRATEGIES}, got {alice_choice!r}"
         )
-    if node.degenerate:
-        raise DegenerateStateError("cannot evaluate a degenerate branch")
-    check_tilt_angle(node.theta)
-    cos_t, sin_t = math.cos(node.theta), math.sin(node.theta)
+    check_tilt_angle(theta)
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
     second = (
-        2.0 * node.theta
-        if alice_choice == CANONICAL
-        else math.atan(math.sin(2.0 * node.theta))
+        2.0 * theta if alice_choice == CANONICAL else math.atan(math.sin(2.0 * theta))
     )
     joint = np.empty((4, 4))  # row 2i + a, column 2k + c
     for i, phi in enumerate((0.0, second)):
@@ -272,6 +268,13 @@ def branch_conditional_table(node: BranchNode, alice_choice: str) -> Conditional
     return ConditionalTable.conditioned(joint, joint[:, 0] + joint[:, 1])
 
 
+def leaf_report(theta: float, alice_choice: str) -> SteeringReport:
+    """Steering report of a branch of Schmidt angle theta for an Alice strategy."""
+    return report_from_table(branch_conditional_table(theta, alice_choice))
+
+
 def evaluate_branch(node: BranchNode, alice_choice: str) -> SteeringReport:
-    """Steering report of one branch for a given Alice strategy."""
-    return report_from_table(branch_conditional_table(node, alice_choice))
+    """Steering report of one tree leaf; degenerate leaves have none."""
+    if node.degenerate:
+        raise DegenerateStateError("cannot evaluate a degenerate branch")
+    return leaf_report(node.theta, alice_choice)

@@ -398,17 +398,17 @@ def _json_cell(value: object) -> object:
 
 
 def render_rows(
-    rows: list[dict], columns: list[str], header_lines: list[str], fmt: str
+    rows: list[tuple[object, tuple]],
+    columns: list[str],
+    header_lines: list[str],
+    fmt: str,
 ) -> str:
-    """The text ``cli._write_rows`` writes, rendered cell by cell."""
+    """The text ``cli._write_rows`` writes for (label, values) rows, cell by cell."""
+    cells = [(label, *values) for label, values in rows]
     if fmt == "json":
-        text = json.dumps(
-            [{k: _json_cell(row.get(k)) for k in columns} for row in rows],
-            indent=2,
-        )
-        return text + "\n"
+        objects = [dict(zip(columns, map(_json_cell, row))) for row in cells]
+        return json.dumps(objects, indent=2) + "\n"
     lines = [f"# {line}" for line in header_lines]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(col)) for col in columns))
+    lines.extend(",".join(map(_csv_cell, row)) for row in cells)
     return "\n".join(lines) + "\n"

@@ -30,7 +30,6 @@ from seqeve import (
     bob_rate,
     closed_form_chain,
     conditional_table,
-    evaluate_branch,
     fgi_lhs,
     lambda_min_for_rate,
     loads_scenario,
@@ -47,7 +46,7 @@ from seqeve.cli import main
 from seqeve.linalg import ID2, kron
 from seqeve.measurement import effect, projector, sqrt_effect, weak_kraus
 from seqeve.scenario import dumps_scenario
-from seqeve.unbounded import branch_tree, schmidt_decompose
+from seqeve.unbounded import branch_tree, evaluate_branch, schmidt_decompose
 
 
 def criterion(num: str, label: str):

@@ -519,15 +519,29 @@ class TestUnboundedCommand:
     def test_bad_angle_exits_2(self, capsys):
         assert main(["unbounded", "--theta1", "2.0", "--lambdas", "0.3"]) == 2
 
+    @pytest.mark.parametrize("theta1, code", [("0.5", 0), ("2.0", 2)])
+    def test_entry_exits_with_the_code_of_main(self, monkeypatch, capsys, theta1, code):
+        argv = ["seqeve", "unbounded", "--theta1", theta1, "--lambdas", "0.3"]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit_info:
+            seqeve.cli.entry()
+        assert exit_info.value.code == code
+
     @pytest.mark.parametrize("depth", [1, 10])
     def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
-        evaluations = count_calls(monkeypatch, seqeve.unbounded, "evaluate_branch")
+        evaluations = count_calls(monkeypatch, seqeve.unbounded, "leaf_report")
+        node_evaluations = count_calls(monkeypatch, seqeve.unbounded, "evaluate_branch")
         decompositions = count_calls(monkeypatch, seqeve.unbounded, "schmidt_decompose")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         traces = count_calls(monkeypatch, seqeve.chain, "table_from_operators")
+        cells = count_calls(monkeypatch, seqeve.cli, "_fmt")
         angles = ",".join(["0.6"] * depth)
         assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
+        # One label per row, and the six values of the leaf and of the summary
+        # formatted once each: 1,037 cells at depth 10.
+        assert len(cells) == 2**depth + 1 + 2 * 6
         assert len(evaluations) == 2
+        assert len(node_evaluations) == 0
         assert len(decompositions) == 0
         assert len(krons) == 0
         assert len(traces) == 0

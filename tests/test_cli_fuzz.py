@@ -1,4 +1,5 @@
-"""Fuzzing the exit-code contract of ``plan`` and ``unbounded`` arguments.
+"""Fuzzing the exit-code contract of ``plan`` and ``unbounded`` arguments
+and of ``chain`` scenario file bytes.
 
 Every argument string must exit 0, 2 or 3; argparse's own SystemExit(2)
 counts as 2.  Exit 5 (an internal invariant failure) is allowed only with
@@ -8,8 +9,11 @@ its "internal error:" message, and no other exception may escape ``main``.
 import contextlib
 import io
 import math
+import re
+import tempfile
+from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqeve.cli import main
@@ -122,3 +126,23 @@ small_angles = st.floats(math.log(1e-9), math.log(math.pi / 4)).map(
 def test_unbounded_small_angles_exit_0_2_or_3(theta1, weak):
     argv = ["unbounded", "--theta1", theta1, "--lambdas", ",".join(weak)]
     assert assert_contract(argv) in (0, 2, 3)
+
+
+# An input error names the field or option it is about.
+NAMED_INPUT_ERROR = re.compile(r"^input error: [\w.\[\]]+: ")
+VALID_SCENARIO = b"state: {kind: bell}\neves:\n  - lambda: 0.6\n"
+
+
+@FUZZ
+@given(st.sampled_from([b"", b"mode: chain\n", VALID_SCENARIO]), st.binary(max_size=32))
+@example(b"", b"\xff\xfem\x00")  # "m" in UTF-16, not valid UTF-8
+def test_scenario_bytes_keep_the_exit_contract(prefix, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario = Path(tmp) / "scenario.yaml"
+        scenario.write_bytes(prefix + data)
+        # --out overrides any output path the drawn file may name.
+        argv = ["chain", "--scenario", str(scenario), "--out", str(Path(tmp) / "out")]
+        code, err = run(argv)
+    assert code in (0, 2, 3), (prefix + data, code, err)
+    if code == 2:
+        assert NAMED_INPUT_ERROR.match(err), (prefix + data, err)

@@ -17,21 +17,21 @@ from oracles import (
 from seqeve import (
     ADAPTED,
     CANONICAL,
-    BranchNode,
     DegenerateStateError,
     PureTwoQubitState,
     WeakKrausSetting,
     bell_state,
-    evaluate_branch,
     leaf_theta,
     tilted_state,
 )
 from seqeve.linalg import ID2, PAULI_X, PAULI_Z
 from seqeve.measurement import weak_kraus
 from seqeve.unbounded import (
+    BranchNode,
     branch_state,
     branch_tree,
     correct_and_forward,
+    evaluate_branch,
     schmidt_decompose,
 )
 

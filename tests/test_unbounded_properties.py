@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 import seqeve.cli
-from seqeve import ADAPTED, CANONICAL, evaluate_branch, leaf_theta, report_from_table
-from seqeve.unbounded import branch_conditional_table, branch_tree
+from seqeve import ADAPTED, CANONICAL, leaf_theta, report_from_table
+from seqeve.unbounded import branch_conditional_table, branch_tree, evaluate_branch
 
 MAX_DEPTH = 8
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -53,7 +53,7 @@ def test_closed_form_tables_match_the_operator_oracle(tree):
     # carry roundoff of about 1e-16 / P(a|i); compare the joint P(a, c|i, k).
     for leaf in branch_tree(*tree):
         for choice in (CANONICAL, ADAPTED):
-            closed = branch_conditional_table(leaf, choice).probs
+            closed = branch_conditional_table(leaf.theta, choice).probs
             oracle = oracles.branch_table(leaf, choice).probs
             marginal = oracles.alice_marginals(leaf, choice)[None, :, :, None]
             assert np.abs((closed - oracle) * marginal).max() <= 1e-12
@@ -75,8 +75,12 @@ def test_evaluate_branch_ignores_the_alice_unitary(tree, index):
 def test_cli_rows_match_the_tree_oracle(tree):
     theta1, angles = tree
     captured = []
+
+    def capture(rows, columns, *rest):
+        captured.extend(dict(zip(columns, (label, *values))) for label, values in rows)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(seqeve.cli, "_write_rows", lambda rows, *rest: captured.extend(rows))
+        mp.setattr(seqeve.cli, "_write_rows", capture)
         argv = ["--theta1", repr(theta1), "--lambdas", ",".join(map(repr, angles))]
         assert seqeve.cli.main(["unbounded", *argv]) == 0
     *rows, summary = captured
