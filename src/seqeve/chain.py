@@ -132,6 +132,12 @@ def mub_unsharp_pair(sharpness: float) -> PartySettings:
     )
 
 
+def check_bias(bias: float) -> None:
+    """Raise ValueError unless an Eve's input bias lies in [0, 1]."""
+    if not 0.0 <= bias <= 1.0:
+        raise ValueError(f"input bias must lie in [0, 1], got {bias}")
+
+
 @dataclass(frozen=True)
 class ChainSpec:
     """Full scenario description: initial state, Alice, ordered Eves, Bob."""
@@ -148,8 +154,7 @@ class ChainSpec:
         if len(bias) != len(eves):
             raise ValueError("input_bias must carry one probability per Eve")
         for b in bias:
-            if not 0.0 <= b <= 1.0:
-                raise ValueError(f"input bias must lie in [0, 1], got {b}")
+            check_bias(b)
         for party in (self.alice, self.bob):
             if isinstance(party.input0, UnsharpSetting):
                 raise ValueError("Alice and Bob perform sharp measurements")
@@ -327,8 +332,6 @@ def pauli_state(spec: ChainSpec, party: int | str) -> PauliState:
     ``party`` is a 1-based Eve index or ``BOB``.
     """
     upstream = spec.eves[: _party_index(spec, party)]
-    if not upstream:  # no Eve before the party: no arrays to build
-        return PauliState.of(spec.initial)
     return PauliState(_chain_states(spec, *_setting_arrays(upstream)).coords[-1])
 
 

@@ -8,10 +8,10 @@ pairs the 2^n leaf labels with one values tuple, each leaf of weight
 exactly 2^-n.  The CSV writer formats a row's values only when they are not
 the previous row's tuple, so each leaf row costs only its label.
 
-Exit codes: 0 success, 2 input error, 3 computation infeasibility,
-4 reference-value mismatch, 5 internal invariant failure.  Output files are
-byte-identical across runs for identical inputs; run metadata lives in
-'#'-prefixed header lines.
+Exit codes: 0 success, 2 input error (a ScenarioError, which names the field
+or option), 3 computation infeasibility, 4 reference-value mismatch, 5 any
+other failure, which is the program's.  Output files are byte-identical
+across runs for identical inputs; run metadata is in '#' header lines.
 """
 
 from __future__ import annotations
@@ -19,15 +19,19 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .chain import ZeroProbabilityError
-from .planner import EVE_UNREACHABLE, InfeasibleError, PlanResult, max_eves
-from .scenario import ScenarioError, load_scenario, parse_angle_token, to_chain_spec
-from .states import InvariantError
+from .measurement import WeakKrausSetting
+from .planner import (
+    EVE_UNREACHABLE, InfeasibleError, PlanResult, check_target_rate, max_eves
+)
+from .scenario import (
+    ScenarioError, load_scenario, named, parse_angle_token, to_chain_spec
+)
+from .states import check_tilt_angle
 from .steering import reports
 from .unbounded import ADAPTED, CANONICAL, DegenerateStateError, leaf_report, leaf_theta
 
@@ -188,8 +192,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except ValueError:
         raise ScenarioError(f"rates: cannot parse {args.rates!r}")
     for rate in targets:
-        if not 0.0 < rate < 1.0:
-            raise ScenarioError(f"rates: targets must lie in (0, 1), got {rate}")
+        named("rates", check_target_rate, rate)
     results: dict[float, PlanResult] = {}
     for target in targets:
         plan = max_eves(target)
@@ -208,22 +211,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
-def _unit_angle(token: str, field_name: str) -> float:
-    """An angle option item in (0, pi/4], the range of tilt and weak angles.
-
-    Checked here so that the error names the item, as ``leaf_theta``'s own
-    checks cannot.
-    """
-    angle = parse_angle_token(token, field_name)
-    if not 0.0 < angle <= math.pi / 4.0:
-        raise ScenarioError(f"{field_name}: must lie in (0, pi/4], got {angle}")
-    return angle
-
-
 def cmd_unbounded(args: argparse.Namespace) -> int:
-    theta1 = _unit_angle(args.theta1, "theta1")
+    theta1 = parse_angle_token(args.theta1, "theta1", check_tilt_angle)
     weak = [
-        _unit_angle(tok, f"lambdas[{idx}]")
+        parse_angle_token(tok, f"lambdas[{idx}]", WeakKrausSetting)
         for idx, tok in enumerate(_list_tokens(args.lambdas, "lambdas"))
     ]
     if len(weak) > MAX_UNBOUNDED_DEPTH:
@@ -342,13 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, DegenerateStateError, ZeroProbabilityError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except InvariantError as exc:
+    except ValueError as exc:
+        # The edges name every input field, so any other ValueError is ours.
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
-    except ValueError as exc:
-        # Validation failures from the domain layer are input errors too.
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
 
 
 def entry() -> None:

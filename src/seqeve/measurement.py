@@ -28,6 +28,12 @@ def _check_outcome(outcome: int) -> int:
     return outcome
 
 
+def check_sharpness(sharpness: float) -> None:
+    """Raise ValueError unless sharpness lies in (0, 1]."""
+    if not 0.0 < sharpness <= 1.0:
+        raise ValueError(f"sharpness must lie in (0, 1], got {sharpness}")
+
+
 @dataclass(frozen=True)
 class SharpSetting:
     """Projective spin measurement along a Bloch direction."""
@@ -43,8 +49,7 @@ class UnsharpSetting:
     sharpness: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.sharpness <= 1.0:
-            raise ValueError(f"sharpness must lie in (0, 1], got {self.sharpness}")
+        check_sharpness(self.sharpness)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .chain import (
     mub_unsharp_pair,
     pauli_state,
 )
+from .states import bell_state
 from .steering import delta_for_rate, key_rate, report, report_from_table
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
@@ -65,6 +66,12 @@ class PlanResult:
     max_eves: int
     feasible: bool
     stop_reason: str
+
+
+def check_target_rate(target_rate: float) -> None:
+    """Raise ValueError unless the target rate lies in (0, 1)."""
+    if not 0.0 < target_rate < 1.0:
+        raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
 
 
 def shrink_factor(sharpness: float) -> float:
@@ -141,10 +148,9 @@ def max_eves(target_rate: float) -> PlanResult:
     accepted prefix, and the extension is kept only while Bob (with all
     listed Eves in place) still exceeds the target rate.
     """
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
+    check_target_rate(target_rate)
     accepted: tuple[float, ...] = ()
-    upstream = pauli_state(mub_chain(accepted), BOB)
+    upstream = PauliState.of(bell_state())
     stop_reason = ""
     while True:
         try:
@@ -180,8 +186,7 @@ def closed_form_chain(target_rate: float, n: int) -> tuple[float, ...]:
     Raises InfeasibleError at the first position where either the required
     sharpness exceeds 1 or Bob's closed-form rate stops exceeding the target.
     """
-    if not 0.0 < target_rate < 1.0:
-        raise ValueError(f"target rate must lie in (0, 1), got {target_rate}")
+    check_target_rate(target_rate)
     if n < 1:
         raise ValueError(f"chain length must be at least 1, got {n}")
     needed = 2.0 * delta_for_rate(target_rate) + 0.5

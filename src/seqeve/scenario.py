@@ -1,14 +1,15 @@
 """Scenario files: strict schema, YAML syntax, radians-only angles.
 
-Unknown keys are rejected (fail-closed) and every validation message names
-the offending field.  Angles are plain numbers in radians; the string form
-"deg:30" converts from degrees.
+Unknown keys are rejected (fail-closed).  Each range is checked by its
+owner in the domain layer, and ``named`` puts the offending field in front
+of its message.  Angles are radians; the string form "deg:30" is degrees.
 
 Documents are parsed with PyYAML's libyaml loader (``CSafeLoader``) when
-PyYAML was built with it, else with the pure-Python ``SafeLoader``.  Both
-share the safe resolver and constructor, so they build the same document.
-A ``%YAML`` directive must name version 1.1 or 1.2 under either loader.
-yaml is imported on first use: ``plan`` and ``unbounded`` never load it.
+PyYAML was built with it, else with the pure-Python ``SafeLoader``; both
+build the same document.  A ``%YAML`` directive other than 1.1 or 1.2, a
+constructor error and nesting deeper than MAX_NESTING (or than Python's
+recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
+imported on first use: ``plan`` and ``unbounded`` never load it.
 """
 
 from __future__ import annotations
@@ -16,24 +17,48 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable
 
-from .chain import ChainSpec, PartySettings, mub_sharp_pair, mub_unsharp_pair
+from .chain import (
+    ChainSpec, PartySettings, check_bias, mub_sharp_pair, mub_unsharp_pair
+)
 from .linalg import BlochDirection
-from .measurement import SharpSetting, UnsharpSetting
-from .states import PureTwoQubitState, bell_state, tilted_state
+from .measurement import SharpSetting, UnsharpSetting, check_sharpness
+from .states import PureTwoQubitState, bell_state, check_tilt_angle, tilted_state
 
 SETTINGS_MODELS = ("mub", "explicit")
 OUTPUT_FORMATS = ("csv", "json")
 # %YAML directive versions that both loaders accept; libyaml refuses the rest.
 YAML_VERSIONS = ((1, 1), (1, 2))
+# Deepest nesting read: libyaml's composer overflows the C stack near 25,000.
+MAX_NESTING = 10_000
 
 
 class ScenarioError(ValueError):
     """Scenario schema violation; the message names the offending field."""
 
 
-def parse_angle(value: object, field_name: str) -> float:
-    """Radians from a number, or from a 'deg:<x>' string."""
+def named(field_name: str, check: Callable[..., Any], *args: object) -> Any:
+    """``check(*args)``, its ValueError re-raised with the field name in front."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ScenarioError(f"{field_name}: {exc}") from exc
+
+
+def _number(value: object, field_name: str, check: Callable | None = None) -> float:
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"{field_name}: expected a number, got {value!r}")
+    out = float(value)
+    if not math.isfinite(out):
+        raise ScenarioError(f"{field_name}: value must be finite")
+    if check is not None:
+        named(field_name, check, out)
+    return out
+
+
+def parse_angle(value: object, field_name: str, check: Callable | None = None) -> float:
+    """Radians from a number, or from a 'deg:<x>' string, as ``_number``."""
     if isinstance(value, str):
         if not value.startswith("deg:"):
             raise ScenarioError(
@@ -44,21 +69,16 @@ def parse_angle(value: object, field_name: str) -> float:
         except ValueError:
             raise ScenarioError(f"{field_name}: cannot parse degrees in {value!r}")
         value = math.radians(degrees)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{field_name}: expected an angle, got {value!r}")
-    angle = float(value)
-    if not math.isfinite(angle):
-        raise ScenarioError(f"{field_name}: angle must be finite")
-    return angle
+    return _number(value, field_name, check)
 
 
-def parse_angle_token(token: str, field_name: str) -> float:
-    """Angle from a command-line token: plain radians or 'deg:<x>'."""
+def parse_angle_token(token: str, field_name: str, check: Callable) -> float:
+    """Angle from a command-line token, plain radians or 'deg:<x>', as parse_angle."""
     try:
-        value = float(token)
+        value: object = float(token)
     except ValueError:
-        return parse_angle(token, field_name)
-    return parse_angle(value, field_name)
+        value = token
+    return parse_angle(value, field_name, check)
 
 
 def _require_mapping(value: object, field_name: str) -> dict:
@@ -68,18 +88,9 @@ def _require_mapping(value: object, field_name: str) -> dict:
 
 
 def _check_keys(mapping: dict, allowed: set[str], field_name: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(mapping) - allowed, key=str)
     if unknown:
         raise ScenarioError(f"{field_name}.{unknown[0]}: unknown key")
-
-
-def _number(value: object, field_name: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{field_name}: expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ScenarioError(f"{field_name}: value must be finite")
-    return out
 
 
 Directions = tuple[BlochDirection, BlochDirection]
@@ -157,10 +168,7 @@ def _parse_direction(raw: object, field_name: str) -> BlochDirection:
         raise ScenarioError(f"{field_name}.theta: required key is missing")
     theta = parse_angle(mapping["theta"], f"{field_name}.theta")
     phi = parse_angle(mapping.get("phi", 0.0), f"{field_name}.phi")
-    try:
-        return BlochDirection(theta, phi)
-    except ValueError as exc:
-        raise ScenarioError(f"{field_name}: {exc}")
+    return named(field_name, BlochDirection, theta, phi)
 
 
 def _parse_directions(mapping: dict, field_name: str) -> Directions | None:
@@ -199,10 +207,7 @@ def _parse_state(raw: object) -> StateSpec:
         return StateSpec()
     if "theta" not in mapping:
         raise ScenarioError("state.theta: required for kind 'tilted'")
-    theta = parse_angle(mapping["theta"], "state.theta")
-    if not 0.0 < theta <= math.pi / 4.0:
-        raise ScenarioError(f"state.theta: must lie in (0, pi/4], got {theta}")
-    return StateSpec(theta)
+    return StateSpec(parse_angle(mapping["theta"], "state.theta", check_tilt_angle))
 
 
 def _parse_party(raw: object, field_name: str) -> PartySpec:
@@ -218,14 +223,8 @@ def _parse_eve(raw: object, field_name: str) -> EveSpec:
     _check_keys(mapping, {"lambda", "settings", "directions", "bias"}, field_name)
     if "lambda" not in mapping:
         raise ScenarioError(f"{field_name}.lambda: required key is missing")
-    sharpness = _number(mapping["lambda"], f"{field_name}.lambda")
-    if not 0.0 < sharpness <= 1.0:
-        raise ScenarioError(
-            f"{field_name}.lambda: must lie in (0, 1], got {sharpness}"
-        )
-    bias = _number(mapping.get("bias", 0.5), f"{field_name}.bias")
-    if not 0.0 <= bias <= 1.0:
-        raise ScenarioError(f"{field_name}.bias: must lie in [0, 1], got {bias}")
+    sharpness = _number(mapping["lambda"], f"{field_name}.lambda", check_sharpness)
+    bias = _number(mapping.get("bias", 0.5), f"{field_name}.bias", check_bias)
     return EveSpec(sharpness, _parse_directions(mapping, field_name), bias)
 
 
@@ -240,8 +239,8 @@ def _parse_output(raw: object) -> OutputSpec:
             f"output.format: must be one of {OUTPUT_FORMATS}, got {fmt!r}"
         )
     path = mapping.get("path")
-    if path is not None and not isinstance(path, str):
-        raise ScenarioError(f"output.path: expected a string, got {path!r}")
+    if path is not None and (not isinstance(path, str) or "\0" in path):
+        raise ScenarioError(f"output.path: expected a file name, got {path!r}")
     return OutputSpec(fmt, path)
 
 
@@ -259,8 +258,17 @@ def loads_scenario(text: str) -> Scenario:
                     raise yaml.YAMLError(f"%YAML {version} is not 1.1 or 1.2")
             elif not isinstance(token, yaml.StreamStartToken):
                 break
+        # Each collection opens with one of these, so fewer cannot nest deeper.
+        if sum(map(text.count, "[{-:?")) > MAX_NESTING:
+            depth = 0
+            for event in yaml.parse(text, Loader=loader):
+                depth += isinstance(event, yaml.CollectionStartEvent)
+                depth -= isinstance(event, yaml.CollectionEndEvent)
+                if depth > MAX_NESTING:
+                    raise yaml.YAMLError(f"nested deeper than {MAX_NESTING} levels")
         raw = yaml.load(text, Loader=loader)
-    except yaml.YAMLError as exc:
+    # The constructor raises a plain ValueError on a bad tagged scalar: !!int "0x".
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
     mapping = _require_mapping(raw, "scenario")
     # Checked before the keys, so a document of another mode is named as such.

@@ -302,6 +302,65 @@ class TestFaultInjection:
         )
 
 
+class TestRangeOwners:
+    """The domain layer words each range; the edge adds only the field name."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["unbounded", "--theta1", "2.0", "--lambdas", "0.3"],
+                "theta1: tilt angle must lie in (0, pi/4], got 2.0",
+            ),
+            (
+                ["unbounded", "--theta1", "0.5", "--lambdas", "0.3,2.0"],
+                "lambdas[1]: weak angle must lie in (0, pi/4], got 2.0",
+            ),
+            (
+                ["plan", "--rates", "0.1,1.5"],
+                "rates: target rate must lie in (0, 1), got 1.5",
+            ),
+        ],
+        ids=["tilt", "weak", "rate"],
+    )
+    def test_option_items(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                "state: {kind: tilted, theta: 1.0}",
+                "state.theta: tilt angle must lie in (0, pi/4], got 1.0",
+            ),
+            (
+                "eves: [{lambda: 1.5}]",
+                "eves[0].lambda: sharpness must lie in (0, 1], got 1.5",
+            ),
+            (
+                "eves: [{lambda: 0.5}, {lambda: 0.5, bias: -1}]",
+                "eves[1].bias: input bias must lie in [0, 1], got -1.0",
+            ),
+            ("1: a\nb: c", "scenario.1: unknown key"),
+        ],
+        ids=["tilt", "sharpness", "bias", "mixed-keys"],
+    )
+    def test_scenario_fields(self, tmp_path, capsys, doc, message):
+        path = write(tmp_path, "s.yaml", f"mode: chain\n{doc}\n")
+        assert main(["chain", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_any_other_value_error_is_internal(self, monkeypatch, capsys):
+        def broken(theta1, weak_angles):
+            raise ValueError("weak angle must lie in (0, pi/4], got 2.0")
+
+        monkeypatch.setattr(seqeve.cli, "leaf_theta", broken)
+        assert main(UNBOUNDED_SMALL) == 5
+        err = capsys.readouterr().err
+        assert err == "internal error: weak angle must lie in (0, pi/4], got 2.0\n"
+
+
 class TestParserReuse:
     def test_each_call_sees_its_own_defaults(self, monkeypatch, tmp_path, capsys):
         seqeve.cli._parser.cache_clear()

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqeve
+import seqeve.scenario
 from seqeve import BlochDirection, Scenario, ScenarioError, loads_scenario
 from seqeve.cli import main
 from seqeve.scenario import (
@@ -99,6 +100,7 @@ def test_degree_prefix_converts():
         ("mode: chain\nstate: {kind: bell, theta: 0.2}\n", "state.theta"),
         ("mode: chain\nnoise: 0.1\n", "scenario.noise"),
         ("mode: chain\noutput: {format: xml}\n", "output.format"),
+        ('mode: chain\noutput: {path: "a\\0b"}\n', "output.path"),
         (
             "mode: chain\nalice: {settings: explicit}\n",
             "alice.directions",
@@ -179,6 +181,66 @@ def test_parses_with_libyaml_and_falls_back_to_safe_loader(monkeypatch):
     assert used == [c_loader, yaml.SafeLoader]
 
 
+# Nesting depth --------------------------------------------------------------
+
+
+def _nested(depth):
+    return "mode: chain\nx: " + "[" * depth + "]" * depth + "\n"
+
+
+@needs_libyaml
+def test_nesting_past_the_cap_is_an_input_error_under_libyaml(tmp_path):
+    # In a child process: without the cap, libyaml crashes the interpreter.
+    path = tmp_path / "deep.yaml"
+    path.write_text(_nested(30_000), encoding="utf-8")
+    src = str(Path(seqeve.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqeve.cli", "chain", "--scenario", str(path)],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"input error: {YAML_ERROR}")
+
+
+def test_deep_nesting_is_an_input_error_under_safe_loader(tmp_path, capsys):
+    path = tmp_path / "deep.yaml"
+    path.write_text(_nested(2_000), encoding="utf-8")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delattr(yaml, "CSafeLoader", raising=False)
+        assert main(["chain", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {YAML_ERROR}")
+
+
+def test_many_collections_at_shallow_depth_are_read(tmp_path, capsys, monkeypatch):
+    eves = ", ".join(
+        f"{{lambda: {0.05 + 0.01 * (k % 9)}, bias: 0.5, settings: mub}}"
+        for k in range(2_600)
+    )
+    path = tmp_path / "wide.yaml"
+    path.write_text(f"mode: chain\neves: [{eves}]\n", encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    assert sum(map(text.count, "[{-:?")) > seqeve.scenario.MAX_NESTING
+
+    def chain():
+        code = main(["chain", "--scenario", str(path)])
+        return code, capsys.readouterr()
+
+    code, first = chain()
+    assert code == 0 and first.out.count("\n") == 2_600 + 4
+    # The document nests 3 deep: a cap of 3 reads it alike, a cap of 2 does not.
+    monkeypatch.setattr(seqeve.scenario, "MAX_NESTING", 3)
+    assert chain() == (0, first)
+    monkeypatch.setattr(seqeve.scenario, "MAX_NESTING", 2)
+    code, second = chain()
+    assert code == 2
+    assert second.err == (
+        f"input error: {YAML_ERROR}nested deeper than 2 levels)\n"
+    )
+
+
 # Loader equivalence ---------------------------------------------------------
 
 directions = st.builds(
@@ -201,7 +263,10 @@ scenarios = st.builds(
     st.builds(
         OutputSpec,
         st.sampled_from(("csv", "json")),
-        st.one_of(st.none(), st.text(max_size=12)),
+        # A NUL cannot be in a file name, so output.path rejects it.
+        st.one_of(
+            st.none(), st.text(st.characters(blacklist_characters="\0"), max_size=12)
+        ),
     ),
 )
 
