@@ -6,53 +6,28 @@ __version__ = "0.1.0"
 from .chain import (
     BOB,
     ChainSpec,
-    ConditionalTable,
     PartySettings,
     ZeroProbabilityError,
-    conditional_table,
     mub_chain,
     mub_sharp_pair,
     mub_unsharp_pair,
-    propagate,
 )
-from .linalg import ATOL, COMPOSED_ATOL, X_DIR, Z_DIR, BlochDirection
-from .measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
-from .planner import (
-    InfeasibleError,
-    PlanResult,
-    bob_rate,
-    closed_form_chain,
-    lambda_min_for_rate,
-    max_eves,
-    shrink_factor,
+from .linalg import BlochDirection
+from .measurement import SharpSetting, UnsharpSetting
+from .planner import InfeasibleError, PlanResult, max_eves
+from .scenario import (
+    Scenario, ScenarioError, load_scenario, loads_scenario, to_chain_spec
 )
-from .scenario import Scenario, ScenarioError, load_scenario, loads_scenario
-from .states import (
-    InvariantError,
-    PureTwoQubitState,
-    TwoQubitState,
-    bell_state,
-    tilted_state,
-)
-from .steering import (
-    SteeringReport,
-    delta_for_rate,
-    fgi_lhs,
-    key_rate,
-    report,
-    report_from_table,
-)
+from .states import InvariantError, PureTwoQubitState, bell_state, tilted_state
+from .steering import SteeringReport, report, reports
 from .unbounded import ADAPTED, CANONICAL, DegenerateStateError, leaf_report, leaf_theta
 
 __all__ = [
     "ADAPTED",
-    "ATOL",
     "BOB",
     "CANONICAL",
-    "COMPOSED_ATOL",
     "BlochDirection",
     "ChainSpec",
-    "ConditionalTable",
     "DegenerateStateError",
     "InfeasibleError",
     "InvariantError",
@@ -63,20 +38,9 @@ __all__ = [
     "ScenarioError",
     "SharpSetting",
     "SteeringReport",
-    "TwoQubitState",
     "UnsharpSetting",
-    "WeakKrausSetting",
-    "X_DIR",
-    "Z_DIR",
     "ZeroProbabilityError",
     "bell_state",
-    "bob_rate",
-    "closed_form_chain",
-    "conditional_table",
-    "delta_for_rate",
-    "fgi_lhs",
-    "key_rate",
-    "lambda_min_for_rate",
     "leaf_report",
     "leaf_theta",
     "load_scenario",
@@ -85,9 +49,8 @@ __all__ = [
     "mub_chain",
     "mub_sharp_pair",
     "mub_unsharp_pair",
-    "propagate",
     "report",
-    "report_from_table",
-    "shrink_factor",
+    "reports",
     "tilted_state",
+    "to_chain_spec",
 ]

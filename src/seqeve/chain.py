@@ -44,6 +44,10 @@ BOB = "bob"
 
 # Alice marginals below this are treated as zero-probability conditioning.
 ZERO_PROB_ATOL = 1e-12
+# A table that fails validation only in rows whose Alice marginal is below
+# this is ill-conditioned, not wrong: ~1e-16 of roundoff in a joint entry,
+# divided by the marginal, can exceed COMPOSED_ATOL.
+ILL_CONDITIONED_P = 1e-4
 
 Setting = SharpSetting | UnsharpSetting
 
@@ -212,18 +216,30 @@ class ConditionalTable:
         ``joint[..., 2i + a, 2k + c]`` is P(a, c | i, k) and
         ``p_alice[..., 2i + a]`` is P(a | i); both may carry the same leading
         stack axes.  Raises ZeroProbabilityError, naming the first of them,
-        when an Alice outcome has probability below ZERO_PROB_ATOL.
+        when an Alice outcome has probability below ZERO_PROB_ATOL, or below
+        ILL_CONDITIONED_P in the rows that alone fail validation.
         """
-        if p_alice.min() < ZERO_PROB_ATOL:
-            first = int(np.argmax(p_alice < ZERO_PROB_ATOL))
+
+        def improbable(mask: np.ndarray) -> ZeroProbabilityError:
+            first = int(np.argmax(mask))
             i, a = divmod(first % 4, 2)
-            raise ZeroProbabilityError(
+            return ZeroProbabilityError(
                 f"Alice input {i} outcome {a} has probability "
                 f"{p_alice.flat[first]:.3e}"
             )
+
+        if p_alice.min() < ZERO_PROB_ATOL:
+            raise improbable(p_alice < ZERO_PROB_ATOL)
         probs = (joint / p_alice[..., :, None]).reshape(joint.shape[:-2] + (2,) * 4)
         # Axes (..., i, a, k, c) to (..., k, i, a, c).
-        return cls(probs.swapaxes(-4, -2).swapaxes(-3, -2))
+        probs = probs.swapaxes(-4, -2).swapaxes(-3, -2)
+        try:
+            return cls(probs)
+        except InvariantError as exc:
+            tiny = p_alice < ILL_CONDITIONED_P
+            # Raises again unless every failing row is one of the tiny ones.
+            cls(np.where(tiny.reshape(tiny.shape[:-1] + (1, 2, 2, 1)), 0.5, probs))
+            raise improbable(tiny) from exc
 
 
 def _party_index(spec: ChainSpec, party: int | str) -> int:

@@ -103,8 +103,10 @@ def _write_rows(
         return
     try:
         Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise ScenarioError(f"out: cannot write {path}: {exc.strerror}") from exc
+    # ValueError: a NUL in the path.
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ScenarioError(f"out: cannot write {path}: {reason}") from exc
 
 
 def _list_tokens(text: str, option: str) -> list[str]:
@@ -116,14 +118,7 @@ def _list_tokens(text: str, option: str) -> list[str]:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        raise ScenarioError(
-            f"scenario: cannot read {args.scenario}: {exc.strerror}"
-        ) from exc
-    except UnicodeDecodeError as exc:
-        raise ScenarioError(f"scenario: cannot read {args.scenario}: {exc}") from exc
+    scenario = load_scenario(args.scenario)
     spec = to_chain_spec(scenario)
     parties = [
         (f"eve{m}", eve.settings, eve.sharpness)

@@ -134,8 +134,7 @@ def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     returned sharpness reaches the target rate.  Raises InfeasibleError when
     even a projective measurement cannot reach the target.
     """
-    if target_rate <= 0.0:
-        raise ValueError(f"target rate must be positive, got {target_rate}")
+    check_target_rate(target_rate)
     prefix = tuple(prefix)
     upstream = pauli_state(mub_chain(prefix), BOB)
     return _min_sharpness(upstream, len(prefix) + 1, target_rate)

@@ -1,15 +1,17 @@
 """Scenario files: strict schema, YAML syntax, radians-only angles.
 
-Unknown keys are rejected (fail-closed).  Each range is checked by its
-owner in the domain layer, and ``named`` puts the offending field in front
-of its message.  Angles are radians; the string form "deg:30" is degrees.
+The package only reads scenarios.  Unknown keys are rejected (fail-closed).
+Each range is checked by its owner in the domain layer, and ``named`` puts
+the offending field in front of its message.  Angles are radians; the
+string form "deg:30" is degrees.  An unreadable file (missing, not UTF-8, a
+NUL in its path) and a number beyond float range are ScenarioErrors too.
 
 Documents are parsed with PyYAML's libyaml loader (``CSafeLoader``) when
 PyYAML was built with it, else with the pure-Python ``SafeLoader``; both
 build the same document.  A ``%YAML`` directive other than 1.1 or 1.2, a
 constructor error and nesting deeper than MAX_NESTING (or than Python's
 recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
-imported on first use: ``plan`` and ``unbounded`` never load it.
+imported on the first read: ``plan`` and ``unbounded`` never load it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,10 @@ def named(field_name: str, check: Callable[..., Any], *args: object) -> Any:
 def _number(value: object, field_name: str, check: Callable | None = None) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioError(f"{field_name}: expected a number, got {value!r}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an int beyond float range, such as 10**400
+        out = math.inf
     if not math.isfinite(out):
         raise ScenarioError(f"{field_name}: value must be finite")
     if check is not None:
@@ -302,37 +307,14 @@ def loads_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return loads_scenario(Path(path).read_text(encoding="utf-8"))
-
-
-def _with_settings(entry: dict, party: PartySpec | EveSpec) -> dict:
-    """``entry`` plus the party's ``settings`` and any explicit ``directions``."""
-    entry["settings"] = party.settings
-    if party.directions is not None:
-        entry["directions"] = [
-            {"theta": float(d.theta), "phi": float(d.phi)} for d in party.directions
-        ]
-    return entry
-
-
-def dumps_scenario(scenario: Scenario) -> str:
-    """Canonical serialization; parsing the result restores the scenario."""
-    import yaml
-
-    doc: dict = {"mode": "chain", "state": {"kind": scenario.state.kind}}
-    if scenario.state.theta is not None:
-        doc["state"]["theta"] = scenario.state.theta
-    doc["alice"] = _with_settings({}, scenario.alice)
-    doc["bob"] = _with_settings({}, scenario.bob)
-    if scenario.eves:
-        doc["eves"] = [
-            _with_settings({"lambda": eve.sharpness, "bias": eve.bias}, eve)
-            for eve in scenario.eves
-        ]
-    doc["output"] = {"format": scenario.output.format}
-    if scenario.output.path is not None:
-        doc["output"]["path"] = scenario.output.path
-    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
+    """Read and parse a scenario file; a failed read is a ScenarioError too."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    # ValueError: a file that is not UTF-8, or a NUL in the path.
+    except (OSError, ValueError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ScenarioError(f"scenario: cannot read {path}: {reason}") from exc
+    return loads_scenario(text)
 
 
 def to_chain_spec(scenario: Scenario) -> ChainSpec:

@@ -52,12 +52,6 @@ class SchmidtForm:
     v_other: np.ndarray
     global_phase: float
 
-    def state(self) -> PureTwoQubitState:
-        """Reassemble the decomposed state, including the global phase."""
-        coeffs = np.diag([math.cos(self.theta), math.sin(self.theta)]).astype(complex)
-        mat = self.u_alice @ coeffs @ self.v_other.T
-        return PureTwoQubitState(np.exp(1j * self.global_phase) * mat.reshape(4))
-
 
 @dataclass(frozen=True)
 class BranchNode:
@@ -132,15 +126,6 @@ def _apply_weak(
     return PureTwoQubitState(mat.reshape(4) / math.sqrt(prob)), prob
 
 
-def correct_and_forward(sf: SchmidtForm) -> PureTwoQubitState:
-    """Undo the second qubit's Schmidt unitary before forwarding the state.
-
-    The forwarded state is (u x I)(cos t |00> + sin t |11>); the next party
-    can therefore reuse fixed measurement settings whatever the outcome was.
-    """
-    return branch_state(sf.theta, sf.u_alice)
-
-
 def branch_state(theta: float, u_alice: np.ndarray) -> PureTwoQubitState:
     """(u_alice x I)(cos(theta)|00> + sin(theta)|11>)."""
     coeffs = np.diag([math.cos(theta), math.sin(theta)]).astype(complex)
@@ -156,7 +141,10 @@ def branch_tree(
     so repeated invocations are bit-identical.  Leaves are ordered by their
     outcome bitstrings.  A branch that collapses to a product state is
     flagged degenerate and its subtree pruned; with tilt and weak angles in
-    (0, pi/4] this cannot happen.
+    (0, pi/4] this cannot happen.  Each Eve undoes the second qubit's
+    Schmidt unitary before forwarding, so the next party sees
+    ``branch_state(theta, u_alice)`` and can reuse fixed measurement
+    settings whatever the outcome was.
     """
     angles = tuple(weak_angles)
     if not angles:
@@ -198,7 +186,7 @@ def branch_tree(
                 )
                 continue
             descend(
-                correct_and_forward(sf),
+                branch_state(sf.theta, sf.u_alice),
                 depth + 1,
                 outcomes + (c,),
                 prob * p,

@@ -10,7 +10,9 @@ stacked chain pass is also checked, bit for bit, against the per-Eve loop of
 planner's exact sharpness solve is checked against plain bisection, and the
 closed-form square root of an effect against a spectral one.  The command
 line's row writer is checked against a renderer that formats every cell of
-every row.
+every row.  The Schmidt form is checked by reassembling the state from it,
+and the scenario reader by parsing back the canonical document of a
+scenario.
 """
 
 import json
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import yaml
 
 from seqeve.chain import (
     ZERO_PROB_ATOL,
@@ -42,7 +45,8 @@ from seqeve.linalg import (
 )
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError
-from seqeve.states import TwoQubitState, check_tilt_angle
+from seqeve.scenario import EveSpec, PartySpec, Scenario
+from seqeve.states import PureTwoQubitState, TwoQubitState, check_tilt_angle
 from seqeve.steering import report_from_table
 from seqeve.unbounded import (
     ALICE_STRATEGIES,
@@ -156,6 +160,13 @@ def post_measurement_state(
     """
     op = kron(projector(alice_setting, a), sqrt_effect(eve_setting, c))
     return partial_trace(op @ state.rho @ dagger(op), keep="B")
+
+
+def schmidt_state(sf: SchmidtForm) -> PureTwoQubitState:
+    """Reassemble the decomposed state, including the global phase."""
+    coeffs = np.diag([math.cos(sf.theta), math.sin(sf.theta)]).astype(complex)
+    mat = sf.u_alice @ coeffs @ sf.v_other.T
+    return PureTwoQubitState(np.exp(1j * sf.global_phase) * mat.reshape(4))
 
 
 def weak_step(psi, setting, outcome: int) -> tuple[SchmidtForm, float]:
@@ -412,3 +423,31 @@ def render_rows(
     lines.append(",".join(columns))
     lines.extend(",".join(map(_csv_cell, row)) for row in cells)
     return "\n".join(lines) + "\n"
+
+
+def _with_settings(entry: dict, party: PartySpec | EveSpec) -> dict:
+    """``entry`` plus the party's ``settings`` and any explicit ``directions``."""
+    entry["settings"] = party.settings
+    if party.directions is not None:
+        entry["directions"] = [
+            {"theta": float(d.theta), "phi": float(d.phi)} for d in party.directions
+        ]
+    return entry
+
+
+def dumps_scenario(scenario: Scenario) -> str:
+    """Canonical serialization; parsing the result restores the scenario."""
+    doc: dict = {"mode": "chain", "state": {"kind": scenario.state.kind}}
+    if scenario.state.theta is not None:
+        doc["state"]["theta"] = scenario.state.theta
+    doc["alice"] = _with_settings({}, scenario.alice)
+    doc["bob"] = _with_settings({}, scenario.bob)
+    if scenario.eves:
+        doc["eves"] = [
+            _with_settings({"lambda": eve.sharpness, "bias": eve.bias}, eve)
+            for eve in scenario.eves
+        ]
+    doc["output"] = {"format": scenario.output.format}
+    if scenario.output.path is not None:
+        doc["output"]["path"] = scenario.output.path
+    return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)

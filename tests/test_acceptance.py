@@ -18,7 +18,7 @@ from helpers import (
     random_pure_qubit_density,
     random_qubit_density,
 )
-from oracles import psd_sqrt, tradeoff
+from oracles import dumps_scenario, psd_sqrt, schmidt_state, tradeoff
 from seqeve import (
     ADAPTED,
     BOB,
@@ -27,25 +27,34 @@ from seqeve import (
     PureTwoQubitState,
     UnsharpSetting,
     bell_state,
-    bob_rate,
-    closed_form_chain,
-    conditional_table,
-    fgi_lhs,
-    lambda_min_for_rate,
     loads_scenario,
     max_eves,
     mub_chain,
     mub_sharp_pair,
-    propagate,
     report,
-    shrink_factor,
-    WeakKrausSetting,
 )
-from seqeve.chain import PartySettings, table_from_operators
+from seqeve.chain import (
+    PartySettings,
+    conditional_table,
+    propagate,
+    table_from_operators,
+)
 from seqeve.cli import main
 from seqeve.linalg import ID2, kron
-from seqeve.measurement import effect, projector, sqrt_effect, weak_kraus
-from seqeve.scenario import dumps_scenario
+from seqeve.measurement import (
+    WeakKrausSetting,
+    effect,
+    projector,
+    sqrt_effect,
+    weak_kraus,
+)
+from seqeve.planner import (
+    bob_rate,
+    closed_form_chain,
+    lambda_min_for_rate,
+    shrink_factor,
+)
+from seqeve.steering import fgi_lhs
 from seqeve.unbounded import branch_tree, evaluate_branch, schmidt_decompose
 
 
@@ -235,7 +244,7 @@ def test_criterion_09a_schmidt_fidelity():
             sf = schmidt_decompose(psi)
         except Exception:
             continue
-        assert abs(np.vdot(sf.state().amp, psi.amp)) ** 2 > 1 - 1e-10
+        assert abs(np.vdot(schmidt_state(sf).amp, psi.amp)) ** 2 > 1 - 1e-10
         checked += 1
 
 

@@ -13,22 +13,19 @@ from seqeve import (
     InvariantError,
     PartySettings,
     SharpSetting,
-    TwoQubitState,
     UnsharpSetting,
     ZeroProbabilityError,
-    Z_DIR,
     bell_state,
-    conditional_table,
     mub_chain,
     mub_sharp_pair,
     mub_unsharp_pair,
-    propagate,
-    shrink_factor,
     tilted_state,
 )
-from seqeve.chain import ConditionalTable
-from seqeve.linalg import ID2, PAULI_X, PAULI_Z, kron
+from seqeve.chain import ConditionalTable, conditional_table, propagate
+from seqeve.linalg import ID2, PAULI_X, PAULI_Z, Z_DIR, kron
 from seqeve.measurement import effect
+from seqeve.planner import shrink_factor
+from seqeve.states import TwoQubitState
 
 Z_SHARP = SharpSetting(Z_DIR)
 
@@ -98,7 +95,7 @@ class TestEve1Conditional:
 
     def test_cross_basis_is_unbiased(self):
         rng = np.random.default_rng(71)
-        from seqeve import X_DIR
+        from seqeve.linalg import X_DIR
 
         for _ in range(20):
             lam = float(rng.uniform(0.05, 1.0))

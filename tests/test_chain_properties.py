@@ -21,17 +21,14 @@ from seqeve import (
     PartySettings,
     SharpSetting,
     UnsharpSetting,
-    conditional_table,
-    fgi_lhs,
     mub_chain,
-    propagate,
     report,
     tilted_state,
 )
-from seqeve.chain import PauliState, tables
+from seqeve.chain import PauliState, conditional_table, propagate, tables
 from seqeve.linalg import COMPOSED_ATOL, ID2, kron
 from seqeve.measurement import projector
-from seqeve.steering import MAX_DELTA, THRESHOLD, reports
+from seqeve.steering import MAX_DELTA, THRESHOLD, fgi_lhs, reports
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 # Checking every party of a chain costs O(N^2) Eve steps, with N up to 40.

@@ -33,11 +33,20 @@ CHAIN_MIXED = Path(__file__).parent / "golden" / "chain_mixed.yaml"
 NO_EVE_DOC = "mode: chain\nstate: {kind: bell}\n"
 PROJECTIVE_EVE_DOC = "mode: chain\neves:\n  - lambda: 1.0\n"
 UNBOUNDED_SMALL = ["unbounded", "--theta1", "0.5", "--lambdas", "0.3"]
+# An integer beyond float range, which YAML reads as a Python int.
+HUGE_INT = "1" + "0" * 400
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def latin1_scenario(tmp_path):
+    """A scenario file that is not UTF-8."""
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes("mode: chain  # \u00e9\n".encode("latin-1"))
     return str(path)
 
 
@@ -155,6 +164,21 @@ class TestChainCommand:
         scenario = write(tmp_path, "plan.yaml", "mode: plan\ntargets: [0.1]\n")
         assert main(["chain", "--scenario", scenario]) == 2
         assert "mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "theta, second",
+        [("1.0e-4", "2.0e-4"), ("1.0e-4", "5.0e-5"), ("1.0e-5", "2.0e-5")],
+    )
+    def test_near_product_state_exits_3(self, tmp_path, capsys, theta, second):
+        # Alice's marginal (1e-8 to 1e-10) is too small to condition on: the
+        # closed form's roundoff, divided by it, breaks the table's invariants.
+        doc = (
+            f"mode: chain\nstate: {{kind: tilted, theta: {theta}}}\n"
+            "alice: {settings: explicit, directions: "
+            f"[{{theta: 0.0}}, {{theta: {second}}}]}}\n"
+        )
+        assert main(["chain", "--scenario", write(tmp_path, "p.yaml", doc)]) == 3
+        assert capsys.readouterr().err.startswith("infeasible: Alice input ")
 
 
 class TestWorkCounts:
@@ -343,8 +367,29 @@ class TestRangeOwners:
                 "eves[1].bias: input bias must lie in [0, 1], got -1.0",
             ),
             ("1: a\nb: c", "scenario.1: unknown key"),
+            (
+                f"eves: [{{lambda: {HUGE_INT}}}]",
+                "eves[0].lambda: value must be finite",
+            ),
+            (
+                f"state: {{kind: tilted, theta: {HUGE_INT}}}",
+                "state.theta: value must be finite",
+            ),
+            (
+                "alice: {settings: explicit, directions: "
+                f"[{{theta: 0.0}}, {{theta: -{HUGE_INT}}}]}}",
+                "alice.directions[1].theta: value must be finite",
+            ),
         ],
-        ids=["tilt", "sharpness", "bias", "mixed-keys"],
+        ids=[
+            "tilt",
+            "sharpness",
+            "bias",
+            "mixed-keys",
+            "huge-sharpness",
+            "huge-tilt",
+            "huge-direction",
+        ],
     )
     def test_scenario_fields(self, tmp_path, capsys, doc, message):
         path = write(tmp_path, "s.yaml", f"mode: chain\n{doc}\n")
@@ -399,8 +444,27 @@ class TestFileSystemErrors:
                 lambda tmp: UNBOUNDED_SMALL + ["--out", str(tmp / "missing" / "x.csv")],
                 "input error: out: cannot write",
             ),
+            (
+                lambda tmp: ["chain", "--scenario", str(tmp / "a\0b.yaml")],
+                "input error: scenario: cannot read",
+            ),
+            (
+                lambda tmp: UNBOUNDED_SMALL + ["--out", str(tmp / "a\0b.csv")],
+                "input error: out: cannot write",
+            ),
+            (
+                lambda tmp: ["chain", "--scenario", latin1_scenario(tmp)],
+                "input error: scenario: cannot read",
+            ),
         ],
-        ids=["missing-scenario", "directory-scenario", "missing-out-directory"],
+        ids=[
+            "missing-scenario",
+            "directory-scenario",
+            "missing-out-directory",
+            "nul-in-scenario-path",
+            "nul-in-out-path",
+            "scenario-not-utf8",
+        ],
     )
     def test_exits_2_without_traceback(self, tmp_path, capsys, make_argv, message):
         assert main(make_argv(tmp_path)) == 2

@@ -9,13 +9,15 @@ from hypothesis import strategies as st
 
 from helpers import random_direction, random_hermitian4, random_psd2
 from oracles import ID4, partial_trace, psd_sqrt
-from seqeve import BlochDirection, X_DIR, Z_DIR, bell_state, tilted_state
+from seqeve import BlochDirection, bell_state, tilted_state
 from seqeve.linalg import (
     ATOL,
     ID2,
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    X_DIR,
+    Z_DIR,
     direction_operator,
     is_hermitian,
     kron,

@@ -7,9 +7,15 @@ import pytest
 
 from helpers import random_direction, random_qubit_density
 from oracles import psd_sqrt, tradeoff
-from seqeve import SharpSetting, UnsharpSetting, WeakKrausSetting, X_DIR, Z_DIR
-from seqeve.linalg import ID2, PAULI_X
-from seqeve.measurement import effect, projector, sqrt_effect, weak_kraus
+from seqeve import SharpSetting, UnsharpSetting
+from seqeve.linalg import ID2, PAULI_X, X_DIR, Z_DIR
+from seqeve.measurement import (
+    WeakKrausSetting,
+    effect,
+    projector,
+    sqrt_effect,
+    weak_kraus,
+)
 
 
 class TestProjector:

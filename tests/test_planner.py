@@ -3,17 +3,15 @@
 import numpy as np
 import pytest
 
-from seqeve import (
-    InfeasibleError,
+from seqeve import InfeasibleError, max_eves, mub_chain, report
+from seqeve.planner import (
+    BOB_SUPREMACY,
+    EVE_UNREACHABLE,
     bob_rate,
     closed_form_chain,
     lambda_min_for_rate,
-    max_eves,
-    mub_chain,
-    report,
     shrink_factor,
 )
-from seqeve.planner import BOB_SUPREMACY, EVE_UNREACHABLE
 
 
 class TestLambdaMin:
@@ -39,7 +37,7 @@ class TestLambdaMin:
         assert err.value.reason == EVE_UNREACHABLE
 
     def test_rejects_nonpositive_target(self):
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             lambda_min_for_rate((), 0.0)
 
 

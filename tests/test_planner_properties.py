@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seqeve import BOB, InfeasibleError, lambda_min_for_rate, mub_chain
+from seqeve import BOB, InfeasibleError, mub_chain
 from seqeve.chain import pauli_state
+from seqeve.planner import lambda_min_for_rate
 
 SOLVE_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 

@@ -14,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dumps_scenario
 import seqeve
 import seqeve.scenario
 from seqeve import BlochDirection, Scenario, ScenarioError, loads_scenario
@@ -23,7 +24,6 @@ from seqeve.scenario import (
     OutputSpec,
     PartySpec,
     StateSpec,
-    dumps_scenario,
     to_chain_spec,
 )
 

@@ -6,13 +6,8 @@ import numpy as np
 import pytest
 
 from helpers import random_pure_amp
-from seqeve import (
-    InvariantError,
-    PureTwoQubitState,
-    TwoQubitState,
-    bell_state,
-    tilted_state,
-)
+from seqeve import InvariantError, PureTwoQubitState, bell_state, tilted_state
+from seqeve.states import TwoQubitState
 
 
 def test_bell_amplitudes():

@@ -13,17 +13,15 @@ from helpers import (
 from seqeve import (
     BOB,
     PureTwoQubitState,
-    delta_for_rate,
-    fgi_lhs,
-    key_rate,
     mub_chain,
     mub_sharp_pair,
     report,
-    shrink_factor,
 )
 from seqeve.chain import table_from_operators
 from seqeve.linalg import kron
 from seqeve.measurement import projector
+from seqeve.planner import shrink_factor
+from seqeve.steering import delta_for_rate, fgi_lhs, key_rate
 
 
 def mub_table(rho: np.ndarray):
@@ -36,7 +34,7 @@ def mub_table(rho: np.ndarray):
 
 class TestFgiLhs:
     def test_bell_sharp_is_maximal(self):
-        from seqeve import conditional_table
+        from seqeve.chain import conditional_table
 
         table = conditional_table(mub_chain(()), BOB)
         assert fgi_lhs(table) == pytest.approx(1.0, abs=1e-12)
@@ -46,7 +44,7 @@ class TestFgiLhs:
         assert fgi_lhs(table) == pytest.approx(0.5, abs=1e-12)
 
     def test_first_eve_matched_closed_form(self):
-        from seqeve import conditional_table
+        from seqeve.chain import conditional_table
 
         table = conditional_table(mub_chain((0.552,)), 1)
         assert fgi_lhs(table) == pytest.approx((1 + 0.552) / 2, abs=1e-12)

@@ -12,6 +12,7 @@ from oracles import (
     alice_facing_count,
     canonical_settings,
     partial_trace,
+    schmidt_state,
     weak_step,
 )
 from seqeve import (
@@ -19,18 +20,16 @@ from seqeve import (
     CANONICAL,
     DegenerateStateError,
     PureTwoQubitState,
-    WeakKrausSetting,
     bell_state,
     leaf_theta,
     tilted_state,
 )
 from seqeve.linalg import ID2, PAULI_X, PAULI_Z
-from seqeve.measurement import weak_kraus
+from seqeve.measurement import WeakKrausSetting, weak_kraus
 from seqeve.unbounded import (
     BranchNode,
     branch_state,
     branch_tree,
-    correct_and_forward,
     evaluate_branch,
     schmidt_decompose,
 )
@@ -70,7 +69,7 @@ class TestSchmidtDecompose:
                 sf = schmidt_decompose(psi)
             except DegenerateStateError:
                 continue
-            assert fidelity(sf.state().amp, psi.amp) > 1 - 1e-10
+            assert fidelity(schmidt_state(sf).amp, psi.amp) > 1 - 1e-10
 
     def test_unitarity_of_factors(self):
         rng = np.random.default_rng(113)
@@ -118,12 +117,12 @@ class TestCorrectAndForward:
     def test_identity_unitaries_leave_state_alone(self):
         sf = schmidt_decompose(bell_state())
         np.testing.assert_allclose(
-            correct_and_forward(sf).amp, bell_state().amp, atol=1e-10
+            branch_state(sf.theta, sf.u_alice).amp, bell_state().amp, atol=1e-10
         )
 
     def test_forwarded_marginal_is_diagonal(self):
         sf, _ = weak_step(bell_state(), WeakKrausSetting(math.pi / 6), 0)
-        forwarded = correct_and_forward(sf)
+        forwarded = branch_state(sf.theta, sf.u_alice)
         marginal = partial_trace(forwarded.density_matrix(), "B")
         np.testing.assert_allclose(
             marginal,
@@ -138,7 +137,7 @@ class TestCorrectAndForward:
                 sf = schmidt_decompose(PureTwoQubitState(random_pure_amp(rng)))
             except DegenerateStateError:
                 continue
-            again = schmidt_decompose(correct_and_forward(sf))
+            again = schmidt_decompose(branch_state(sf.theta, sf.u_alice))
             # Up to phase, the forwarded state's second-side unitary is I.
             np.testing.assert_allclose(np.abs(again.v_other), ID2.real, atol=1e-9)
             assert again.theta == pytest.approx(sf.theta, abs=1e-10)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 import seqeve.cli
-from seqeve import ADAPTED, CANONICAL, leaf_theta, report_from_table
+from seqeve import ADAPTED, CANONICAL, leaf_theta
+from seqeve.steering import report_from_table
 from seqeve.unbounded import branch_conditional_table, branch_tree, evaluate_branch
 
 MAX_DEPTH = 8
