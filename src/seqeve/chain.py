@@ -41,6 +41,8 @@ from .measurement import SharpSetting, UnsharpSetting
 from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
 
 BOB = "bob"
+# Probability of input 0 for an Eve whose bias is not given.
+DEFAULT_BIAS = 0.5
 
 # Alice marginals below this are treated as zero-probability conditioning.
 ZERO_PROB_ATOL = 1e-12
@@ -154,7 +156,7 @@ class ChainSpec:
 
     def __post_init__(self) -> None:
         eves = tuple(self.eves)
-        bias = tuple(self.input_bias) if self.input_bias else (0.5,) * len(eves)
+        bias = tuple(self.input_bias) or (DEFAULT_BIAS,) * len(eves)
         if len(bias) != len(eves):
             raise ValueError("input_bias must carry one probability per Eve")
         for b in bias:
@@ -176,7 +178,6 @@ class ChainSpec:
 def mub_chain(
     lambdas: tuple[float, ...] | list[float],
     initial: PureTwoQubitState | None = None,
-    bias: float = 0.5,
 ) -> ChainSpec:
     """Convenience constructor: all parties in the sigma_z/sigma_x bases."""
     return ChainSpec(
@@ -184,7 +185,6 @@ def mub_chain(
         alice=mub_sharp_pair(),
         eves=tuple(mub_unsharp_pair(lam) for lam in lambdas),
         bob=mub_sharp_pair(),
-        input_bias=(bias,) * len(lambdas),
     )
 
 

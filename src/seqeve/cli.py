@@ -7,6 +7,8 @@ tree shares by a scalar recursion, evaluates it once per Alice strategy and
 pairs the 2^n leaf labels with one values tuple, each leaf of weight
 exactly 2^-n.  The CSV writer formats a row's values only when they are not
 the previous row's tuple, so each leaf row costs only its label.
+Numbers and angles in arguments go through the scenario file's parsers,
+``parse_number`` and ``parse_angle``, so both read the same text alike.
 
 Exit codes: 0 success, 2 input error (a ScenarioError, which names the field
 or option), 3 computation infeasibility, 4 reference-value mismatch, 5 any
@@ -29,7 +31,8 @@ from .planner import (
     EVE_UNREACHABLE, InfeasibleError, PlanResult, check_target_rate, max_eves
 )
 from .scenario import (
-    ScenarioError, load_scenario, named, parse_angle_token, to_chain_spec
+    OUTPUT_FORMATS, ScenarioError, load_scenario, parse_angle, parse_number,
+    to_chain_spec,
 )
 from .states import check_tilt_angle
 from .steering import reports
@@ -106,7 +109,7 @@ def _write_rows(
     # ValueError: a NUL in the path.
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ScenarioError(f"out: cannot write {path}: {reason}") from exc
+        raise ScenarioError(f"out: cannot write {path!r}: {reason}") from exc
 
 
 def _list_tokens(text: str, option: str) -> list[str]:
@@ -181,13 +184,10 @@ def _check_reference(results: dict[float, PlanResult]) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    tokens = _list_tokens(args.rates, "rates")
-    try:
-        targets = [float(tok) for tok in tokens]
-    except ValueError:
-        raise ScenarioError(f"rates: cannot parse {args.rates!r}")
-    for rate in targets:
-        named("rates", check_target_rate, rate)
+    targets = [
+        parse_number(tok, "rates", check_target_rate)
+        for tok in _list_tokens(args.rates, "rates")
+    ]
     results: dict[float, PlanResult] = {}
     for target in targets:
         plan = max_eves(target)
@@ -207,9 +207,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_unbounded(args: argparse.Namespace) -> int:
-    theta1 = parse_angle_token(args.theta1, "theta1", check_tilt_angle)
+    theta1 = parse_angle(args.theta1, "theta1", check_tilt_angle)
     weak = [
-        parse_angle_token(tok, f"lambdas[{idx}]", WeakKrausSetting)
+        parse_angle(tok, f"lambdas[{idx}]", WeakKrausSetting)
         for idx, tok in enumerate(_list_tokens(args.lambdas, "lambdas"))
     ]
     if len(weak) > MAX_UNBOUNDED_DEPTH:
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chain.add_argument("--scenario", required=True, help="scenario file path")
     p_chain.add_argument("--out", default=None, help="output file (default stdout)")
-    p_chain.add_argument("--format", choices=("csv", "json"), default=None)
+    p_chain.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
     p_chain.set_defaults(func=cmd_chain)
 
     p_plan = sub.add_parser(
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambdas", required=True, help="comma-separated weak angles (radians)"
     )
     p_unb.add_argument("--out", default=None, help="output file (default stdout)")
-    p_unb.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_unb.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
     p_unb.set_defaults(func=cmd_unbounded)
 
     return parser

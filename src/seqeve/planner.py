@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .chain import (
     BOB,
+    DEFAULT_BIAS,
     PartySettings,
     PauliState,
     mub_chain,
@@ -40,20 +41,15 @@ BOB_SUPREMACY = "bob-supremacy"
 
 # Alice's and Bob's settings in every planned chain.
 _MUB_SHARP = mub_sharp_pair()
-# Input bias of every planned Eve, as in mub_chain.
-_MUB_BIAS = 0.5
 
 
 class InfeasibleError(RuntimeError):
     """A requested chain position admits no valid sharpness value."""
 
-    def __init__(self, position: int, reason: str, detail: str = ""):
+    def __init__(self, position: int, reason: str, detail: str):
         self.position = position
         self.reason = reason
-        msg = f"no valid sharpness for Eve {position} ({reason})"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"no valid sharpness for Eve {position} ({reason}): {detail}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,6 @@ class PlanResult:
     lambdas: tuple[float, ...]
     bob_rate: float
     max_eves: int
-    feasible: bool
     stop_reason: str
 
 
@@ -157,20 +152,18 @@ def max_eves(target_rate: float) -> PlanResult:
         except InfeasibleError as exc:
             stop_reason = exc.reason
             break
-        candidate = upstream.after(mub_unsharp_pair(lam), _MUB_BIAS)
+        candidate = upstream.after(mub_unsharp_pair(lam), DEFAULT_BIAS)
         if _rate(candidate, _MUB_SHARP) > target_rate:
             accepted += (lam,)
             upstream = candidate
         else:
             stop_reason = BOB_SUPREMACY
             break
-    final_bob = _rate(upstream, _MUB_SHARP)
     return PlanResult(
         target_rate=target_rate,
         lambdas=accepted,
-        bob_rate=final_bob,
+        bob_rate=_rate(upstream, _MUB_SHARP),
         max_eves=len(accepted),
-        feasible=final_bob > target_rate,
         stop_reason=stop_reason,
     )
 

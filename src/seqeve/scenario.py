@@ -1,10 +1,14 @@
 """Scenario files: strict schema, YAML syntax, radians-only angles.
 
-The package only reads scenarios.  Unknown keys are rejected (fail-closed).
-Each range is checked by its owner in the domain layer, and ``named`` puts
-the offending field in front of its message.  Angles are radians; the
-string form "deg:30" is degrees.  An unreadable file (missing, not UTF-8, a
-NUL in its path) and a number beyond float range are ScenarioErrors too.
+The package only reads scenarios.  Unknown keys are rejected (fail-closed),
+and a null section ("state: ~") is an absent one.  Each range is checked by
+its owner in the domain layer, and ``named`` puts the offending field in
+front of its message.  ``parse_number`` turns scenario values and
+command-line tokens alike into floats: a YAML int or float, or a string that
+``float`` reads, so '1e-1' (a string to YAML 1.1) and "0.5" are numbers.
+Angles are radians; the string form "deg:30" is degrees.  An unreadable
+file (missing, not UTF-8, a NUL in its path) and a number beyond float range
+are ScenarioErrors too.
 
 Documents are parsed with PyYAML's libyaml loader (``CSafeLoader``) when
 PyYAML was built with it, else with the pure-Python ``SafeLoader``; both
@@ -17,12 +21,14 @@ imported on the first read: ``plan`` and ``unbounded`` never load it.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
 from .chain import (
-    ChainSpec, PartySettings, check_bias, mub_sharp_pair, mub_unsharp_pair
+    DEFAULT_BIAS, ChainSpec, PartySettings, check_bias, mub_sharp_pair,
+    mub_unsharp_pair,
 )
 from .linalg import BlochDirection
 from .measurement import SharpSetting, UnsharpSetting, check_sharpness
@@ -48,13 +54,19 @@ def named(field_name: str, check: Callable[..., Any], *args: object) -> Any:
         raise ScenarioError(f"{field_name}: {exc}") from exc
 
 
-def _number(value: object, field_name: str, check: Callable | None = None) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ScenarioError(f"{field_name}: expected a number, got {value!r}")
+def parse_number(
+    value: object, field_name: str, check: Callable | None = None
+) -> float:
+    """A finite float from an int, a float or a numeric string, then ``check``ed."""
     try:
+        # Neither bools nor null, bytes or collections are numbers.
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
         out = float(value)
     except OverflowError:  # an int beyond float range, such as 10**400
         out = math.inf
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{field_name}: expected a number, got {value!r}") from None
     if not math.isfinite(out):
         raise ScenarioError(f"{field_name}: value must be finite")
     if check is not None:
@@ -63,27 +75,13 @@ def _number(value: object, field_name: str, check: Callable | None = None) -> fl
 
 
 def parse_angle(value: object, field_name: str, check: Callable | None = None) -> float:
-    """Radians from a number, or from a 'deg:<x>' string, as ``_number``."""
-    if isinstance(value, str):
-        if not value.startswith("deg:"):
-            raise ScenarioError(
-                f"{field_name}: angles are radians or 'deg:<value>', got {value!r}"
-            )
+    """Radians from a 'deg:<x>' string, else from ``parse_number``."""
+    if isinstance(value, str) and value.startswith("deg:"):
         try:
-            degrees = float(value[4:])
+            value = math.radians(float(value[4:]))
         except ValueError:
             raise ScenarioError(f"{field_name}: cannot parse degrees in {value!r}")
-        value = math.radians(degrees)
-    return _number(value, field_name, check)
-
-
-def parse_angle_token(token: str, field_name: str, check: Callable) -> float:
-    """Angle from a command-line token, plain radians or 'deg:<x>', as parse_angle."""
-    try:
-        value: object = float(token)
-    except ValueError:
-        value = token
-    return parse_angle(value, field_name, check)
+    return parse_number(value, field_name, check)
 
 
 def _require_mapping(value: object, field_name: str) -> dict:
@@ -137,7 +135,7 @@ class EveSpec:
 
     sharpness: float
     directions: Directions | None = None
-    bias: float = 0.5
+    bias: float = DEFAULT_BIAS
 
     @property
     def settings(self) -> str:
@@ -216,8 +214,6 @@ def _parse_state(raw: object) -> StateSpec:
 
 
 def _parse_party(raw: object, field_name: str) -> PartySpec:
-    if raw is None:
-        return PartySpec()
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, {"settings", "directions"}, field_name)
     return PartySpec(_parse_directions(mapping, field_name))
@@ -228,14 +224,13 @@ def _parse_eve(raw: object, field_name: str) -> EveSpec:
     _check_keys(mapping, {"lambda", "settings", "directions", "bias"}, field_name)
     if "lambda" not in mapping:
         raise ScenarioError(f"{field_name}.lambda: required key is missing")
-    sharpness = _number(mapping["lambda"], f"{field_name}.lambda", check_sharpness)
-    bias = _number(mapping.get("bias", 0.5), f"{field_name}.bias", check_bias)
+    sharpness = parse_number(mapping["lambda"], f"{field_name}.lambda", check_sharpness)
+    raw_bias = mapping.get("bias", DEFAULT_BIAS)
+    bias = parse_number(raw_bias, f"{field_name}.bias", check_bias)
     return EveSpec(sharpness, _parse_directions(mapping, field_name), bias)
 
 
 def _parse_output(raw: object) -> OutputSpec:
-    if raw is None:
-        return OutputSpec()
     mapping = _require_mapping(raw, "output")
     _check_keys(mapping, {"format", "path"}, "output")
     fmt = mapping.get("format", "csv")
@@ -284,26 +279,18 @@ def loads_scenario(text: str) -> Scenario:
         mapping, {"mode", "state", "alice", "bob", "eves", "output"}, "scenario"
     )
 
-    state = _parse_state(mapping.get("state", {"kind": "bell"}))
-    alice = _parse_party(mapping.get("alice"), "alice")
-    bob = _parse_party(mapping.get("bob"), "bob")
-
-    eves: tuple[EveSpec, ...] = ()
-    if "eves" in mapping and mapping["eves"] is not None:
-        raw_eves = mapping["eves"]
-        if not isinstance(raw_eves, list):
-            raise ScenarioError("eves: expected a list")
-        eves = tuple(
-            _parse_eve(entry, f"eves[{idx}]") for idx, entry in enumerate(raw_eves)
-        )
-
-    return Scenario(
-        state=state,
-        alice=alice,
-        bob=bob,
-        eves=eves,
-        output=_parse_output(mapping.get("output")),
+    # A null section is an absent one.
+    sections = {key: value for key, value in mapping.items() if value is not None}
+    state = _parse_state(sections.get("state", {"kind": "bell"}))
+    alice = _parse_party(sections.get("alice", {}), "alice")
+    bob = _parse_party(sections.get("bob", {}), "bob")
+    raw_eves = sections.get("eves", [])
+    if not isinstance(raw_eves, list):
+        raise ScenarioError("eves: expected a list")
+    eves = tuple(
+        _parse_eve(entry, f"eves[{idx}]") for idx, entry in enumerate(raw_eves)
     )
+    return Scenario(state, alice, bob, eves, _parse_output(sections.get("output", {})))
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -313,7 +300,9 @@ def load_scenario(path: str | Path) -> Scenario:
     # ValueError: a file that is not UTF-8, or a NUL in the path.
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ScenarioError(f"scenario: cannot read {path}: {reason}") from exc
+        raise ScenarioError(
+            f"scenario: cannot read {os.fspath(path)!r}: {reason}"
+        ) from exc
     return loads_scenario(text)
 
 

@@ -140,8 +140,9 @@ def branch_tree(
     Output depends only on (theta1, weak_angles); no randomness is drawn,
     so repeated invocations are bit-identical.  Leaves are ordered by their
     outcome bitstrings.  A branch that collapses to a product state is
-    flagged degenerate and its subtree pruned; with tilt and weak angles in
-    (0, pi/4] this cannot happen.  Each Eve undoes the second qubit's
+    flagged degenerate and its subtree pruned; this happens even with tilt
+    and weak angles in (0, pi/4], as for theta1 = 0.3 and two weak angles
+    of 1e-5.  Each Eve undoes the second qubit's
     Schmidt unitary before forwarding, so the next party sees
     ``branch_state(theta, u_alice)`` and can reuse fixed measurement
     settings whatever the outcome was.

@@ -456,6 +456,14 @@ class TestFileSystemErrors:
                 lambda tmp: ["chain", "--scenario", latin1_scenario(tmp)],
                 "input error: scenario: cannot read",
             ),
+            (
+                lambda tmp: ["chain", "--scenario", str(tmp / "a\nb.yaml")],
+                "input error: scenario: cannot read",
+            ),
+            (
+                lambda tmp: UNBOUNDED_SMALL + ["--out", str(tmp / "a\nb" / "x.csv")],
+                "input error: out: cannot write",
+            ),
         ],
         ids=[
             "missing-scenario",
@@ -464,11 +472,15 @@ class TestFileSystemErrors:
             "nul-in-scenario-path",
             "nul-in-out-path",
             "scenario-not-utf8",
+            "newline-in-scenario-path",
+            "newline-in-out-path",
         ],
     )
     def test_exits_2_without_traceback(self, tmp_path, capsys, make_argv, message):
         assert main(make_argv(tmp_path)) == 2
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        # The path is quoted, so a newline in it cannot split the message.
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 class TestListOptions:

@@ -50,7 +50,6 @@ class TestMaxEves:
         )
         assert plan.bob_rate == pytest.approx(0.172, abs=2e-3)
         assert plan.stop_reason == BOB_SUPREMACY
-        assert plan.feasible
 
     def test_target_02_reproduces_three_eves(self):
         plan = max_eves(0.2)

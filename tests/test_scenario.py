@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from oracles import dumps_scenario
 import seqeve
+import seqeve.cli
 import seqeve.scenario
 from seqeve import BlochDirection, Scenario, ScenarioError, loads_scenario
 from seqeve.cli import main
@@ -26,6 +27,7 @@ from seqeve.scenario import (
     StateSpec,
     to_chain_spec,
 )
+from seqeve.states import check_tilt_angle
 
 LOADERS = settings(max_examples=150, deadline=None, derandomize=True)
 needs_libyaml = pytest.mark.skipif(
@@ -381,3 +383,101 @@ def test_both_loaders_agree_on_near_valid_documents(tmp_path_factory, text):
     fast = _chain_run(text, workdir, fallback=False)
     assert fast == _chain_run(text, workdir, fallback=True)
     assert fast[0] in (0, 2, 3)
+
+
+# Numbers and null sections --------------------------------------------------
+
+SPELLED_DOC = """\
+mode: chain
+state: {kind: tilted, theta: THETA}
+eves:
+  - lambda: LAMBDA
+    bias: BIAS
+    settings: explicit
+    directions:
+      - {theta: 0.0, phi: PHI}
+      - {theta: 1.5}
+"""
+DOTTED = {"THETA": "0.5", "LAMBDA": "0.1", "BIAS": "0.25", "PHI": "1.0"}
+
+
+def _spelled(**spelling):
+    text = SPELLED_DOC
+    for key, value in {**DOTTED, **spelling}.items():
+        text = text.replace(key, value)
+    return text
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+@pytest.mark.parametrize("directive", ["", "%YAML 1.2\n---\n"])
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        {"THETA": "5e-1", "LAMBDA": "1e-1", "BIAS": "2.5e-1", "PHI": "1e0"},
+        {"THETA": '"0.5"', "LAMBDA": "'0.1'", "BIAS": '"0.25"', "PHI": '"1"'},
+    ],
+    ids=["exponent", "quoted"],
+)
+def test_any_float_spelling_is_a_number(spelling, directive, fallback):
+    if not fallback and not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML is built without libyaml")
+    expected = loads_scenario(_spelled())
+    assert _parsed(directive + _spelled(**spelling), fallback=fallback) == expected
+
+
+NUMBER_FIELDS = {
+    "eves[0].lambda": "mode: chain\neves:\n  - lambda: VALUE\n",
+    "eves[0].bias": "mode: chain\neves:\n  - {lambda: 0.5, bias: VALUE}\n",
+    "state.theta": "mode: chain\nstate: {kind: tilted, theta: VALUE}\n",
+    "bob.directions[1].phi": (
+        "mode: chain\nbob:\n  settings: explicit\n"
+        "  directions: [{theta: 0.0}, {theta: 1.5, phi: VALUE}]\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("value", ["abc", '""', "true", "~"])
+@pytest.mark.parametrize("field", NUMBER_FIELDS)
+def test_text_bools_and_null_are_not_numbers(tmp_path, capsys, field, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(NUMBER_FIELDS[field].replace("VALUE", value), encoding="utf-8")
+    assert main(["chain", "--scenario", str(path)]) == 2
+    message = f"input error: {field}: expected a number, got "
+    assert capsys.readouterr().err.startswith(message)
+
+
+@pytest.mark.parametrize("section", ["state", "alice", "bob", "eves", "output"])
+def test_a_null_section_is_an_absent_one(section):
+    assert loads_scenario(f"mode: chain\n{section}: ~\n") == Scenario()
+
+
+def _tilt_texts(x):
+    return st.sampled_from([repr(x), f"{x:e}", f"deg:{math.degrees(x)!r}"])
+
+
+@LOADERS
+@given(st.one_of(st.floats(), st.floats(0.0, 1.0)).flatmap(_tilt_texts))
+def test_command_line_and_scenario_read_a_tilt_alike(text):
+    """--theta1 and state.theta accept or refuse the same text, and a value
+    they accept reaches the range check as the same float."""
+    checked = {seqeve.cli: [], seqeve.scenario: []}
+    with pytest.MonkeyPatch.context() as mp:
+        for module, seen in checked.items():
+
+            def spy(theta, seen=seen):
+                seen.append(theta)
+                check_tilt_angle(theta)
+
+            mp.setattr(module, "check_tilt_angle", spy)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            argv = ["unbounded", "--theta1", text, "--lambdas", "0.3"]
+            by_cli = main(argv) != 2
+        try:
+            loads_scenario(f"mode: chain\nstate:\n  kind: tilted\n  theta: {text}\n")
+            by_file = True
+        except ScenarioError:
+            by_file = False
+    assert by_cli == by_file
+    assert checked[seqeve.cli] == checked[seqeve.scenario]
