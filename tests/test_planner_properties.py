@@ -3,21 +3,34 @@
 ``tests/oracles.py`` keeps plain bisection on the monotone sharpness-to-rate
 map: 20 halvings of [0, 1] that end on the 2^-20 grid.  The exact solve must
 return the same grid point bit for bit, and where no sharpness reaches the
-target it must fail at the same position for the same reason.
+target it must fail at the same position for the same reason.  Whole plans
+are rebuilt position by position from the bisection and Bob's check.  The
+planner takes Bob's table as the next Eve's table at sharpness 1, so that
+identity is checked on general upstream states.
 """
 
-from hypothesis import given, settings
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seqeve import BOB, InfeasibleError, mub_chain
-from seqeve.chain import pauli_state
-from seqeve.planner import lambda_min_for_rate
+from seqeve import BOB, bell_state, mub_chain, tilted_state
+from seqeve.chain import (
+    DEFAULT_BIAS, PauliState, mub_sharp_pair, mub_unsharp_pair, pauli_state
+)
+from seqeve.planner import InfeasibleError, lambda_min_for_rate, max_eves
+from seqeve.steering import report_from_table
 
 SOLVE_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
 
 targets = st.floats(0.001, 0.95, exclude_min=True, exclude_max=True)
 prefixes = st.lists(st.floats(0.01, 1.0, exclude_min=True), max_size=5)
+plan_targets = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-6, exclude_min=True),
+)
 
 
 def outcome(solve, *args):
@@ -34,3 +47,37 @@ def test_exact_solve_equals_bisection_bit_for_bit(prefix, target):
     upstream = pauli_state(mub_chain(prefix), BOB)
     expected = outcome(oracles.bisect_min_sharpness, upstream, len(prefix) + 1, target)
     assert outcome(lambda_min_for_rate, tuple(prefix), target) == expected
+
+
+def bob_key_rate(state):
+    return report_from_table(state.table(mub_sharp_pair(), mub_sharp_pair())).key_rate
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(plan_targets)
+@example(math.nextafter(1.0, 0.0))
+@example(5e-324)
+def test_plan_equals_the_bisection_chain_bit_for_bit(target):
+    lambdas, state = (), PauliState.of(bell_state())
+    while True:
+        # Bob's rate stays above the target, so this never raises.
+        lam = oracles.bisect_min_sharpness(state, len(lambdas) + 1, target)
+        candidate = state.after(mub_unsharp_pair(lam), DEFAULT_BIAS)
+        if bob_key_rate(candidate) <= target:
+            break
+        lambdas, state = lambdas + (lam,), candidate
+    plan = max_eves(target)
+    assert (plan.lambdas, plan.bob_rate) == (lambdas, bob_key_rate(state))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(st.none(), st.floats(0.05, math.pi / 4)),
+    st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0)), max_size=5),
+)
+def test_bob_table_is_the_table_at_sharpness_one(theta, eves):
+    state = PauliState.of(bell_state() if theta is None else tilted_state(theta))
+    for lam, bias in eves:
+        state = state.after(mub_unsharp_pair(lam), bias)
+    at_one = state.table(mub_sharp_pair(), mub_unsharp_pair(1.0)).probs
+    assert np.array_equal(at_one, state.table(mub_sharp_pair(), mub_sharp_pair()).probs)
