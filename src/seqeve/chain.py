@@ -7,36 +7,38 @@ parameter, 1/2 by default) and updates the state with the Lueders rule.
 Earlier Eves are always marginalized non-selectively (summed over outcomes,
 averaged over inputs) when a later party's statistics are computed.
 
-The state is carried in Pauli coordinates (Horodecki & Horodecki, PRA 54,
-1838 (1996)): Alice's Bloch vector a, the second qubit's Bloch vector b and
-the 3x3 correlation matrix T.  A non-selective Eve acts on the second qubit
-only, as a real 3x3 map M (b <- M b, T <- T M^T), and every conditional
-table is a closed form in (a, b, T).  Each state a table is built from is
-rebuilt as a 4x4 density matrix and validated.
+The steering test reads only the assemblage (Wiseman, Jones & Doherty, PRL
+98, 140402 (2007)): Alice's marginals p(a|i) and the Bloch vectors r_{ia} of
+the second qubit conditioned on her input i and outcome a.  The initial
+state is pure, so with Alice's outcome eigenvector e_{ia},
+v = (<e_{ia}| x I)|psi> gives p(a|i) = |v|^2 and r_{ia} = v^dag sigma v / |v|^2.
+Her measurement commutes with everything done to the other qubit, so it is
+applied first and p(a|i) is computed once per chain.  A non-selective Eve
+is a unital channel, a real 3x3 map M (r <- M r), and a party measuring
+with sharpness lambda_k along n_k has the table
+P(c | k, i, a) = (1 + s_c lambda_k n_k.r_{ia}) / 2, with s = +1 (-1) for
+outcome 0 (1), normalized by construction.
 
 ``tables`` evaluates a whole chain in one stacked pass: the N Eve maps are
-built from (N, 2, 3) direction and (N, 2) sharpness arrays, the N+1 states
-are carried as one (N+1, 4, 4) stack (the N sequential 4x4 products are the
-only loop), and the stack of density matrices, Alice's marginals and the
-tables are each computed and validated by one array operation.  Since no
-Eve touches Alice's qubit, column 0 of R and so Alice's marginal is the
-same for every party.  The per-party functions are the one-party case of
-the same code and agree with the stack bit for bit.
-
-Alice's projector is never folded into the propagated state: her sharp
-measurement commutes with every operation on the other qubit, so it is
-applied lazily when a conditional table is built.  The tests check this
-against an explicit per-outcome forking route.
+built from (N, 2, 3) direction and (N, 2) sharpness arrays, the N+1
+assemblages are carried as one (N+1, 4, 3) stack (the N sequential 3x3
+products are the only loop), and all N+1 tables come from one product and
+are validated together.  ``conditional_table``, the planner and the
+``unbounded`` leaf table are the one-position case of ``Assemblage``.
+``propagate`` rebuilds the 4x4 density matrix a party sees.
 """
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .linalg import COMPOSED_ATOL, ID2, PAULI_X, PAULI_Y, PAULI_Z, X_DIR, Z_DIR, kron
+from .linalg import (
+    ATOL, COMPOSED_ATOL, ID2, PAULI_X, PAULI_Y, PAULI_Z, X_DIR, Z_DIR, kron
+)
 from .measurement import SharpSetting, UnsharpSetting
 from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
 
@@ -46,21 +48,14 @@ DEFAULT_BIAS = 0.5
 
 # Alice marginals below this are treated as zero-probability conditioning.
 ZERO_PROB_ATOL = 1e-12
-# A table that fails validation only in rows whose Alice marginal is below
-# this is ill-conditioned, not wrong: ~1e-16 of roundoff in a joint entry,
-# divided by the marginal, can exceed COMPOSED_ATOL.
-ILL_CONDITIONED_P = 1e-4
 
 Setting = SharpSetting | UnsharpSetting
 
-# _PAULI_BASIS[mu, nu] = sigma_mu (x) sigma_nu with sigma_0 = I, built once so
-# that rebuilding a density matrix from Pauli coordinates needs no kron.
-_PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
-_PAULI_BASIS = np.array([[kron(p, q) for q in _PAULIS] for p in _PAULIS])
-# The same basis as one (16, 16) matrix: row 4 mu + nu holds the flattened
-# sigma_mu (x) sigma_nu, so rho.ravel() = R.ravel() @ _PAULI_ROWS / 4.
-_PAULI_ROWS = _PAULI_BASIS.reshape(16, 16)
+_PAULIS = np.array((ID2, PAULI_X, PAULI_Y, PAULI_Z))
 _EYE3 = np.eye(3)
+# The sign s of outcome 0 and 1, and the sign of input 0 and 1 in rows 2i + a.
+_OUTCOME_SIGN = np.array([1.0, -1.0])
+_INPUT_SIGN = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 class ZeroProbabilityError(ValueError):
@@ -81,19 +76,6 @@ class PartySettings:
     @property
     def settings(self) -> tuple[Setting, Setting]:
         return (self.input0, self.input1)
-
-    @cached_property
-    def effect_rows(self) -> np.ndarray:
-        """Pauli coordinates (1, +-lambda n) of 2E, one row per (input, outcome).
-
-        The effect of outcome 0 (1) is E = (I +- lambda n.sigma)/2, with
-        lambda = 1 for a sharp setting, so its rows pair with a state's
-        coordinates in the closed-form probabilities of ``PauliState.table``.
-        Built once per settings object and read-only.
-        """
-        rows = _effect_rows(*_setting_arrays((self,)))[0]
-        rows.flags.writeable = False
-        return rows
 
 
 def _setting_arrays(
@@ -117,15 +99,6 @@ def _setting_arrays(
     return per_setting[..., :3], per_setting[..., 3]
 
 
-def _effect_rows(directions: np.ndarray, sharpness: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) effect rows of ``PartySettings.effect_rows``, row 2k + c."""
-    vec = sharpness[..., None] * directions
-    rows = np.ones(directions.shape[:-2] + (4, 4))
-    rows[..., 0::2, 1:] = vec
-    rows[..., 1::2, 1:] = -vec
-    return rows
-
-
 def mub_sharp_pair() -> PartySettings:
     """Sharp sigma_z / sigma_x pair (the two mutually unbiased bases)."""
     return PartySettings(SharpSetting(Z_DIR), SharpSetting(X_DIR))
@@ -136,6 +109,10 @@ def mub_unsharp_pair(sharpness: float) -> PartySettings:
     return PartySettings(
         UnsharpSetting(Z_DIR, sharpness), UnsharpSetting(X_DIR, sharpness)
     )
+
+
+# Unit directions (2, 3) of the sigma_z / sigma_x pair, input 0 first.
+MUB_DIRECTIONS = _setting_arrays((mub_sharp_pair(),))[0][0]
 
 
 def check_bias(bias: float) -> None:
@@ -209,37 +186,91 @@ class ConditionalTable:
             raise InvariantError("each conditioning cell must sum to 1")
         object.__setattr__(self, "probs", probs)
 
+
+def check_marginals(p_alice: np.ndarray) -> None:
+    """Raise ZeroProbabilityError at the first p(a|i) = p_alice[2i + a] too small."""
+    if p_alice.min() < ZERO_PROB_ATOL:
+        first = int(np.argmax(p_alice < ZERO_PROB_ATOL))
+        i, a = divmod(first, 2)
+        raise ZeroProbabilityError(
+            f"Alice input {i} outcome {a} has probability {p_alice[first]:.3e}"
+        )
+
+
+@dataclass(frozen=True)
+class Assemblage:
+    """Alice's marginals and the second qubit's Bloch vectors conditioned on them.
+
+    ``p_alice[2i + a]`` is p(a|i) and ``bloch[..., 2i + a, :]`` is r_{ia}.
+    ``bloch`` may carry leading stack axes, such as the N+1 positions of a
+    chain, which share the one ``p_alice``.
+    """
+
+    p_alice: np.ndarray
+    bloch: np.ndarray
+
     @classmethod
-    def conditioned(cls, joint: np.ndarray, p_alice: np.ndarray) -> ConditionalTable:
-        """Table from joint probabilities divided by Alice's marginal.
+    def start(cls, amp, angles) -> Assemblage:
+        """Assemblage of the pure state sum amp[j][l] |j>|l> for Alice's directions.
 
-        ``joint[..., 2i + a, 2k + c]`` is P(a, c | i, k) and
-        ``p_alice[..., 2i + a]`` is P(a | i); both may carry the same leading
-        stack axes.  Raises ZeroProbabilityError, naming the first of them,
-        when an Alice outcome has probability below ZERO_PROB_ATOL, or below
-        ILL_CONDITIONED_P in the rows that alone fail validation.
+        ``angles[i]`` is (theta, phi) of her input i.  Her outcome-0 and
+        outcome-1 bras (x, y) are (cos, e^{-i phi} sin) and (-e^{i phi} sin,
+        cos) of theta/2, and v = x amp[0] + y amp[1] gives p(a|i) = |v|^2 and
+        r_{ia} = (2 Re v0* v1, 2 Im v0* v1, |v0|^2 - |v1|^2) / |v|^2.  Raises
+        ZeroProbabilityError when some p(a|i) is below ZERO_PROB_ATOL.
         """
+        (a00, a01), (a10, a11) = amp
+        p_alice, bloch = [], []  # row 2i + a
+        for theta, phi in angles:
+            cos_h, sin_h = math.cos(0.5 * theta), math.sin(0.5 * theta)
+            phase = cmath.exp(1j * phi) * sin_h
+            for x, y in ((cos_h, phase.conjugate()), (-phase, cos_h)):
+                v0, v1 = x * a00 + y * a10, x * a01 + y * a11
+                sq0 = v0.real * v0.real + v0.imag * v0.imag
+                sq1 = v1.real * v1.real + v1.imag * v1.imag
+                cross = 2.0 * v0.conjugate() * v1
+                p_alice.append(sq0 + sq1)
+                bloch.append((cross.real, cross.imag, sq0 - sq1))
+        p_alice = np.array(p_alice)
+        check_marginals(p_alice)
+        return cls(p_alice, np.array(bloch) / p_alice[:, None])
 
-        def improbable(mask: np.ndarray) -> ZeroProbabilityError:
-            first = int(np.argmax(mask))
-            i, a = divmod(first % 4, 2)
-            return ZeroProbabilityError(
-                f"Alice input {i} outcome {a} has probability "
-                f"{p_alice.flat[first]:.3e}"
-            )
+    @classmethod
+    def of(cls, initial: PureTwoQubitState, alice: PartySettings) -> Assemblage:
+        angles = [(s.direction.theta, s.direction.phi) for s in alice.settings]
+        return cls.start(initial.amp.reshape(2, 2).tolist(), angles)
 
-        if p_alice.min() < ZERO_PROB_ATOL:
-            raise improbable(p_alice < ZERO_PROB_ATOL)
-        probs = (joint / p_alice[..., :, None]).reshape(joint.shape[:-2] + (2,) * 4)
-        # Axes (..., i, a, k, c) to (..., k, i, a, c).
-        probs = probs.swapaxes(-4, -2).swapaxes(-3, -2)
-        try:
-            return cls(probs)
-        except InvariantError as exc:
-            tiny = p_alice < ILL_CONDITIONED_P
-            # Raises again unless every failing row is one of the tiny ones.
-            cls(np.where(tiny.reshape(tiny.shape[:-1] + (1, 2, 2, 1)), 0.5, probs))
-            raise improbable(tiny) from exc
+    def after(self, step: np.ndarray) -> Assemblage:
+        """The assemblage after one Eve, whose 3x3 map is ``step``."""
+        return Assemblage(self.p_alice, self.bloch @ step.T)
+
+    def through(self, maps: np.ndarray) -> Assemblage:
+        """This assemblage and the one after each of the N maps, stacked (N+1, 4, 3)."""
+        out = np.empty((len(maps) + 1,) + self.bloch.shape)
+        out[0] = self.bloch
+        for j, step in enumerate(maps):
+            out[j + 1] = out[j] @ step.T
+        return Assemblage(self.p_alice, out)
+
+    def table(self, directions: np.ndarray, sharpness: np.ndarray) -> ConditionalTable:
+        """Table of the party measuring the second qubit, one per stacked position.
+
+        ``directions`` (..., 2, 3) and ``sharpness`` (..., 2) are the party's
+        per input, as from ``_setting_arrays``.  Raises InvariantError unless
+        every r_{ia} lies in the Bloch ball and sum_a p(a|i) r_{ia}, the
+        second qubit's reduced state, is the same for both inputs, within ATOL.
+        """
+        length = np.sqrt((self.bloch * self.bloch).sum(axis=-1)).max()
+        if not length <= 1.0 + ATOL:  # "not <=" so that NaN fails too
+            raise InvariantError(f"conditional Bloch vector has length {length:.3e}")
+        # sum_a p(a|0) r_{0a} - sum_a p(a|1) r_{1a}
+        drift = (self.p_alice * _INPUT_SIGN) @ self.bloch
+        if not np.abs(drift).max() <= ATOL:
+            raise InvariantError("Alice's input signals to the second qubit")
+        half = (0.5 * sharpness)[..., None] * directions
+        dots = (half @ self.bloch.swapaxes(-1, -2))[..., None]  # [k, 2i + a]
+        probs = 0.5 + dots * _OUTCOME_SIGN
+        return ConditionalTable(probs.reshape(probs.shape[:-2] + (2, 2, 2)))
 
 
 def _party_index(spec: ChainSpec, party: int | str) -> int:
@@ -254,110 +285,50 @@ def _party_index(spec: ChainSpec, party: int | str) -> int:
 def _eve_maps(
     directions: np.ndarray, sharpness: np.ndarray, bias: np.ndarray
 ) -> np.ndarray:
-    """Each Eve's input-averaged non-selective Lueders channel on Pauli coordinates.
+    """Each Eve's input-averaged non-selective Lueders channel on the Bloch ball.
 
     Sharpness lambda along n keeps the Bloch component along n and shrinks
     the transverse ones by sqrt(1 - lambda^2); the channel is unital.  Takes
     the (N, 2, 3) directions and (N, 2) sharpnesses of ``_setting_arrays``
-    and the (N,) input biases; map j acts as coords <- coords @ maps[j].T.
+    and the (N,) input biases; map j is the 3x3 matrix of r <- maps[j] r.
     """
     along = directions[..., :, None] * directions[..., None, :]
     quality = np.sqrt(1.0 - sharpness * sharpness)[..., None, None]
     terms = along + quality * (_EYE3 - along)
     weight = bias[..., None, None]
-    out = np.zeros(bias.shape + (4, 4))
-    out[..., 0, 0] = 1.0
-    out[..., 1:, 1:] = (
-        weight * terms[..., 0, :, :] + (1.0 - weight) * terms[..., 1, :, :]
-    )
-    return out
+    return weight * terms[..., 0, :, :] + (1.0 - weight) * terms[..., 1, :, :]
 
 
-def _propagate_all(start: np.ndarray, maps: np.ndarray) -> np.ndarray:
-    """Coordinates ``start`` and after each of the N maps in turn, (N+1, 4, 4)."""
-    out = np.empty((len(maps) + 1, 4, 4))
-    out[0] = start
-    for j, step in enumerate(maps):
-        out[j + 1] = out[j] @ step.T
-    return out
+def _positions(
+    spec: ChainSpec, parties: tuple[PartySettings, ...]
+) -> tuple[np.ndarray, np.ndarray, Assemblage]:
+    """Settings arrays of ``parties`` and the assemblage each of them measures.
 
-
-@dataclass(frozen=True)
-class PauliState:
-    """Two-qubit state as its Pauli coordinates R[mu, nu] = Tr(rho sigma_mu (x) sigma_nu).
-
-    R = [[1, b^T], [a, T]] with Alice's Bloch vector a, the second qubit's
-    Bloch vector b and the correlation matrix T.  ``coords`` may also be a
-    (..., 4, 4) stack of states, such as the N+1 states of a chain.
+    ``parties`` are the first n-1 Eves of the chain and then the party that
+    follows them; the assemblages are stacked (n, 4, 3).
     """
-
-    coords: np.ndarray
-
-    @cached_property
-    def state(self) -> TwoQubitState:
-        """rho = sum R[mu, nu] sigma_mu (x) sigma_nu / 4, validated on first use."""
-        shape = self.coords.shape
-        flat = self.coords.reshape(shape[:-2] + (16,)) @ _PAULI_ROWS
-        return TwoQubitState(flat.reshape(shape) / 4.0)
-
-    @classmethod
-    def of(cls, initial: PureTwoQubitState) -> PauliState:
-        rho = initial.density_matrix()
-        return cls(np.einsum("mnij,ji->mn", _PAULI_BASIS, rho).real)
-
-    def after(self, eve: PartySettings, bias: float) -> PauliState:
-        """State after one Eve measured non-selectively on the second qubit."""
-        step = _eve_maps(*_setting_arrays((eve,)), np.array([bias]))[0]
-        return PauliState(self.coords @ step.T)
-
-    def table(self, alice: PartySettings, party: PartySettings) -> ConditionalTable:
-        """Closed-form conditional table of ``party`` (second qubit) versus Alice."""
-        return self.tables(alice.effect_rows, party.effect_rows)
-
-    def tables(self, alice_rows: np.ndarray, party_rows: np.ndarray) -> ConditionalTable:
-        """Closed-form conditional tables, one per state of the stack.
-
-        P(c | k, i, a) = (1 + s_a a.m_i + s_c lambda_k (b.n_k + s_a m_i^T T n_k))
-        / (4 p_alice), with p_alice = (1 + s_a a.m_i) / 2 and s = +1 (-1) for
-        outcome 0 (1).  ``party_rows`` holds the (..., 4, 4) effect rows of
-        the party measuring each state.  Column 0 of R, and so Alice's
-        marginal, is the same for every state of a chain; it is still taken
-        from each state, in one product, and checked once for the stack.
-        """
-        self.state  # validates every state a table is built from, once
-        p_alice = 0.5 * (alice_rows @ self.coords[..., :1])[..., 0]
-        joint = 0.25 * (alice_rows @ self.coords @ party_rows.swapaxes(-1, -2))
-        return ConditionalTable.conditioned(joint, p_alice)
-
-
-def _chain_states(
-    spec: ChainSpec, directions: np.ndarray, sharpness: np.ndarray
-) -> PauliState:
-    """Initial state, then the state after each of the first n Eves, stacked.
-
-    ``directions`` and ``sharpness`` are the ``_setting_arrays`` of those n.
-    """
-    bias = np.array(spec.input_bias[: len(directions)])
-    maps = _eve_maps(directions, sharpness, bias)
-    return PauliState(_propagate_all(PauliState.of(spec.initial).coords, maps))
-
-
-def pauli_state(spec: ChainSpec, party: int | str) -> PauliState:
-    """Joint Alice/party state after all earlier Eves measured non-selectively.
-
-    ``party`` is a 1-based Eve index or ``BOB``.
-    """
-    upstream = spec.eves[: _party_index(spec, party)]
-    return PauliState(_chain_states(spec, *_setting_arrays(upstream)).coords[-1])
+    directions, sharpness = _setting_arrays(parties)
+    bias = np.array(spec.input_bias[: len(parties) - 1])
+    maps = _eve_maps(directions[:-1], sharpness[:-1], bias)
+    return directions, sharpness, Assemblage.of(spec.initial, spec.alice).through(maps)
 
 
 def propagate(spec: ChainSpec, party: int | str) -> TwoQubitState:
-    """Density matrix of ``pauli_state(spec, party)``.
+    """Joint Alice/party density matrix after all earlier Eves measured non-selectively.
 
-    Alice's qubit is untouched; her projectors are applied later, at
-    table-construction time.
+    ``party`` is a 1-based Eve index or ``BOB``.  Carried in Pauli
+    coordinates R[mu, nu] = <psi| sigma_mu (x) sigma_nu |psi>: each earlier
+    Eve maps the second qubit's columns, R[:, 1:] <- R[:, 1:] M^T, and
+    rho = sum R[mu, nu] sigma_mu (x) sigma_nu / 4.
     """
-    return pauli_state(spec, party).state
+    upstream = spec.eves[: _party_index(spec, party)]
+    amp = spec.initial.amp.reshape(2, 2)
+    coords = np.einsum("jl,mjk,nlp,kp->mn", amp.conj(), _PAULIS, _PAULIS, amp).real
+    bias = np.array(spec.input_bias[: len(upstream)])
+    for step in _eve_maps(*_setting_arrays(upstream), bias):
+        coords[:, 1:] = coords[:, 1:] @ step.T
+    rho = np.einsum("mn,mjk,nlp->jlkp", coords, _PAULIS, _PAULIS).reshape(4, 4)
+    return TwoQubitState(rho / 4.0)
 
 
 def table_from_operators(
@@ -370,7 +341,10 @@ def table_from_operators(
     party = [eff for row in party_effects for eff in row]  # column 2k + c
     p_alice = np.array([np.trace(kron(p, ID2) @ rho).real for p in alice])
     joint = np.array([[np.trace(kron(p, e) @ rho).real for e in party] for p in alice])
-    return ConditionalTable.conditioned(joint, p_alice)
+    check_marginals(p_alice)
+    # Axes (i, a, k, c) to (k, i, a, c).
+    probs = (joint / p_alice[:, None]).reshape(2, 2, 2, 2)
+    return ConditionalTable(probs.transpose(2, 0, 1, 3))
 
 
 def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
@@ -380,21 +354,20 @@ def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
     outcomes; the party's own statistics use its effects on the propagated
     state.
     """
-    settings = spec.bob if party == BOB else spec.eves[_party_index(spec, party)]
-    return pauli_state(spec, party).table(spec.alice, settings)
+    n = _party_index(spec, party)
+    settings = spec.bob if party == BOB else spec.eves[n]
+    directions, sharpness, states = _positions(spec, spec.eves[:n] + (settings,))
+    last = Assemblage(states.p_alice, states.bloch[-1])
+    return last.table(directions[-1], sharpness[-1])
 
 
 def tables(spec: ChainSpec) -> ConditionalTable:
     """Conditional tables of Eve 1..N and then Bob, stacked (N+1, 2, 2, 2, 2).
 
-    One pass: the N Eve maps and effect rows are built as arrays, the N+1
-    states are propagated as one (N+1, 4, 4) stack and validated together,
-    and every table comes from one stacked product.  Entry j equals
+    One pass: the N Eve maps are built as arrays, the N+1 assemblages are
+    propagated as one (N+1, 4, 3) stack, and every table comes from one
+    stacked product, validated together.  Entry j equals
     ``conditional_table`` of party j+1 bit for bit.
     """
-    directions, sharpness = _setting_arrays(spec.eves)
-    states = _chain_states(spec, directions, sharpness)
-    rows = np.concatenate(
-        (_effect_rows(directions, sharpness), spec.bob.effect_rows[None])
-    )
-    return states.tables(spec.alice.effect_rows, rows)
+    directions, sharpness, states = _positions(spec, spec.eves + (spec.bob,))
+    return states.table(directions, sharpness)

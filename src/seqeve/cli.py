@@ -11,11 +11,11 @@ Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
 Exit codes: 0 success, 2 input error (a ScenarioError, which names the field
-or option, or output that cannot be written), 3 a degenerate branch or an
-Alice outcome too improbable to condition on, 4 reference-value mismatch,
-5 any other failure, which is the program's.  Output files are
+or option, or results or help that cannot be written), 3 a degenerate branch
+or an Alice outcome too improbable to condition on, 4 reference-value
+mismatch, 5 any other failure, which is the program's.  Output files are
 byte-identical across runs for identical inputs; run metadata is in '#'
-header lines.  ``_emit`` is the one writer of results, to a file or stdout.
+header lines.  ``_emit`` is the one writer of results and help.
 """
 
 from __future__ import annotations
@@ -250,8 +250,21 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Help goes through ``_emit``: argparse's writer drops an OSError and exits 0.
+
+    Subparsers are built with the parent's class, so their help does too.
+    """
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seqeve",
         allow_abbrev=False,
         description=(
@@ -326,8 +339,8 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser().parse_args(_attach_dash_values(argv))
     try:
+        args = _parser().parse_args(_attach_dash_values(argv))
         return args.func(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -2,14 +2,14 @@
 
 Given a target key rate per Eve, find the minimal sharpness each Eve needs,
 and the longest chain for which Bob still beats every Eve's rate.  With the
-upstream state and the directions fixed, every entry of the new Eve's table
-is 1/2 +- lambda X / (4 p_alice), so the steering-inequality value is affine
+upstream assemblage and the directions fixed, every entry of the new Eve's
+table is 1/2 +- lambda n.r / 2, so the steering-inequality value is affine
 in her sharpness: lhs(lambda) = 1/2 + lambda C with C = lhs(1) - 1/2.  She
 measures in Bob's bases, so Bob's table on the accepted prefix is hers at
 lambda = 1 and gives the exact minimum lambda* = (1/4 + delta(target)) / C.
 The solve snaps lambda* up to the 2^-20 grid and checks it against the
 neighbouring grid point, so each Eve costs 2 grid tables plus Bob's table
-with her in place.  The accepted prefix is propagated once per Eve position.
+with her in place.  The accepted prefix moves one Eve step per position.
 A closed-form recursion valid for the maximally entangled state with
 sigma_z/sigma_x settings and unbiased inputs serves as an independent
 oracle for both searches.
@@ -20,15 +20,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .chain import (
-    BOB,
-    DEFAULT_BIAS,
-    PartySettings,
-    PauliState,
-    mub_chain,
+    BOB, DEFAULT_BIAS, MUB_DIRECTIONS, Assemblage, _eve_maps, mub_chain,
     mub_sharp_pair,
-    mub_unsharp_pair,
-    pauli_state,
 )
 from .states import bell_state
 from .steering import (
@@ -42,8 +38,9 @@ _GRID = 2**20
 EVE_UNREACHABLE = "eve-rate-unreachable"
 BOB_SUPREMACY = "bob-supremacy"
 
-# Alice's and Bob's settings in every planned chain.
+# Alice's and Bob's settings in every planned chain, and the Eves' directions.
 _MUB_SHARP = mub_sharp_pair()
+_UNBIASED = np.array(DEFAULT_BIAS)
 
 
 class InfeasibleError(RuntimeError):
@@ -87,9 +84,14 @@ def rate_from_correlation(corr: float) -> float:
     return key_rate(min(delta, 0.25))
 
 
-def _score(state: PauliState, party: PartySettings) -> SteeringReport:
-    """Report of ``party`` measuring the second qubit of ``state``."""
-    return report_from_table(state.table(_MUB_SHARP, party))
+def _score(state: Assemblage, sharpness: float) -> SteeringReport:
+    """Report of a party measuring ``state`` in Bob's bases at ``sharpness``."""
+    return report_from_table(state.table(MUB_DIRECTIONS, np.full(2, sharpness)))
+
+
+def _eve_step(state: Assemblage, sharpness: float) -> Assemblage:
+    """``state`` after an unbiased Eve in Bob's bases at ``sharpness``."""
+    return state.after(_eve_maps(MUB_DIRECTIONS, np.full(2, sharpness), _UNBIASED))
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
@@ -97,13 +99,13 @@ def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
     return report(mub_chain(tuple(lambdas)), BOB).key_rate
 
 
-def _min_sharpness(upstream: PauliState, sharp_lhs: float, target_rate: float) -> float:
+def _min_sharpness(upstream: Assemblage, sharp_lhs: float, target_rate: float) -> float:
     """Smallest grid sharpness at ``upstream``, where lhs(1) = ``sharp_lhs``."""
     # lhs(lambda) = 1/2 + lambda (lhs(1) - 1/2) must reach 3/4 + delta(target).
     exact = (0.25 + delta_for_rate(target_rate)) / (sharp_lhs - 0.5)
 
     def reaches(k: int) -> bool:
-        return _score(upstream, mub_unsharp_pair(k / _GRID)).key_rate >= target_rate
+        return _score(upstream, k / _GRID).key_rate >= target_rate
 
     # Roundoff can put the exact minimum on either side of a grid point.
     k = min(max(math.ceil(exact * _GRID), 1), _GRID)
@@ -126,8 +128,10 @@ def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     """
     check_target_rate(target_rate)
     prefix = tuple(prefix)
-    upstream = pauli_state(mub_chain(prefix), BOB)
-    sharp = _score(upstream, _MUB_SHARP)
+    upstream = Assemblage.of(bell_state(), _MUB_SHARP)
+    for lam in prefix:
+        upstream = _eve_step(upstream, lam)
+    sharp = _score(upstream, 1.0)
     if sharp.key_rate < target_rate:
         raise InfeasibleError(
             len(prefix) + 1,
@@ -146,13 +150,13 @@ def max_eves(target_rate: float) -> PlanResult:
     """
     check_target_rate(target_rate)
     accepted: tuple[float, ...] = ()
-    upstream = PauliState.of(bell_state())
-    bob = _score(upstream, _MUB_SHARP)
+    upstream = Assemblage.of(bell_state(), _MUB_SHARP)
+    bob = _score(upstream, 1.0)
     # Bob's table is a projective next Eve's, and its rate stays above the target.
     while True:
         lam = _min_sharpness(upstream, bob.lhs, target_rate)
-        candidate = upstream.after(mub_unsharp_pair(lam), DEFAULT_BIAS)
-        after = _score(candidate, _MUB_SHARP)
+        candidate = _eve_step(upstream, lam)
+        after = _score(candidate, 1.0)
         if after.key_rate <= target_rate:
             break
         accepted += (lam,)

@@ -6,7 +6,8 @@ state is always of the form (U_alice x I)(cos t |00> + sin t |11>).  The
 whole binary tree of outcome histories is therefore precomputable from the
 initial tilt angle and the list of weak angles alone.  For every leaf,
 Alice can evaluate the steering inequality with either the tilt-matched
-("canonical") second setting or the sine-adapted ("adapted") one.
+("canonical") second setting or the sine-adapted ("adapted") one; the
+leaf's table is the no-Eve case of ``chain.Assemblage``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ConditionalTable
+from .chain import MUB_DIRECTIONS, Assemblage, ConditionalTable
 from .linalg import ATOL, ID2
 from .measurement import WeakKrausSetting, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
@@ -231,30 +232,22 @@ def branch_conditional_table(theta: float, alice_choice: str) -> ConditionalTabl
     """Alice/Bob conditional table of a branch of Schmidt angle theta.
 
     Alice's unitary cancels (it conjugates her observables and the state
-    alike), so the table is a closed form in the Schmidt amplitudes of
+    alike), so the table is the no-Eve ``Assemblage`` of
     cos(t)|00> + sin(t)|11>.  Alice measures cos(phi) sz + sin(phi) sx with
     phi = 0 for input 0 and, for input 1, phi = 2t (canonical) or
-    atan(sin 2t) (adapted).  Her outcome's eigenvector (x, y) leaves Bob
-    v = (x cos t, y sin t) with p_alice = |v|^2, and Bob's sigma_z and sigma_x
-    outcomes follow from v_0^2 and (v_0 +- v_1)^2 / 2.
+    atan(sin 2t) (adapted); Bob measures sz and sx.
     """
     if alice_choice not in ALICE_STRATEGIES:
         raise ValueError(
             f"alice_choice must be one of {ALICE_STRATEGIES}, got {alice_choice!r}"
         )
     check_tilt_angle(theta)
-    cos_t, sin_t = math.cos(theta), math.sin(theta)
     second = (
         2.0 * theta if alice_choice == CANONICAL else math.atan(math.sin(2.0 * theta))
     )
-    joint = np.empty((4, 4))  # row 2i + a, column 2k + c
-    for i, phi in enumerate((0.0, second)):
-        cos_h, sin_h = math.cos(0.5 * phi), math.sin(0.5 * phi)
-        for a, (x, y) in enumerate(((cos_h, sin_h), (-sin_h, cos_h))):
-            v0, v1 = x * cos_t, y * sin_t
-            plus, minus = 0.5 * (v0 + v1) ** 2, 0.5 * (v0 - v1) ** 2
-            joint[2 * i + a] = (v0 * v0, v1 * v1, plus, minus)
-    return ConditionalTable.conditioned(joint, joint[:, 0] + joint[:, 1])
+    amp = ((math.cos(theta), 0.0), (0.0, math.sin(theta)))
+    leaf = Assemblage.start(amp, ((0.0, 0.0), (second, 0.0)))
+    return leaf.table(MUB_DIRECTIONS, np.ones(2))  # Bob's sharp sz and sx
 
 
 def leaf_report(theta: float, alice_choice: str) -> SteeringReport:

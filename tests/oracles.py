@@ -1,18 +1,19 @@
-"""Slow general routes: oracles for the closed forms in ``seqeve``.
+"""Slow general routes: oracles for the assemblage kernel in ``seqeve``.
 
 The chain is propagated with each Eve's Lueders channel, Kraus operators
 lifted to two qubits, and the branch tables of the weak strategy are taken
 with Alice's observables conjugated by each leaf's own unitary.  Every table
-comes from operator traces (``chain.table_from_operators``), so none of the
-closed-form propagation or table arithmetic checked here is shared.  The
-stacked chain pass is also checked, bit for bit, against the per-Eve loop of
-4x4 Pauli-coordinate products and scalar steering values it replaced.  The
-planner's exact sharpness solve is checked against plain bisection, and the
-closed-form square root of an effect against a spectral one.  The command
-line's row writer is checked against a renderer that formats every cell of
-every row.  The Schmidt form is checked by reassembling the state from it,
-and the scenario reader by parsing back the canonical document of a
-scenario.
+comes from operator traces, so none of the kernel's amplitudes, Bloch maps or
+table arithmetic checked here is shared.  The Choi state of an Eve's Bloch
+map shows that the map is completely positive, which no check on the
+conditional states can see.  The stacked chain pass is also checked, bit for
+bit, against a per-Eve loop of the kernel with maps and settings arrays built
+setting by setting and scalar steering values.  The planner's exact
+sharpness solve is checked against plain bisection, and the closed-form
+square root of an effect against a spectral one.  The command line's row
+writer is checked against a renderer that formats every cell of every row.
+The Schmidt form is checked by reassembling the state from it, and the
+scenario reader by parsing back the canonical document of a scenario.
 """
 
 import json
@@ -24,13 +25,12 @@ import yaml
 
 from seqeve.chain import (
     ZERO_PROB_ATOL,
+    Assemblage,
     ChainSpec,
     ConditionalTable,
     PartySettings,
-    PauliState,
     UnsharpSetting,
     ZeroProbabilityError,
-    mub_sharp_pair,
     mub_unsharp_pair,
     table_from_operators,
 )
@@ -38,6 +38,7 @@ from seqeve.linalg import (
     ATOL,
     ID2,
     PAULI_X,
+    PAULI_Y,
     PAULI_Z,
     dagger,
     is_hermitian,
@@ -247,54 +248,95 @@ def branch_table(node: BranchNode, alice_choice: str) -> ConditionalTable:
     return table_from_operators(*branch_operators(node, alice_choice))
 
 
-def alice_marginals(node: BranchNode, alice_choice: str) -> np.ndarray:
-    """P(a | i) of a leaf from operator traces, indexed [input i, outcome a]."""
-    rho, alice_grid, _ = branch_operators(node, alice_choice)
-    return np.array(
-        [[np.trace(kron(proj, ID2) @ rho).real for proj in row] for row in alice_grid]
+def branch_tables(leaves: list[BranchNode], alice_choice: str):
+    """Tables and Alice's marginals of many leaves, from operator traces, stacked.
+
+    Each leaf's state and operator grids are those of ``branch_operators``;
+    the traces of all leaves are taken together.  Returns probs[leaf, k, i,
+    a, c] and P(a | i) as marginals[leaf, i, a].
+    """
+    grids = [branch_operators(leaf, alice_choice) for leaf in leaves]
+    rho = np.array([g[0] for g in grids]).reshape(-1, 2, 2, 2, 2)
+    alice = np.array([g[1] for g in grids])  # [leaf, i, a, row, column]
+    bob = np.array(grids[0][2])  # [k, c, row, column], the same for every leaf
+    # Tr((A x B) rho) = sum A[x, y] B[u, v] rho[(y, v), (x, u)].
+    joint = np.einsum("liaxy,kcuv,lyvxu->lkiac", alice, bob, rho).real
+    marginals = np.einsum("liaxy,lyuxu->lia", alice, rho).real
+    return joint / marginals[:, None, :, :, None], marginals
+
+
+def joint_table(alice: PartySettings, party: PartySettings, rho: np.ndarray):
+    """(P(a | i), P(a, c | i, k)) of ``party`` versus Alice from operator traces.
+
+    Indexed [i, a] and [k, i, a, c]; nothing is divided by Alice's marginal.
+    """
+    alice_projs = [kron(projector(s, a), ID2) for s in alice.settings for a in (0, 1)]
+    party_ops = [
+        kron(ID2, _outcome_effect(s, c)) for s in party.settings for c in (0, 1)
+    ]
+    p_alice = np.array([np.trace(p @ rho).real for p in alice_projs])
+    joint = np.array(
+        [[np.trace(p @ e @ rho).real for e in party_ops] for p in alice_projs]
     )
+    return p_alice.reshape(2, 2), joint.reshape(2, 2, 2, 2).transpose(2, 0, 1, 3)
 
 
-def pauli_effect_rows(party: PartySettings) -> np.ndarray:
-    """Rows (1, +-lambda n) of 2E, one per (input, outcome), built setting by setting."""
-    rows = np.ones((4, 4))
-    for k, setting in enumerate(party.settings):
-        lam = setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0
-        vec = lam * setting.direction.unit_vector()
-        rows[2 * k, 1:] = vec
-        rows[2 * k + 1, 1:] = -vec
-    return rows
+def party_arrays(party: PartySettings) -> tuple[np.ndarray, np.ndarray]:
+    """Unit directions (2, 3) and sharpnesses (2,) of a party, setting by setting."""
+    directions = np.array([s.direction.unit_vector() for s in party.settings])
+    sharpness = np.array(
+        [s.sharpness if isinstance(s, UnsharpSetting) else 1.0 for s in party.settings]
+    )
+    return directions, sharpness
 
 
-def pauli_eve_map(eve: PartySettings, bias: float) -> np.ndarray:
-    """One Eve's input-averaged Lueders channel on Pauli coordinates, 4x4."""
-    out = np.zeros((4, 4))
-    out[0, 0] = 1.0
+def eve_map(eve: PartySettings, bias: float) -> np.ndarray:
+    """One Eve's input-averaged Lueders channel on the Bloch ball, 3x3."""
+    out = np.zeros((3, 3))
     for weight, setting in zip((bias, 1.0 - bias), eve.settings):
         n = setting.direction.unit_vector()
         along = np.outer(n, n)
         quality = math.sqrt(1.0 - setting.sharpness * setting.sharpness)
-        out[1:, 1:] += weight * (along + quality * (np.eye(3) - along))
+        out += weight * (along + quality * (np.eye(3) - along))
     return out
 
 
-def pauli_table(coords: np.ndarray, alice: PartySettings, party: PartySettings):
-    """probs[k, i, a, c] of one state's Pauli coordinates, in closed form."""
-    alice_rows = pauli_effect_rows(alice)
-    p_alice = 0.5 * (alice_rows @ coords[:, 0])
-    joint = 0.25 * (alice_rows @ coords @ pauli_effect_rows(party).T)
-    return (joint / p_alice[:, None]).reshape(2, 2, 2, 2).transpose(2, 0, 1, 3)
+def eve_step(state: Assemblage, eve: PartySettings, bias: float) -> Assemblage:
+    return state.after(eve_map(eve, bias))
 
 
-def pauli_tables(spec: ChainSpec) -> list[np.ndarray]:
-    """Tables of Eve 1..N and then Bob, one 4x4 state and one Eve map at a time."""
-    coords = PauliState.of(spec.initial).coords
-    out = []
+def kernel_positions(spec: ChainSpec) -> list[Assemblage]:
+    """Assemblage seen by Eve 1..N and then by Bob, one Eve step at a time."""
+    state = Assemblage.of(spec.initial, spec.alice)
+    out = [state]
     for eve, bias in zip(spec.eves, spec.input_bias):
-        out.append(pauli_table(coords, spec.alice, eve))
-        coords = coords @ pauli_eve_map(eve, bias).T
-    out.append(pauli_table(coords, spec.alice, spec.bob))
+        state = eve_step(state, eve, bias)
+        out.append(state)
     return out
+
+
+def kernel_tables(spec: ChainSpec) -> list[np.ndarray]:
+    """Tables of Eve 1..N and then Bob, one position and one party at a time."""
+    measured = list(spec.eves) + [spec.bob]
+    return [
+        state.table(*party_arrays(party)).probs
+        for state, party in zip(kernel_positions(spec), measured)
+    ]
+
+
+def choi_state(bloch_map: np.ndarray) -> np.ndarray:
+    """(I x Phi)(|Phi+><Phi+|) of the unital qubit channel r <- bloch_map r.
+
+    The channel is completely positive exactly when this is a state.  Bell
+    coordinates R = diag(1, 1, -1, 1) in the Pauli basis go through the map
+    on their second-qubit columns.
+    """
+    coords = np.diag([1.0, 1.0, -1.0, 1.0])
+    coords[:, 1:] = coords[:, 1:] @ bloch_map.T
+    paulis = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
+    return sum(
+        coords[m, n] * kron(paulis[m], paulis[n]) for m in range(4) for n in range(4)
+    ) / 4.0
 
 
 def scalar_fgi_lhs(probs: np.ndarray) -> float:
@@ -312,16 +354,17 @@ BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 50
 
 
-def _mub_rate(state: PauliState, party: PartySettings) -> float:
-    """Key rate of ``party`` measuring the second qubit of ``state``."""
-    return report_from_table(state.table(mub_sharp_pair(), party)).key_rate
+def _mub_rate(state: Assemblage, sharpness: float) -> float:
+    """Key rate of a party measuring ``state`` in the sigma_z/sigma_x bases."""
+    party = party_arrays(mub_unsharp_pair(sharpness))
+    return report_from_table(state.table(*party)).key_rate
 
 
 def bisect_min_sharpness(
-    upstream: PauliState, position: int, target_rate: float
+    upstream: Assemblage, position: int, target_rate: float
 ) -> float:
-    """Bisection for the Eve at ``position`` who sees the state ``upstream``."""
-    if _mub_rate(upstream, mub_unsharp_pair(1.0)) < target_rate:
+    """Bisection for the Eve at ``position`` who sees the assemblage ``upstream``."""
+    if _mub_rate(upstream, 1.0) < target_rate:
         raise InfeasibleError(
             position,
             EVE_UNREACHABLE,
@@ -332,7 +375,7 @@ def bisect_min_sharpness(
         if hi - lo < BISECTION_TOL:
             break
         mid = 0.5 * (lo + hi)
-        if _mub_rate(upstream, mub_unsharp_pair(mid)) >= target_rate:
+        if _mub_rate(upstream, mid) >= target_rate:
             hi = mid
         else:
             lo = mid

@@ -222,8 +222,8 @@ class TestConditionalTable:
                 )
 
     def test_lazy_alice_equals_explicit_forking(self):
-        # Fold Alice's projector in before the first Eve's update and compare
-        # with the lazy route used by conditional_table.
+        # Fold Alice's projector into the 4x4 state before the first Eve's
+        # update and compare with conditional_table.
         spec = mub_chain((0.552, 0.602))
         state = spec.initial.to_density()
         table = conditional_table(spec, 2)

@@ -1,16 +1,18 @@
-"""Property tests: the Pauli-coordinate chain kernel against the 4x4 oracle.
+"""Property tests: the assemblage kernel against the 4x4 oracle.
 
 ``tests/oracles.py`` propagates 4x4 density matrices with explicit Kraus
-operators; ``seqeve.chain`` must agree with it on general chains.  The
-planner's exact solve assumes that the steering value is affine in the new
-Eve's sharpness, and its snap to the 2^-20 grid assumes that the rates are
-monotone in it.  Both are checked here as well.
+operators; ``seqeve.chain`` must agree with it on general chains, from
+random complex pure states and explicit directions.  Each Eve's Bloch map
+must be completely positive, which the kernel's checks on conditional
+states cannot see.  The planner's exact solve assumes that the steering
+value is affine in the new Eve's sharpness, and its snap to the 2^-20 grid
+assumes that the rates are monotone in it.  Both are checked here as well.
 """
 
 import math
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,15 +21,17 @@ from seqeve import (
     BlochDirection,
     ChainSpec,
     PartySettings,
+    PureTwoQubitState,
     SharpSetting,
     UnsharpSetting,
     mub_chain,
     report,
     tilted_state,
 )
-from seqeve.chain import PauliState, conditional_table, propagate, tables
-from seqeve.linalg import COMPOSED_ATOL, ID2, kron
-from seqeve.measurement import projector
+from seqeve.chain import (
+    ZeroProbabilityError, Assemblage, _eve_maps, conditional_table, propagate, tables
+)
+from seqeve.linalg import ATOL, COMPOSED_ATOL
 from seqeve.steering import MAX_DELTA, THRESHOLD, fgi_lhs, reports
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -39,23 +43,54 @@ MAX_PREFIX = 6
 directions = st.builds(
     BlochDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)
 )
+# Directions off the x-z plane.
+tilted_directions = st.builds(
+    BlochDirection,
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi, exclude_min=True, exclude_max=True).filter(
+        lambda phi: phi != math.pi
+    ),
+)
 sharpness = st.floats(0.01, 1.0)
 biases = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 
-def sharp_pairs():
+def sharp_pairs(angles=directions):
     return st.builds(
         PartySettings,
-        st.builds(SharpSetting, directions),
-        st.builds(SharpSetting, directions),
+        st.builds(SharpSetting, angles),
+        st.builds(SharpSetting, angles),
     )
 
 
-def unsharp_pairs():
+def unsharp_pairs(angles=directions):
     return st.builds(
         PartySettings,
-        st.builds(UnsharpSetting, directions, sharpness),
-        st.builds(UnsharpSetting, directions, sharpness),
+        st.builds(UnsharpSetting, angles, sharpness),
+        st.builds(UnsharpSetting, angles, sharpness),
+    )
+
+
+@st.composite
+def pure_states(draw):
+    """Random pure states with complex amplitudes, not only tilted ones."""
+    parts = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8)))
+    amp = parts[:4] + 1j * parts[4:]
+    norm = np.linalg.norm(amp)
+    assume(norm > 0.1)
+    return PureTwoQubitState(amp / norm)
+
+
+@st.composite
+def general_chains(draw):
+    n = draw(st.integers(0, MAX_EVES))
+    eves = draw(st.lists(unsharp_pairs(tilted_directions), min_size=n, max_size=n))
+    return ChainSpec(
+        initial=draw(pure_states()),
+        alice=draw(sharp_pairs(tilted_directions)),
+        eves=tuple(eves),
+        bob=draw(sharp_pairs(tilted_directions)),
+        input_bias=tuple(draw(st.floats(0.0, 1.0)) for _ in eves),
     )
 
 
@@ -120,15 +155,59 @@ def test_one_pass_reports_equal_per_party_reports(spec):
 
 
 @CHAIN_PROPERTY
+@given(general_chains())
+def test_kernel_joint_matches_the_operator_oracle(spec):
+    """p(a|i) and p(a|i) P(c|k,i,a) of every party, within 1e-12."""
+    measured = list(spec.eves) + [spec.bob]
+    expected = [
+        oracles.joint_table(spec.alice, party, rho)
+        for party, rho in zip(measured, oracles.chain_rhos(spec))
+    ]
+    try:
+        state = Assemblage.of(spec.initial, spec.alice)
+    except ZeroProbabilityError:
+        assert expected[0][0].min() < 2e-12
+        return
+    marginals = state.p_alice.reshape(2, 2)
+    joint = marginals[None, None, :, :, None] * tables(spec).probs
+    for (p_alice, oracle_joint), kernel_joint in zip(expected, joint):
+        assert np.abs(marginals - p_alice).max() <= 1e-12
+        assert np.abs(kernel_joint - oracle_joint).max() <= 1e-12
+
+
+@CHAIN_PROPERTY
 @given(chains())
 @example(explicit_chain(()))
 @example(explicit_chain((0.0, 1.0, 1.0, 0.0, 0.5)))
 def test_stacked_pass_equals_the_per_eve_loop(spec):
     """The stack does the per-Eve loop's arithmetic, so it agrees bit for bit."""
-    expected = oracles.pauli_tables(spec)
+    expected = oracles.kernel_tables(spec)
     assert np.array_equal(tables(spec).probs, np.stack(expected))
     lhs = [rep.lhs for rep in reports(spec)]
     assert lhs == [oracles.scalar_fgi_lhs(probs) for probs in expected]
+
+
+@PROPERTY
+@given(
+    directions,
+    directions,
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.floats(0.0, 1.0),
+)
+def test_eve_maps_are_completely_positive(dir0, dir1, lam0, lam1, bias):
+    eve = PartySettings(UnsharpSetting(dir0, lam0), UnsharpSetting(dir1, lam1))
+    directions = np.array([[dir0.unit_vector(), dir1.unit_vector()]])
+    step = _eve_maps(directions, np.array([[lam0, lam1]]), np.array([bias]))[0]
+    assert np.array_equal(step, oracles.eve_map(eve, bias))
+    assert np.linalg.eigvalsh(oracles.choi_state(step)).min() >= -ATOL
+
+
+def test_choi_state_sees_a_map_that_is_positive_only():
+    # The transpose keeps every Bloch vector in the ball, yet is not
+    # completely positive.
+    transpose = np.diag([1.0, -1.0, 1.0])
+    assert np.linalg.eigvalsh(oracles.choi_state(transpose)).min() < -0.4
 
 
 @CHAIN_PROPERTY
@@ -166,13 +245,13 @@ def test_rates_are_monotone_in_the_new_eve_sharpness(prefix, lam1, lam2):
 def test_steering_value_is_affine_in_the_new_eve_sharpness(
     theta, alice, upstream_eves, dir0, dir1, lam
 ):
-    state = PauliState.of(tilted_state(theta))
+    state = Assemblage.of(tilted_state(theta), alice)
     for eve, bias in upstream_eves:
-        state = state.after(eve, bias)
+        state = oracles.eve_step(state, eve, bias)
 
     def lhs(s):
         eve = PartySettings(UnsharpSetting(dir0, s), UnsharpSetting(dir1, s))
-        return fgi_lhs(state.table(alice, eve))
+        return fgi_lhs(state.table(*oracles.party_arrays(eve)))
 
     assert abs((lhs(lam) - 0.5) - lam * (lhs(1.0) - 0.5)) <= 1e-12
 
@@ -180,22 +259,15 @@ def test_steering_value_is_affine_in_the_new_eve_sharpness(
 @CHAIN_PROPERTY
 @given(chains())
 def test_alice_marginals_ignore_every_eve(spec):
-    """No signalling: P(a | i) in every party's table is its initial value."""
-    alice_projs = [
-        kron(projector(setting, a), ID2) for setting in spec.alice.settings for a in (0, 1)
-    ]
-
-    def oracle_marginals(rho):
-        return np.array([np.trace(p @ rho).real for p in alice_projs])
-
-    def kernel_marginals(state):
-        return 0.5 * (spec.alice.effect_rows @ state.coords[:, 0])
-
+    """No signalling: P(a | i) in every party's joint table is its initial value."""
     rhos = oracles.chain_rhos(spec)
-    initial = oracle_marginals(rhos[0])
-    state = PauliState.of(spec.initial)
-    assert np.abs(kernel_marginals(state) - initial).max() <= 1e-12
-    for eve, bias, rho in zip(spec.eves, spec.input_bias, rhos[1:]):
-        state = state.after(eve, bias)
-        assert np.abs(oracle_marginals(rho) - initial).max() <= 1e-12
-        assert np.abs(kernel_marginals(state) - initial).max() <= 1e-12
+    measured = list(spec.eves) + [spec.bob]
+    initial = oracles.joint_table(spec.alice, spec.bob, rhos[0])[0].reshape(4)
+    marginals = Assemblage.of(spec.initial, spec.alice).p_alice
+    assert np.abs(marginals - initial).max() <= 1e-12
+    joint = marginals.reshape(2, 2)[..., None] * tables(spec).probs
+    for party, rho, party_joint in zip(measured, rhos, joint):
+        oracle = oracles.joint_table(spec.alice, party, rho)[0].reshape(4)
+        assert np.abs(oracle - initial).max() <= 1e-12
+        # Summed over the party's outcome, for each of its inputs.
+        assert np.abs(party_joint.sum(axis=-1).reshape(2, 4) - initial).max() <= 1e-12

@@ -16,7 +16,8 @@ import seqeve.chain
 import seqeve.cli
 import seqeve.linalg
 import seqeve.unbounded
-from seqeve.chain import ConditionalTable, PauliState
+from seqeve import CANONICAL, leaf_report, loads_scenario, reports, to_chain_spec
+from seqeve.chain import Assemblage, ConditionalTable
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import max_eves
@@ -36,8 +37,19 @@ CHAIN_MIXED = Path(__file__).parent / "golden" / "chain_mixed.yaml"
 NO_EVE_DOC = "mode: chain\nstate: {kind: bell}\n"
 PROJECTIVE_EVE_DOC = "mode: chain\neves:\n  - lambda: 1.0\n"
 UNBOUNDED_SMALL = ["unbounded", "--theta1", "0.5", "--lambdas", "0.3"]
+HELP_ARGVS = [["--help"], ["plan", "--help"]]
 # An integer beyond float range, which YAML reads as a Python int.
 HUGE_INT = "1" + "0" * 400
+
+
+class FullStdout:
+    """A standard output on a full disk."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 def write(tmp_path, name, text):
@@ -168,20 +180,40 @@ class TestChainCommand:
         assert main(["chain", "--scenario", scenario]) == 2
         assert "mode" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "theta, second",
-        [("1.0e-4", "2.0e-4"), ("1.0e-4", "5.0e-5"), ("1.0e-5", "2.0e-5")],
-    )
-    def test_near_product_state_exits_3(self, tmp_path, capsys, theta, second):
-        # Alice's marginal (1e-8 to 1e-10) is too small to condition on: the
-        # closed form's roundoff, divided by it, breaks the table's invariants.
-        doc = (
+    @staticmethod
+    def near_product_doc(theta, second):
+        return (
             f"mode: chain\nstate: {{kind: tilted, theta: {theta}}}\n"
             "alice: {settings: explicit, directions: "
             f"[{{theta: 0.0}}, {{theta: {second}}}]}}\n"
         )
+
+    @pytest.mark.parametrize(
+        "theta, second, rate",
+        [
+            ("1.0e-4", "2.0e-4", "1.92359e-08"),
+            ("1.0e-4", "5.0e-5", "4.80898e-09"),
+            ("1.0e-5", "2.0e-5", "1.92359e-10"),
+        ],
+    )
+    def test_near_product_state_conditions(self, tmp_path, capsys, theta, second, rate):
+        # Alice's marginals reach 1e-10 here.  The conditional states come
+        # from amplitudes, so nothing small is divided by a small marginal.
+        doc = self.near_product_doc(theta, second)
+        assert main(["chain", "--scenario", write(tmp_path, "p.yaml", doc)]) == 0
+        assert [row["key_rate"] for row in parse_csv(capsys.readouterr().out)] == [rate]
+
+    def test_near_product_state_is_the_canonical_leaf(self):
+        spec = to_chain_spec(loads_scenario(self.near_product_doc("1.0e-4", "2.0e-4")))
+        assert reports(spec) == [leaf_report(1e-4, CANONICAL)]
+
+    def test_marginal_below_the_floor_exits_3(self, tmp_path, capsys):
+        # p(1|0) = sin(1e-7)^2 = 1.0e-14 is below ZERO_PROB_ATOL.
+        doc = self.near_product_doc("1.0e-7", "2.0e-7")
         assert main(["chain", "--scenario", write(tmp_path, "p.yaml", doc)]) == 3
-        assert capsys.readouterr().err.startswith("infeasible: Alice input ")
+        assert capsys.readouterr().err.startswith(
+            "infeasible: Alice input 0 outcome 1 has probability 1.000e-14"
+        )
 
 
 class TestWorkCounts:
@@ -195,8 +227,8 @@ class TestWorkCounts:
     def test_plan_check_paper_scores_each_chain_position_once(
         self, monkeypatch, capsys
     ):
-        tables = count_calls(monkeypatch, PauliState, "table")
-        steps = count_calls(monkeypatch, PauliState, "after")
+        tables = count_calls(monkeypatch, Assemblage, "table")
+        steps = count_calls(monkeypatch, Assemblage, "after")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         assert main(["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]) == 0
         assert capsys.readouterr().out.count(": ok (") == 15
@@ -208,8 +240,8 @@ class TestWorkCounts:
         assert len(krons) == 0
 
     def test_chain_command_propagates_once(self, monkeypatch, capsys):
-        starts = count_calls(monkeypatch, PauliState, "of")
-        passes = count_calls(monkeypatch, seqeve.chain, "_propagate_all")
+        starts = count_calls(monkeypatch, Assemblage, "start")
+        passes = count_calls(monkeypatch, Assemblage, "through")
         propagations = count_calls(monkeypatch, seqeve.chain, "propagate")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         assert main(["chain", "--scenario", str(CHAIN_MIXED)]) == 0
@@ -224,6 +256,7 @@ class TestWorkCounts:
     def test_chain_validates_every_state_and_table(
         self, monkeypatch, capsys, tmp_path, n_eves
     ):
+        checks = count_calls(monkeypatch, Assemblage, "table")
         states = count_calls(monkeypatch, TwoQubitState, "__post_init__")
         tables = count_calls(monkeypatch, ConditionalTable, "__post_init__")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
@@ -233,10 +266,11 @@ class TestWorkCounts:
         )
         assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
-        # The state seen by each Eve and by Bob, and each of their tables, all
-        # through one stacked validator call each.
-        assert [np.shape(state.rho)[:-2] for state, in states] == [(n_eves + 1,)]
+        # The assemblage seen by each Eve and by Bob, and each of their
+        # tables, all through one stacked check each; no density matrix.
+        assert [state.bloch.shape[:-2] for state, *_ in checks] == [(n_eves + 1,)]
         assert [np.shape(table.probs)[:-4] for table, in tables] == [(n_eves + 1,)]
+        assert len(states) == 0
         assert len(krons) == 0
 
     def test_unbounded_formats_each_distinct_row_tail_once(self, monkeypatch, capsys):
@@ -252,21 +286,20 @@ class TestWorkCounts:
         assert len(cells) - len(values) == len(rows) == 2**10 + 1
 
 
-# Pauli map of the transpose on the second qubit: positive, not completely
-# positive, so it leaves an entangled state with a negative eigenvalue.
-PARTIAL_TRANSPOSE = np.diag([1.0, 1.0, -1.0, 1.0])
-# Coordinates of |0><0| (x) I/2: a valid state in which Alice's sigma_z
-# outcome 1 has probability 0.
-ALICE_UP_PRODUCT = np.zeros((4, 4))
-ALICE_UP_PRODUCT[0, 0] = ALICE_UP_PRODUCT[3, 0] = 1.0
+# A Bloch map that stretches every vector by half again, so that it takes a
+# conditional state out of the Bloch ball.
+STRETCH = 1.5 * np.eye(3)
+# Amplitudes of |00>: a valid state in which Alice's sigma_z outcome 1 has
+# probability 0.
+ALICE_UP_PRODUCT = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
 
 
 class TestFaultInjection:
     """A fault at one party of a 9-Eve chain stops the stacked pass.
 
-    Each fault is injected into one entry of the stacked Eve maps, states or
-    effect rows, and must surface with the exit code and message it had when
-    every party was checked on its own.
+    Each fault is injected into one entry of the stacked Eve maps or party
+    arrays, or into the kernel's start, and must surface with its exit code
+    and message.
     """
 
     N_EVES = 9
@@ -276,41 +309,32 @@ class TestFaultInjection:
         code = main(["chain", "--scenario", write(tmp_path, "c.yaml", doc)])
         return code, capsys.readouterr().err.strip()
 
-    def corrupt(self, monkeypatch, name, fault):
-        """Wrap chain.<name> so that ``fault`` edits its (N or N+1)-deep result."""
-        original = getattr(seqeve.chain, name)
-
-        def wrapped(*args):
-            out = original(*args)
-            if len(out) >= self.N_EVES:
-                fault(out)
-            return out
-
-        monkeypatch.setattr(seqeve.chain, name, wrapped)
-
     @pytest.mark.parametrize(
-        "k, lowest", [(1, "-4.660e-01"), (4, "-4.398e-01"), (9, "-1.842e-01")]
+        "k, length", [(1, "1.500e+00"), (4, "1.487e+00"), (9, "1.345e+00")]
     )
     def test_non_physical_eve_map_exits_5(
-        self, monkeypatch, tmp_path, capsys, k, lowest
+        self, monkeypatch, tmp_path, capsys, k, length
     ):
-        def fault(maps):
-            maps[k - 1] = PARTIAL_TRANSPOSE
+        original = seqeve.chain._eve_maps
 
-        self.corrupt(monkeypatch, "_eve_maps", fault)
+        def stretched(*args):
+            maps = original(*args)
+            maps[k - 1] = STRETCH
+            return maps
+
+        monkeypatch.setattr(seqeve.chain, "_eve_maps", stretched)
         assert self.run_chain(tmp_path, capsys) == (
             5,
-            f"internal error: density matrix has negative eigenvalue {lowest}",
+            f"internal error: conditional Bloch vector has length {length}",
         )
 
-    @pytest.mark.parametrize("k", [1, 4, 10])
-    def test_zero_alice_marginal_at_one_party_exits_3(
-        self, monkeypatch, tmp_path, capsys, k
-    ):
-        def fault(coords):
-            coords[k - 1] = ALICE_UP_PRODUCT
+    def test_zero_alice_marginal_exits_3(self, monkeypatch, tmp_path, capsys):
+        original = Assemblage.start
 
-        self.corrupt(monkeypatch, "_propagate_all", fault)
+        def product_start(amp, angles):
+            return original(ALICE_UP_PRODUCT, angles)
+
+        monkeypatch.setattr(Assemblage, "start", product_start)
         assert self.run_chain(tmp_path, capsys) == (
             3,
             "infeasible: Alice input 0 outcome 1 has probability 0.000e+00",
@@ -320,10 +344,14 @@ class TestFaultInjection:
     def test_table_entry_outside_unit_interval_exits_5(
         self, monkeypatch, tmp_path, capsys, k
     ):
-        def fault(rows):
-            rows[k - 1, :, 1:] *= 20.0  # Eve k at 20 times her sharpness
+        original = Assemblage.table
 
-        self.corrupt(monkeypatch, "_effect_rows", fault)
+        def sharper(state, directions, sharpness):
+            sharpness = sharpness.copy()
+            sharpness[k - 1] *= 20.0  # Eve k at 20 times her sharpness
+            return original(state, directions, sharpness)
+
+        monkeypatch.setattr(Assemblage, "table", sharper)
         assert self.run_chain(tmp_path, capsys) == (
             5,
             "internal error: conditional probabilities must lie in [0, 1]",
@@ -497,34 +525,48 @@ class TestFileSystemErrors:
         ids=["plan", "plan-check-paper", "chain", "unbounded"],
     )
     def test_full_stdout_exits_2(self, monkeypatch, capsys, argv):
-        class FullStdout:
-            def write(self, text):
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-            def flush(self):
-                pass
-
         monkeypatch.setattr(sys, "stdout", FullStdout())
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("input error: out: cannot write")
         assert err.count("\n") == 1
 
-    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    def test_dev_full_stdout_exits_2_at_process_exit(self):
-        # Only a real process shows the interpreter's exit-time flush.
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=["seqeve", "plan"])
+    def test_help_to_full_stdout_exits_2(self, monkeypatch, capsys, argv):
+        # argparse's own help writer drops the OSError and exits 0.
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: out: cannot write standard output")
+        assert err.count("\n") == 1
+
+    @staticmethod
+    def run_to_dev_full(argv):
         src = str(Path(seqeve.cli.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         with open("/dev/full", "w") as full:
-            proc = subprocess.run(
-                [sys.executable, "-m", "seqeve.cli", "plan", "--rates", "0.1"],
+            return subprocess.run(
+                [sys.executable, "-m", "seqeve.cli", *argv],
                 env={**os.environ, "PYTHONPATH": path},
                 stdout=full,
                 stderr=subprocess.PIPE,
                 text=True,
             )
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_dev_full_stdout_exits_2_at_process_exit(self):
+        # Only a real process shows the interpreter's exit-time flush.
+        proc = self.run_to_dev_full(["plan", "--rates", "0.1"])
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("input error: out: cannot write")
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", HELP_ARGVS, ids=["seqeve", "plan"])
+    def test_help_to_dev_full_exits_2(self, argv):
+        proc = self.run_to_dev_full(argv)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("input error: out: cannot write standard output")
         assert proc.stderr.count("\n") == 1
 
 

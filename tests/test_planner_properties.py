@@ -16,10 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seqeve import BOB, bell_state, mub_chain, tilted_state
-from seqeve.chain import (
-    DEFAULT_BIAS, PauliState, mub_sharp_pair, mub_unsharp_pair, pauli_state
-)
+from seqeve import bell_state, mub_chain, tilted_state
+from seqeve.chain import DEFAULT_BIAS, Assemblage, mub_sharp_pair, mub_unsharp_pair
 from seqeve.planner import InfeasibleError, lambda_min_for_rate, max_eves
 from seqeve.steering import report_from_table
 
@@ -44,13 +42,14 @@ def outcome(solve, *args):
 @SOLVE_PROPERTY
 @given(prefixes, targets)
 def test_exact_solve_equals_bisection_bit_for_bit(prefix, target):
-    upstream = pauli_state(mub_chain(prefix), BOB)
+    upstream = oracles.kernel_positions(mub_chain(prefix))[-1]
     expected = outcome(oracles.bisect_min_sharpness, upstream, len(prefix) + 1, target)
     assert outcome(lambda_min_for_rate, tuple(prefix), target) == expected
 
 
 def bob_key_rate(state):
-    return report_from_table(state.table(mub_sharp_pair(), mub_sharp_pair())).key_rate
+    bob = oracles.party_arrays(mub_sharp_pair())
+    return report_from_table(state.table(*bob)).key_rate
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -58,11 +57,11 @@ def bob_key_rate(state):
 @example(math.nextafter(1.0, 0.0))
 @example(5e-324)
 def test_plan_equals_the_bisection_chain_bit_for_bit(target):
-    lambdas, state = (), PauliState.of(bell_state())
+    lambdas, state = (), Assemblage.of(bell_state(), mub_sharp_pair())
     while True:
         # Bob's rate stays above the target, so this never raises.
         lam = oracles.bisect_min_sharpness(state, len(lambdas) + 1, target)
-        candidate = state.after(mub_unsharp_pair(lam), DEFAULT_BIAS)
+        candidate = oracles.eve_step(state, mub_unsharp_pair(lam), DEFAULT_BIAS)
         if bob_key_rate(candidate) <= target:
             break
         lambdas, state = lambdas + (lam,), candidate
@@ -76,8 +75,10 @@ def test_plan_equals_the_bisection_chain_bit_for_bit(target):
     st.lists(st.tuples(st.floats(0.01, 1.0), st.floats(0.0, 1.0)), max_size=5),
 )
 def test_bob_table_is_the_table_at_sharpness_one(theta, eves):
-    state = PauliState.of(bell_state() if theta is None else tilted_state(theta))
+    initial = bell_state() if theta is None else tilted_state(theta)
+    state = Assemblage.of(initial, mub_sharp_pair())
     for lam, bias in eves:
-        state = state.after(mub_unsharp_pair(lam), bias)
-    at_one = state.table(mub_sharp_pair(), mub_unsharp_pair(1.0)).probs
-    assert np.array_equal(at_one, state.table(mub_sharp_pair(), mub_sharp_pair()).probs)
+        state = oracles.eve_step(state, mub_unsharp_pair(lam), bias)
+    at_one = state.table(*oracles.party_arrays(mub_unsharp_pair(1.0))).probs
+    bob = state.table(*oracles.party_arrays(mub_sharp_pair())).probs
+    assert np.array_equal(at_one, bob)

@@ -1,9 +1,10 @@
 """Property tests: the scalar unbounded route against the branch-tree oracle.
 
 ``branch_tree`` builds every outcome history with an SVD per node and
-``oracles.branch_table`` takes each leaf's table from 4x4 operator traces
-with the leaf's own Alice unitary; they stay the reference.  ``leaf_theta``,
-the closed-form branch table and ``seqeve unbounded`` must agree with them.
+``oracles.branch_tables`` takes the leaves' tables from 4x4 operator traces
+with each leaf's own Alice unitary; they stay the reference.  ``leaf_theta``,
+the leaf table (the no-Eve case of the assemblage kernel) and
+``seqeve unbounded`` must agree with them.
 """
 
 import math
@@ -52,12 +53,13 @@ def oracle_report(leaf, choice):
 def test_closed_form_tables_match_the_operator_oracle(tree):
     # The oracle divides a trace by Alice's marginal P(a|i), so its entries
     # carry roundoff of about 1e-16 / P(a|i); compare the joint P(a, c|i, k).
-    for leaf in branch_tree(*tree):
-        for choice in (CANONICAL, ADAPTED):
-            closed = branch_conditional_table(leaf.theta, choice).probs
-            oracle = oracles.branch_table(leaf, choice).probs
-            marginal = oracles.alice_marginals(leaf, choice)[None, :, :, None]
-            assert np.abs((closed - oracle) * marginal).max() <= 1e-12
+    leaves = branch_tree(*tree)
+    for choice in (CANONICAL, ADAPTED):
+        oracle, marginals = oracles.branch_tables(leaves, choice)
+        for leaf, expected, marginal in zip(leaves, oracle, marginals):
+            kernel = branch_conditional_table(leaf.theta, choice).probs
+            joint_error = (kernel - expected) * marginal[None, :, :, None]
+            assert np.abs(joint_error).max() <= 1e-12
 
 
 @PROPERTY
