@@ -203,11 +203,22 @@ class Assemblage:
 
     ``p_alice[2i + a]`` is p(a|i) and ``bloch[..., 2i + a, :]`` is r_{ia}.
     ``bloch`` may carry leading stack axes, such as the N+1 positions of a
-    chain, which share the one ``p_alice``.
+    chain, which share the one ``p_alice``.  Raises InvariantError unless
+    every r_{ia} lies in the Bloch ball and sum_a p(a|i) r_{ia}, the second
+    qubit's reduced state, is the same for both inputs, within ATOL.
     """
 
     p_alice: np.ndarray
     bloch: np.ndarray
+
+    def __post_init__(self) -> None:
+        length = np.sqrt((self.bloch * self.bloch).sum(axis=-1)).max()
+        if not length <= 1.0 + ATOL:  # "not <=" so that NaN fails too
+            raise InvariantError(f"conditional Bloch vector has length {length:.3e}")
+        # sum_a p(a|0) r_{0a} - sum_a p(a|1) r_{1a}
+        drift = (self.p_alice * _INPUT_SIGN) @ self.bloch
+        if not np.abs(drift).max() <= ATOL:
+            raise InvariantError("Alice's input signals to the second qubit")
 
     @classmethod
     def start(cls, amp, angles) -> Assemblage:
@@ -256,17 +267,8 @@ class Assemblage:
         """Table of the party measuring the second qubit, one per stacked position.
 
         ``directions`` (..., 2, 3) and ``sharpness`` (..., 2) are the party's
-        per input, as from ``_setting_arrays``.  Raises InvariantError unless
-        every r_{ia} lies in the Bloch ball and sum_a p(a|i) r_{ia}, the
-        second qubit's reduced state, is the same for both inputs, within ATOL.
+        per input, as from ``_setting_arrays``.
         """
-        length = np.sqrt((self.bloch * self.bloch).sum(axis=-1)).max()
-        if not length <= 1.0 + ATOL:  # "not <=" so that NaN fails too
-            raise InvariantError(f"conditional Bloch vector has length {length:.3e}")
-        # sum_a p(a|0) r_{0a} - sum_a p(a|1) r_{1a}
-        drift = (self.p_alice * _INPUT_SIGN) @ self.bloch
-        if not np.abs(drift).max() <= ATOL:
-            raise InvariantError("Alice's input signals to the second qubit")
         half = (0.5 * sharpness)[..., None] * directions
         dots = (half @ self.bloch.swapaxes(-1, -2))[..., None]  # [k, 2i + a]
         probs = 0.5 + dots * _OUTCOME_SIGN

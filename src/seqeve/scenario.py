@@ -10,18 +10,27 @@ Angles are radians; the string form "deg:30" is degrees.  An unreadable
 file (missing, not UTF-8, a NUL in its path) and a number beyond float range
 are ScenarioErrors too.
 
-Documents are parsed with PyYAML's libyaml loader (``CSafeLoader``) when
-PyYAML was built with it, else with the pure-Python ``SafeLoader``; both
-build the same document.  A ``%YAML`` directive other than 1.1 or 1.2, a
-constructor error and nesting deeper than MAX_NESTING (or than Python's
-recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
-imported on the first read: ``plan`` and ``unbounded`` never load it.
+Documents are composed by PyYAML's libyaml loader (``CSafeLoader``) when
+PyYAML was built with it, else by the pure-Python ``SafeLoader``; both
+build the same node graph.  ``_plain`` turns the nodes into dicts, lists
+and scalars, each scalar by the constructor ``yaml.load`` would run, so
+the document is ``yaml.load``'s without PyYAML's Python constructor.  A
+graph that it does not model goes through ``yaml.load`` instead: a
+collection reached twice (an alias of it, or a cycle), a merge key
+``<<``, a value key ``=``, a key that is not a scalar, a collection
+tagged other than a plain sequence or mapping (``!!set``, ``!!omap``,
+``!!pairs``, ``!!str [..]``), and a scalar with a collection or unknown
+tag.  A ``%YAML`` directive other than 1.1 or 1.2, a constructor error
+and nesting deeper than MAX_NESTING (or than Python's recursion limit)
+are ``not valid YAML`` like a syntax error.  yaml is imported on the
+first read: ``plan`` and ``unbounded`` never load it.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -244,8 +253,101 @@ def _parse_output(raw: object) -> OutputSpec:
     return OutputSpec(fmt, path)
 
 
-def loads_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document."""
+class _Unmodelled(Exception):
+    """A node that ``_plain`` leaves to ``yaml.load``."""
+
+
+_CORE = "tag:yaml.org,2002:"
+_STR, _FLOAT, _MERGE = _CORE + "str", _CORE + "float", _CORE + "merge"
+_SEQ, _MAP = _CORE + "seq", _CORE + "map"
+# The scalars built by their constructor; '<<', '=' and other tags fall back.
+_SCALAR_TAGS = frozenset(
+    _CORE + name for name in ("null", "bool", "int", "float", "binary", "timestamp")
+)
+# Float spellings left to the constructor: 1_0, 1:30 (base 60), .inf, .nan.
+_NOT_PLAIN_FLOAT = frozenset("_:nN")
+
+
+def _malformed(exc: Exception) -> ValueError:
+    """The ValueError for a LookupError or AttributeError that a constructor
+    raised on a malformed tagged scalar: !!int "", !!bool x, !!timestamp x."""
+    return ValueError(str(exc))
+
+
+def _plain(root):
+    """What ``yaml.load`` builds from the composed node ``root``.
+
+    Containers are filled in first-in first-out order, keys before values,
+    which is the order of ``construct_document``, so the first bad scalar
+    raises the same error.  A float without the characters above is read
+    by ``float``, which gives what the constructor gives bit for bit or
+    raises ValueError, such as on '--1', where the constructor takes over.
+    An alias of a scalar is read again: its value is immutable.  Raises
+    _Unmodelled on a node that the module docstring lists as falling back.
+    """
+    from yaml import YAMLError
+    from yaml.constructor import SafeConstructor
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
+    constructor = SafeConstructor()
+    build = constructor.yaml_constructors
+    pending = deque()  # (collection node, its container yet to fill)
+    seen = set()  # ids of the collection nodes reached
+
+    def read(node):
+        kind, tag = node.__class__, node.tag
+        if kind is ScalarNode:
+            if tag == _STR:
+                return node.value
+            if tag == _FLOAT and _NOT_PLAIN_FLOAT.isdisjoint(node.value):
+                try:
+                    return float(node.value)
+                except ValueError:
+                    pass
+            if tag in _SCALAR_TAGS:
+                construct = build[tag]
+                try:
+                    return construct(constructor, node)
+                except (LookupError, AttributeError) as exc:
+                    raise _malformed(exc) from None
+        elif id(node) not in seen:
+            seen.add(id(node))
+            if kind is SequenceNode and tag == _SEQ:
+                data = []
+            elif kind is MappingNode and tag == _MAP:
+                data = {}
+            else:
+                raise _Unmodelled
+            pending.append((node, data))
+            return data
+        raise _Unmodelled
+
+    node = root
+    try:
+        document = read(root)
+        while pending:
+            node, data = pending.popleft()
+            if data.__class__ is list:
+                data.extend([read(child) for child in node.value])
+                continue
+            for key_node, value_node in node.value:
+                if key_node.__class__ is not ScalarNode:
+                    raise _Unmodelled
+                key = read(key_node)
+                data[key] = read(value_node)
+    except (YAMLError, ValueError):
+        # The constructor reads a merge key's pairs ahead of the rest of
+        # their mapping, so yaml.load may meet another bad scalar first.
+        if node.__class__ is MappingNode and any(
+            key_node.tag == _MERGE for key_node, _ in node.value
+        ):
+            raise _Unmodelled from None
+        raise
+    return document
+
+
+def _document(text: str) -> object:
+    """The YAML document of ``text`` as ``yaml.load`` builds it."""
     import yaml
 
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -266,11 +368,23 @@ def loads_scenario(text: str) -> Scenario:
                 depth -= isinstance(event, yaml.CollectionEndEvent)
                 if depth > MAX_NESTING:
                     raise yaml.YAMLError(f"nested deeper than {MAX_NESTING} levels")
-        raw = yaml.load(text, Loader=loader)
+        root = yaml.compose(text, Loader=loader)
+        try:
+            return None if root is None else _plain(root)
+        except _Unmodelled:
+            pass
+        try:
+            return yaml.load(text, Loader=loader)
+        except (LookupError, AttributeError) as exc:
+            raise _malformed(exc) from None
     # The constructor raises a plain ValueError on a bad tagged scalar: !!int "0x".
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
-    mapping = _require_mapping(raw, "scenario")
+
+
+def loads_scenario(text: str) -> Scenario:
+    """Parse and validate a scenario document."""
+    mapping = _require_mapping(_document(text), "scenario")
     # Checked before the keys, so a document of another mode is named as such.
     mode = mapping.get("mode")
     if mode != "chain":

@@ -1,4 +1,7 @@
-"""Shared random-object generators for the test suite (always seeded by callers)."""
+"""Shared random-object generators for the test suite (always seeded by
+callers), and a call counter."""
+
+import sys
 
 import numpy as np
 
@@ -42,3 +45,21 @@ def random_hermitian2(rng: np.random.Generator) -> np.ndarray:
 def random_hermitian4(rng: np.random.Generator) -> np.ndarray:
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     return 0.5 * (a + a.conj().T)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Count calls of owner.<name> through every seqeve binding."""
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "seqeve" or mod_name.startswith("seqeve."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import count_calls
 import seqeve.chain
 import seqeve.cli
 import seqeve.linalg
@@ -63,24 +64,6 @@ def latin1_scenario(tmp_path):
     path = tmp_path / "latin1.yaml"
     path.write_bytes("mode: chain  # \u00e9\n".encode("latin-1"))
     return str(path)
-
-
-def count_calls(monkeypatch, owner, name):
-    """Count calls of owner.<name> through every seqeve binding."""
-    original = getattr(owner, name)
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counted)
-    for mod_name, module in list(sys.modules.items()):
-        if mod_name == "seqeve" or mod_name.startswith("seqeve."):
-            for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
-    return calls
 
 
 def explicit_chain_doc(n_eves, alice=""):
@@ -227,6 +210,7 @@ class TestWorkCounts:
     def test_plan_check_paper_scores_each_chain_position_once(
         self, monkeypatch, capsys
     ):
+        checks = count_calls(monkeypatch, Assemblage, "__post_init__")
         tables = count_calls(monkeypatch, Assemblage, "table")
         steps = count_calls(monkeypatch, Assemblage, "after")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
@@ -237,6 +221,9 @@ class TestWorkCounts:
         # candidate Eve, which is also the next Eve's table at sharpness 1.
         assert len(tables) == 3 + 12 * 2 + 12
         assert len(steps) == 12
+        # Each assemblage is checked once, where it is built: 3 starts and
+        # the 12 steps, not once per table.
+        assert len(checks) == 3 + 12
         assert len(krons) == 0
 
     def test_chain_command_propagates_once(self, monkeypatch, capsys):
@@ -256,7 +243,8 @@ class TestWorkCounts:
     def test_chain_validates_every_state_and_table(
         self, monkeypatch, capsys, tmp_path, n_eves
     ):
-        checks = count_calls(monkeypatch, Assemblage, "table")
+        checks = count_calls(monkeypatch, Assemblage, "__post_init__")
+        scored = count_calls(monkeypatch, Assemblage, "table")
         states = count_calls(monkeypatch, TwoQubitState, "__post_init__")
         tables = count_calls(monkeypatch, ConditionalTable, "__post_init__")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
@@ -266,9 +254,10 @@ class TestWorkCounts:
         )
         assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
-        # The assemblage seen by each Eve and by Bob, and each of their
-        # tables, all through one stacked check each; no density matrix.
-        assert [state.bloch.shape[:-2] for state, *_ in checks] == [(n_eves + 1,)]
+        # Alice's start, then the assemblage seen by each Eve and by Bob,
+        # scored in one stacked table; no density matrix.
+        assert [state.bloch.shape[:-2] for state, in checks] == [(), (n_eves + 1,)]
+        assert [state.bloch.shape[:-2] for state, *_ in scored] == [(n_eves + 1,)]
         assert [np.shape(table.probs)[:-4] for table, in tables] == [(n_eves + 1,)]
         assert len(states) == 0
         assert len(krons) == 0

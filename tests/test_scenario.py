@@ -14,6 +14,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import count_calls
 from oracles import dumps_scenario
 import seqeve
 import seqeve.cli
@@ -169,14 +170,14 @@ def test_cli_import_leaves_yaml_unloaded():
 @needs_libyaml
 def test_parses_with_libyaml_and_falls_back_to_safe_loader(monkeypatch):
     used = []
-    real_load = yaml.load
+    real_compose = yaml.compose
     c_loader = yaml.CSafeLoader
 
     def spy(stream, Loader):
         used.append(Loader)
-        return real_load(stream, Loader=Loader)
+        return real_compose(stream, Loader=Loader)
 
-    monkeypatch.setattr(yaml, "load", spy)
+    monkeypatch.setattr(yaml, "compose", spy)
     first = loads_scenario(EXPLICIT_DOC)
     monkeypatch.delattr(yaml, "CSafeLoader")
     assert loads_scenario(EXPLICIT_DOC) == first
@@ -383,6 +384,199 @@ def test_both_loaders_agree_on_near_valid_documents(tmp_path_factory, text):
     fast = _chain_run(text, workdir, fallback=False)
     assert fast == _chain_run(text, workdir, fallback=True)
     assert fast[0] in (0, 2, 3)
+
+
+# Compose and walk -----------------------------------------------------------
+
+
+def _refuse(root):
+    raise seqeve.scenario._Unmodelled
+
+
+def _read(text, *, fallback, walk):
+    """repr of the document that ``_document`` reads from ``text``, or its
+    error; with ``walk`` off every document goes through ``yaml.load``."""
+    with pytest.MonkeyPatch.context() as mp:
+        if fallback:
+            mp.delattr(yaml, "CSafeLoader", raising=False)
+        if not walk:
+            mp.setattr(seqeve.scenario, "_plain", _refuse)
+        try:
+            # repr tells 1, 1.0 and True apart, and -0.0 from 0.0; NaN equals NaN.
+            return repr(seqeve.scenario._document(text))
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+
+SCALAR_FORMS = [
+    # Numbers.
+    "1_000", "0b101", "017", "0o17", "0x1F", "1:30", "1:30.5", "-.inf", ".NaN",
+    "+1.5e+3", "-0.0", "0.0", "1e999", "-1e999", "12", "0.25", "-7",
+    # Booleans, nulls and text.
+    "yes", "No", "on", "~", "null", "abc", '"1.5"', "'x'", "deg:30",
+    # Tagged and timestamped values, some of them bad.
+    "2001-02-30", "2001-12-14", "2001-12-14t21:59:43.10-05:00", '!!int "0x"',
+    '!!float "-"', '!!float "1__0"', '!!float "--1"', '!!float " -1"',
+    '!!float ""', '!!int ""', "!!bool x", "!!timestamp x", "!!str 1",
+    "!!float 3", "!!int 0x1F", "!!null x", "!!binary aGVsbG8=",
+]
+FALLBACK_FORMS = [
+    "&s [1, 2]", "*s", "&m {x: 1}", "*m", "&v 5", "*v", "&c [*c]",
+    "{<<: {x: 1}, y: 2}", "{<<: [{x: 1}, {x: 3}], y: 2}", "{<<: 1}",
+    "{=: 1}", "=", "!!set {a, b}", "!!omap [a: 1]", "!!pairs [a: 1]",
+    "!!str [a]", "!!seq x", "!!map x", "!foo x", "!!python/tuple [1]",
+]
+KEY_FORMS = [
+    "a", "b", "1", "1.0", "true", "~", '"1"', "!!int 1", '!!int "0x"', "<<", "=", "[a]"
+]
+WHOLE_DOCUMENTS = [
+    "",
+    "--- 1\n--- 2\n",
+    "# only a comment\n",
+    "1: a\n1.0: b\ntrue: c\n",
+    "a: 1\na: 2\n",
+    # A constructor that went depth first would raise the first error.
+    'a: [[!!int "0x"]]\nb: [!!float "-"]\n',
+    'a: [!!int "0x"]\nb: [[!!float "-"]]\n',
+    # Keys are read before their values.
+    '!!int "0x": !!float "-"\n',
+    "? [a]\n: 1\n",
+    "? {a: 1}\n: 2\n",
+    "base: &b {x: !!int \"0x\"}\nm: {y: !!float \"-\", <<: *b}\n",
+    "a: &x {self: *x}\n",
+]
+
+
+def _flow_seq(items):
+    return "[" + ", ".join(items) + "]"
+
+
+@st.composite
+def yaml_forms(draw):
+    """A mapping of number, boolean, null, tagged and fallback forms, in
+    block or flow position, or one of the whole documents above."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(WHOLE_DOCUMENTS))
+    scalars = st.sampled_from(SCALAR_FORMS)
+    values = st.one_of(
+        scalars,
+        st.sampled_from(FALLBACK_FORMS),
+        st.lists(scalars, max_size=3).map(_flow_seq),
+        st.lists(st.tuples(st.sampled_from(KEY_FORMS), scalars), max_size=2).map(
+            lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
+        ),
+        st.just(""),  # an empty value is null
+    )
+    entries = draw(
+        st.lists(st.tuples(st.sampled_from(KEY_FORMS), values), min_size=1, max_size=4)
+    )
+    return "".join(f"{key}: {value}\n" for key, value in entries)
+
+
+# SafeLoader always; CSafeLoader too where PyYAML is built with libyaml.
+FALLBACKS = (False, True) if hasattr(yaml, "CSafeLoader") else (True,)
+
+
+@LOADERS
+@given(
+    st.one_of(
+        scenarios.map(dumps_scenario), near_valid_documents(), yaml_forms()
+    )
+)
+def test_walker_builds_what_yaml_load_builds(text):
+    for fallback in FALLBACKS:
+        walked = _read(text, fallback=fallback, walk=True)
+        assert walked == _read(text, fallback=fallback, walk=False)
+
+
+def _perfbench_shaped(n_eves):
+    """A tilted chain of explicit, biased Eves, one flow mapping per direction."""
+    lines = [
+        "mode: chain",
+        "state:\n  kind: tilted\n  theta: 0.584598",
+        "alice:\n  settings: explicit\n  directions:",
+        "    - {theta: 1.958342, phi: 6.048998}\n    - {theta: 2.643923, phi: 3.663264}",
+        "bob:\n  settings: mub",
+        "eves:",
+    ]
+    for m in range(n_eves):
+        lines += [
+            f"  - lambda: {0.1 + 0.0125 * m:.6f}",
+            "    settings: explicit",
+            f"    bias: {0.2 + 0.009 * m:.6f}",
+            "    directions:",
+            f"      - {{theta: {0.04 * m:.6f}, phi: {0.09 * m:.6f}}}",
+            f"      - {{theta: {3.1 - 0.04 * m:.6f}, phi: {0.1:.6f}}}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_a_chain_scenario_is_composed_once_and_never_constructed(
+    monkeypatch, fallback
+):
+    if fallback:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    text = _perfbench_shaped(64)
+    composed = count_calls(monkeypatch, yaml, "compose")
+    loaded = count_calls(monkeypatch, yaml, "load")
+    built = count_calls(monkeypatch, yaml.constructor.SafeConstructor, "construct_document")
+    scenario = loads_scenario(text)
+    assert len(scenario.eves) == 64
+    assert (len(composed), len(loaded), len(built)) == (1, 0, 0)
+    assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
+
+
+# One document per class of graph that the walker leaves to yaml.load.
+FALLBACK_DOCUMENTS = {
+    "shared-sequence": "a: &s [1, 2]\nb: *s\n",
+    "shared-mapping": "a: &m {x: 1}\nb: [*m]\n",
+    "cycle": "a: &c [1, *c]\n",
+    "merge-key": "base: &b {x: 1}\nm: {<<: *b, y: 2}\n",
+    "value-key": "a: {=: 1, b: 2}\n",
+    "sequence-key": "? [a, b]\n: 1\n",
+    "mapping-key": "? {a: 1}\n: 1\n",
+    "set": "a: !!set {x, y}\n",
+    "omap": "a: !!omap [x: 1, y: 2]\n",
+    "pairs": "a: !!pairs [x: 1, x: 2]\n",
+    "scalar-tag-on-a-sequence": "a: !!str [x]\n",
+    "sequence-tag-on-a-scalar": "a: !!seq x\n",
+    "unknown-tag": "a: !thing x\n",
+    "merge-key-after-a-bad-scalar": 'a: {y: !!int "0x", <<: {x: !!float "-"}}\n',
+}
+
+
+@pytest.mark.parametrize("fallback", [pytest.param(False, marks=needs_libyaml), True])
+@pytest.mark.parametrize("doc", FALLBACK_DOCUMENTS.values(), ids=FALLBACK_DOCUMENTS)
+def test_each_unmodelled_graph_is_loaded_once(monkeypatch, doc, fallback):
+    expected = _read(doc, fallback=fallback, walk=False)
+    loaded = count_calls(monkeypatch, yaml, "load")
+    assert _read(doc, fallback=fallback, walk=True) == expected
+    assert len(loaded) == 1
+
+
+def test_an_alias_of_a_scalar_is_read_twice(monkeypatch):
+    loaded = count_calls(monkeypatch, yaml, "load")
+    assert seqeve.scenario._document("a: &x 0.5\nb: *x\n") == {"a": 0.5, "b": 0.5}
+    assert len(loaded) == 0
+
+
+@pytest.mark.parametrize("value", ['!!float ""', '!!int "-"', "!!bool x", "!!timestamp x"])
+def test_a_malformed_tagged_scalar_exits_2(tmp_path, capsys, value):
+    path = tmp_path / "s.yaml"
+    path.write_text(f"mode: chain\neves:\n  - lambda: {value}\n", encoding="utf-8")
+    assert main(["chain", "--scenario", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {YAML_ERROR}")
+
+
+@pytest.mark.parametrize("error", [KeyError, AttributeError])
+def test_a_fault_in_the_walker_is_not_bad_input(monkeypatch, error):
+    def broken(root):
+        raise error("walker")
+
+    monkeypatch.setattr(seqeve.scenario, "_plain", broken)
+    with pytest.raises(error):
+        seqeve.scenario._document("a: 1\n")
 
 
 # Numbers and null sections --------------------------------------------------
