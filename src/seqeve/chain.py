@@ -252,8 +252,12 @@ class Assemblage:
         return cls.start(initial.amp.reshape(2, 2).tolist(), angles)
 
     def after(self, step: np.ndarray) -> Assemblage:
-        """The assemblage after one Eve, whose 3x3 map is ``step``."""
-        return Assemblage(self.p_alice, self.bloch @ step.T)
+        """The assemblage after one Eve, whose 3x3 map is ``step``.
+
+        A (T, 3, 3) stack of maps moves row r of a (T, 4, 3) stack, or the
+        one unstacked assemblage, by map r.
+        """
+        return Assemblage(self.p_alice, self.bloch @ step.swapaxes(-1, -2))
 
     def through(self, maps: np.ndarray) -> Assemblage:
         """This assemblage and the one after each of the N maps, stacked (N+1, 4, 3)."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -29,7 +30,7 @@ from pathlib import Path
 from . import __version__
 from .chain import ZeroProbabilityError
 from .measurement import WeakKrausSetting
-from .planner import BOB_SUPREMACY, PlanResult, check_target_rate, max_eves
+from .planner import BOB_SUPREMACY, PlanResult, check_target_rate, plan_chains
 from .scenario import (
     OUTPUT_FORMATS, ScenarioError, load_scenario, parse_angle, parse_number,
     to_chain_spec,
@@ -151,11 +152,9 @@ def cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _check_reference(results: dict[float, PlanResult], lines: list[str]) -> int:
-    """Check planned chains against the reference table, a line per check."""
+    """Check the planned reference targets against the table, a line per check."""
     failures = 0
     for target, expected in sorted(REFERENCE_PLANS.items()):
-        if target not in results:
-            results[target] = max_eves(target)
         plan = results[target]
         checks: list[tuple[str, bool, str]] = []
         count_ok = plan.max_eves == expected["max_eves"]
@@ -191,14 +190,16 @@ def _check_reference(results: dict[float, PlanResult], lines: list[str]) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    targets = [
+    requested = [
         parse_number(tok, "rates", check_target_rate)
         for tok in _list_tokens(args.rates, "rates")
     ]
-    results: dict[float, PlanResult] = {}
+    # One lockstep plan, the reference targets included when they are checked.
+    targets = requested + (list(REFERENCE_PLANS) if args.check_paper else [])
+    results = dict(zip(targets, plan_chains(targets)))
     lines: list[str] = []
-    for target in targets:
-        plan = results[target] = max_eves(target)
+    for target in requested:
+        plan = results[target]
         lines.append(
             f"target {target:g}: max_eves={plan.max_eves} "
             f"bob_rate={_fmt(plan.bob_rate)}"
@@ -230,7 +231,8 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
     # Every leaf shares the angle and weight, so the leaf rows share one
     # values tuple and the weight-averaged rates equal the leaf rates.
     leaf = (theta, 2.0**-depth, rep_c.lhs, rep_c.key_rate, rep_a.lhs, rep_a.key_rate)
-    rows = [(format(k, f"0{depth}b"), leaf) for k in range(2**depth)]
+    labels = map("".join, itertools.product("01", repeat=depth))
+    rows = list(zip(labels, itertools.repeat(leaf)))
     rows.append(("summary", (None, 1.0, None, rep_c.key_rate, None, rep_a.key_rate)))
     header = [
         f"seqeve {__version__}",

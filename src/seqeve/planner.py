@@ -8,11 +8,15 @@ in her sharpness: lhs(lambda) = 1/2 + lambda C with C = lhs(1) - 1/2.  She
 measures in Bob's bases, so Bob's table on the accepted prefix is hers at
 lambda = 1 and gives the exact minimum lambda* = (1/4 + delta(target)) / C.
 The solve snaps lambda* up to the 2^-20 grid and checks it against the
-neighbouring grid point, so each Eve costs 2 grid tables plus Bob's table
-with her in place.  The accepted prefix moves one Eve step per position.
-A closed-form recursion valid for the maximally entangled state with
-sigma_z/sigma_x settings and unbiased inputs serves as an independent
-oracle for both searches.
+neighbouring grid point below.  ``plan_chains`` plans every target of a
+request in lockstep, one target per row of an assemblage stack, so the cost
+is per chain position and shared by all targets: one stacked table of both
+grid points (and another for each row whose grid point must move), one
+stacked Eve step and one stacked Bob table with the new Eves in place,
+which is also the next Eve's table at lambda = 1.  Targets in (0, 1) need
+at most 6 positions.  A closed-form recursion valid for the maximally
+entangled state with sigma_z/sigma_x settings and unbiased inputs serves as
+an independent oracle for both searches.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .chain import (
 )
 from .states import bell_state
 from .steering import (
-    SteeringReport, delta_for_rate, key_rate, report, report_from_table
+    SteeringReport, _scored, delta_for_rate, fgi_lhs, key_rate, report
 )
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
@@ -41,6 +45,8 @@ BOB_SUPREMACY = "bob-supremacy"
 # Alice's and Bob's settings in every planned chain, and the Eves' directions.
 _MUB_SHARP = mub_sharp_pair()
 _UNBIASED = np.array(DEFAULT_BIAS)
+# Bob's sharpness on both inputs, which is also a projective Eve's.
+_SHARP = np.ones(2)
 
 
 class InfeasibleError(RuntimeError):
@@ -84,14 +90,25 @@ def rate_from_correlation(corr: float) -> float:
     return key_rate(min(delta, 0.25))
 
 
-def _score(state: Assemblage, sharpness: float) -> SteeringReport:
-    """Report of a party measuring ``state`` in Bob's bases at ``sharpness``."""
-    return report_from_table(state.table(MUB_DIRECTIONS, np.full(2, sharpness)))
+def _both(sharpness: np.ndarray) -> np.ndarray:
+    """Settings array (..., 2) with each sharpness on both of Bob's bases."""
+    return np.stack((sharpness, sharpness), axis=-1)
 
 
-def _eve_step(state: Assemblage, sharpness: float) -> Assemblage:
-    """``state`` after an unbiased Eve in Bob's bases at ``sharpness``."""
-    return state.after(_eve_maps(MUB_DIRECTIONS, np.full(2, sharpness), _UNBIASED))
+def _eve_step(state: Assemblage, sharpness: np.ndarray) -> Assemblage:
+    """``state`` after an unbiased Eve in Bob's bases, one per ``sharpness``.
+
+    A (T,) array of sharpnesses moves row r of a (T, 4, 3) stack, or the
+    one shared assemblage, by the map at sharpness[r]; sharpness 0 is the
+    identity.
+    """
+    return state.after(_eve_maps(MUB_DIRECTIONS, _both(sharpness), _UNBIASED))
+
+
+def _bob_reports(state: Assemblage) -> list[SteeringReport]:
+    """Bob's report on each row of ``state``, each key rate a scalar log2."""
+    lhs = fgi_lhs(state.table(MUB_DIRECTIONS, _SHARP))
+    return [_scored(value) for value in np.atleast_1d(lhs).tolist()]
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
@@ -99,21 +116,47 @@ def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
     return report(mub_chain(tuple(lambdas)), BOB).key_rate
 
 
-def _min_sharpness(upstream: Assemblage, sharp_lhs: float, target_rate: float) -> float:
-    """Smallest grid sharpness at ``upstream``, where lhs(1) = ``sharp_lhs``."""
-    # lhs(lambda) = 1/2 + lambda (lhs(1) - 1/2) must reach 3/4 + delta(target).
-    exact = (0.25 + delta_for_rate(target_rate)) / (sharp_lhs - 0.5)
+def _grid_solve(
+    state: Assemblage, rows: int, solves: dict[int, tuple[float, float]], position: int
+) -> dict[int, float]:
+    """Smallest grid sharpness k / 2^20 reaching its target, for each row solved.
 
-    def reaches(k: int) -> bool:
-        return _score(upstream, k / _GRID).key_rate >= target_rate
-
-    # Roundoff can put the exact minimum on either side of a grid point.
-    k = min(max(math.ceil(exact * _GRID), 1), _GRID)
-    while not reaches(k):
-        k += 1
-    while k > 1 and reaches(k - 1):
-        k -= 1
-    return k / _GRID
+    ``solves`` maps a row of ``state`` (a stack of ``rows`` assemblages, or
+    one shared by all rows) to its target and lhs(1) there.  Each round
+    scores k and k - 1 of every row in one stacked table: a row that misses
+    its target at k moves up, a row that also reaches it at k - 1 moves
+    down, and the others are solved.  A row that misses its target at
+    k = 2^20, sharpness 1, raises InfeasibleError.
+    """
+    walking = {}
+    for row, (target, sharp_lhs) in solves.items():
+        # lhs(lambda) = 1/2 + lambda (lhs(1) - 1/2) must reach 3/4 + delta(target).
+        slope = sharp_lhs - 0.5
+        exact = (0.25 + delta_for_rate(target)) / slope if slope > 0.0 else math.inf
+        # Roundoff can put the exact minimum on either side of a grid point.
+        walking[row] = max(math.ceil(exact * _GRID), 1) if exact < 1.0 else _GRID
+    solved = {}
+    while walking:
+        grid = np.zeros((2, rows))
+        for row, k in walking.items():
+            grid[:, row] = k, k - 1
+        sharpness = _both(grid / _GRID)
+        at_k, below = fgi_lhs(state.table(MUB_DIRECTIONS, sharpness)).tolist()
+        for row, k in list(walking.items()):
+            target = solves[row][0]
+            if not _scored(at_k[row]).key_rate >= target:
+                if k == _GRID:
+                    raise InfeasibleError(
+                        position,
+                        EVE_UNREACHABLE,
+                        f"rate at sharpness 1 is below target {target}",
+                    )
+                walking[row] = k + 1
+            elif k > 1 and _scored(below[row]).key_rate >= target:
+                walking[row] = k - 1
+            else:
+                solved[row] = walking.pop(row) / _GRID
+    return solved
 
 
 def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
@@ -130,15 +173,51 @@ def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     prefix = tuple(prefix)
     upstream = Assemblage.of(bell_state(), _MUB_SHARP)
     for lam in prefix:
-        upstream = _eve_step(upstream, lam)
-    sharp = _score(upstream, 1.0)
-    if sharp.key_rate < target_rate:
-        raise InfeasibleError(
-            len(prefix) + 1,
-            EVE_UNREACHABLE,
-            f"rate at sharpness 1 is below target {target_rate}",
-        )
-    return _min_sharpness(upstream, sharp.lhs, target_rate)
+        upstream = _eve_step(upstream, np.array(lam))
+    (sharp,) = _bob_reports(upstream)
+    solves = {0: (target_rate, sharp.lhs)}
+    return _grid_solve(upstream, 1, solves, len(prefix) + 1)[0]
+
+
+def plan_chains(targets: tuple[float, ...] | list[float]) -> tuple[PlanResult, ...]:
+    """The ``max_eves`` plan of each target, all planned in lockstep.
+
+    Each distinct target is one row of a (T, 4, 3) assemblage stack that
+    starts from the Bell state's.  At each chain position one stacked solve
+    finds the grid sharpness of every row still planning, one stacked Eve
+    step moves every row, and one stacked Bob table decides which rows keep
+    their new Eve.  A row stops when Bob's rate with her in place no longer
+    exceeds its target, and rides along at sharpness 0, the identity, from
+    then on.  Each row's arithmetic is that of a batch of one, so a plan
+    does not depend on the other targets of its batch.
+    """
+    for target in targets:
+        check_target_rate(target)
+    distinct = list(dict.fromkeys(targets))
+    rows = len(distinct)
+    state = Assemblage.of(bell_state(), _MUB_SHARP)
+    # Bob's table is a projective next Eve's, and its rate stays above the target.
+    bob = _bob_reports(state) * rows
+    lambdas: list[tuple[float, ...]] = [()] * rows
+    planning = range(rows)
+    position = 1
+    while planning:
+        solves = {row: (distinct[row], bob[row].lhs) for row in planning}
+        solved = _grid_solve(state, rows, solves, position)
+        sharpness = np.zeros(rows)
+        sharpness[list(solved)] = list(solved.values())
+        state = _eve_step(state, sharpness)
+        after = _bob_reports(state)
+        planning = [row for row in planning if after[row].key_rate > distinct[row]]
+        for row in planning:
+            lambdas[row] += (solved[row],)
+            bob[row] = after[row]
+        position += 1
+    plans = {
+        target: PlanResult(target, lams, rep.key_rate, len(lams))
+        for target, lams, rep in zip(distinct, lambdas, bob)
+    }
+    return tuple(plans[target] for target in targets)
 
 
 def max_eves(target_rate: float) -> PlanResult:
@@ -148,25 +227,7 @@ def max_eves(target_rate: float) -> PlanResult:
     accepted prefix, and the extension is kept only while Bob (with all
     listed Eves in place) still exceeds the target rate.
     """
-    check_target_rate(target_rate)
-    accepted: tuple[float, ...] = ()
-    upstream = Assemblage.of(bell_state(), _MUB_SHARP)
-    bob = _score(upstream, 1.0)
-    # Bob's table is a projective next Eve's, and its rate stays above the target.
-    while True:
-        lam = _min_sharpness(upstream, bob.lhs, target_rate)
-        candidate = _eve_step(upstream, lam)
-        after = _score(candidate, 1.0)
-        if after.key_rate <= target_rate:
-            break
-        accepted += (lam,)
-        upstream, bob = candidate, after
-    return PlanResult(
-        target_rate=target_rate,
-        lambdas=accepted,
-        bob_rate=bob.key_rate,
-        max_eves=len(accepted),
-    )
+    return plan_chains((target_rate,))[0]
 
 
 def closed_form_chain(target_rate: float, n: int) -> tuple[float, ...]:

@@ -9,11 +9,13 @@ map shows that the map is completely positive, which no check on the
 conditional states can see.  The stacked chain pass is also checked, bit for
 bit, against a per-Eve loop of the kernel with maps and settings arrays built
 setting by setting and scalar steering values.  The planner's exact
-sharpness solve is checked against plain bisection, and the closed-form
-square root of an effect against a spectral one.  The command line's row
-writer is checked against a renderer that formats every cell of every row.
-The Schmidt form is checked by reassembling the state from it, and the
-scenario reader by parsing back the canonical document of a scenario.
+sharpness solve is checked against plain bisection, its lockstep plans
+against a one-target loop that scores one grid point per table, and the
+closed-form square root of an effect against a spectral one.  The command
+line's row writer is checked against a renderer that formats every cell of
+every row.  The Schmidt form is checked by reassembling the state from it,
+and the scenario reader by parsing back the canonical document of a
+scenario.
 """
 
 import json
@@ -24,6 +26,8 @@ import numpy as np
 import yaml
 
 from seqeve.chain import (
+    DEFAULT_BIAS,
+    MUB_DIRECTIONS,
     ZERO_PROB_ATOL,
     Assemblage,
     ChainSpec,
@@ -31,6 +35,8 @@ from seqeve.chain import (
     PartySettings,
     UnsharpSetting,
     ZeroProbabilityError,
+    _eve_maps,
+    mub_sharp_pair,
     mub_unsharp_pair,
     table_from_operators,
 )
@@ -45,10 +51,15 @@ from seqeve.linalg import (
     kron,
 )
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
-from seqeve.planner import EVE_UNREACHABLE, InfeasibleError
+from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, PlanResult
 from seqeve.scenario import EveSpec, PartySpec, Scenario
-from seqeve.states import PureTwoQubitState, TwoQubitState, check_tilt_angle
-from seqeve.steering import report_from_table
+from seqeve.states import (
+    PureTwoQubitState,
+    TwoQubitState,
+    bell_state,
+    check_tilt_angle,
+)
+from seqeve.steering import delta_for_rate, report_from_table
 from seqeve.unbounded import (
     ALICE_STRATEGIES,
     CANONICAL,
@@ -380,6 +391,53 @@ def bisect_min_sharpness(
         else:
             lo = mid
     return hi
+
+
+# Sharpness grid of the planner's solve.
+GRID = 2**20
+
+
+def _mub_score(state: Assemblage, sharpness: float):
+    """Report of a party measuring ``state`` in Bob's bases at ``sharpness``."""
+    return report_from_table(state.table(MUB_DIRECTIONS, np.full(2, sharpness)))
+
+
+def _min_sharpness(upstream: Assemblage, sharp_lhs: float, target_rate: float) -> float:
+    """Smallest grid sharpness at ``upstream``, where lhs(1) = ``sharp_lhs``."""
+    exact = (0.25 + delta_for_rate(target_rate)) / (sharp_lhs - 0.5)
+
+    def reaches(k: int) -> bool:
+        return _mub_score(upstream, k / GRID).key_rate >= target_rate
+
+    k = min(max(math.ceil(exact * GRID), 1), GRID)
+    while not reaches(k):
+        k += 1
+    while k > 1 and reaches(k - 1):
+        k -= 1
+    return k / GRID
+
+
+def sequential_plan(target_rate: float) -> PlanResult:
+    """The planner's greedy chain for one target, one Eve and one table at a time.
+
+    Each Eve takes her minimal grid sharpness given the accepted prefix,
+    walked from the exact solve one grid point and one table at a time,
+    and is kept while Bob's rate with her in place still exceeds the
+    target.
+    """
+    accepted: tuple[float, ...] = ()
+    upstream = Assemblage.of(bell_state(), mub_sharp_pair())
+    bob = _mub_score(upstream, 1.0)
+    while True:
+        lam = _min_sharpness(upstream, bob.lhs, target_rate)
+        step = _eve_maps(MUB_DIRECTIONS, np.full(2, lam), np.array(DEFAULT_BIAS))
+        candidate = upstream.after(step)
+        after = _mub_score(candidate, 1.0)
+        if after.key_rate <= target_rate:
+            break
+        accepted += (lam,)
+        upstream, bob = candidate, after
+    return PlanResult(target_rate, accepted, bob.key_rate, len(accepted))
 
 
 # Negative eigenvalues above this magnitude signal a corrupted state rather

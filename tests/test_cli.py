@@ -216,14 +216,19 @@ class TestWorkCounts:
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         assert main(["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]) == 0
         assert capsys.readouterr().out.count(": ok (") == 15
-        # One Bell Bob table per target, then 12 Eve solves (9 accepted, 3
-        # stopped by Bob) at 2 grid tables each, plus one Bob table per
-        # candidate Eve, which is also the next Eve's table at sharpness 1.
-        assert len(tables) == 3 + 12 * 2 + 12
-        assert len(steps) == 12
-        # Each assemblage is checked once, where it is built: 3 starts and
-        # the 12 steps, not once per table.
-        assert len(checks) == 3 + 12
+        # The three targets are planned in lockstep over 5 chain positions
+        # (0.1 accepts 4 Eves and stops at the fifth).  One Bell Bob table,
+        # then per position one stacked table of both grid points of every
+        # row (no grid point moves here) and one stacked Bob table, which is
+        # also the next Eve's table at sharpness 1.
+        assert len(tables) == 1 + 5 * 2
+        assert [np.shape(sharpness)[:-1] for _, _, sharpness in tables[1::2]] == [
+            (2, 3)
+        ] * 5
+        assert len(steps) == 5
+        # Each assemblage is checked once, where it is built: the start and
+        # the 5 stacked steps, not once per table.
+        assert len(checks) == 1 + 5
         assert len(krons) == 0
 
     def test_chain_command_propagates_once(self, monkeypatch, capsys):

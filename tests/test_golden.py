@@ -18,6 +18,9 @@ JSON = ["--format", "json"]
 UNBOUNDED_PI = ["unbounded", "--theta1", PI_4, "--lambdas", PI_6]
 UNBOUNDED_MIXED = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"]
 CHAIN_MIXED = ["chain", "--scenario", str(GOLDEN / "chain_mixed.yaml")]
+# Unsorted, with a repeat, and with chains of 0 to 5 Eves that stop at
+# different positions of one lockstep plan.
+PLAN_MIXED = ["plan", "--rates", "0.45,0.05,0.3,0.05,0.99,1e-300,0.2"]
 
 CASES = {
     "unbounded_pi4_pi6.csv": UNBOUNDED_PI,
@@ -25,6 +28,7 @@ CASES = {
     "unbounded_mixed3.csv": UNBOUNDED_MIXED,
     "unbounded_mixed3.json": UNBOUNDED_MIXED + JSON,
     "plan_check_paper.txt": ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"],
+    "plan_mixed.txt": PLAN_MIXED,
     "chain_mixed.json": CHAIN_MIXED + JSON,
 }
 

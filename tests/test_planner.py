@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from seqeve import max_eves, mub_chain, report
+from helpers import count_calls
+from seqeve import bell_state, max_eves, mub_chain, planner, report, tilted_state
+from seqeve.chain import Assemblage, mub_sharp_pair
 from seqeve.planner import (
     BOB_SUPREMACY,
     EVE_UNREACHABLE,
@@ -13,6 +15,11 @@ from seqeve.planner import (
     lambda_min_for_rate,
     shrink_factor,
 )
+from seqeve.steering import delta_for_rate
+
+# On this weakly entangled state Bob's rate with no Eve is 0.377, so no
+# sharpness of a first Eve reaches the target 0.5.
+WEAK_THETA, UNREACHABLE_TARGET = 0.2, 0.5
 
 
 class TestLambdaMin:
@@ -40,6 +47,56 @@ class TestLambdaMin:
     def test_rejects_nonpositive_target(self):
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
             lambda_min_for_rate((), 0.0)
+
+
+class TestGridWalk:
+    """The grid walk from a misplaced start, and its stop at sharpness 1."""
+
+    @pytest.mark.parametrize("offset", [-3, 3])
+    def test_walk_from_a_misplaced_start_finds_the_minimum(self, monkeypatch, offset):
+        upstream = Assemblage.of(bell_state(), mub_sharp_pair())
+        grid = planner._GRID
+        expected = lambda_min_for_rate((), 0.1)
+        # An lhs(1) that puts the exact minimum |offset| grid points off the
+        # true one (which lhs(1) = 1 gives), so the walk must move.
+        needed = 0.25 + delta_for_rate(0.1)
+        sharp_lhs = 0.5 + needed / (expected + (offset - 0.5) / grid)
+        tables = count_calls(monkeypatch, Assemblage, "table")
+        assert planner._grid_solve(upstream, 1, {0: (0.1, sharp_lhs)}, 1) == {
+            0: expected
+        }
+        # One round per grid point, from the start to the minimum.
+        visited = [
+            round((np.max(sharpness[:, 0]) - expected) * grid)
+            for _, _, sharpness in tables
+        ]
+        toward = -1 if offset > 0 else 1
+        assert visited == [*range(offset, 0, toward), 0]
+
+    def test_walk_up_to_sharpness_one_raises(self, monkeypatch):
+        upstream = Assemblage.of(tilted_state(WEAK_THETA), mub_sharp_pair())
+        # An lhs(1) that puts the exact minimum 2.5 grid points below 1, so
+        # the walk starts at 2^20 - 2 and must climb to the end of the grid.
+        grid = planner._GRID
+        needed = 0.25 + delta_for_rate(UNREACHABLE_TARGET)
+        sharp_lhs = 0.5 + needed * grid / (grid - 2.5)
+        tables = count_calls(monkeypatch, Assemblage, "table")
+        solves = {0: (UNREACHABLE_TARGET, sharp_lhs)}
+        with pytest.raises(InfeasibleError) as err:
+            planner._grid_solve(upstream, 1, solves, 3)
+        assert (err.value.position, err.value.reason) == (3, EVE_UNREACHABLE)
+        assert str(err.value).endswith("rate at sharpness 1 is below target 0.5")
+        # Rounds at 2^20 - 2, 2^20 - 1 and 2^20, each with the point below.
+        top = [np.max(sharpness[:, 0]) * grid for _, _, sharpness in tables]
+        assert top == [grid - 2, grid - 1, grid]
+
+    def test_unreachable_first_eve_is_infeasible(self, monkeypatch):
+        monkeypatch.setattr(planner, "bell_state", lambda: tilted_state(WEAK_THETA))
+        with pytest.raises(InfeasibleError) as err:
+            max_eves(UNREACHABLE_TARGET)
+        assert (err.value.position, err.value.reason) == (1, EVE_UNREACHABLE)
+        message = f"rate at sharpness 1 is below target {UNREACHABLE_TARGET}"
+        assert str(err.value).endswith(message)
 
 
 class TestMaxEves:

@@ -6,7 +6,9 @@ return the same grid point bit for bit, and where no sharpness reaches the
 target it must fail at the same position for the same reason.  Whole plans
 are rebuilt position by position from the bisection and Bob's check.  The
 planner takes Bob's table as the next Eve's table at sharpness 1, so that
-identity is checked on general upstream states.
+identity is checked on general upstream states.  The lockstep planner
+must give each target of a batch the plan of the one-target loop in
+``tests/oracles.py``, bit for bit, whatever other targets share the batch.
 """
 
 import math
@@ -18,7 +20,9 @@ from hypothesis import strategies as st
 import oracles
 from seqeve import bell_state, mub_chain, tilted_state
 from seqeve.chain import DEFAULT_BIAS, Assemblage, mub_sharp_pair, mub_unsharp_pair
-from seqeve.planner import InfeasibleError, lambda_min_for_rate, max_eves
+from seqeve.planner import (
+    InfeasibleError, lambda_min_for_rate, max_eves, plan_chains
+)
 from seqeve.steering import report_from_table
 
 SOLVE_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)
@@ -29,6 +33,13 @@ plan_targets = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     st.floats(0.0, 1e-6, exclude_min=True),
 )
+# The smallest targets plan the longest chains; 0.99 and the largest
+# target below 1 plan none.
+EDGE_TARGETS = (5e-324, 1e-300, 0.99, math.nextafter(1.0, 0.0))
+# 1 to 12 targets drawn with replacement from a pool, so batches repeat some.
+batches = st.lists(
+    st.one_of(plan_targets, st.sampled_from(EDGE_TARGETS)), min_size=1, max_size=8
+).flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=12))
 
 
 def outcome(solve, *args):
@@ -82,3 +93,25 @@ def test_bob_table_is_the_table_at_sharpness_one(theta, eves):
     at_one = state.table(*oracles.party_arrays(mub_unsharp_pair(1.0))).probs
     bob = state.table(*oracles.party_arrays(mub_sharp_pair())).probs
     assert np.array_equal(at_one, bob)
+
+
+def plan_bits(plan):
+    return (
+        plan.target_rate.hex(),
+        [lam.hex() for lam in plan.lambdas],
+        plan.bob_rate.hex(),
+        plan.max_eves,
+    )
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(batches)
+@example([0.45, 0.05, 0.3, 0.05, 0.99, 1e-300, 0.2])
+@example(list(EDGE_TARGETS))
+def test_lockstep_plans_equal_the_one_target_loop_bit_for_bit(targets):
+    plans = plan_chains(targets)
+    expected = [plan_bits(oracles.sequential_plan(t)) for t in targets]
+    assert [plan_bits(plan) for plan in plans] == expected
+    # A plan does not depend on the other rows of its batch, nor on their order.
+    assert plan_chains(targets[::-1]) == plans[::-1]
+    assert plans[0] == max_eves(targets[0])
