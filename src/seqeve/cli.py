@@ -1,12 +1,12 @@
 """Command-line driver: chain evaluation, sharpness planning, branch reports.
 
-Each command hands the writer its rows as (label, values) pairs, where
-``values`` is the tuple of cells after the label, in column order.
-``unbounded`` computes the one Schmidt angle that every leaf of the branch
-tree shares by a scalar recursion, evaluates it once per Alice strategy and
-pairs the 2^n leaf labels with one values tuple, each leaf of weight
-exactly 2^-n.  The CSV writer formats a row's values only when they are not
-the previous row's tuple, so each leaf row costs only its label.
+Each command hands the writer its rows as (labels, values) groups: a list
+of labels that share ``values``, the tuple of cells after the label, in
+column order.  ``unbounded`` computes the one Schmidt angle that every leaf
+of the branch tree shares by a scalar recursion, evaluates it once per
+Alice strategy and writes the 2^n leaf labels as one group, each leaf of
+weight exactly 2^-n.  The CSV writer formats a group's values once and
+joins its labels with them, so no leaf row costs a Python call.
 Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
@@ -30,7 +30,9 @@ from pathlib import Path
 from . import __version__
 from .chain import ZeroProbabilityError
 from .measurement import WeakKrausSetting
-from .planner import BOB_SUPREMACY, PlanResult, check_target_rate, plan_chains
+from .planner import (
+    BOB_SUPREMACY, InfeasibleError, PlanResult, check_target_rate, plan_chains,
+)
 from .scenario import (
     OUTPUT_FORMATS, ScenarioError, load_scenario, parse_angle, parse_number,
     to_chain_spec,
@@ -73,35 +75,35 @@ def _json_value(value: object) -> object:
 
 
 def _write_rows(
-    rows: list[tuple[object, tuple]],
+    groups: list[tuple[list[str], tuple]],
     columns: list[str],
     header_lines: list[str],
     fmt: str,
     path: str | None,
 ) -> None:
-    """Write (label, values) rows as CSV under '#' header lines, or as JSON.
+    """Write (labels, values) groups as CSV under '#' header lines, or as JSON.
 
-    ``values`` holds a row's cells after the label, in the order of
-    ``columns``.  A CSV row whose values are the same tuple object as the
-    previous row's reuses that row's formatted cells, so the 2^n leaf rows
-    of ``unbounded``, which share one tuple, cost one label each.  JSON is
-    an indented list of objects keyed by ``columns``.
+    Each group is a list of ``str`` labels that share one ``values`` tuple,
+    a row's cells after the label in the order of ``columns``; it writes one
+    row per label.  CSV formats a group's values once and joins its labels
+    with that tail, so the 2^n leaf rows of ``unbounded``, one group, cost
+    no Python call per row.  JSON is an indented list of objects keyed by
+    ``columns``.
     """
     if fmt == "json":
-        objects = [
-            dict(zip(columns, map(_json_value, (label, *values))))
-            for label, values in rows
-        ]
+        objects = []
+        for labels, values in groups:
+            cells = list(map(_json_value, values))
+            objects.extend(dict(zip(columns, (label, *cells))) for label in labels)
         text = json.dumps(objects, indent=2) + "\n"
     else:
-        lines = [f"# {line}" for line in header_lines]
-        lines.append(",".join(columns))
-        last, tail = None, ""
-        for label, values in rows:
-            if values is not last:
-                last, tail = values, "".join("," + _fmt(v) for v in values)
-            lines.append(_fmt(label) + tail)
-        text = "\n".join(lines) + "\n"
+        parts = [f"# {line}\n" for line in header_lines]
+        parts.append(",".join(columns) + "\n")
+        for labels, values in groups:
+            if labels:
+                tail = "".join("," + _fmt(v) for v in values) + "\n"
+                parts.append(tail.join(labels) + tail)
+        text = "".join(parts)
     _emit(text, path)
 
 
@@ -136,8 +138,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
         for m, eve in enumerate(scenario.eves, start=1)
     ]
     parties.append(("bob", scenario.bob.settings, None))
-    rows = [
-        (party, (model, lam, rep.lhs, rep.delta, rep.key_rate))
+    groups = [
+        ([party], (model, lam, rep.lhs, rep.delta, rep.key_rate))
         for (party, model, lam), rep in zip(parties, reports(spec))
     ]
     fmt = args.format or scenario.output.format
@@ -147,7 +149,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
         f"mode=chain state={scenario.state.kind} eves={spec.n_eves}",
     ]
     columns = ["party", "input_model", "lambda", "lhs", "delta", "key_rate"]
-    _write_rows(rows, columns, header, fmt, path)
+    _write_rows(groups, columns, header, fmt, path)
     return 0
 
 
@@ -214,6 +216,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return code
 
 
+def _branch_labels(depth: int) -> list[str]:
+    """The 2^depth leaf labels, '0...0' to '1...1', in the branch tree's order.
+
+    Each label is a high half and a low half joined by one concatenation,
+    which costs less than joining 2^depth tuples of depth characters.
+    """
+    high, low = (
+        list(map("".join, itertools.product("01", repeat=k)))
+        for k in (depth - depth // 2, depth // 2)
+    )
+    return [h + l for h in high for l in low]
+
+
 def cmd_unbounded(args: argparse.Namespace) -> int:
     theta1 = parse_angle(args.theta1, "theta1", check_tilt_angle)
     weak = [
@@ -228,12 +243,11 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
     theta = leaf_theta(theta1, weak)
     rep_c = leaf_report(theta, CANONICAL)
     rep_a = leaf_report(theta, ADAPTED)
-    # Every leaf shares the angle and weight, so the leaf rows share one
-    # values tuple and the weight-averaged rates equal the leaf rates.
+    # Every leaf shares the angle and weight, so the leaf rows are one group
+    # and the weight-averaged rates equal the leaf rates.
     leaf = (theta, 2.0**-depth, rep_c.lhs, rep_c.key_rate, rep_a.lhs, rep_a.key_rate)
-    labels = map("".join, itertools.product("01", repeat=depth))
-    rows = list(zip(labels, itertools.repeat(leaf)))
-    rows.append(("summary", (None, 1.0, None, rep_c.key_rate, None, rep_a.key_rate)))
+    labels = _branch_labels(depth)
+    summary = (None, 1.0, None, rep_c.key_rate, None, rep_a.key_rate)
     header = [
         f"seqeve {__version__}",
         f"mode=unbounded depth={depth} leaves={2**depth} "
@@ -248,7 +262,9 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
         "lhs_adapted",
         "key_rate_adapted",
     ]
-    _write_rows(rows, columns, header, args.format, args.out)
+    _write_rows(
+        [(labels, leaf), (["summary"], summary)], columns, header, args.format, args.out
+    )
     return 0
 
 
@@ -350,8 +366,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DegenerateStateError, ZeroProbabilityError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        # The edges name every input field, so any other ValueError is ours.
+    except (ValueError, InfeasibleError) as exc:
+        # The edges name every input field, so any other ValueError is ours;
+        # no Bell-state target reaches the planner's InfeasibleError.
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
 

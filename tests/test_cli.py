@@ -21,7 +21,7 @@ from seqeve import CANONICAL, leaf_report, loads_scenario, reports, to_chain_spe
 from seqeve.chain import Assemblage, ConditionalTable
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
-from seqeve.planner import max_eves
+from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, max_eves
 
 TWO_EVE_DOC = """\
 mode: chain
@@ -267,17 +267,23 @@ class TestWorkCounts:
         assert len(states) == 0
         assert len(krons) == 0
 
+    @pytest.mark.parametrize("depth", range(1, seqeve.cli.MAX_UNBOUNDED_DEPTH + 1))
+    def test_branch_labels_count_in_binary(self, depth):
+        labels = seqeve.cli._branch_labels(depth)
+        assert labels == [format(k, f"0{depth}b") for k in range(2**depth)]
+
     def test_unbounded_formats_each_distinct_row_tail_once(self, monkeypatch, capsys):
         cells = count_calls(monkeypatch, seqeve.cli, "_fmt")
-        angles = ",".join(["0.6"] * 10)
-        assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
-        rows = parse_csv(capsys.readouterr().out)
-        labels = {row["branch"] for row in rows}
-        values = [args[0] for args in cells if args[0] not in labels]
-        # The six cells after the label of one leaf row and of the summary,
-        # not 2^10 x 6: every leaf row shares its value objects.
-        assert len(values) == 2 * 6
-        assert len(cells) - len(values) == len(rows) == 2**10 + 1
+        for depth in (10, 12):
+            cells.clear()
+            angles = ",".join(["0.6"] * depth)
+            assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
+            rows = parse_csv(capsys.readouterr().out)
+            # The six cells after the label of the leaf group and of the
+            # summary, not 2^n x 6: the leaf rows are one group, and labels
+            # are written as they are.
+            assert len(cells) == 2 * 6
+            assert len(rows) == 2**depth + 1
 
 
 # A Bloch map that stretches every vector by half again, so that it takes a
@@ -430,6 +436,20 @@ class TestRangeOwners:
         assert main(UNBOUNDED_SMALL) == 5
         err = capsys.readouterr().err
         assert err == "internal error: weak angle must lie in (0, pi/4], got 2.0\n"
+
+    def test_a_planner_infeasible_error_is_internal(self, monkeypatch, capsys):
+        # No Bell-state target reaches it; if one did, it is the program's.
+        def infeasible(targets):
+            raise InfeasibleError(2, EVE_UNREACHABLE, "required sharpness 1.2 exceeds 1")
+
+        monkeypatch.setattr(seqeve.cli, "plan_chains", infeasible)
+        assert main(["plan", "--rates", "0.1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal error: no valid sharpness for Eve 2 (eve-rate-unreachable): "
+            "required sharpness 1.2 exceeds 1\n"
+        )
 
 
 class TestParserReuse:
@@ -743,7 +763,7 @@ class TestUnboundedCommand:
             seqeve.cli.entry()
         assert exit_info.value.code == code
 
-    @pytest.mark.parametrize("depth", [1, 10])
+    @pytest.mark.parametrize("depth", [1, 10, 12])
     def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
         evaluations = count_calls(monkeypatch, seqeve.unbounded, "leaf_report")
         node_evaluations = count_calls(monkeypatch, seqeve.unbounded, "evaluate_branch")
@@ -753,9 +773,9 @@ class TestUnboundedCommand:
         cells = count_calls(monkeypatch, seqeve.cli, "_fmt")
         angles = ",".join(["0.6"] * depth)
         assert main(["unbounded", "--theta1", "0.7", "--lambdas", angles]) == 0
-        # One label per row, and the six values of the leaf and of the summary
-        # formatted once each: 1,037 cells at depth 10.
-        assert len(cells) == 2**depth + 1 + 2 * 6
+        # The six values of the leaf and of the summary formatted once each,
+        # whatever the depth; labels are not formatted.
+        assert len(cells) == 2 * 6
         assert len(evaluations) == 2
         assert len(node_evaluations) == 0
         assert len(decompositions) == 0

@@ -1,9 +1,9 @@
 """The command line's row writer against the cell-by-cell oracle renderer.
 
-``cli._write_rows`` takes (label, values) rows and formats a CSV row's values
-only when they are not the previous row's tuple; ``oracles.render_rows``
-formats every cell of every row.  Both must give the same bytes, in CSV and
-in JSON.
+``cli._write_rows`` takes (labels, values) groups, formats a CSV group's
+values once and joins its labels with them; ``oracles.render_rows`` formats
+every cell of every (label, values) row.  Both must give the same bytes, in
+CSV and in JSON.
 """
 
 import contextlib
@@ -20,10 +20,12 @@ ROWS = settings(max_examples=300, deadline=None, derandomize=True)
 DEPTH12 = ["--theta1", "0.7", "--lambdas", ",".join(["0.6", "0.3", "0.5", "0.2"] * 3)]
 
 # Equal values that render differently (0.0 and -0.0; 1, 1.0 and True), so a
-# cache keyed on equality instead of identity shows up.
+# writer that reuses or merges tails of equal values shows up.
 EQUAL_BUT_DISTINCT = [0.0, -0.0, 1, 1.0, True, False, 0]
-# Consecutive rows whose values tuples are equal but render differently.
-LOOKALIKE_ROWS = [("0", (0.0, 1)), ("1", (-0.0, True)), ("10", (-0.0, 1.0))]
+# Adjacent groups whose values tuples are equal but render differently.
+LOOKALIKE_GROUPS = [(["0"], (0.0, 1)), (["1"], (-0.0, True)), (["10"], (-0.0, 1.0))]
+# One group as wide as the 2^12 leaves of the deepest ``unbounded`` request.
+LEAF_LABELS = [format(k, "012b") for k in range(2**12)]
 scalars = st.one_of(
     st.none(),
     st.text(max_size=6),
@@ -43,35 +45,42 @@ def lookalike(value):
 
 @st.composite
 def tables(draw):
-    """(rows, columns): (label, values) rows whose values tuples come from a
-    small pool, so that several rows share one tuple object."""
+    """(groups, columns): (labels, values) groups whose values tuples come
+    from a small pool, so that several groups share one tuple object."""
     columns = draw(st.lists(column_names, min_size=1, max_size=6))
     pool = draw(st.lists(st.tuples(*[scalars] * (len(columns) - 1)), min_size=1))
     if draw(st.booleans()):
         pool.append(tuple(map(lookalike, pool[0])))
-    rows = [
-        (draw(scalars), draw(st.sampled_from(pool)))
-        for _ in range(draw(st.integers(0, 12)))
+    groups = [
+        (draw(st.lists(st.text(), max_size=4)), draw(st.sampled_from(pool)))
+        for _ in range(draw(st.integers(0, 6)))
     ]
-    return rows, columns
+    return groups, columns
 
 
-def written(rows, columns, header_lines, fmt):
+def expanded(groups):
+    """The (label, values) rows that ``groups`` stand for, in order."""
+    return [(label, values) for labels, values in groups for label in labels]
+
+
+def written(groups, columns, header_lines, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        seqeve.cli._write_rows(rows, columns, header_lines, fmt, None)
+        seqeve.cli._write_rows(groups, columns, header_lines, fmt, None)
     return out.getvalue()
 
 
 @ROWS
 @given(tables(), st.lists(st.text(max_size=8), max_size=3))
 @example(([], ["branch", "theta"]), ["seqeve"])
-@example((LOOKALIKE_ROWS, ["branch", "theta", "weight"]), [])
+@example(([([], (0.5, None)), (["x"], (0.5, None))], ["branch", "theta", "lhs"]), [])
+@example((LOOKALIKE_GROUPS, ["branch", "theta", "weight"]), [])
+@example(([(LEAF_LABELS, (0.1234567, 2.0**-12, None))], ["branch", "a", "b", "c"]), [])
 def test_rows_match_the_oracle_renderer(table, header_lines):
-    rows, columns = table
+    groups, columns = table
     for fmt in ("csv", "json"):
-        expected = render_rows(rows, columns, header_lines, fmt)
-        assert written(rows, columns, header_lines, fmt) == expected
+        expected = render_rows(expanded(groups), columns, header_lines, fmt)
+        assert written(groups, columns, header_lines, fmt) == expected
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -79,12 +88,13 @@ def test_depth12_unbounded_matches_the_oracle_renderer(monkeypatch, capsys, fmt)
     calls = []
     write = seqeve.cli._write_rows
 
-    def spy(rows, columns, header_lines, fmt, path):
-        calls.append((rows, columns, header_lines, fmt))
-        write(rows, columns, header_lines, fmt, path)
+    def spy(groups, columns, header_lines, fmt, path):
+        calls.append((groups, columns, header_lines, fmt))
+        write(groups, columns, header_lines, fmt, path)
 
     monkeypatch.setattr(seqeve.cli, "_write_rows", spy)
     assert seqeve.cli.main(["unbounded", *DEPTH12, "--format", fmt]) == 0
-    (rows, columns, header_lines, _), = calls
+    (groups, columns, header_lines, _), = calls
+    rows = expanded(groups)
     assert len(rows) == 2**12 + 1
     assert capsys.readouterr().out == render_rows(rows, columns, header_lines, fmt)

@@ -79,8 +79,12 @@ def test_cli_rows_match_the_tree_oracle(tree):
     theta1, angles = tree
     captured = []
 
-    def capture(rows, columns, *rest):
-        captured.extend(dict(zip(columns, (label, *values))) for label, values in rows)
+    def capture(groups, columns, *rest):
+        captured.extend(
+            dict(zip(columns, (label, *values)))
+            for labels, values in groups
+            for label in labels
+        )
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(seqeve.cli, "_write_rows", capture)
