@@ -23,8 +23,9 @@ outcome 0 (1), normalized by construction.
 built from (N, 2, 3) direction and (N, 2) sharpness arrays, the N+1
 assemblages are carried as one (N+1, 4, 3) stack (the N sequential 3x3
 products are the only loop), and all N+1 tables come from one product and
-are validated together.  ``conditional_table``, the planner and the
-``unbounded`` leaf table are the one-position case of ``Assemblage``.
+are validated together.  ``conditional_table`` and the planner are the
+one-position case of ``Assemblage``; the ``unbounded`` leaf stacks Alice's
+two strategies instead, one start on a stack of her settings.
 ``propagate`` rebuilds the 4x4 density matrix a party sees.
 """
 
@@ -188,12 +189,16 @@ class ConditionalTable:
 
 
 def check_marginals(p_alice: np.ndarray) -> None:
-    """Raise ZeroProbabilityError at the first p(a|i) = p_alice[2i + a] too small."""
+    """Raise ZeroProbabilityError at the first p(a|i) = p_alice[..., 2i + a] too small.
+
+    A (..., 4) stack is read in row-major order, so the first stacked
+    assemblage with a marginal below ZERO_PROB_ATOL names it.
+    """
     if p_alice.min() < ZERO_PROB_ATOL:
         first = int(np.argmax(p_alice < ZERO_PROB_ATOL))
-        i, a = divmod(first, 2)
+        i, a = divmod(first % 4, 2)
         raise ZeroProbabilityError(
-            f"Alice input {i} outcome {a} has probability {p_alice[first]:.3e}"
+            f"Alice input {i} outcome {a} has probability {p_alice.flat[first]:.3e}"
         )
 
 
@@ -201,11 +206,13 @@ def check_marginals(p_alice: np.ndarray) -> None:
 class Assemblage:
     """Alice's marginals and the second qubit's Bloch vectors conditioned on them.
 
-    ``p_alice[2i + a]`` is p(a|i) and ``bloch[..., 2i + a, :]`` is r_{ia}.
-    ``bloch`` may carry leading stack axes, such as the N+1 positions of a
-    chain, which share the one ``p_alice``.  Raises InvariantError unless
-    every r_{ia} lies in the Bloch ball and sum_a p(a|i) r_{ia}, the second
-    qubit's reduced state, is the same for both inputs, within ATOL.
+    ``p_alice[..., 2i + a]`` is p(a|i) and ``bloch[..., 2i + a, :]`` is
+    r_{ia}.  ``bloch`` may carry leading stack axes.  ``p_alice`` is either
+    shared by the stacked positions, as the N+1 positions of a chain share
+    Alice's one (4,) marginals, or stacked with them, (..., 4), as when
+    ``start`` is given a stack of Alice settings.  Raises InvariantError
+    unless every r_{ia} lies in the Bloch ball and sum_a p(a|i) r_{ia}, the
+    second qubit's reduced state, is the same for both inputs, within ATOL.
     """
 
     p_alice: np.ndarray
@@ -216,7 +223,7 @@ class Assemblage:
         if not length <= 1.0 + ATOL:  # "not <=" so that NaN fails too
             raise InvariantError(f"conditional Bloch vector has length {length:.3e}")
         # sum_a p(a|0) r_{0a} - sum_a p(a|1) r_{1a}
-        drift = (self.p_alice * _INPUT_SIGN) @ self.bloch
+        drift = (self.p_alice * _INPUT_SIGN)[..., None, :] @ self.bloch
         if not np.abs(drift).max() <= ATOL:
             raise InvariantError("Alice's input signals to the second qubit")
 
@@ -224,15 +231,20 @@ class Assemblage:
     def start(cls, amp, angles) -> Assemblage:
         """Assemblage of the pure state sum amp[j][l] |j>|l> for Alice's directions.
 
-        ``angles[i]`` is (theta, phi) of her input i.  Her outcome-0 and
-        outcome-1 bras (x, y) are (cos, e^{-i phi} sin) and (-e^{i phi} sin,
-        cos) of theta/2, and v = x amp[0] + y amp[1] gives p(a|i) = |v|^2 and
-        r_{ia} = (2 Re v0* v1, 2 Im v0* v1, |v0|^2 - |v1|^2) / |v|^2.  Raises
-        ZeroProbabilityError when some p(a|i) is below ZERO_PROB_ATOL.
+        ``angles[..., i, :]`` is (theta, phi) of her input i.  Her outcome-0
+        and outcome-1 bras (x, y) are (cos, e^{-i phi} sin) and
+        (-e^{i phi} sin, cos) of theta/2, and v = x amp[0] + y amp[1] gives
+        p(a|i) = |v|^2 and r_{ia} = (2 Re v0* v1, 2 Im v0* v1,
+        |v0|^2 - |v1|^2) / |v|^2.  Leading axes of ``angles`` stack Alice
+        settings: they become stack axes of both ``p_alice`` (..., 4) and
+        ``bloch`` (..., 4, 3), each row computed as an unstacked start would.
+        Raises ZeroProbabilityError when some p(a|i) is below ZERO_PROB_ATOL.
         """
         (a00, a01), (a10, a11) = amp
-        p_alice, bloch = [], []  # row 2i + a
-        for theta, phi in angles:
+        angles = np.asarray(angles, dtype=float)
+        stack = angles.shape[:-2]
+        p_alice, bloch = [], []  # row 2i + a of each stacked setting pair
+        for theta, phi in angles.reshape(-1, 2).tolist():
             cos_h, sin_h = math.cos(0.5 * theta), math.sin(0.5 * theta)
             phase = cmath.exp(1j * phi) * sin_h
             for x, y in ((cos_h, phase.conjugate()), (-phase, cos_h)):
@@ -242,9 +254,10 @@ class Assemblage:
                 cross = 2.0 * v0.conjugate() * v1
                 p_alice.append(sq0 + sq1)
                 bloch.append((cross.real, cross.imag, sq0 - sq1))
-        p_alice = np.array(p_alice)
+        p_alice = np.array(p_alice).reshape(stack + (4,))
         check_marginals(p_alice)
-        return cls(p_alice, np.array(bloch) / p_alice[:, None])
+        bloch = np.array(bloch).reshape(stack + (4, 3))
+        return cls(p_alice, bloch / p_alice[..., None])
 
     @classmethod
     def of(cls, initial: PureTwoQubitState, alice: PartySettings) -> Assemblage:
@@ -271,7 +284,8 @@ class Assemblage:
         """Table of the party measuring the second qubit, one per stacked position.
 
         ``directions`` (..., 2, 3) and ``sharpness`` (..., 2) are the party's
-        per input, as from ``_setting_arrays``.
+        per input, as from ``_setting_arrays``.  A (..., 1) ``sharpness``
+        broadcasts one sharpness onto both inputs' directions.
         """
         half = (0.5 * sharpness)[..., None] * directions
         dots = (half @ self.bloch.swapaxes(-1, -2))[..., None]  # [k, 2i + a]
@@ -297,6 +311,7 @@ def _eve_maps(
     the transverse ones by sqrt(1 - lambda^2); the channel is unital.  Takes
     the (N, 2, 3) directions and (N, 2) sharpnesses of ``_setting_arrays``
     and the (N,) input biases; map j is the 3x3 matrix of r <- maps[j] r.
+    A (N, 1) ``sharpness`` broadcasts one sharpness onto both directions.
     """
     along = directions[..., :, None] * directions[..., None, :]
     quality = np.sqrt(1.0 - sharpness * sharpness)[..., None, None]

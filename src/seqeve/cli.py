@@ -1,12 +1,15 @@
 """Command-line driver: chain evaluation, sharpness planning, branch reports.
 
-Each command hands the writer its rows as (labels, values) groups: a list
-of labels that share ``values``, the tuple of cells after the label, in
-column order.  ``unbounded`` computes the one Schmidt angle that every leaf
-of the branch tree shares by a scalar recursion, evaluates it once per
-Alice strategy and writes the 2^n leaf labels as one group, each leaf of
-weight exactly 2^-n.  The CSV writer formats a group's values once and
-joins its labels with them, so no leaf row costs a Python call.
+Each command hands the writer its rows as (prefixes, suffixes, values)
+groups: one row labelled p + s for each prefix p and each suffix s, all
+sharing ``values``, the tuple of cells after the label, in column order.
+``unbounded`` computes the one Schmidt angle that every leaf of the branch
+tree shares by a scalar recursion, evaluates both Alice strategies in one
+stacked kernel pass and writes the 2^n leaf labels as one group, their high
+and low halves, each leaf of weight exactly 2^-n.  A group's cells are
+formatted once, as a CSV tail or as the JSON text around the label, and each
+prefix's rows are one join over the suffixes, so no leaf row or leaf label
+costs a Python call.
 Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
@@ -25,11 +28,12 @@ import functools
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .chain import ZeroProbabilityError
-from .measurement import WeakKrausSetting
+from .measurement import check_weak_angle
 from .planner import (
     BOB_SUPREMACY, InfeasibleError, PlanResult, check_target_rate, plan_chains,
 )
@@ -39,7 +43,7 @@ from .scenario import (
 )
 from .states import check_tilt_angle
 from .steering import reports
-from .unbounded import ADAPTED, CANONICAL, DegenerateStateError, leaf_report, leaf_theta
+from .unbounded import DegenerateStateError, leaf_reports, leaf_theta
 
 # Published minimal-sharpness chains for targets 0.1 / 0.2 / 0.3 on the
 # maximally entangled state, with Bob's resulting rate and the chain length.
@@ -57,6 +61,11 @@ BOB_RATE_TOL = 2e-3
 MAX_UNBOUNDED_DEPTH = 12
 # Options whose value may start with '-' (a negative number or list item).
 DASH_VALUE_OPTIONS = ("--rates", "--theta1", "--lambdas")
+# json's spelling of the floats that repr spells nan, inf and -inf.
+JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Marks the label in a JSON row template; the ASCII encoding escapes every
+# control character, so no encoded key or cell contains it.
+LABEL_SLOT = "\0"
 
 
 def _fmt(value: object) -> str:
@@ -68,41 +77,88 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _json_value(value: object) -> object:
+def _json_cell(value: object) -> str:
+    """A cell as ``json.dumps`` writes it, floats rounded to six digits first."""
     if isinstance(value, float):
-        return float(f"{value:.6g}")
-    return value
+        text = repr(float(f"{value:.6g}"))
+        return JSON_NONFINITE.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    return json.dumps(value)  # None, bool and int
+
+
+def _block(
+    prefixes: list[str], suffixes: list[str], head: str, tail: str, sep: str
+) -> str:
+    """The rows head + p + s + tail, for each prefix p and then each suffix s.
+
+    Rows are joined by ``sep``, and each prefix's rows by one join over the
+    suffixes, so no row is built by its own Python call.
+    """
+    return sep.join(
+        head + p + (tail + sep + head + p).join(suffixes) + tail for p in prefixes
+    )
+
+
+def _json_block(
+    columns: list[str],
+    names: list[str],
+    prefixes: list[str],
+    suffixes: list[str],
+    values: tuple,
+) -> str:
+    """One group's rows as the indented objects of ``json.dumps(rows, indent=2)``.
+
+    The object is encoded once as a template around its label, and a label
+    p + s is encoded as its halves: the escapes of a JSON string are per
+    character.  A row is a dict, so a repeated column name keeps its first
+    position and its last value, which may replace the label.  ``names``
+    are the encoded '"key": ' of the distinct columns in order; the keys of
+    a row's dict are a leading run of them.
+    """
+    cells = dict(zip(columns, (LABEL_SLOT, *map(_json_cell, values))))
+    fields = ",\n    ".join(map(str.__add__, names, cells.values()))
+    text = f"  {{\n    {fields}\n  }}" if cells else "  {}"
+    head, slot, tail = text.partition(LABEL_SLOT)
+    if slot:
+        prefixes = [encode_basestring_ascii(p)[:-1] for p in prefixes]
+        suffixes = [encode_basestring_ascii(s)[1:] for s in suffixes]
+    else:
+        prefixes, suffixes = [""] * len(prefixes), [""] * len(suffixes)
+    return _block(prefixes, suffixes, head, tail, ",\n")
 
 
 def _write_rows(
-    groups: list[tuple[list[str], tuple]],
+    groups: list[tuple[list[str], list[str], tuple]],
     columns: list[str],
     header_lines: list[str],
     fmt: str,
     path: str | None,
 ) -> None:
-    """Write (labels, values) groups as CSV under '#' header lines, or as JSON.
+    """Write (prefixes, suffixes, values) groups as CSV under '#' headers, or JSON.
 
-    Each group is a list of ``str`` labels that share one ``values`` tuple,
-    a row's cells after the label in the order of ``columns``; it writes one
-    row per label.  CSV formats a group's values once and joins its labels
-    with that tail, so the 2^n leaf rows of ``unbounded``, one group, cost
-    no Python call per row.  JSON is an indented list of objects keyed by
-    ``columns``.
+    A group writes one row labelled p + s for each ``str`` prefix p and then
+    each ``str`` suffix s, all sharing ``values``, the row's cells after the
+    label in the order of ``columns``; a group with no prefixes or no
+    suffixes writes nothing.  A group's cells are formatted once: CSV as the
+    tail after the label, JSON as the text of the row's object around its
+    label.  Each prefix's rows are then one join over the suffixes, so the
+    2^n leaf rows of ``unbounded``, one group of 2^ceil(n/2) high and
+    2^floor(n/2) low label halves, cost 2^ceil(n/2) joins and build no leaf
+    label.  JSON is byte for byte ``json.dumps(rows, indent=2)`` of the rows
+    as objects keyed by ``columns``.
     """
+    filled = [group for group in groups if group[0] and group[1]]
     if fmt == "json":
-        objects = []
-        for labels, values in groups:
-            cells = list(map(_json_value, values))
-            objects.extend(dict(zip(columns, (label, *cells))) for label in labels)
-        text = json.dumps(objects, indent=2) + "\n"
+        names = [f"{encode_basestring_ascii(key)}: " for key in dict.fromkeys(columns)]
+        blocks = [_json_block(columns, names, *group) for group in filled]
+        text = "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
     else:
         parts = [f"# {line}\n" for line in header_lines]
         parts.append(",".join(columns) + "\n")
-        for labels, values in groups:
-            if labels:
-                tail = "".join("," + _fmt(v) for v in values) + "\n"
-                parts.append(tail.join(labels) + tail)
+        for prefixes, suffixes, values in filled:
+            tail = "".join("," + _fmt(v) for v in values) + "\n"
+            parts.append(_block(prefixes, suffixes, "", tail, ""))
         text = "".join(parts)
     _emit(text, path)
 
@@ -139,7 +195,7 @@ def cmd_chain(args: argparse.Namespace) -> int:
     ]
     parties.append(("bob", scenario.bob.settings, None))
     groups = [
-        ([party], (model, lam, rep.lhs, rep.delta, rep.key_rate))
+        ([party], [""], (model, lam, rep.lhs, rep.delta, rep.key_rate))
         for (party, model, lam), rep in zip(parties, reports(spec))
     ]
     fmt = args.format or scenario.output.format
@@ -216,23 +272,24 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return code
 
 
-def _branch_labels(depth: int) -> list[str]:
-    """The 2^depth leaf labels, '0...0' to '1...1', in the branch tree's order.
+def _branch_labels(depth: int) -> tuple[list[str], list[str]]:
+    """High and low halves of the 2^depth leaf labels, '0...0' to '1...1'.
 
-    Each label is a high half and a low half joined by one concatenation,
-    which costs less than joining 2^depth tuples of depth characters.
+    ``[h + l for h in high for l in low]`` counts in binary, the branch
+    tree's order; the high half has ceil(depth/2) digits, and the low half
+    depth // 2, which is '' at depth 1.
     """
     high, low = (
         list(map("".join, itertools.product("01", repeat=k)))
         for k in (depth - depth // 2, depth // 2)
     )
-    return [h + l for h in high for l in low]
+    return high, low
 
 
 def cmd_unbounded(args: argparse.Namespace) -> int:
     theta1 = parse_angle(args.theta1, "theta1", check_tilt_angle)
     weak = [
-        parse_angle(tok, f"lambdas[{idx}]", WeakKrausSetting)
+        parse_angle(tok, f"lambdas[{idx}]", check_weak_angle)
         for idx, tok in enumerate(_list_tokens(args.lambdas, "lambdas"))
     ]
     if len(weak) > MAX_UNBOUNDED_DEPTH:
@@ -241,12 +298,11 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
         )
     depth = len(weak)
     theta = leaf_theta(theta1, weak)
-    rep_c = leaf_report(theta, CANONICAL)
-    rep_a = leaf_report(theta, ADAPTED)
+    rep_c, rep_a = leaf_reports(theta)
     # Every leaf shares the angle and weight, so the leaf rows are one group
     # and the weight-averaged rates equal the leaf rates.
     leaf = (theta, 2.0**-depth, rep_c.lhs, rep_c.key_rate, rep_a.lhs, rep_a.key_rate)
-    labels = _branch_labels(depth)
+    high, low = _branch_labels(depth)
     summary = (None, 1.0, None, rep_c.key_rate, None, rep_a.key_rate)
     header = [
         f"seqeve {__version__}",
@@ -262,9 +318,8 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
         "lhs_adapted",
         "key_rate_adapted",
     ]
-    _write_rows(
-        [(labels, leaf), (["summary"], summary)], columns, header, args.format, args.out
-    )
+    groups = [(high, low, leaf), (["summary"], [""], summary)]
+    _write_rows(groups, columns, header, args.format, args.out)
     return 0
 
 

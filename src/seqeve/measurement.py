@@ -52,6 +52,13 @@ class UnsharpSetting:
         check_sharpness(self.sharpness)
 
 
+def check_weak_angle(angle: float) -> float:
+    """Return the weak angle if it lies in (0, pi/4], else raise ValueError."""
+    if not 0.0 < angle <= math.pi / 4.0:
+        raise ValueError(f"weak angle must lie in (0, pi/4], got {angle}")
+    return angle
+
+
 @dataclass(frozen=True)
 class WeakKrausSetting:
     """Weak measurement in the sigma_x eigenbasis, strength set by an angle.
@@ -64,8 +71,7 @@ class WeakKrausSetting:
     angle: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.angle <= math.pi / 4.0:
-            raise ValueError(f"weak angle must lie in (0, pi/4], got {self.angle}")
+        check_weak_angle(self.angle)
 
 
 def projector(setting: SharpSetting, outcome: int) -> np.ndarray:

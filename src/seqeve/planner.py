@@ -32,7 +32,7 @@ from .chain import (
 )
 from .states import bell_state
 from .steering import (
-    SteeringReport, _scored, delta_for_rate, fgi_lhs, key_rate, report
+    THRESHOLD, SteeringReport, _scored, delta_for_rate, fgi_lhs, key_rate, report
 )
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
@@ -45,8 +45,8 @@ BOB_SUPREMACY = "bob-supremacy"
 # Alice's and Bob's settings in every planned chain, and the Eves' directions.
 _MUB_SHARP = mub_sharp_pair()
 _UNBIASED = np.array(DEFAULT_BIAS)
-# Bob's sharpness on both inputs, which is also a projective Eve's.
-_SHARP = np.ones(2)
+# Bob's sharpness, broadcast onto both inputs, which is also a projective Eve's.
+_SHARP = np.ones(1)
 
 
 class InfeasibleError(RuntimeError):
@@ -91,8 +91,8 @@ def rate_from_correlation(corr: float) -> float:
 
 
 def _both(sharpness: np.ndarray) -> np.ndarray:
-    """Settings array (..., 2) with each sharpness on both of Bob's bases."""
-    return np.stack((sharpness, sharpness), axis=-1)
+    """Settings array (..., 1): each sharpness, broadcast onto both of Bob's bases."""
+    return sharpness[..., None]
 
 
 def _eve_step(state: Assemblage, sharpness: np.ndarray) -> Assemblage:
@@ -144,7 +144,7 @@ def _grid_solve(
         at_k, below = fgi_lhs(state.table(MUB_DIRECTIONS, sharpness)).tolist()
         for row, k in list(walking.items()):
             target = solves[row][0]
-            if not _scored(at_k[row]).key_rate >= target:
+            if not key_rate(max(at_k[row] - THRESHOLD, 0.0)) >= target:
                 if k == _GRID:
                     raise InfeasibleError(
                         position,
@@ -152,31 +152,11 @@ def _grid_solve(
                         f"rate at sharpness 1 is below target {target}",
                     )
                 walking[row] = k + 1
-            elif k > 1 and _scored(below[row]).key_rate >= target:
+            elif k > 1 and key_rate(max(below[row] - THRESHOLD, 0.0)) >= target:
                 walking[row] = k - 1
             else:
                 solved[row] = walking.pop(row) / _GRID
     return solved
-
-
-def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
-    """Smallest sharpness giving Eve ``len(prefix)+1`` at least the target rate.
-
-    The steering value is affine in the new Eve's sharpness, so Bob's table
-    on the prefix, hers at sharpness 1, gives the exact minimum.  It is
-    snapped up to the 2^-20 grid (within 1e-6 of the minimum) and checked
-    against the neighbouring grid point on the monotone sharpness-to-rate
-    map.  The returned sharpness reaches the target rate.  Raises
-    InfeasibleError when even a projective measurement cannot reach it.
-    """
-    check_target_rate(target_rate)
-    prefix = tuple(prefix)
-    upstream = Assemblage.of(bell_state(), _MUB_SHARP)
-    for lam in prefix:
-        upstream = _eve_step(upstream, np.array(lam))
-    (sharp,) = _bob_reports(upstream)
-    solves = {0: (target_rate, sharp.lhs)}
-    return _grid_solve(upstream, 1, solves, len(prefix) + 1)[0]
 
 
 def plan_chains(targets: tuple[float, ...] | list[float]) -> tuple[PlanResult, ...]:

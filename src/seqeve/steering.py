@@ -43,9 +43,10 @@ def fgi_lhs(table: ConditionalTable) -> float | np.ndarray:
     probs = table.probs
     # Rows (k, i) = (0, 0) and (1, 1); columns (a, c) = 00, 01, 10, 11.
     cells = probs.reshape(probs.shape[:-4] + (4, 4))[..., ::3, :]
-    keep = np.minimum(cells[..., 0], cells[..., 3])
-    flip = np.minimum(cells[..., 1], cells[..., 2])
-    best = np.maximum(keep, flip)
+    # Columns (00, 01) against (11, 10): the kept and the flipped relabeling.
+    best = np.minimum(cells[..., :2], cells[..., :1:-1]).max(axis=-1)
+    # Added, not summed: a sum starts from +0.0 and would turn -0.0 + -0.0
+    # into +0.0.
     lhs = 0.5 * (best[..., 0] + best[..., 1])
     return lhs if lhs.ndim else float(lhs)
 

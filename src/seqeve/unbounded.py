@@ -7,7 +7,8 @@ whole binary tree of outcome histories is therefore precomputable from the
 initial tilt angle and the list of weak angles alone.  For every leaf,
 Alice can evaluate the steering inequality with either the tilt-matched
 ("canonical") second setting or the sine-adapted ("adapted") one; the
-leaf's table is the no-Eve case of ``chain.Assemblage``.
+leaf's tables are the no-Eve case of ``chain.Assemblage``, both strategies
+stacked in one start.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .chain import MUB_DIRECTIONS, Assemblage, ConditionalTable
 from .linalg import ATOL, ID2
-from .measurement import WeakKrausSetting, weak_kraus
+from .measurement import WeakKrausSetting, check_weak_angle, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
-from .steering import SteeringReport, report_from_table
+from .steering import SteeringReport, _scored, fgi_lhs
 
 DEGENERATE_THETA = 1e-8
 
@@ -212,13 +213,13 @@ def leaf_theta(theta1: float, weak_angles: tuple[float, ...] | list[float]) -> f
     Inputs are validated as in branch_tree.  Raises DegenerateStateError as
     soon as an angle falls below the product-state threshold.
     """
-    settings = [WeakKrausSetting(a) for a in weak_angles]
-    if not settings:
+    angles = [check_weak_angle(a) for a in weak_angles]
+    if not angles:
         raise ValueError("at least one weak measurement is required")
     theta = check_tilt_angle(theta1)
-    for depth, setting in enumerate(settings, start=1):
+    for depth, angle in enumerate(angles, start=1):
         sin_t, cos_t = math.sin(2.0 * theta), math.cos(2.0 * theta)
-        sin_a, cos_a = math.sin(2.0 * setting.angle), math.cos(2.0 * setting.angle)
+        sin_a, cos_a = math.sin(2.0 * angle), math.cos(2.0 * angle)
         theta = 0.5 * math.atan2(sin_t * sin_a, math.hypot(cos_t, sin_t * cos_a))
         if theta < DEGENERATE_THETA:
             raise DegenerateStateError(
@@ -228,31 +229,51 @@ def leaf_theta(theta1: float, weak_angles: tuple[float, ...] | list[float]) -> f
     return theta
 
 
-def branch_conditional_table(theta: float, alice_choice: str) -> ConditionalTable:
-    """Alice/Bob conditional table of a branch of Schmidt angle theta.
-
-    Alice's unitary cancels (it conjugates her observables and the state
-    alike), so the table is the no-Eve ``Assemblage`` of
-    cos(t)|00> + sin(t)|11>.  Alice measures cos(phi) sz + sin(phi) sx with
-    phi = 0 for input 0 and, for input 1, phi = 2t (canonical) or
-    atan(sin 2t) (adapted); Bob measures sz and sx.
-    """
+def _strategy_row(alice_choice: str) -> int:
+    """Row of an Alice strategy in the stacked leaf tables and reports."""
     if alice_choice not in ALICE_STRATEGIES:
         raise ValueError(
             f"alice_choice must be one of {ALICE_STRATEGIES}, got {alice_choice!r}"
         )
+    return ALICE_STRATEGIES.index(alice_choice)
+
+
+def _leaf_tables(theta: float) -> ConditionalTable:
+    """Alice/Bob tables of a branch of Schmidt angle theta, one per Alice strategy.
+
+    Alice's unitary cancels (it conjugates her observables and the state
+    alike), so each table is the no-Eve ``Assemblage`` of
+    cos(t)|00> + sin(t)|11>.  Alice measures cos(phi) sz + sin(phi) sx with
+    phi = 0 for input 0 and, for input 1, phi = 2t (canonical) or
+    atan(sin 2t) (adapted); Bob measures sz and sx.  Both strategies come
+    from one stacked start and one table, (2, 2, 2, 2, 2) in the order of
+    ``ALICE_STRATEGIES``.
+    """
     check_tilt_angle(theta)
-    second = (
-        2.0 * theta if alice_choice == CANONICAL else math.atan(math.sin(2.0 * theta))
-    )
     amp = ((math.cos(theta), 0.0), (0.0, math.sin(theta)))
-    leaf = Assemblage.start(amp, ((0.0, 0.0), (second, 0.0)))
+    seconds = (2.0 * theta, math.atan(math.sin(2.0 * theta)))
+    leaf = Assemblage.start(amp, [((0.0, 0.0), (second, 0.0)) for second in seconds])
     return leaf.table(MUB_DIRECTIONS, np.ones(2))  # Bob's sharp sz and sx
+
+
+def branch_conditional_table(theta: float, alice_choice: str) -> ConditionalTable:
+    """Alice/Bob conditional table of a branch of Schmidt angle theta.
+
+    The row of ``_leaf_tables(theta)`` for the Alice strategy.
+    """
+    row = _strategy_row(alice_choice)
+    return ConditionalTable(_leaf_tables(theta).probs[row])
+
+
+def leaf_reports(theta: float) -> list[SteeringReport]:
+    """Steering reports of a branch of Schmidt angle theta, [canonical, adapted]."""
+    return [_scored(lhs) for lhs in fgi_lhs(_leaf_tables(theta)).tolist()]
 
 
 def leaf_report(theta: float, alice_choice: str) -> SteeringReport:
     """Steering report of a branch of Schmidt angle theta for an Alice strategy."""
-    return report_from_table(branch_conditional_table(theta, alice_choice))
+    row = _strategy_row(alice_choice)
+    return leaf_reports(theta)[row]
 
 
 def evaluate_branch(node: BranchNode, alice_choice: str) -> SteeringReport:

@@ -10,8 +10,10 @@ conditional states can see.  The stacked chain pass is also checked, bit for
 bit, against a per-Eve loop of the kernel with maps and settings arrays built
 setting by setting and scalar steering values.  The planner's exact
 sharpness solve is checked against plain bisection, its lockstep plans
-against a one-target loop that scores one grid point per table, and the
-closed-form square root of an effect against a spectral one.  The command
+against a one-target loop that scores one grid point per table, its
+one-Eve solve behind a given prefix is kept here for the tests, the
+steering value against a formula with one minimum per relabeling term, and
+the closed-form square root of an effect against a spectral one.  The command
 line's row writer is checked against a renderer that formats every cell of
 every row.  The Schmidt form is checked by reassembling the state from it,
 and the scenario reader by parsing back the canonical document of a
@@ -51,7 +53,15 @@ from seqeve.linalg import (
     kron,
 )
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
-from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, PlanResult
+from seqeve.planner import (
+    EVE_UNREACHABLE,
+    InfeasibleError,
+    PlanResult,
+    _bob_reports,
+    _eve_step,
+    _grid_solve,
+    check_target_rate,
+)
 from seqeve.scenario import EveSpec, PartySpec, Scenario
 from seqeve.states import (
     PureTwoQubitState,
@@ -361,6 +371,15 @@ def scalar_fgi_lhs(probs: np.ndarray) -> float:
     return 0.5 * total
 
 
+def four_min_fgi_lhs(probs: np.ndarray) -> np.ndarray:
+    """Steering values of a (..., 2, 2, 2, 2) stack, one minimum per relabeling term."""
+    cells = probs.reshape(probs.shape[:-4] + (4, 4))[..., ::3, :]
+    keep = np.minimum(cells[..., 0], cells[..., 3])
+    flip = np.minimum(cells[..., 1], cells[..., 2])
+    best = np.maximum(keep, flip)
+    return 0.5 * (best[..., 0] + best[..., 1])
+
+
 BISECTION_TOL = 1e-6
 BISECTION_MAX_ITER = 50
 
@@ -438,6 +457,27 @@ def sequential_plan(target_rate: float) -> PlanResult:
         accepted += (lam,)
         upstream, bob = candidate, after
     return PlanResult(target_rate, accepted, bob.key_rate, len(accepted))
+
+
+def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
+    """Smallest sharpness giving Eve ``len(prefix)+1`` at least the target rate.
+
+    The planner's solve for one Eve behind a given prefix.  The steering
+    value is affine in the new Eve's sharpness, so Bob's table on the
+    prefix, hers at sharpness 1, gives the exact minimum.  It is snapped up
+    to the 2^-20 grid (within 1e-6 of the minimum) and checked against the
+    neighbouring grid point on the monotone sharpness-to-rate map.  The
+    returned sharpness reaches the target rate.  Raises InfeasibleError when
+    even a projective measurement cannot reach it.
+    """
+    check_target_rate(target_rate)
+    prefix = tuple(prefix)
+    upstream = Assemblage.of(bell_state(), mub_sharp_pair())
+    for lam in prefix:
+        upstream = _eve_step(upstream, np.array(lam))
+    (sharp,) = _bob_reports(upstream)
+    solves = {0: (target_rate, sharp.lhs)}
+    return _grid_solve(upstream, 1, solves, len(prefix) + 1)[0]
 
 
 # Negative eigenvalues above this magnitude signal a corrupted state rather

@@ -18,7 +18,9 @@ from helpers import (
     random_pure_qubit_density,
     random_qubit_density,
 )
-from oracles import dumps_scenario, psd_sqrt, schmidt_state, tradeoff
+from oracles import (
+    dumps_scenario, lambda_min_for_rate, psd_sqrt, schmidt_state, tradeoff
+)
 from seqeve import (
     ADAPTED,
     BOB,
@@ -51,7 +53,6 @@ from seqeve.measurement import (
 from seqeve.planner import (
     bob_rate,
     closed_form_chain,
-    lambda_min_for_rate,
     shrink_factor,
 )
 from seqeve.steering import fgi_lhs

@@ -12,6 +12,7 @@ assumes that the rates are monotone in it.  Both are checked here as well.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -271,3 +272,34 @@ def test_alice_marginals_ignore_every_eve(spec):
         assert np.abs(oracle - initial).max() <= 1e-12
         # Summed over the party's outcome, for each of its inputs.
         assert np.abs(party_joint.sum(axis=-1).reshape(2, 4) - initial).max() <= 1e-12
+
+
+alice_angles = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+# Alice's two settings at z and x, then z twice: p(1|0) of |00> is 0.
+PRODUCT_STACK = [((0.5 * math.pi, 0.0), (0.5 * math.pi, 0.0)), ((0.0, 0.0), (0.0, 0.0))]
+
+
+@PROPERTY
+@given(pure_states(), st.lists(st.tuples(alice_angles, alice_angles), min_size=1))
+@example(PureTwoQubitState(np.array([1.0, 0.0, 0.0, 0.0])), PRODUCT_STACK)
+def test_stacked_start_equals_separate_starts(state, stack):
+    """Each row of a start on an (S, 2, 2) angle stack is its own start, bit for bit.
+
+    A stack with a marginal too small to condition on raises the message of
+    the first separate start that raises it.
+    """
+    amp = state.amp.reshape(2, 2).tolist()
+    rows = []
+    for angles in stack:
+        try:
+            rows.append(Assemblage.start(amp, angles))
+        except ZeroProbabilityError as exc:
+            with pytest.raises(ZeroProbabilityError) as stacked_exc:
+                Assemblage.start(amp, stack)
+            assert str(stacked_exc.value) == str(exc)
+            return
+    stacked = Assemblage.start(amp, stack)
+    assert stacked.p_alice.shape == (len(stack), 4)
+    assert stacked.bloch.shape == (len(stack), 4, 3)
+    assert stacked.p_alice.tobytes() == np.stack([r.p_alice for r in rows]).tobytes()
+    assert stacked.bloch.tobytes() == np.stack([r.bloch for r in rows]).tobytes()

@@ -19,6 +19,7 @@ import seqeve.linalg
 import seqeve.unbounded
 from seqeve import CANONICAL, leaf_report, loads_scenario, reports, to_chain_spec
 from seqeve.chain import Assemblage, ConditionalTable
+from seqeve.measurement import WeakKrausSetting
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, max_eves
@@ -269,7 +270,8 @@ class TestWorkCounts:
 
     @pytest.mark.parametrize("depth", range(1, seqeve.cli.MAX_UNBOUNDED_DEPTH + 1))
     def test_branch_labels_count_in_binary(self, depth):
-        labels = seqeve.cli._branch_labels(depth)
+        high, low = seqeve.cli._branch_labels(depth)
+        labels = [h + l for h in high for l in low]
         assert labels == [format(k, f"0{depth}b") for k in range(2**depth)]
 
     def test_unbounded_formats_each_distinct_row_tail_once(self, monkeypatch, capsys):
@@ -765,7 +767,12 @@ class TestUnboundedCommand:
 
     @pytest.mark.parametrize("depth", [1, 10, 12])
     def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
-        evaluations = count_calls(monkeypatch, seqeve.unbounded, "leaf_report")
+        evaluations = count_calls(monkeypatch, seqeve.unbounded, "leaf_reports")
+        one_strategy = count_calls(monkeypatch, seqeve.unbounded, "leaf_report")
+        starts = count_calls(monkeypatch, Assemblage, "start")
+        scored = count_calls(monkeypatch, Assemblage, "table")
+        tables = count_calls(monkeypatch, ConditionalTable, "__post_init__")
+        weak = count_calls(monkeypatch, WeakKrausSetting, "__post_init__")
         node_evaluations = count_calls(monkeypatch, seqeve.unbounded, "evaluate_branch")
         decompositions = count_calls(monkeypatch, seqeve.unbounded, "schmidt_decompose")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
@@ -776,7 +783,14 @@ class TestUnboundedCommand:
         # The six values of the leaf and of the summary formatted once each,
         # whatever the depth; labels are not formatted.
         assert len(cells) == 2 * 6
-        assert len(evaluations) == 2
+        # Both Alice strategies in one stacked start, table and check, and
+        # each weak angle checked without building a setting.
+        assert len(evaluations) == 1
+        assert len(one_strategy) == 0
+        assert [np.shape(angles) for _, angles in starts] == [(2, 2, 2)]
+        assert [state.bloch.shape for state, *_ in scored] == [(2, 4, 3)]
+        assert [np.shape(table.probs) for table, in tables] == [(2, 2, 2, 2, 2)]
+        assert len(weak) == 0
         assert len(node_evaluations) == 0
         assert len(decompositions) == 0
         assert len(krons) == 0

@@ -1,9 +1,11 @@
 """The command line's row writer against the cell-by-cell oracle renderer.
 
-``cli._write_rows`` takes (labels, values) groups, formats a CSV group's
-values once and joins its labels with them; ``oracles.render_rows`` formats
-every cell of every (label, values) row.  Both must give the same bytes, in
-CSV and in JSON.
+``cli._write_rows`` takes (prefixes, suffixes, values) groups, one row
+labelled p + s per prefix p and suffix s.  It formats a group's cells once,
+as a CSV tail or a JSON template around the label, and joins each prefix's
+rows over the suffixes; ``oracles.render_rows`` formats every cell of every
+(label, values) row, JSON through ``json.dumps(objects, indent=2)``.  Both
+must give the same bytes, in CSV and in JSON.
 """
 
 import contextlib
@@ -23,9 +25,17 @@ DEPTH12 = ["--theta1", "0.7", "--lambdas", ",".join(["0.6", "0.3", "0.5", "0.2"]
 # writer that reuses or merges tails of equal values shows up.
 EQUAL_BUT_DISTINCT = [0.0, -0.0, 1, 1.0, True, False, 0]
 # Adjacent groups whose values tuples are equal but render differently.
-LOOKALIKE_GROUPS = [(["0"], (0.0, 1)), (["1"], (-0.0, True)), (["10"], (-0.0, 1.0))]
+LOOKALIKE_GROUPS = [
+    (["0"], [""], (0.0, 1)),
+    (["1"], [""], (-0.0, True)),
+    (["1"], ["0"], (-0.0, 1.0)),
+]
 # One group as wide as the 2^12 leaves of the deepest ``unbounded`` request.
-LEAF_LABELS = [format(k, "012b") for k in range(2**12)]
+LEAF_HALVES = [format(k, "06b") for k in range(2**6)]
+LEAF_COLUMNS = ["branch", "a", "b", "c"]
+# A character outside the BMP split into two lone surrogates, one in the
+# prefix and one in the suffix: JSON escapes them one at a time.
+SPLIT_PAIR = (["a\ud83d"], ["\ude00b", ""], ("q\"\\\x00",))
 scalars = st.one_of(
     st.none(),
     st.text(max_size=6),
@@ -45,14 +55,19 @@ def lookalike(value):
 
 @st.composite
 def tables(draw):
-    """(groups, columns): (labels, values) groups whose values tuples come
-    from a small pool, so that several groups share one tuple object."""
+    """(groups, columns): (prefixes, suffixes, values) groups whose values
+    tuples come from a small pool, so that several groups share one tuple
+    object."""
     columns = draw(st.lists(column_names, min_size=1, max_size=6))
     pool = draw(st.lists(st.tuples(*[scalars] * (len(columns) - 1)), min_size=1))
     if draw(st.booleans()):
         pool.append(tuple(map(lookalike, pool[0])))
     groups = [
-        (draw(st.lists(st.text(), max_size=4)), draw(st.sampled_from(pool)))
+        (
+            draw(st.lists(st.text(), max_size=4)),
+            draw(st.lists(st.text(), max_size=4)),
+            draw(st.sampled_from(pool)),
+        )
         for _ in range(draw(st.integers(0, 6)))
     ]
     return groups, columns
@@ -60,7 +75,12 @@ def tables(draw):
 
 def expanded(groups):
     """The (label, values) rows that ``groups`` stand for, in order."""
-    return [(label, values) for labels, values in groups for label in labels]
+    return [
+        (prefix + suffix, values)
+        for prefixes, suffixes, values in groups
+        for prefix in prefixes
+        for suffix in suffixes
+    ]
 
 
 def written(groups, columns, header_lines, fmt):
@@ -73,9 +93,15 @@ def written(groups, columns, header_lines, fmt):
 @ROWS
 @given(tables(), st.lists(st.text(max_size=8), max_size=3))
 @example(([], ["branch", "theta"]), ["seqeve"])
-@example(([([], (0.5, None)), (["x"], (0.5, None))], ["branch", "theta", "lhs"]), [])
+# No prefixes, then no suffixes, then [""] suffixes.
+@example(([([], ["0"], (0.5, None)), (["x"], [""], (0.5, None))], ["b", "t", "l"]), [])
+@example(([(["0", "1"], [], (0.5,)), (["x"], ["y", "z"], (0.5,))], ["b", "t"]), [])
+@example(([(["x", "y"], [""], (0.5, None, "s"))], ["b", "theta", "a", "c"]), [])
 @example((LOOKALIKE_GROUPS, ["branch", "theta", "weight"]), [])
-@example(([(LEAF_LABELS, (0.1234567, 2.0**-12, None))], ["branch", "a", "b", "c"]), [])
+@example(([(LEAF_HALVES, LEAF_HALVES, (0.1234567, 2.0**-12, None))], LEAF_COLUMNS), [])
+@example(([SPLIT_PAIR], ["branch", "cell"]), [])
+# A later column of the label's name replaces the label in JSON.
+@example(([(["p"], ["s", "t"], (1.5, 2.5))], ["branch", "x", "branch"]), [])
 def test_rows_match_the_oracle_renderer(table, header_lines):
     groups, columns = table
     for fmt in ("csv", "json"):

@@ -17,6 +17,8 @@ PI_6 = "0.5235987755982988"
 JSON = ["--format", "json"]
 UNBOUNDED_PI = ["unbounded", "--theta1", PI_4, "--lambdas", PI_6]
 UNBOUNDED_MIXED = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"]
+# An even depth, so that the low halves of the leaf labels are not empty.
+UNBOUNDED_MIXED4 = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7,0.4"]
 CHAIN_MIXED = ["chain", "--scenario", str(GOLDEN / "chain_mixed.yaml")]
 # Unsorted, with a repeat, and with chains of 0 to 5 Eves that stop at
 # different positions of one lockstep plan.
@@ -27,6 +29,8 @@ CASES = {
     "unbounded_pi4_pi6.json": UNBOUNDED_PI + JSON,
     "unbounded_mixed3.csv": UNBOUNDED_MIXED,
     "unbounded_mixed3.json": UNBOUNDED_MIXED + JSON,
+    "unbounded_mixed4.csv": UNBOUNDED_MIXED4,
+    "unbounded_mixed4.json": UNBOUNDED_MIXED4 + JSON,
     "plan_check_paper.txt": ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"],
     "plan_mixed.txt": PLAN_MIXED,
     "chain_mixed.json": CHAIN_MIXED + JSON,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import count_calls
+from oracles import lambda_min_for_rate
 from seqeve import bell_state, max_eves, mub_chain, planner, report, tilted_state
 from seqeve.chain import Assemblage, mub_sharp_pair
 from seqeve.planner import (
@@ -12,7 +13,6 @@ from seqeve.planner import (
     InfeasibleError,
     bob_rate,
     closed_form_chain,
-    lambda_min_for_rate,
     shrink_factor,
 )
 from seqeve.steering import delta_for_rate

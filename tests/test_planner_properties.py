@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 import oracles
 from seqeve import bell_state, mub_chain, tilted_state
 from seqeve.chain import DEFAULT_BIAS, Assemblage, mub_sharp_pair, mub_unsharp_pair
-from seqeve.planner import (
-    InfeasibleError, lambda_min_for_rate, max_eves, plan_chains
-)
+from oracles import lambda_min_for_rate
+from seqeve.planner import InfeasibleError, max_eves, plan_chains
 from seqeve.steering import report_from_table
 
 SOLVE_PROPERTY = settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,10 +1,14 @@
 """Tests for the steering inequality evaluation and key-rate bound."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from helpers import (
     random_pure_amp,
     random_pure_qubit_density,
@@ -151,3 +155,35 @@ class TestReport:
             assert rep.key_rate == pytest.approx(0.1, abs=2e-3)
             damping *= shrink_factor(lam)
         assert report(spec, BOB).key_rate == pytest.approx(0.634, abs=2e-3)
+
+
+# Ties, signed zeros and NaN, where the order of the minima and maxima shows.
+cells = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.nan, -math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def table_stacks(draw):
+    """A (..., 2, 2, 2, 2) array with up to two stack axes, unvalidated."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    size = 16 * math.prod(shape)
+    values = draw(st.lists(cells, min_size=size, max_size=size))
+    return np.array(values).reshape(shape + (2, 2, 2, 2))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table_stacks())
+def test_fgi_lhs_equals_the_four_minimum_formula(probs):
+    """Two minima and a max reduction give the four-minimum formula's bits.
+
+    A NaN is compared as NaN: NumPy's vector loops may set its sign bit,
+    which no output shows.
+    """
+    expected = oracles.four_min_fgi_lhs(probs)
+    got = fgi_lhs(SimpleNamespace(probs=probs))
+    assert isinstance(got, float) == (probs.ndim == 4)
+    got, nan = np.asarray(got), np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == expected[~nan].tobytes()

@@ -81,9 +81,10 @@ def test_cli_rows_match_the_tree_oracle(tree):
 
     def capture(groups, columns, *rest):
         captured.extend(
-            dict(zip(columns, (label, *values)))
-            for labels, values in groups
-            for label in labels
+            dict(zip(columns, (prefix + suffix, *values)))
+            for prefixes, suffixes, values in groups
+            for prefix in prefixes
+            for suffix in suffixes
         )
 
     with pytest.MonkeyPatch.context() as mp:
