@@ -32,7 +32,8 @@ from .chain import (
 )
 from .states import bell_state
 from .steering import (
-    THRESHOLD, SteeringReport, _scored, delta_for_rate, fgi_lhs, key_rate, report
+    THRESHOLD, SteeringReport, delta_for_rate, fgi_lhs, key_rate, report,
+    table_reports,
 )
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
@@ -106,9 +107,8 @@ def _eve_step(state: Assemblage, sharpness: np.ndarray) -> Assemblage:
 
 
 def _bob_reports(state: Assemblage) -> list[SteeringReport]:
-    """Bob's report on each row of ``state``, each key rate a scalar log2."""
-    lhs = fgi_lhs(state.table(MUB_DIRECTIONS, _SHARP))
-    return [_scored(value) for value in np.atleast_1d(lhs).tolist()]
+    """Bob's report on each row of ``state``."""
+    return table_reports(state.table(MUB_DIRECTIONS, _SHARP))
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
@@ -206,6 +206,15 @@ def max_eves(target_rate: float) -> PlanResult:
     Extends greedily: each new Eve takes her minimal sharpness given the
     accepted prefix, and the extension is kept only while Bob (with all
     listed Eves in place) still exceeds the target rate.
+
+    No chain of grid sharpnesses is longer.  Behind Eves of sharpness
+    s_1..s_m both matched-basis correlations are D_m = prod_j f(s_j), where
+    f = ``shrink_factor`` falls as s rises.  Eve m + 1 reaches the target
+    iff s_{m+1} D_m >= c for one fixed c, and Bob's rate rises with D.  So
+    if every Eve of another chain reaches the target and D'_m <= D_m, then
+    s'_{m+1} >= the greedy s_{m+1} and D'_{m+1} <= D_{m+1}: by induction,
+    Bob beats the target behind the greedy n Eves wherever he does behind
+    any n.
     """
     return plan_chains((target_rate,))[0]
 

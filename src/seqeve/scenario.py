@@ -10,20 +10,16 @@ Angles are radians; the string form "deg:30" is degrees.  An unreadable
 file (missing, not UTF-8, a NUL in its path) and a number beyond float range
 are ScenarioErrors too.
 
-Documents are composed by PyYAML's libyaml loader (``CSafeLoader``) when
-PyYAML was built with it, else by the pure-Python ``SafeLoader``; both
-build the same node graph.  ``_plain`` turns the nodes into dicts, lists
-and scalars, each scalar by the constructor ``yaml.load`` would run, so
-the document is ``yaml.load``'s without PyYAML's Python constructor.  A
-graph that it does not model goes through ``yaml.load`` instead: a
-collection reached twice (an alias of it, or a cycle), a merge key
-``<<``, a value key ``=``, a key that is not a scalar, a collection
-tagged other than a plain sequence or mapping (``!!set``, ``!!omap``,
-``!!pairs``, ``!!str [..]``), and a scalar with a collection or unknown
-tag.  A ``%YAML`` directive other than 1.1 or 1.2, a constructor error
-and nesting deeper than MAX_NESTING (or than Python's recursion limit)
-are ``not valid YAML`` like a syntax error.  yaml is imported on the
-first read: ``plan`` and ``unbounded`` never load it.
+Documents are composed once by ``CSafeLoader``, PyYAML's binding of
+libyaml, when PyYAML was built with it, else by the pure-Python
+``SafeLoader``; both build the same node graph.  ``_plain`` builds plain
+mappings, sequences, strings and floats from the nodes, and one
+``SafeConstructor`` builds every other node in the same queue and with the
+same node cache, so the document is the safe loader's, aliases, cycles
+and merge keys included.  A ``%YAML`` directive other than 1.1 or 1.2, a
+constructor error and nesting deeper than MAX_NESTING (or than Python's
+recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
+imported on the first read: ``plan`` and ``unbounded`` never load it.
 """
 
 from __future__ import annotations
@@ -253,17 +249,10 @@ def _parse_output(raw: object) -> OutputSpec:
     return OutputSpec(fmt, path)
 
 
-class _Unmodelled(Exception):
-    """A node that ``_plain`` leaves to ``yaml.load``."""
-
-
 _CORE = "tag:yaml.org,2002:"
-_STR, _FLOAT, _MERGE = _CORE + "str", _CORE + "float", _CORE + "merge"
-_SEQ, _MAP = _CORE + "seq", _CORE + "map"
-# The scalars built by their constructor; '<<', '=' and other tags fall back.
-_SCALAR_TAGS = frozenset(
-    _CORE + name for name in ("null", "bool", "int", "float", "binary", "timestamp")
-)
+_STR, _FLOAT, _SEQ, _MAP = (_CORE + name for name in ("str", "float", "seq", "map"))
+# Keys that SafeConstructor.flatten_mapping rewrites: '<<' and '='.
+_FLATTENED = (_CORE + "merge", _CORE + "value")
 # Float spellings left to the constructor: 1_0, 1:30 (base 60), .inf, .nan.
 _NOT_PLAIN_FLOAT = frozenset("_:nN")
 
@@ -275,24 +264,37 @@ def _malformed(exc: Exception) -> ValueError:
 
 
 def _plain(root):
-    """What ``yaml.load`` builds from the composed node ``root``.
+    """The document that PyYAML's safe loader constructs from ``root``.
 
-    Containers are filled in first-in first-out order, keys before values,
-    which is the order of ``construct_document``, so the first bad scalar
-    raises the same error.  A float without the characters above is read
-    by ``float``, which gives what the constructor gives bit for bit or
-    raises ValueError, such as on '--1', where the constructor takes over.
-    An alias of a scalar is read again: its value is immutable.  Raises
-    _Unmodelled on a node that the module docstring lists as falling back.
+    Plain mappings and sequences, ``str`` scalars and plain floats are
+    built here; a float without the characters above is read by ``float``,
+    which gives what the constructor gives bit for bit or raises
+    ValueError, such as on '--1', where the constructor takes over.  Every
+    other node goes to one ``SafeConstructor``, which shares the node cache
+    and the first-in first-out queue of containers to fill, keys before
+    values.  That is the batch order of ``construct_document``, so a
+    collection reached twice is one object and the first bad node raises
+    the error the loader raises.
     """
-    from yaml import YAMLError
-    from yaml.constructor import SafeConstructor
+    from yaml.constructor import ConstructorError, SafeConstructor
     from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
     constructor = SafeConstructor()
-    build = constructor.yaml_constructors
-    pending = deque()  # (collection node, its container yet to fill)
-    seen = set()  # ids of the collection nodes reached
+    built = constructor.constructed_objects
+    # Only construct_document, never called here, replaces this list.
+    generators = constructor.state_generators
+    # (collection node, its container yet to fill), or a generator of PyYAML's.
+    pending = deque()
+
+    def by_pyyaml(build, work):
+        """``build(work)``, with the generators it leaves queued behind the rest."""
+        try:
+            data = build(work)
+        except (LookupError, AttributeError) as exc:
+            raise _malformed(exc) from None
+        pending.extend(generators)
+        generators.clear()
+        return data
 
     def read(node):
         kind, tag = node.__class__, node.tag
@@ -304,50 +306,47 @@ def _plain(root):
                     return float(node.value)
                 except ValueError:
                     pass
-            if tag in _SCALAR_TAGS:
-                construct = build[tag]
-                try:
-                    return construct(constructor, node)
-                except (LookupError, AttributeError) as exc:
-                    raise _malformed(exc) from None
-        elif id(node) not in seen:
-            seen.add(id(node))
-            if kind is SequenceNode and tag == _SEQ:
-                data = []
-            elif kind is MappingNode and tag == _MAP:
-                data = {}
-            else:
-                raise _Unmodelled
+        elif node in built:
+            return built[node]
+        elif kind is SequenceNode and tag == _SEQ:
+            data = built[node] = []
             pending.append((node, data))
             return data
-        raise _Unmodelled
+        elif kind is MappingNode and tag == _MAP:
+            data = built[node] = {}
+            pending.append((node, data))
+            return data
+        return by_pyyaml(constructor.construct_object, node)
 
-    node = root
-    try:
-        document = read(root)
-        while pending:
-            node, data = pending.popleft()
-            if data.__class__ is list:
-                data.extend([read(child) for child in node.value])
-                continue
-            for key_node, value_node in node.value:
-                if key_node.__class__ is not ScalarNode:
-                    raise _Unmodelled
-                key = read(key_node)
-                data[key] = read(value_node)
-    except (YAMLError, ValueError):
-        # The constructor reads a merge key's pairs ahead of the rest of
-        # their mapping, so yaml.load may meet another bad scalar first.
-        if node.__class__ is MappingNode and any(
-            key_node.tag == _MERGE for key_node, _ in node.value
-        ):
-            raise _Unmodelled from None
-        raise
+    document = read(root)
+    while pending:
+        work = pending.popleft()
+        if work.__class__ is not tuple:
+            by_pyyaml(list, work)  # list() runs the generator to its end
+            continue
+        node, data = work
+        if data.__class__ is list:
+            data.extend([read(child) for child in node.value])
+            continue
+        for key_node, _ in node.value:
+            if key_node.tag in _FLATTENED:
+                constructor.flatten_mapping(node)
+                break
+        for key_node, value_node in node.value:
+            key = read(key_node)
+            # Only a list, dict or set, none of them collections.abc.Hashable,
+            # which is the constructor's own check.
+            if key.__hash__ is None:
+                raise ConstructorError(
+                    "while constructing a mapping", node.start_mark,
+                    "found unhashable key", key_node.start_mark,
+                )
+            data[key] = read(value_node)
     return document
 
 
 def _document(text: str) -> object:
-    """The YAML document of ``text`` as ``yaml.load`` builds it."""
+    """The YAML document of ``text`` as PyYAML's safe loader builds it."""
     import yaml
 
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -369,14 +368,7 @@ def _document(text: str) -> object:
                 if depth > MAX_NESTING:
                     raise yaml.YAMLError(f"nested deeper than {MAX_NESTING} levels")
         root = yaml.compose(text, Loader=loader)
-        try:
-            return None if root is None else _plain(root)
-        except _Unmodelled:
-            pass
-        try:
-            return yaml.load(text, Loader=loader)
-        except (LookupError, AttributeError) as exc:
-            raise _malformed(exc) from None
+        return None if root is None else _plain(root)
     # The constructor raises a plain ValueError on a bad tagged scalar: !!int "0x".
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")

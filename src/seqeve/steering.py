@@ -88,10 +88,15 @@ def report(spec: ChainSpec, party: int | str) -> SteeringReport:
     return report_from_table(conditional_table(spec, party))
 
 
-def reports(spec: ChainSpec) -> list[SteeringReport]:
-    """Steering reports of Eve 1..N and then Bob, from one stacked pass.
+def table_reports(table: ConditionalTable) -> list[SteeringReport]:
+    """Steering report of each table of a stack, or of a single table.
 
-    The N+1 inequality values come from one array computation; each key
-    rate is a scalar ``math.log2``.
+    The inequality values come from one array computation; each key rate
+    is a scalar ``math.log2``.
     """
-    return [_scored(lhs) for lhs in fgi_lhs(tables(spec)).tolist()]
+    return [_scored(lhs) for lhs in np.atleast_1d(fgi_lhs(table)).tolist()]
+
+
+def reports(spec: ChainSpec) -> list[SteeringReport]:
+    """Steering reports of Eve 1..N and then Bob, from one stacked pass."""
+    return table_reports(tables(spec))

@@ -22,7 +22,7 @@ from .chain import MUB_DIRECTIONS, Assemblage, ConditionalTable
 from .linalg import ATOL, ID2
 from .measurement import WeakKrausSetting, check_weak_angle, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
-from .steering import SteeringReport, _scored, fgi_lhs
+from .steering import SteeringReport, table_reports
 
 DEGENERATE_THETA = 1e-8
 
@@ -256,18 +256,9 @@ def _leaf_tables(theta: float) -> ConditionalTable:
     return leaf.table(MUB_DIRECTIONS, np.ones(2))  # Bob's sharp sz and sx
 
 
-def branch_conditional_table(theta: float, alice_choice: str) -> ConditionalTable:
-    """Alice/Bob conditional table of a branch of Schmidt angle theta.
-
-    The row of ``_leaf_tables(theta)`` for the Alice strategy.
-    """
-    row = _strategy_row(alice_choice)
-    return ConditionalTable(_leaf_tables(theta).probs[row])
-
-
 def leaf_reports(theta: float) -> list[SteeringReport]:
     """Steering reports of a branch of Schmidt angle theta, [canonical, adapted]."""
-    return [_scored(lhs) for lhs in fgi_lhs(_leaf_tables(theta)).tolist()]
+    return table_reports(_leaf_tables(theta))
 
 
 def leaf_report(theta: float, alice_choice: str) -> SteeringReport:

@@ -459,6 +459,30 @@ def sequential_plan(target_rate: float) -> PlanResult:
     return PlanResult(target_rate, accepted, bob.key_rate, len(accepted))
 
 
+def longest_chain(target_rate: float, points: int = 4) -> int:
+    """Length of the longest chain that a depth-first search finds.
+
+    At each position the new Eve takes her least grid sharpness given the
+    chain so far, or one of ``points`` sharpnesses spaced evenly from it
+    to 1, and the chain goes on while Bob's rate with her in place still
+    exceeds the target.
+    """
+
+    def longest(upstream: Assemblage, bob_lhs: float) -> int:
+        least = _min_sharpness(upstream, bob_lhs, target_rate)
+        depth = 0
+        for lam in np.linspace(least, 1.0, points).tolist():
+            step = _eve_maps(MUB_DIRECTIONS, np.full(2, lam), np.array(DEFAULT_BIAS))
+            candidate = upstream.after(step)
+            bob = _mub_score(candidate, 1.0)
+            if bob.key_rate > target_rate:
+                depth = max(depth, 1 + longest(candidate, bob.lhs))
+        return depth
+
+    start = Assemblage.of(bell_state(), mub_sharp_pair())
+    return longest(start, _mub_score(start, 1.0).lhs)
+
+
 def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     """Smallest sharpness giving Eve ``len(prefix)+1`` at least the target rate.
 

@@ -20,6 +20,8 @@ UNBOUNDED_MIXED = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"]
 # An even depth, so that the low halves of the leaf labels are not empty.
 UNBOUNDED_MIXED4 = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7,0.4"]
 CHAIN_MIXED = ["chain", "--scenario", str(GOLDEN / "chain_mixed.yaml")]
+# The same scenario written with anchors, aliases and merge keys.
+CHAIN_MERGE = ["chain", "--scenario", str(GOLDEN / "chain_merge.yaml")]
 # Unsorted, with a repeat, and with chains of 0 to 5 Eves that stop at
 # different positions of one lockstep plan.
 PLAN_MIXED = ["plan", "--rates", "0.45,0.05,0.3,0.05,0.99,1e-300,0.2"]
@@ -41,3 +43,9 @@ CASES = {
 def test_output_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+def test_merged_scenario_prints_the_chain_golden_file(capsys):
+    assert main(CHAIN_MERGE + JSON) == 0
+    expected = (GOLDEN / "chain_mixed.json").read_bytes()
+    assert capsys.readouterr().out.encode() == expected

@@ -8,7 +8,9 @@ are rebuilt position by position from the bisection and Bob's check.  The
 planner takes Bob's table as the next Eve's table at sharpness 1, so that
 identity is checked on general upstream states.  The lockstep planner
 must give each target of a batch the plan of the one-target loop in
-``tests/oracles.py``, bit for bit, whatever other targets share the batch.
+``tests/oracles.py``, bit for bit, whatever other targets share the batch,
+and no chain that a depth-first search over sharpnesses finds may be longer
+than its plan.
 """
 
 import math
@@ -101,6 +103,15 @@ def plan_bits(plan):
         plan.bob_rate.hex(),
         plan.max_eves,
     )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.floats(0.05, 0.95))
+@example(0.1)
+@example(0.2)
+@example(0.3)
+def test_no_searched_chain_is_longer_than_max_eves(target):
+    assert oracles.longest_chain(target) == max_eves(target).max_eves
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -13,6 +13,8 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from yaml.constructor import SafeConstructor
+from yaml.nodes import ScalarNode
 
 from helpers import count_calls
 from oracles import dumps_scenario
@@ -31,11 +33,14 @@ from seqeve.scenario import (
 from seqeve.states import check_tilt_angle
 
 LOADERS = settings(max_examples=150, deadline=None, derandomize=True)
+# The walker property is the one guard of the queue it shares with PyYAML.
+WALKER = settings(max_examples=500, deadline=None, derandomize=True)
 needs_libyaml = pytest.mark.skipif(
     not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml"
 )
 # The detail after this prefix is worded by whichever parser found the error.
 YAML_ERROR = "scenario: not valid YAML ("
+GOLDEN = Path(__file__).parent / "golden"
 # libyaml reads only 1.1 and 1.2; PyYAML's Python parser takes any 1.x.
 YAML_VERSIONS = ["1.0", "1.1", "1.2", "1.3", "1.9", "1.10", "2.0"]
 
@@ -249,29 +254,37 @@ def test_many_collections_at_shallow_depth_are_read(tmp_path, capsys, monkeypatc
 directions = st.builds(
     BlochDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)
 )
-direction_pairs = st.tuples(directions, directions)
 states = st.builds(
     StateSpec, st.none() | st.floats(0.0, math.pi / 4, exclude_min=True)
 )
-parties = st.builds(PartySpec, st.none() | direction_pairs)
 sharpness = st.floats(0.0, 1.0, exclude_min=True)
 biases = st.floats(0.0, 1.0)
-eves = st.builds(EveSpec, sharpness, st.none() | direction_pairs, biases)
-scenarios = st.builds(
-    Scenario,
-    states,
-    parties,
-    parties,
-    st.lists(eves, max_size=4).map(tuple),
-    st.builds(
-        OutputSpec,
-        st.sampled_from(("csv", "json")),
-        # A NUL cannot be in a file name, so output.path rejects it.
-        st.one_of(
-            st.none(), st.text(st.characters(blacklist_characters="\0"), max_size=12)
+
+
+def scenarios_of(directions):
+    """Scenarios whose explicit settings take their directions from ``directions``."""
+    direction_pairs = st.tuples(directions, directions)
+    parties = st.builds(PartySpec, st.none() | direction_pairs)
+    eves = st.builds(EveSpec, sharpness, st.none() | direction_pairs, biases)
+    return st.builds(
+        Scenario,
+        states,
+        parties,
+        parties,
+        st.lists(eves, max_size=4).map(tuple),
+        st.builds(
+            OutputSpec,
+            st.sampled_from(("csv", "json")),
+            # A NUL cannot be in a file name, so output.path rejects it.
+            st.one_of(
+                st.none(),
+                st.text(st.characters(blacklist_characters="\0"), max_size=12),
+            ),
         ),
-    ),
-)
+    )
+
+
+scenarios = scenarios_of(directions)
 
 WRONG_TYPES = ["abc", "deg:abc", True, None, 7, [], {}, [1, 2], {"theta": 0.1}]
 NON_FINITE = [math.nan, math.inf, -math.inf, "deg:nan", "deg:inf", "deg:-inf"]
@@ -389,18 +402,23 @@ def test_both_loaders_agree_on_near_valid_documents(tmp_path_factory, text):
 # Compose and walk -----------------------------------------------------------
 
 
-def _refuse(root):
-    raise seqeve.scenario._Unmodelled
+def _construct(root):
+    """``yaml.load``'s document: PyYAML's own construction of the node ``root``,
+    its LookupError or AttributeError a ValueError as ``_document`` has it."""
+    try:
+        return SafeConstructor().construct_document(root)
+    except (LookupError, AttributeError) as exc:
+        raise ValueError(str(exc)) from None
 
 
 def _read(text, *, fallback, walk):
     """repr of the document that ``_document`` reads from ``text``, or its
-    error; with ``walk`` off every document goes through ``yaml.load``."""
+    error; with ``walk`` off PyYAML's constructor builds every document."""
     with pytest.MonkeyPatch.context() as mp:
         if fallback:
             mp.delattr(yaml, "CSafeLoader", raising=False)
         if not walk:
-            mp.setattr(seqeve.scenario, "_plain", _refuse)
+            mp.setattr(seqeve.scenario, "_plain", _construct)
         try:
             # repr tells 1, 1.0 and True apart, and -0.0 from 0.0; NaN equals NaN.
             return repr(seqeve.scenario._document(text))
@@ -420,14 +438,16 @@ SCALAR_FORMS = [
     '!!float ""', '!!int ""', "!!bool x", "!!timestamp x", "!!str 1",
     "!!float 3", "!!int 0x1F", "!!null x", "!!binary aGVsbG8=",
 ]
-FALLBACK_FORMS = [
+# Forms that the walker does not build itself, in whole or in part.
+UNMODELLED_FORMS = [
     "&s [1, 2]", "*s", "&m {x: 1}", "*m", "&v 5", "*v", "&c [*c]",
     "{<<: {x: 1}, y: 2}", "{<<: [{x: 1}, {x: 3}], y: 2}", "{<<: 1}",
     "{=: 1}", "=", "!!set {a, b}", "!!omap [a: 1]", "!!pairs [a: 1]",
     "!!str [a]", "!!seq x", "!!map x", "!foo x", "!!python/tuple [1]",
 ]
 KEY_FORMS = [
-    "a", "b", "1", "1.0", "true", "~", '"1"', "!!int 1", '!!int "0x"', "<<", "=", "[a]"
+    "a", "b", "1", "1.0", "true", "~", '"1"', "!!int 1", '!!int "0x"', "<<", "=", "[a]",
+    "!!seq x",
 ]
 WHOLE_DOCUMENTS = [
     "",
@@ -453,14 +473,14 @@ def _flow_seq(items):
 
 @st.composite
 def yaml_forms(draw):
-    """A mapping of number, boolean, null, tagged and fallback forms, in
+    """A mapping of number, boolean, null, tagged and unmodelled forms, in
     block or flow position, or one of the whole documents above."""
     if draw(st.booleans()):
         return draw(st.sampled_from(WHOLE_DOCUMENTS))
     scalars = st.sampled_from(SCALAR_FORMS)
     values = st.one_of(
         scalars,
-        st.sampled_from(FALLBACK_FORMS),
+        st.sampled_from(UNMODELLED_FORMS),
         st.lists(scalars, max_size=3).map(_flow_seq),
         st.lists(st.tuples(st.sampled_from(KEY_FORMS), scalars), max_size=2).map(
             lambda pairs: "{" + ", ".join(f"{k}: {v}" for k, v in pairs) + "}"
@@ -477,7 +497,7 @@ def yaml_forms(draw):
 FALLBACKS = (False, True) if hasattr(yaml, "CSafeLoader") else (True,)
 
 
-@LOADERS
+@WALKER
 @given(
     st.one_of(
         scenarios.map(dumps_scenario), near_valid_documents(), yaml_forms()
@@ -487,6 +507,66 @@ def test_walker_builds_what_yaml_load_builds(text):
     for fallback in FALLBACKS:
         walked = _read(text, fallback=fallback, walk=True)
         assert walked == _read(text, fallback=fallback, walk=False)
+
+
+def _anchored(text):
+    """``text``, a dumped scenario, written again with anchors, aliases and
+    merges.  A direction mapping equal to an earlier one becomes an alias of
+    it.  Each later Eve merges the first Eve's mapping and keeps only her
+    pairs that differ from it, unless the merge would bring in a
+    ``directions`` key that she must not have."""
+    root = yaml.compose(text)
+    sections = {key.value: value for key, value in root.value}
+    parties = [sections[name] for name in ("alice", "bob") if name in sections]
+    if "eves" in sections:
+        parties += sections["eves"].value
+    firsts = {}
+    for party in parties:
+        for key, value in party.value:
+            if key.value == "directions":
+                value.value = [
+                    firsts.setdefault(tuple((k.value, v.value) for k, v in d.value), d)
+                    for d in value.value
+                ]
+    eves = sections["eves"].value if "eves" in sections else []
+    for eve in eves[1:]:
+        first = {key.value: value for key, value in eves[0].value}
+        own = {key.value: value for key, value in eve.value}
+        if "directions" in first and "directions" not in own:
+            continue
+        kept = [
+            (key, value)
+            for key, value in eve.value
+            if not _same_scalar(value, first.get(key.value))
+        ]
+        merge = ScalarNode("tag:yaml.org,2002:merge", "<<")
+        eve.value = [(merge, eves[0])] + kept
+    return yaml.serialize(root, Dumper=yaml.SafeDumper)
+
+
+def _same_scalar(node, other):
+    return (
+        isinstance(node, ScalarNode)
+        and isinstance(other, ScalarNode)
+        and (node.tag, node.value) == (other.tag, other.value)
+    )
+
+
+# Scenarios whose directions come from a pool of up to three, so some repeat.
+pooled_scenarios = st.lists(directions, min_size=1, max_size=3).flatmap(
+    lambda pool: scenarios_of(st.sampled_from(pool))
+)
+
+
+@LOADERS
+@given(pooled_scenarios)
+def test_anchored_and_merged_scenarios_read_back(scenario):
+    text = _anchored(dumps_scenario(scenario))
+    with pytest.MonkeyPatch.context() as mp:
+        loaded = count_calls(mp, yaml, "load")
+        for fallback in FALLBACKS:
+            assert _parsed(text, fallback=fallback) == scenario
+    assert loaded == []
 
 
 def _perfbench_shaped(n_eves):
@@ -518,17 +598,15 @@ def test_a_chain_scenario_is_composed_once_and_never_constructed(
     if fallback:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     text = _perfbench_shaped(64)
-    composed = count_calls(monkeypatch, yaml, "compose")
-    loaded = count_calls(monkeypatch, yaml, "load")
-    built = count_calls(monkeypatch, yaml.constructor.SafeConstructor, "construct_document")
-    scenario = loads_scenario(text)
+    scenario, calls = _built_once(monkeypatch, lambda: loads_scenario(text))
     assert len(scenario.eves) == 64
-    assert (len(composed), len(loaded), len(built)) == (1, 0, 0)
+    assert calls == (1, 0, 0)
     assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
 
 
-# One document per class of graph that the walker leaves to yaml.load.
-FALLBACK_DOCUMENTS = {
+# One document per class of graph that the walker does not build itself:
+# the constructor builds it, or the part of it that the walker leaves.
+UNMODELLED_DOCUMENTS = {
     "shared-sequence": "a: &s [1, 2]\nb: *s\n",
     "shared-mapping": "a: &m {x: 1}\nb: [*m]\n",
     "cycle": "a: &c [1, *c]\n",
@@ -543,16 +621,29 @@ FALLBACK_DOCUMENTS = {
     "sequence-tag-on-a-scalar": "a: !!seq x\n",
     "unknown-tag": "a: !thing x\n",
     "merge-key-after-a-bad-scalar": 'a: {y: !!int "0x", <<: {x: !!float "-"}}\n',
+    "sequence-tag-on-a-scalar-key": "!!seq x: 1\n",
+    "merged-scenario": (GOLDEN / "chain_merge.yaml").read_text(encoding="utf-8"),
 }
 
 
+def _built_once(monkeypatch, read):
+    """``read()``, and its (compose, load, construct_document) call counts."""
+    calls = [
+        count_calls(monkeypatch, yaml, "compose"),
+        count_calls(monkeypatch, yaml, "load"),
+        count_calls(monkeypatch, SafeConstructor, "construct_document"),
+    ]
+    return read(), tuple(map(len, calls))
+
+
 @pytest.mark.parametrize("fallback", [pytest.param(False, marks=needs_libyaml), True])
-@pytest.mark.parametrize("doc", FALLBACK_DOCUMENTS.values(), ids=FALLBACK_DOCUMENTS)
+@pytest.mark.parametrize("doc", UNMODELLED_DOCUMENTS.values(), ids=UNMODELLED_DOCUMENTS)
 def test_each_unmodelled_graph_is_loaded_once(monkeypatch, doc, fallback):
+    """One compose and one construction, in the walker's queue: no yaml.load
+    and no construct_document."""
     expected = _read(doc, fallback=fallback, walk=False)
-    loaded = count_calls(monkeypatch, yaml, "load")
-    assert _read(doc, fallback=fallback, walk=True) == expected
-    assert len(loaded) == 1
+    walked = _built_once(monkeypatch, lambda: _read(doc, fallback=fallback, walk=True))
+    assert walked == (expected, (1, 0, 0))
 
 
 def test_an_alias_of_a_scalar_is_read_twice(monkeypatch):

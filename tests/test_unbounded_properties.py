@@ -18,7 +18,9 @@ import oracles
 import seqeve.cli
 from seqeve import ADAPTED, CANONICAL, leaf_theta
 from seqeve.steering import report_from_table
-from seqeve.unbounded import branch_conditional_table, branch_tree, evaluate_branch
+from seqeve.unbounded import (
+    ALICE_STRATEGIES, _leaf_tables, branch_tree, evaluate_branch,
+)
 
 MAX_DEPTH = 8
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
@@ -57,7 +59,7 @@ def test_closed_form_tables_match_the_operator_oracle(tree):
     for choice in (CANONICAL, ADAPTED):
         oracle, marginals = oracles.branch_tables(leaves, choice)
         for leaf, expected, marginal in zip(leaves, oracle, marginals):
-            kernel = branch_conditional_table(leaf.theta, choice).probs
+            kernel = _leaf_tables(leaf.theta).probs[ALICE_STRATEGIES.index(choice)]
             joint_error = (kernel - expected) * marginal[None, :, :, None]
             assert np.abs(joint_error).max() <= 1e-12
 
