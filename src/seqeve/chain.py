@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .linalg import (
 )
 from .measurement import SharpSetting, UnsharpSetting
 from .states import InvariantError, PureTwoQubitState, TwoQubitState, bell_state
+from .value import Value
 
 BOB = "bob"
 # Probability of input 0 for an Eve whose bias is not given.
@@ -63,12 +63,15 @@ class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an Alice outcome of probability zero."""
 
 
-@dataclass(frozen=True)
-class PartySettings:
+class PartySettings(Value):
     """The two measurement settings (inputs 0 and 1) of one party."""
 
-    input0: Setting
-    input1: Setting
+    __slots__ = ("input0", "input1")
+
+    def __init__(self, input0: Setting, input1: Setting) -> None:
+        object.__setattr__(self, "input0", input0)
+        object.__setattr__(self, "input1", input1)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if type(self.input0) is not type(self.input1):
@@ -122,15 +125,22 @@ def check_bias(bias: float) -> None:
         raise ValueError(f"input bias must lie in [0, 1], got {bias}")
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(Value):
     """Full scenario description: initial state, Alice, ordered Eves, Bob."""
 
-    initial: PureTwoQubitState
-    alice: PartySettings
-    eves: tuple[PartySettings, ...]
-    bob: PartySettings
-    input_bias: tuple[float, ...] = field(default=())
+    __slots__ = ("initial", "alice", "eves", "bob", "input_bias")
+
+    def __init__(
+        self, initial: PureTwoQubitState, alice: PartySettings,
+        eves: tuple[PartySettings, ...], bob: PartySettings,
+        input_bias: tuple[float, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "initial", initial)
+        object.__setattr__(self, "alice", alice)
+        object.__setattr__(self, "eves", eves)
+        object.__setattr__(self, "bob", bob)
+        object.__setattr__(self, "input_bias", input_bias)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         eves = tuple(self.eves)
@@ -166,15 +176,18 @@ def mub_chain(
     )
 
 
-@dataclass(frozen=True)
-class ConditionalTable:
+class ConditionalTable(Value):
     """P(party outcome c | party input k, Alice input i, Alice outcome a).
 
     ``probs[k, i, a, c]`` with every (k, i, a) row normalized to 1.  A
     (..., 2, 2, 2, 2) stack of tables is validated as a whole.
     """
 
-    probs: np.ndarray
+    __slots__ = ("probs",)
+
+    def __init__(self, probs: np.ndarray) -> None:
+        object.__setattr__(self, "probs", probs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
@@ -202,8 +215,7 @@ def check_marginals(p_alice: np.ndarray) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Assemblage:
+class Assemblage(Value):
     """Alice's marginals and the second qubit's Bloch vectors conditioned on them.
 
     ``p_alice[..., 2i + a]`` is p(a|i) and ``bloch[..., 2i + a, :]`` is
@@ -215,8 +227,12 @@ class Assemblage:
     second qubit's reduced state, is the same for both inputs, within ATOL.
     """
 
-    p_alice: np.ndarray
-    bloch: np.ndarray
+    __slots__ = ("p_alice", "bloch")
+
+    def __init__(self, p_alice: np.ndarray, bloch: np.ndarray) -> None:
+        object.__setattr__(self, "p_alice", p_alice)
+        object.__setattr__(self, "bloch", bloch)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         length = np.sqrt((self.bloch * self.bloch).sum(axis=-1)).max()

@@ -7,9 +7,10 @@ problem is fixed-dimension, so no general-N machinery is provided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from .value import Value
 
 # Entrywise tolerance for invariants; composed results get one decade of
 # slack per composition layer.
@@ -37,12 +38,15 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-@dataclass(frozen=True)
-class BlochDirection:
+class BlochDirection(Value):
     """Measurement direction on the Bloch sphere, angles in radians."""
 
-    theta: float
-    phi: float = 0.0
+    __slots__ = ("theta", "phi")
+
+    def __init__(self, theta: float, phi: float = 0.0) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "phi", phi)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.theta) and math.isfinite(self.phi)):

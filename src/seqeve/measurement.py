@@ -9,11 +9,11 @@ cos/sin); the two live in distinct types so the units cannot be confused.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import ID2, BlochDirection, direction_operator
+from .value import Value
 
 # sigma_x eigenstates in the computational basis.
 _PLUS = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
@@ -34,19 +34,24 @@ def check_sharpness(sharpness: float) -> None:
         raise ValueError(f"sharpness must lie in (0, 1], got {sharpness}")
 
 
-@dataclass(frozen=True)
-class SharpSetting:
+class SharpSetting(Value):
     """Projective spin measurement along a Bloch direction."""
 
-    direction: BlochDirection
+    __slots__ = ("direction",)
+
+    def __init__(self, direction: BlochDirection) -> None:
+        object.__setattr__(self, "direction", direction)
 
 
-@dataclass(frozen=True)
-class UnsharpSetting:
+class UnsharpSetting(Value):
     """Noisy spin measurement: sharpness 1 is projective, 0 learns nothing."""
 
-    direction: BlochDirection
-    sharpness: float
+    __slots__ = ("direction", "sharpness")
+
+    def __init__(self, direction: BlochDirection, sharpness: float) -> None:
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "sharpness", sharpness)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_sharpness(self.sharpness)
@@ -59,8 +64,7 @@ def check_weak_angle(angle: float) -> float:
     return angle
 
 
-@dataclass(frozen=True)
-class WeakKrausSetting:
+class WeakKrausSetting(Value):
     """Weak measurement in the sigma_x eigenbasis, strength set by an angle.
 
     The angle lies in (0, pi/4]: pi/4 yields Kraus operators proportional
@@ -68,7 +72,11 @@ class WeakKrausSetting:
     projective.
     """
 
-    angle: float
+    __slots__ = ("angle",)
+
+    def __init__(self, angle: float) -> None:
+        object.__setattr__(self, "angle", angle)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_weak_angle(self.angle)

@@ -22,7 +22,6 @@ an independent oracle for both searches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +34,7 @@ from .steering import (
     THRESHOLD, SteeringReport, delta_for_rate, fgi_lhs, key_rate, report,
     table_reports,
 )
+from .value import Value
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
 _GRID = 2**20
@@ -59,14 +59,19 @@ class InfeasibleError(RuntimeError):
         super().__init__(f"no valid sharpness for Eve {position} ({reason}): {detail}")
 
 
-@dataclass(frozen=True)
-class PlanResult:
+class PlanResult(Value):
     """Longest admissible chain for one target rate."""
 
-    target_rate: float
-    lambdas: tuple[float, ...]
-    bob_rate: float
-    max_eves: int
+    __slots__ = ("target_rate", "lambdas", "bob_rate", "max_eves")
+
+    def __init__(
+        self, target_rate: float, lambdas: tuple[float, ...], bob_rate: float,
+        max_eves: int,
+    ) -> None:
+        object.__setattr__(self, "target_rate", target_rate)
+        object.__setattr__(self, "lambdas", lambdas)
+        object.__setattr__(self, "bob_rate", bob_rate)
+        object.__setattr__(self, "max_eves", max_eves)
 
 
 def check_target_rate(target_rate: float) -> None:

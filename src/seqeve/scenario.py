@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
@@ -38,6 +37,7 @@ from .chain import (
 from .linalg import BlochDirection
 from .measurement import SharpSetting, UnsharpSetting, check_sharpness
 from .states import PureTwoQubitState, bell_state, check_tilt_angle, tilted_state
+from .value import Value
 
 SETTINGS_MODELS = ("mub", "explicit")
 OUTPUT_FORMATS = ("csv", "json")
@@ -104,11 +104,13 @@ def _check_keys(mapping: dict, allowed: set[str], field_name: str) -> None:
 Directions = tuple[BlochDirection, BlochDirection]
 
 
-@dataclass(frozen=True)
-class StateSpec:
+class StateSpec(Value):
     """Initial state: the Bell state when ``theta`` is None, else tilted."""
 
-    theta: float | None = None
+    __slots__ = ("theta",)
+
+    def __init__(self, theta: float | None = None) -> None:
+        object.__setattr__(self, "theta", theta)
 
     @property
     def kind(self) -> str:
@@ -118,11 +120,13 @@ class StateSpec:
         return bell_state() if self.theta is None else tilted_state(self.theta)
 
 
-@dataclass(frozen=True)
-class PartySpec:
+class PartySpec(Value):
     """Sharp settings of Alice or Bob: the MUB pair when ``directions`` is None."""
 
-    directions: Directions | None = None
+    __slots__ = ("directions",)
+
+    def __init__(self, directions: Directions | None = None) -> None:
+        object.__setattr__(self, "directions", directions)
 
     @property
     def settings(self) -> str:
@@ -134,13 +138,18 @@ class PartySpec:
         return PartySettings(*(SharpSetting(d) for d in self.directions))
 
 
-@dataclass(frozen=True)
-class EveSpec:
+class EveSpec(Value):
     """Unsharp settings of one Eve: the MUB pair when ``directions`` is None."""
 
-    sharpness: float
-    directions: Directions | None = None
-    bias: float = DEFAULT_BIAS
+    __slots__ = ("sharpness", "directions", "bias")
+
+    def __init__(
+        self, sharpness: float, directions: Directions | None = None,
+        bias: float = DEFAULT_BIAS,
+    ) -> None:
+        object.__setattr__(self, "sharpness", sharpness)
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "bias", bias)
 
     @property
     def settings(self) -> str:
@@ -154,19 +163,31 @@ class EveSpec:
         )
 
 
-@dataclass(frozen=True)
-class OutputSpec:
-    format: str = "csv"
-    path: str | None = None
+class OutputSpec(Value):
+    """Output format, and the file to write (stdout when ``path`` is None)."""
+
+    __slots__ = ("format", "path")
+
+    def __init__(self, format: str = "csv", path: str | None = None) -> None:
+        object.__setattr__(self, "format", format)
+        object.__setattr__(self, "path", path)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    state: StateSpec = StateSpec()
-    alice: PartySpec = PartySpec()
-    bob: PartySpec = PartySpec()
-    eves: tuple[EveSpec, ...] = ()
-    output: OutputSpec = field(default_factory=OutputSpec)
+class Scenario(Value):
+    """A validated ``chain`` scenario: its state, parties and output."""
+
+    __slots__ = ("state", "alice", "bob", "eves", "output")
+
+    def __init__(
+        self, state: StateSpec = StateSpec(), alice: PartySpec = PartySpec(),
+        bob: PartySpec = PartySpec(), eves: tuple[EveSpec, ...] = (),
+        output: OutputSpec = OutputSpec(),
+    ) -> None:
+        object.__setattr__(self, "state", state)
+        object.__setattr__(self, "alice", alice)
+        object.__setattr__(self, "bob", bob)
+        object.__setattr__(self, "eves", eves)
+        object.__setattr__(self, "output", output)
 
 
 def _parse_direction(raw: object, field_name: str) -> BlochDirection:

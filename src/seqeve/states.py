@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .linalg import ATOL, is_hermitian
+from .value import Value
 
 
 class InvariantError(ValueError):
@@ -25,8 +24,7 @@ def check_tilt_angle(theta: float) -> float:
     return theta
 
 
-@dataclass(frozen=True)
-class TwoQubitState:
+class TwoQubitState(Value):
     """4x4 density matrix; unit trace, Hermitian, positive semidefinite.
 
     ``rho`` may also be a (..., 4, 4) stack, validated as a whole by one
@@ -34,7 +32,11 @@ class TwoQubitState:
     first offending matrix's trace or lowest eigenvalue.
     """
 
-    rho: np.ndarray
+    __slots__ = ("rho",)
+
+    def __init__(self, rho: np.ndarray) -> None:
+        object.__setattr__(self, "rho", rho)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
@@ -58,11 +60,14 @@ class TwoQubitState:
         object.__setattr__(self, "rho", rho)
 
 
-@dataclass(frozen=True)
-class PureTwoQubitState:
+class PureTwoQubitState(Value):
     """Length-4 amplitude vector in the |00>,|01>,|10>,|11> basis."""
 
-    amp: np.ndarray
+    __slots__ = ("amp",)
+
+    def __init__(self, amp: np.ndarray) -> None:
+        object.__setattr__(self, "amp", amp)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amp, dtype=complex).reshape(-1)

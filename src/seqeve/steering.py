@@ -13,25 +13,28 @@ never exceed the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chain import ChainSpec, ConditionalTable, conditional_table, tables
+from .value import Value
 
 THRESHOLD = 0.75
 MAX_DELTA = 0.25
 DELTA_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SteeringReport:
+class SteeringReport(Value):
     """Inequality value, violation degree, and key-rate bound for one party."""
 
-    lhs: float
-    delta: float
-    key_rate: float
-    violated: bool
+    __slots__ = ("lhs", "delta", "key_rate", "violated")
+
+    def __init__(
+        self, lhs: float, delta: float, key_rate: float, violated: bool
+    ) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "key_rate", key_rate)
+        object.__setattr__(self, "violated", violated)
 
 
 def fgi_lhs(table: ConditionalTable) -> float | np.ndarray:

@@ -14,7 +14,6 @@ stacked in one start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .linalg import ATOL, ID2
 from .measurement import WeakKrausSetting, check_weak_angle, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
 from .steering import SteeringReport, table_reports
+from .value import Value
 
 DEGENERATE_THETA = 1e-8
 
@@ -39,8 +39,7 @@ class ZeroProbabilityOutcome(ValueError):
     """A weak-measurement outcome of probability zero was requested."""
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
+class SchmidtForm(Value):
     """Canonical form (u x v)(cos(theta)|00> + sin(theta)|11>) of a pure state.
 
     theta lies in (0, pi/4] (coefficients ordered, strictly entangled) and
@@ -49,14 +48,19 @@ class SchmidtForm:
     with the residual phase stored separately.
     """
 
-    theta: float
-    u_alice: np.ndarray
-    v_other: np.ndarray
-    global_phase: float
+    __slots__ = ("theta", "u_alice", "v_other", "global_phase")
+
+    def __init__(
+        self, theta: float, u_alice: np.ndarray, v_other: np.ndarray,
+        global_phase: float,
+    ) -> None:
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "u_alice", u_alice)
+        object.__setattr__(self, "v_other", v_other)
+        object.__setattr__(self, "global_phase", global_phase)
 
 
-@dataclass(frozen=True)
-class BranchNode:
+class BranchNode(Value):
     """One leaf of the outcome-history tree.
 
     Carries the history of weak-measurement outcomes, the Schmidt angle of
@@ -64,11 +68,17 @@ class BranchNode:
     branch weight.  Degenerate leaves mark pruned subtrees.
     """
 
-    outcomes: tuple[int, ...]
-    theta: float
-    u_alice: np.ndarray
-    probability: float
-    degenerate: bool = False
+    __slots__ = ("outcomes", "theta", "u_alice", "probability", "degenerate")
+
+    def __init__(
+        self, outcomes: tuple[int, ...], theta: float, u_alice: np.ndarray,
+        probability: float, degenerate: bool = False,
+    ) -> None:
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "u_alice", u_alice)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "degenerate", degenerate)
 
 
 def _fix_column_phases(u: np.ndarray, vt: np.ndarray) -> None:

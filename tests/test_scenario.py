@@ -497,6 +497,54 @@ def yaml_forms(draw):
 FALLBACKS = (False, True) if hasattr(yaml, "CSafeLoader") else (True,)
 
 
+# Documents whose graph is a cycle, and what the safe loader reads: the
+# walker's node cache ends each read; without it an alias is read forever.
+CYCLIC_DOCUMENTS = {
+    "a: &c [1, *c]\n": "{'a': [1, [...]]}",
+    "a: &c [*c]\n": "{'a': [[...]]}",
+    "a: &x {self: *x}\n": "{'a': {'self': {...}}}",
+}
+# Reads each argument under libyaml, if PyYAML has it, and then under the
+# pure-Python loader.  The reads get 1 GiB more address space than the
+# imports left mapped, so a read that never ends stops at MemoryError.
+CYCLIC_READER = """\
+import os, sys
+import yaml
+import seqeve.scenario
+
+if os.path.exists("/proc/self/statm"):
+    import resource
+    with open("/proc/self/statm") as statm:
+        mapped = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard == resource.RLIM_INFINITY or mapped + 2**30 < hard:
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**30, hard))
+for fallback in (False, True):
+    if fallback:
+        if not hasattr(yaml, "CSafeLoader"):
+            break
+        del yaml.CSafeLoader
+    for text in sys.argv[1:]:
+        print(repr(seqeve.scenario._document(text)), flush=True)
+"""
+
+
+def test_cyclic_documents_are_read_in_bounded_time():
+    """Read in a child interpreter, so that a walker that loops on a cycle
+    fails at the timeout or at the memory cap instead of hanging the suite."""
+    src = str(Path(seqeve.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", CYCLIC_READER, *CYCLIC_DOCUMENTS],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == list(CYCLIC_DOCUMENTS.values()) * len(FALLBACKS)
+
+
 @WALKER
 @given(
     st.one_of(
