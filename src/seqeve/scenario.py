@@ -20,10 +20,13 @@ and merge keys included.  A ``%YAML`` directive other than 1.1 or 1.2, a
 constructor error and nesting deeper than MAX_NESTING (or than Python's
 recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
 imported on the first read: ``plan`` and ``unbounded`` never load it.
+A read pauses the cyclic collector, since the transient node graph only
+gives it work that frees nothing, and then restores the caller's setting.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 from collections import deque
@@ -371,15 +374,22 @@ def _document(text: str) -> object:
     import yaml
 
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # Compose leaves thousands of tracked nodes alive, which reference
+    # counting frees; a collection run meanwhile frees none of them, only
+    # promotes them, until a full collection walks them all.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        # Only the directives ahead of the first document are scanned.
-        for token in yaml.scan(text, Loader=loader):
-            if isinstance(token, yaml.DirectiveToken):
-                if token.name == "YAML" and token.value not in YAML_VERSIONS:
-                    version = "%d.%d" % token.value
-                    raise yaml.YAMLError(f"%YAML {version} is not 1.1 or 1.2")
-            elif not isinstance(token, yaml.StreamStartToken):
-                break
+        # Every directive starts with '%'; only those ahead of the first
+        # document are scanned.
+        if "%" in text:
+            for token in yaml.scan(text, Loader=loader):
+                if isinstance(token, yaml.DirectiveToken):
+                    if token.name == "YAML" and token.value not in YAML_VERSIONS:
+                        version = "%d.%d" % token.value
+                        raise yaml.YAMLError(f"%YAML {version} is not 1.1 or 1.2")
+                elif not isinstance(token, yaml.StreamStartToken):
+                    break
         # Each collection opens with one of these, so fewer cannot nest deeper.
         if sum(map(text.count, "[{-:?")) > MAX_NESTING:
             depth = 0
@@ -393,6 +403,9 @@ def _document(text: str) -> object:
     # The constructor raises a plain ValueError on a bad tagged scalar: !!int "0x".
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def loads_scenario(text: str) -> Scenario:

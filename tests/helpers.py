@@ -1,6 +1,8 @@
 """Shared random-object generators for the test suite (always seeded by
-callers), and a call counter."""
+callers), a call counter and a wall-clock budget."""
 
+import contextlib
+import signal
 import sys
 
 import numpy as np
@@ -63,3 +65,20 @@ def count_calls(monkeypatch, owner, name):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@contextlib.contextmanager
+def wall_clock_budget(seconds):
+    """Raise TimeoutError in the block once it has run ``seconds`` of wall
+    time, so that a loop without end fails instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

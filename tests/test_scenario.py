@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import gc
 import io
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
 from yaml.nodes import ScalarNode
 
-from helpers import count_calls
+from helpers import count_calls, wall_clock_budget
 from oracles import dumps_scenario
 import seqeve
 import seqeve.cli
@@ -411,17 +412,25 @@ def _construct(root):
         raise ValueError(str(exc)) from None
 
 
+# Wall time for one read of a small document, which takes milliseconds: a
+# walker that reads a cycle without end (see CYCLIC_DOCUMENTS) grows memory
+# by some 50 MB/s until it stops.
+READ_BUDGET_S = 5
+
+
 def _read(text, *, fallback, walk):
     """repr of the document that ``_document`` reads from ``text``, or its
-    error; with ``walk`` off PyYAML's constructor builds every document."""
+    error; with ``walk`` off PyYAML's constructor builds every document.  A
+    read past READ_BUDGET_S gives its TimeoutError, which no loader gives."""
     with pytest.MonkeyPatch.context() as mp:
         if fallback:
             mp.delattr(yaml, "CSafeLoader", raising=False)
         if not walk:
             mp.setattr(seqeve.scenario, "_plain", _construct)
         try:
-            # repr tells 1, 1.0 and True apart, and -0.0 from 0.0; NaN equals NaN.
-            return repr(seqeve.scenario._document(text))
+            with wall_clock_budget(READ_BUDGET_S):
+                # repr tells 1, 1.0 and True apart, and -0.0 from 0.0; NaN equals NaN.
+                return repr(seqeve.scenario._document(text))
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
 
@@ -698,6 +707,70 @@ def test_an_alias_of_a_scalar_is_read_twice(monkeypatch):
     loaded = count_calls(monkeypatch, yaml, "load")
     assert seqeve.scenario._document("a: &x 0.5\nb: *x\n") == {"a": 0.5, "b": 0.5}
     assert len(loaded) == 0
+
+
+@pytest.mark.parametrize("directive, scans", [("", 0), ("%YAML 1.2\n---\n", 1)])
+def test_only_a_document_with_a_percent_sign_is_scanned(monkeypatch, directive, scans):
+    """Every directive starts with '%', so a document without one is read by
+    one parser, not two."""
+    text = directive + _perfbench_shaped(64)
+    scanned = count_calls(monkeypatch, yaml, "scan")
+    assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
+    assert len(scanned) == scans
+
+
+def test_a_read_runs_no_cyclic_collection():
+    """The transient node graph gives the collector nothing to free, so the
+    read runs no collection; one that left the collector on ran some 400
+    at these thresholds on a 64-Eve document."""
+    text = _perfbench_shaped(64)
+    seqeve.scenario._document(text)  # the first read imports, which collects
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    thresholds = gc.get_threshold()
+    gc.callbacks.append(record)
+    gc.set_threshold(10, 10**6, 10**6)
+    try:
+        seqeve.scenario._document(text)
+    finally:
+        gc.set_threshold(*thresholds)
+        gc.callbacks.remove(record)
+    assert started == []
+
+
+def _walker_fault(root):
+    raise KeyError("walker")
+
+
+# Each way out of a read: its text, nesting cap and walker, and what it raises.
+_CAP, _WALK = seqeve.scenario.MAX_NESTING, seqeve.scenario._plain
+WAYS_OUT = {
+    "document": ("a: 1\n", _CAP, _WALK, None),
+    "syntax-error": ("a: [\n", _CAP, _WALK, ScenarioError),
+    "nesting-guard": (_nested(3), 2, _WALK, ScenarioError),
+    "walker-fault": ("a: 1\n", _CAP, _walker_fault, KeyError),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("way_out", WAYS_OUT.values(), ids=WAYS_OUT)
+def test_a_read_leaves_the_collector_as_it_found_it(monkeypatch, collecting, way_out):
+    text, cap, walker, error = way_out
+    monkeypatch.setattr(seqeve.scenario, "MAX_NESTING", cap)
+    monkeypatch.setattr(seqeve.scenario, "_plain", walker)
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(error) if error else contextlib.nullcontext():
+            seqeve.scenario._document(text)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 @pytest.mark.parametrize("value", ['!!float ""', '!!int "-"', "!!bool x", "!!timestamp x"])
