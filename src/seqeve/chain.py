@@ -23,9 +23,10 @@ outcome 0 (1), normalized by construction.
 built from (N, 2, 3) direction and (N, 2) sharpness arrays, the N+1
 assemblages are carried as one (N+1, 4, 3) stack (the N sequential 3x3
 products are the only loop), and all N+1 tables come from one product and
-are validated together.  ``conditional_table`` and the planner are the
-one-position case of ``Assemblage``; the ``unbounded`` leaf stacks Alice's
-two strategies instead, one start on a stack of her settings.
+are validated together.  ``conditional_table`` is one row of that stack,
+and the planner the one-position case of ``Assemblage``; the ``unbounded``
+leaf stacks Alice's two strategies instead, one start on a stack of her
+settings.
 ``propagate`` rebuilds the 4x4 density matrix a party sees.
 """
 
@@ -310,10 +311,10 @@ class Assemblage(Value):
 
 
 def _party_index(spec: ChainSpec, party: int | str) -> int:
-    """Number of Eves acting before the queried party."""
+    """Number of Eves acting before the queried party; a bool is no Eve index."""
     if party == BOB:
         return spec.n_eves
-    if isinstance(party, int) and 1 <= party <= spec.n_eves:
+    if type(party) is int and 1 <= party <= spec.n_eves:
         return party - 1
     raise ValueError(f"party must be an Eve index in 1..{spec.n_eves} or BOB")
 
@@ -334,20 +335,6 @@ def _eve_maps(
     terms = along + quality * (_EYE3 - along)
     weight = bias[..., None, None]
     return weight * terms[..., 0, :, :] + (1.0 - weight) * terms[..., 1, :, :]
-
-
-def _positions(
-    spec: ChainSpec, parties: tuple[PartySettings, ...]
-) -> tuple[np.ndarray, np.ndarray, Assemblage]:
-    """Settings arrays of ``parties`` and the assemblage each of them measures.
-
-    ``parties`` are the first n-1 Eves of the chain and then the party that
-    follows them; the assemblages are stacked (n, 4, 3).
-    """
-    directions, sharpness = _setting_arrays(parties)
-    bias = np.array(spec.input_bias[: len(parties) - 1])
-    maps = _eve_maps(directions[:-1], sharpness[:-1], bias)
-    return directions, sharpness, Assemblage.of(spec.initial, spec.alice).through(maps)
 
 
 def propagate(spec: ChainSpec, party: int | str) -> TwoQubitState:
@@ -384,27 +371,20 @@ def table_from_operators(
     return ConditionalTable(probs.transpose(2, 0, 1, 3))
 
 
-def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
-    """Conditional outcome table of one party versus Alice.
-
-    Earlier Eves are marginalized over inputs (with their biases) and
-    outcomes; the party's own statistics use its effects on the propagated
-    state.
-    """
-    n = _party_index(spec, party)
-    settings = spec.bob if party == BOB else spec.eves[n]
-    directions, sharpness, states = _positions(spec, spec.eves[:n] + (settings,))
-    last = Assemblage(states.p_alice, states.bloch[-1])
-    return last.table(directions[-1], sharpness[-1])
-
-
 def tables(spec: ChainSpec) -> ConditionalTable:
     """Conditional tables of Eve 1..N and then Bob, stacked (N+1, 2, 2, 2, 2).
 
     One pass: the N Eve maps are built as arrays, the N+1 assemblages are
     propagated as one (N+1, 4, 3) stack, and every table comes from one
-    stacked product, validated together.  Entry j equals
-    ``conditional_table`` of party j+1 bit for bit.
+    stacked product, validated together.
     """
-    directions, sharpness, states = _positions(spec, spec.eves + (spec.bob,))
+    directions, sharpness = _setting_arrays(spec.eves + (spec.bob,))
+    maps = _eve_maps(directions[:-1], sharpness[:-1], np.array(spec.input_bias))
+    states = Assemblage.of(spec.initial, spec.alice).through(maps)
     return states.table(directions, sharpness)
+
+
+def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:
+    """Conditional outcome table of one party versus Alice, its row of ``tables``."""
+    row = _party_index(spec, party)  # checked first: 0 or -1 must not wrap to Bob
+    return ConditionalTable(tables(spec).probs[row])

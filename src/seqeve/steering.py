@@ -87,7 +87,7 @@ def report_from_table(table: ConditionalTable) -> SteeringReport:
 
 
 def report(spec: ChainSpec, party: int | str) -> SteeringReport:
-    """Steering report for one Eve (1-based index) or BOB in a chain."""
+    """Steering report of one Eve (1-based index) or BOB, from its row of ``tables``."""
     return report_from_table(conditional_table(spec, party))
 
 

@@ -26,6 +26,7 @@ from seqeve.linalg import ID2, PAULI_X, PAULI_Z, Z_DIR, kron
 from seqeve.measurement import effect
 from seqeve.planner import shrink_factor
 from seqeve.states import TwoQubitState
+from seqeve.steering import report
 
 Z_SHARP = SharpSetting(Z_DIR)
 
@@ -198,6 +199,15 @@ class TestPropagate:
 
 
 class TestConditionalTable:
+    @pytest.mark.parametrize("query", [conditional_table, report])
+    @pytest.mark.parametrize("party", [0, -1, 3, "alice", 1.0, True], ids=repr)
+    def test_a_bad_party_reads_no_row(self, query, party):
+        # The party picks a row of the stacked pass: 0 or -1 would wrap onto
+        # Bob's row, and True would read Eve 1's.
+        message = r"party must be an Eve index in 1\.\.2 or BOB"
+        with pytest.raises(ValueError, match=message):
+            query(mub_chain((0.552, 0.602)), party)
+
     def test_bob_no_eves_perfect_correlation(self):
         table = conditional_table(mub_chain(()), BOB)
         assert table.probs[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-12)

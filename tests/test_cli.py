@@ -530,6 +530,27 @@ class TestFileSystemErrors:
         # The path is quoted, so a newline in it cannot split the message.
         assert err.startswith(message) and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["chain", "chain-output-path", "unbounded"])
+    def test_empty_out_is_a_path_that_cannot_be_written(
+        self, tmp_path, capsys, command
+    ):
+        # An empty --out names the file '', so it falls back neither to
+        # stdout nor to the scenario's output.path.
+        named = tmp_path / "named.csv"
+        doc = TWO_EVE_DOC
+        if command == "chain-output-path":
+            doc += f"output: {{path: {json.dumps(str(named))}}}\n"
+        if command == "unbounded":
+            argv = UNBOUNDED_SMALL
+        else:
+            argv = ["chain", "--scenario", write(tmp_path, "two.yaml", doc)]
+        assert main(argv + ["--out", ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: out: cannot write ''")
+        assert captured.err.count("\n") == 1
+        assert not named.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [
