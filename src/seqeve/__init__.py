@@ -15,9 +15,7 @@ from .chain import (
 from .linalg import BlochDirection
 from .measurement import SharpSetting, UnsharpSetting
 from .planner import PlanResult, max_eves
-from .scenario import (
-    Scenario, ScenarioError, load_scenario, loads_scenario, to_chain_spec
-)
+from .scenario import Scenario, ScenarioError, load_scenario, loads_scenario
 from .states import InvariantError, PureTwoQubitState, bell_state, tilted_state
 from .steering import SteeringReport, report, reports
 from .unbounded import ADAPTED, CANONICAL, DegenerateStateError, leaf_report, leaf_theta
@@ -51,5 +49,4 @@ __all__ = [
     "report",
     "reports",
     "tilted_state",
-    "to_chain_spec",
 ]

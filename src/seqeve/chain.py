@@ -83,27 +83,6 @@ class PartySettings(Value):
         return (self.input0, self.input1)
 
 
-def _setting_arrays(
-    parties: tuple[PartySettings, ...],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Unit directions (n, 2, 3) and sharpnesses (n, 2) of the parties' inputs.
-
-    A sharp setting has sharpness 1.
-    """
-    per_setting = np.array(
-        [
-            (
-                *setting.direction.components(),
-                setting.sharpness if isinstance(setting, UnsharpSetting) else 1.0,
-            )
-            for party in parties
-            for setting in party.settings
-        ],
-        dtype=float,
-    ).reshape(-1, 2, 4)
-    return per_setting[..., :3], per_setting[..., 3]
-
-
 def mub_sharp_pair() -> PartySettings:
     """Sharp sigma_z / sigma_x pair (the two mutually unbiased bases)."""
     return PartySettings(SharpSetting(Z_DIR), SharpSetting(X_DIR))
@@ -117,7 +96,7 @@ def mub_unsharp_pair(sharpness: float) -> PartySettings:
 
 
 # Unit directions (2, 3) of the sigma_z / sigma_x pair, input 0 first.
-MUB_DIRECTIONS = _setting_arrays((mub_sharp_pair(),))[0][0]
+MUB_DIRECTIONS = np.array([Z_DIR.components(), X_DIR.components()])
 
 
 def check_bias(bias: float) -> None:
@@ -127,41 +106,67 @@ def check_bias(bias: float) -> None:
 
 
 class ChainSpec(Value):
-    """Full scenario description: initial state, Alice, ordered Eves, Bob."""
+    """The kernel's input: the initial state, Alice's angles and the arrays of
+    the parties measuring the second qubit.
 
-    __slots__ = ("initial", "alice", "eves", "bob", "input_bias")
+    ``alice[i]`` is (theta, phi) of Alice's sharp input i.  ``directions``
+    (N+1, 2, 3) and ``sharpness`` (N+1, 2) hold the unit directions and
+    sharpnesses per input of Eve 1..N and then Bob, whose sharpness is 1;
+    ``bias`` (N,) is each Eve's probability of input 0, DEFAULT_BIAS for
+    every Eve when it is None.  The scenario reader writes each Eve straight
+    into her rows, and ``of`` fills them from ``PartySettings``.
+    """
+
+    __slots__ = ("initial", "alice", "directions", "sharpness", "bias")
 
     def __init__(
-        self, initial: PureTwoQubitState, alice: PartySettings,
-        eves: tuple[PartySettings, ...], bob: PartySettings,
-        input_bias: tuple[float, ...] = (),
+        self, initial: PureTwoQubitState, alice: np.ndarray, directions: np.ndarray,
+        sharpness: np.ndarray, bias: np.ndarray | None = None,
     ) -> None:
+        if bias is None:
+            bias = np.full(len(directions) - 1, DEFAULT_BIAS)
         object.__setattr__(self, "initial", initial)
         object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "eves", eves)
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "input_bias", input_bias)
-        self.__post_init__()
+        object.__setattr__(self, "directions", directions)
+        object.__setattr__(self, "sharpness", sharpness)
+        object.__setattr__(self, "bias", bias)
 
-    def __post_init__(self) -> None:
-        eves = tuple(self.eves)
-        bias = tuple(self.input_bias) or (DEFAULT_BIAS,) * len(eves)
+    @classmethod
+    def of(
+        cls, initial: PureTwoQubitState, alice: PartySettings,
+        eves: tuple[PartySettings, ...], bob: PartySettings,
+        input_bias: tuple[float, ...] = (),
+    ) -> ChainSpec:
+        """The spec of parties given as settings, each Eve unbiased by default.
+
+        Raises ValueError unless Alice and Bob measure sharply, every Eve
+        unsharply, and each Eve has one input bias in [0, 1].
+        """
+        eves = tuple(eves)
+        bias = tuple(input_bias) or (DEFAULT_BIAS,) * len(eves)
         if len(bias) != len(eves):
             raise ValueError("input_bias must carry one probability per Eve")
         for b in bias:
             check_bias(b)
-        for party in (self.alice, self.bob):
+        for party in (alice, bob):
             if isinstance(party.input0, UnsharpSetting):
                 raise ValueError("Alice and Bob perform sharp measurements")
         for eve in eves:
             if not isinstance(eve.input0, UnsharpSetting):
                 raise ValueError("every Eve performs unsharp measurements")
-        object.__setattr__(self, "eves", eves)
-        object.__setattr__(self, "input_bias", bias)
+        measured = [s for party in eves + (bob,) for s in party.settings]
+        sharpness = [getattr(s, "sharpness", 1.0) for s in measured]  # sharp is 1
+        return cls(
+            initial,
+            np.array([(s.direction.theta, s.direction.phi) for s in alice.settings]),
+            np.array([s.direction.components() for s in measured]).reshape(-1, 2, 3),
+            np.array(sharpness).reshape(-1, 2),
+            np.array(bias, dtype=float),
+        )
 
     @property
     def n_eves(self) -> int:
-        return len(self.eves)
+        return len(self.bias)
 
 
 def mub_chain(
@@ -169,7 +174,7 @@ def mub_chain(
     initial: PureTwoQubitState | None = None,
 ) -> ChainSpec:
     """Convenience constructor: all parties in the sigma_z/sigma_x bases."""
-    return ChainSpec(
+    return ChainSpec.of(
         initial=initial if initial is not None else bell_state(),
         alice=mub_sharp_pair(),
         eves=tuple(mub_unsharp_pair(lam) for lam in lambdas),
@@ -301,7 +306,7 @@ class Assemblage(Value):
         """Table of the party measuring the second qubit, one per stacked position.
 
         ``directions`` (..., 2, 3) and ``sharpness`` (..., 2) are the party's
-        per input, as from ``_setting_arrays``.  A (..., 1) ``sharpness``
+        per input, as in a ``ChainSpec``.  A (..., 1) ``sharpness``
         broadcasts one sharpness onto both inputs' directions.
         """
         half = (0.5 * sharpness)[..., None] * directions
@@ -326,7 +331,7 @@ def _eve_maps(
 
     Sharpness lambda along n keeps the Bloch component along n and shrinks
     the transverse ones by sqrt(1 - lambda^2); the channel is unital.  Takes
-    the (N, 2, 3) directions and (N, 2) sharpnesses of ``_setting_arrays``
+    the (N, 2, 3) directions and (N, 2) sharpnesses of a ``ChainSpec``
     and the (N,) input biases; map j is the 3x3 matrix of r <- maps[j] r.
     A (N, 1) ``sharpness`` broadcasts one sharpness onto both directions.
     """
@@ -345,11 +350,10 @@ def propagate(spec: ChainSpec, party: int | str) -> TwoQubitState:
     Eve maps the second qubit's columns, R[:, 1:] <- R[:, 1:] M^T, and
     rho = sum R[mu, nu] sigma_mu (x) sigma_nu / 4.
     """
-    upstream = spec.eves[: _party_index(spec, party)]
+    n = _party_index(spec, party)
     amp = spec.initial.amp.reshape(2, 2)
     coords = np.einsum("jl,mjk,nlp,kp->mn", amp.conj(), _PAULIS, _PAULIS, amp).real
-    bias = np.array(spec.input_bias[: len(upstream)])
-    for step in _eve_maps(*_setting_arrays(upstream), bias):
+    for step in _eve_maps(spec.directions[:n], spec.sharpness[:n], spec.bias[:n]):
         coords[:, 1:] = coords[:, 1:] @ step.T
     rho = np.einsum("mn,mjk,nlp->jlkp", coords, _PAULIS, _PAULIS).reshape(4, 4)
     return TwoQubitState(rho / 4.0)
@@ -378,10 +382,10 @@ def tables(spec: ChainSpec) -> ConditionalTable:
     propagated as one (N+1, 4, 3) stack, and every table comes from one
     stacked product, validated together.
     """
-    directions, sharpness = _setting_arrays(spec.eves + (spec.bob,))
-    maps = _eve_maps(directions[:-1], sharpness[:-1], np.array(spec.input_bias))
-    states = Assemblage.of(spec.initial, spec.alice).through(maps)
-    return states.table(directions, sharpness)
+    directions, sharpness = spec.directions, spec.sharpness
+    maps = _eve_maps(directions[:-1], sharpness[:-1], spec.bias)
+    amp = spec.initial.amp.reshape(2, 2).tolist()
+    return Assemblage.start(amp, spec.alice).through(maps).table(directions, sharpness)
 
 
 def conditional_table(spec: ChainSpec, party: int | str) -> ConditionalTable:

@@ -6,10 +6,10 @@ sharing ``values``, the tuple of cells after the label, in column order.
 ``unbounded`` computes the one Schmidt angle that every leaf of the branch
 tree shares by a scalar recursion, evaluates both Alice strategies in one
 stacked kernel pass and writes the 2^n leaf labels as one group, their high
-and low halves, each leaf of weight exactly 2^-n.  A group's cells are
-formatted once, as a CSV tail or as the JSON text around the label, and each
-prefix's rows are one join over the suffixes, so no leaf row or leaf label
-costs a Python call.
+and low halves, each leaf of weight exactly 2^-n.  The text of a row is
+built once per call, as a CSV tail or as the JSON object around the label,
+each group fills it with its cells, and each prefix's rows are one join over
+the suffixes, so no leaf row or leaf label costs a Python call.
 Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
@@ -39,7 +39,6 @@ from .planner import (
 )
 from .scenario import (
     OUTPUT_FORMATS, ScenarioError, load_scenario, parse_angle, parse_number,
-    to_chain_spec,
 )
 from .states import check_tilt_angle
 from .steering import reports
@@ -64,9 +63,6 @@ MAX_UNBOUNDED_DEPTH = 12
 DASH_VALUE_OPTIONS = ("--rates", "--theta1", "--lambdas")
 # json's spelling of the floats that repr spells nan, inf and -inf.
 JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# Marks the label in a JSON row template; the ASCII encoding escapes every
-# control character, so no encoded key or cell contains it.
-LABEL_SLOT = "\0"
 
 
 def _fmt(value: object) -> str:
@@ -101,32 +97,27 @@ def _block(
     )
 
 
-def _json_block(
-    columns: list[str],
-    names: list[str],
-    prefixes: list[str],
-    suffixes: list[str],
-    values: tuple,
-) -> str:
-    """One group's rows as the indented objects of ``json.dumps(rows, indent=2)``.
+def _json_row(columns: list[str]) -> tuple[str, str, list[int]]:
+    """A row object of ``json.dumps(rows, indent=2)`` as (head, tail, cells).
 
-    The object is encoded once as a template around its label, and a label
-    p + s is encoded as its halves: the escapes of a JSON string are per
-    character.  A row is a dict, so a repeated column name keeps its first
-    position and its last value, which may replace the label.  ``names``
-    are the encoded '"key": ' of the distinct columns in order; the keys of
-    a row's dict are a leading run of them.
+    A row is a dict keyed by ``columns``, so a repeated column name keeps
+    its first position and its last value, which may replace the label.
+    ``head`` is the text before the label, or '' when no label is kept;
+    ``tail`` is the rest, with a '%s' slot for the value of each index in
+    ``cells``, an index into the row's cells after the label.
     """
-    cells = dict(zip(columns, (LABEL_SLOT, *map(_json_cell, values))))
-    fields = ",\n    ".join(map(str.__add__, names, cells.values()))
-    text = f"  {{\n    {fields}\n  }}" if cells else "  {}"
-    head, slot, tail = text.partition(LABEL_SLOT)
-    if slot:
-        prefixes = [encode_basestring_ascii(p)[:-1] for p in prefixes]
-        suffixes = [encode_basestring_ascii(s)[1:] for s in suffixes]
-    else:
-        prefixes, suffixes = [""] * len(prefixes), [""] * len(suffixes)
-    return _block(prefixes, suffixes, head, tail, ",\n")
+    last = {name: i for i, name in enumerate(columns)}
+    if not last:
+        return "", "  {}", []
+    opening = "  {\n    "
+    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in last]
+    text = opening + ",\n    ".join(fields) + "\n  }"
+    cells = [i - 1 for i in last.values()]
+    if cells[0] != -1:
+        return "", text, cells
+    # The label keeps the first slot, so the text before it has no other.
+    head = opening + encode_basestring_ascii(columns[0]) + ": "
+    return head, text[len(opening) + len(fields[0]):], cells[1:]
 
 
 def _write_rows(
@@ -135,37 +126,54 @@ def _write_rows(
     header_lines: list[str],
     fmt: str,
     path: str | None,
+    option: str = "out",
 ) -> None:
     """Write (prefixes, suffixes, values) groups as CSV under '#' headers, or JSON.
 
     A group writes one row labelled p + s for each ``str`` prefix p and then
     each ``str`` suffix s, all sharing ``values``, the row's cells after the
     label in the order of ``columns``; a group with no prefixes or no
-    suffixes writes nothing.  A group's cells are formatted once: CSV as the
-    tail after the label, JSON as the text of the row's object around its
-    label.  Each prefix's rows are then one join over the suffixes, so the
-    2^n leaf rows of ``unbounded``, one group of 2^ceil(n/2) high and
+    suffixes writes nothing.  The text of a row is built once per call: CSV
+    as the tail after the label, JSON as the row's object around its label,
+    with a slot per cell, which each group fills with its cells, each
+    formatted once.  Each prefix's rows are then one join over the suffixes,
+    so the 2^n leaf rows of ``unbounded``, one group of 2^ceil(n/2) high and
     2^floor(n/2) low label halves, cost 2^ceil(n/2) joins and build no leaf
     label.  JSON is byte for byte ``json.dumps(rows, indent=2)`` of the rows
-    as objects keyed by ``columns``.
+    as objects keyed by ``columns``.  A failed write names ``option``.
     """
     filled = [group for group in groups if group[0] and group[1]]
     if fmt == "json":
-        names = [f"{encode_basestring_ascii(key)}: " for key in dict.fromkeys(columns)]
-        blocks = [_json_block(columns, names, *group) for group in filled]
+        head, tail, cells = _json_row(columns)
+        blocks = []
+        for prefixes, suffixes, values in filled:
+            encoded = list(map(_json_cell, values))
+            if head:
+                # The escapes of a JSON string are per character.
+                prefixes = [encode_basestring_ascii(p)[:-1] for p in prefixes]
+                suffixes = [encode_basestring_ascii(s)[1:] for s in suffixes]
+            else:
+                prefixes, suffixes = [""] * len(prefixes), [""] * len(suffixes)
+            row_tail = tail % tuple([encoded[i] for i in cells])
+            blocks.append(_block(prefixes, suffixes, head, row_tail, ",\n"))
         text = "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
     else:
+        tail = ",%s" * (len(columns) - 1) + "\n"
         parts = [f"# {line}\n" for line in header_lines]
         parts.append(",".join(columns) + "\n")
         for prefixes, suffixes, values in filled:
-            tail = "".join("," + _fmt(v) for v in values) + "\n"
-            parts.append(_block(prefixes, suffixes, "", tail, ""))
+            row_tail = tail % tuple(map(_fmt, values))
+            parts.append(_block(prefixes, suffixes, "", row_tail, ""))
         text = "".join(parts)
-    _emit(text, path)
+    _emit(text, path, option)
 
 
-def _emit(text: str, path: str | None) -> None:
-    """Write ``text`` to the file ``path``, or to stdout and flush it."""
+def _emit(text: str, path: str | None, option: str = "out") -> None:
+    """Write ``text`` to the file ``path``, or to stdout and flush it.
+
+    A failed write is a ScenarioError that names ``option``, the field or
+    option that chose ``path``.
+    """
     try:
         if path is None:
             sys.stdout.write(text)
@@ -176,7 +184,7 @@ def _emit(text: str, path: str | None) -> None:
     except (OSError, ValueError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
         where = "standard output" if path is None else repr(path)
-        raise ScenarioError(f"out: cannot write {where}: {reason}") from exc
+        raise ScenarioError(f"{option}: cannot write {where}: {reason}") from exc
 
 
 def _list_tokens(text: str, option: str) -> list[str]:
@@ -188,25 +196,25 @@ def _list_tokens(text: str, option: str) -> list[str]:
 
 
 def cmd_chain(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    spec = to_chain_spec(scenario)
-    parties = [
-        (f"eve{m}", eve.settings, eve.sharpness)
-        for m, eve in enumerate(scenario.eves, start=1)
-    ]
-    parties.append(("bob", scenario.bob.settings, None))
+    spec, scenario = load_scenario(args.scenario)
+    parties = [f"eve{m}" for m in range(1, spec.n_eves + 1)] + ["bob"]
+    models = scenario.eves + (scenario.bob.settings,)
+    lambdas = spec.sharpness[:-1, 0].tolist() + [None]
     groups = [
         ([party], [""], (model, lam, rep.lhs, rep.delta, rep.key_rate))
-        for (party, model, lam), rep in zip(parties, reports(spec))
+        for party, model, lam, rep in zip(parties, models, lambdas, reports(spec))
     ]
     fmt = args.format or scenario.output.format
     path = scenario.output.path if args.out is None else args.out
+    # A write error names what chose the file: the scenario's output.path,
+    # or --out, which also stands for stdout.
+    option = "output.path" if args.out is None and path is not None else "out"
     header = [
         f"seqeve {__version__}",
         f"mode=chain state={scenario.state.kind} eves={spec.n_eves}",
     ]
     columns = ["party", "input_model", "lambda", "lhs", "delta", "key_rate"]
-    _write_rows(groups, columns, header, fmt, path)
+    _write_rows(groups, columns, header, fmt, path, option)
     return 0
 
 

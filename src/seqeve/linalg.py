@@ -38,6 +38,22 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
+def direction_components(theta: float, phi: float) -> tuple[float, float, float]:
+    """Cartesian components (x, y, z) of the unit vector at angles (theta, phi).
+
+    Raises ValueError unless both angles are finite, theta lies in [0, pi]
+    and phi in [0, 2*pi].
+    """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError("direction angles must be finite")
+    if not 0.0 <= theta <= math.pi:
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not 0.0 <= phi <= 2.0 * math.pi:
+        raise ValueError(f"phi must lie in [0, 2*pi], got {phi}")
+    st = math.sin(theta)
+    return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+
+
 class BlochDirection(Value):
     """Measurement direction on the Bloch sphere, angles in radians."""
 
@@ -49,17 +65,11 @@ class BlochDirection(Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("direction angles must be finite")
-        if not 0.0 <= self.theta <= math.pi:
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not 0.0 <= self.phi <= 2.0 * math.pi:
-            raise ValueError(f"phi must lie in [0, 2*pi], got {self.phi}")
+        direction_components(self.theta, self.phi)
 
     def components(self) -> tuple[float, float, float]:
         """Cartesian components (x, y, z) of the unit vector."""
-        st = math.sin(self.theta)
-        return (st * math.cos(self.phi), st * math.sin(self.phi), math.cos(self.theta))
+        return direction_components(self.theta, self.phi)
 
     def unit_vector(self) -> np.ndarray:
         return np.array(self.components())

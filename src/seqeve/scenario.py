@@ -10,9 +10,17 @@ Angles are radians; the string form "deg:30" is degrees.  An unreadable
 file (missing, not UTF-8, a NUL in its path) and a number beyond float range
 are ScenarioErrors too.
 
+A read gives the chain and its ``Scenario``: each Eve is checked and
+written as one row of the ``ChainSpec`` arrays that the kernel reads, and
+no object is built per Eve.  The ``Scenario`` records what the output needs
+beyond the chain: the state, Alice's and Bob's settings, each Eve's
+settings model, and the output format and path.
+
 Documents are composed once by ``CSafeLoader``, PyYAML's binding of
 libyaml, when PyYAML was built with it, else by the pure-Python
-``SafeLoader``; both build the same node graph.  ``_plain`` builds plain
+``SafeLoader``; both build the same node graph.  The loader is a subclass
+made on the first read, whose ``resolve`` finds a scalar's implicit tag in
+one table keyed by its first character.  ``_plain`` builds plain
 mappings, sequences, strings and floats from the nodes, and one
 ``SafeConstructor`` builds every other node in the same queue and with the
 same node cache, so the document is the safe loader's, aliases, cycles
@@ -26,19 +34,19 @@ gives it work that frees nothing, and then restores the caller's setting.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 import os
 from collections import deque
 from pathlib import Path
-from typing import Any, Callable
+from typing import AbstractSet, Any, Callable
 
-from .chain import (
-    DEFAULT_BIAS, ChainSpec, PartySettings, check_bias, mub_sharp_pair,
-    mub_unsharp_pair,
-)
-from .linalg import BlochDirection
-from .measurement import SharpSetting, UnsharpSetting, check_sharpness
+import numpy as np
+
+from .chain import DEFAULT_BIAS, ChainSpec, check_bias
+from .linalg import X_DIR, Z_DIR, BlochDirection, direction_components
+from .measurement import check_sharpness
 from .states import PureTwoQubitState, bell_state, check_tilt_angle, tilted_state
 from .value import Value
 
@@ -98,13 +106,15 @@ def _require_mapping(value: object, field_name: str) -> dict:
     return value
 
 
-def _check_keys(mapping: dict, allowed: set[str], field_name: str) -> None:
-    unknown = sorted(set(mapping) - allowed, key=str)
-    if unknown:
+def _check_keys(mapping: dict, allowed: AbstractSet[str], field_name: str) -> None:
+    if not mapping.keys() <= allowed:
+        unknown = sorted(set(mapping) - allowed, key=str)
         raise ScenarioError(f"{field_name}.{unknown[0]}: unknown key")
 
 
-Directions = tuple[BlochDirection, BlochDirection]
+# A direction as (theta, phi, x, y, z): its angles and its unit vector.
+Direction = tuple[float, float, float, float, float]
+Directions = tuple[Direction, Direction]
 
 
 class StateSpec(Value):
@@ -128,42 +138,14 @@ class PartySpec(Value):
 
     __slots__ = ("directions",)
 
-    def __init__(self, directions: Directions | None = None) -> None:
-        object.__setattr__(self, "directions", directions)
-
-    @property
-    def settings(self) -> str:
-        return "mub" if self.directions is None else "explicit"
-
-    def build(self) -> PartySettings:
-        if self.directions is None:
-            return mub_sharp_pair()
-        return PartySettings(*(SharpSetting(d) for d in self.directions))
-
-
-class EveSpec(Value):
-    """Unsharp settings of one Eve: the MUB pair when ``directions`` is None."""
-
-    __slots__ = ("sharpness", "directions", "bias")
-
     def __init__(
-        self, sharpness: float, directions: Directions | None = None,
-        bias: float = DEFAULT_BIAS,
+        self, directions: tuple[BlochDirection, BlochDirection] | None = None
     ) -> None:
-        object.__setattr__(self, "sharpness", sharpness)
         object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "bias", bias)
 
     @property
     def settings(self) -> str:
         return "mub" if self.directions is None else "explicit"
-
-    def build(self) -> PartySettings:
-        if self.directions is None:
-            return mub_unsharp_pair(self.sharpness)
-        return PartySettings(
-            *(UnsharpSetting(d, self.sharpness) for d in self.directions)
-        )
 
 
 class OutputSpec(Value):
@@ -177,13 +159,14 @@ class OutputSpec(Value):
 
 
 class Scenario(Value):
-    """A validated ``chain`` scenario: its state, parties and output."""
+    """A validated ``chain`` scenario beyond its ``ChainSpec``: its state,
+    parties, the settings model of each Eve, and its output."""
 
     __slots__ = ("state", "alice", "bob", "eves", "output")
 
     def __init__(
         self, state: StateSpec = StateSpec(), alice: PartySpec = PartySpec(),
-        bob: PartySpec = PartySpec(), eves: tuple[EveSpec, ...] = (),
+        bob: PartySpec = PartySpec(), eves: tuple[str, ...] = (),
         output: OutputSpec = OutputSpec(),
     ) -> None:
         object.__setattr__(self, "state", state)
@@ -193,14 +176,27 @@ class Scenario(Value):
         object.__setattr__(self, "output", output)
 
 
-def _parse_direction(raw: object, field_name: str) -> BlochDirection:
+def _rows(party: PartySpec) -> Directions:
+    """The two directions of Alice or Bob as rows of the ``ChainSpec`` arrays."""
+    pair = party.directions or (Z_DIR, X_DIR)
+    return tuple((d.theta, d.phi, *d.components()) for d in pair)
+
+
+# The sigma_z / sigma_x pair, and the keys of what each Eve has one or two of.
+_MUB = _rows(PartySpec())
+_PARTY_KEYS = frozenset({"settings", "directions"})
+_EVE_KEYS = _PARTY_KEYS | {"lambda", "bias"}
+_DIRECTION_KEYS = frozenset({"theta", "phi"})
+
+
+def _parse_direction(raw: object, field_name: str) -> Direction:
     mapping = _require_mapping(raw, field_name)
-    _check_keys(mapping, {"theta", "phi"}, field_name)
+    _check_keys(mapping, _DIRECTION_KEYS, field_name)
     if "theta" not in mapping:
         raise ScenarioError(f"{field_name}.theta: required key is missing")
     theta = parse_angle(mapping["theta"], f"{field_name}.theta")
     phi = parse_angle(mapping.get("phi", 0.0), f"{field_name}.phi")
-    return named(field_name, BlochDirection, theta, phi)
+    return (theta, phi, *named(field_name, direction_components, theta, phi))
 
 
 def _parse_directions(mapping: dict, field_name: str) -> Directions | None:
@@ -244,19 +240,9 @@ def _parse_state(raw: object) -> StateSpec:
 
 def _parse_party(raw: object, field_name: str) -> PartySpec:
     mapping = _require_mapping(raw, field_name)
-    _check_keys(mapping, {"settings", "directions"}, field_name)
-    return PartySpec(_parse_directions(mapping, field_name))
-
-
-def _parse_eve(raw: object, field_name: str) -> EveSpec:
-    mapping = _require_mapping(raw, field_name)
-    _check_keys(mapping, {"lambda", "settings", "directions", "bias"}, field_name)
-    if "lambda" not in mapping:
-        raise ScenarioError(f"{field_name}.lambda: required key is missing")
-    sharpness = parse_number(mapping["lambda"], f"{field_name}.lambda", check_sharpness)
-    raw_bias = mapping.get("bias", DEFAULT_BIAS)
-    bias = parse_number(raw_bias, f"{field_name}.bias", check_bias)
-    return EveSpec(sharpness, _parse_directions(mapping, field_name), bias)
+    _check_keys(mapping, _PARTY_KEYS, field_name)
+    pair = _parse_directions(mapping, field_name)
+    return PartySpec(pair and tuple(BlochDirection(*d[:2]) for d in pair))
 
 
 def _parse_output(raw: object) -> OutputSpec:
@@ -369,11 +355,49 @@ def _plain(root):
     return document
 
 
+@functools.cache
+def _loader(base: type) -> type:
+    """``base``, a safe loader, resolving implicit tags from one table.
+
+    PyYAML's ``resolve`` joins the resolvers of a plain scalar's first
+    character to the wildcard ones for each scalar; the table holds every
+    first character's joined list, taken when the class is made, and any
+    other character gets the wildcards alone.  That is PyYAML's tag for
+    every node as long as no path resolver can make a tag depend on where
+    the node is.
+    """
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
+    assert not base.yaml_path_resolvers, "a path resolver would bypass the table"
+    resolvers = base.yaml_implicit_resolvers
+    wildcard = tuple(resolvers.get(None, ()))
+    table = {
+        first: tuple(pairs) + wildcard
+        for first, pairs in resolvers.items() if first is not None
+    }
+    defaults = {
+        ScalarNode: base.DEFAULT_SCALAR_TAG,
+        SequenceNode: base.DEFAULT_SEQUENCE_TAG,
+        MappingNode: base.DEFAULT_MAPPING_TAG,
+    }
+
+    class Loader(base):
+        def resolve(self, kind, value, implicit):
+            if kind is ScalarNode and implicit[0]:
+                # value[:1] is '' for the empty scalar, the key of its resolver.
+                for tag, regexp in table.get(value[:1], wildcard):
+                    if regexp.match(value):
+                        return tag
+            return defaults.get(kind)
+
+    return Loader
+
+
 def _document(text: str) -> object:
     """The YAML document of ``text`` as PyYAML's safe loader builds it."""
     import yaml
 
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     # Compose leaves thousands of tracked nodes alive, which reference
     # counting frees; a collection run meanwhile frees none of them, only
     # promotes them, until a full collection walks them all.
@@ -408,8 +432,13 @@ def _document(text: str) -> object:
             gc.enable()
 
 
-def loads_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario document."""
+def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
+    """Parse and validate a scenario document: its chain and its ``Scenario``.
+
+    Each Eve is checked and written straight into her rows of the
+    ``ChainSpec`` arrays, and only her settings model is kept beyond them;
+    Bob's directions follow hers.
+    """
     mapping = _require_mapping(_document(text), "scenario")
     # Checked before the keys, so a document of another mode is named as such.
     mode = mapping.get("mode")
@@ -427,13 +456,31 @@ def loads_scenario(text: str) -> Scenario:
     raw_eves = sections.get("eves", [])
     if not isinstance(raw_eves, list):
         raise ScenarioError("eves: expected a list")
-    eves = tuple(
-        _parse_eve(entry, f"eves[{idx}]") for idx, entry in enumerate(raw_eves)
+    directions, sharpness, bias, models = [], [], [], []
+    for idx, raw in enumerate(raw_eves):
+        field_name = f"eves[{idx}]"
+        eve = _require_mapping(raw, field_name)
+        _check_keys(eve, _EVE_KEYS, field_name)
+        if "lambda" not in eve:
+            raise ScenarioError(f"{field_name}.lambda: required key is missing")
+        lam = parse_number(eve["lambda"], f"{field_name}.lambda", check_sharpness)
+        raw_bias = eve.get("bias", DEFAULT_BIAS)
+        bias.append(parse_number(raw_bias, f"{field_name}.bias", check_bias))
+        pair = _parse_directions(eve, field_name)
+        directions.append(pair or _MUB)
+        sharpness.append((lam, lam))
+        models.append("explicit" if pair else "mub")
+    directions.append(_rows(bob))
+    sharpness.append((1.0, 1.0))
+    output = _parse_output(sections.get("output", {}))
+    spec = ChainSpec(
+        state.build(), np.array(_rows(alice))[:, :2], np.array(directions)[..., 2:],
+        np.array(sharpness), np.array(bias, dtype=float),
     )
-    return Scenario(state, alice, bob, eves, _parse_output(sections.get("output", {})))
+    return spec, Scenario(state, alice, bob, tuple(models), output)
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path) -> tuple[ChainSpec, Scenario]:
     """Read and parse a scenario file; a failed read is a ScenarioError too."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -444,14 +491,3 @@ def load_scenario(path: str | Path) -> Scenario:
             f"scenario: cannot read {os.fspath(path)!r}: {reason}"
         ) from exc
     return loads_scenario(text)
-
-
-def to_chain_spec(scenario: Scenario) -> ChainSpec:
-    """Build the simulator input for a scenario."""
-    return ChainSpec(
-        initial=scenario.state.build(),
-        alice=scenario.alice.build(),
-        eves=tuple(eve.build() for eve in scenario.eves),
-        bob=scenario.bob.build(),
-        input_bias=tuple(eve.bias for eve in scenario.eves),
-    )

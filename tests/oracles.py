@@ -15,14 +15,16 @@ one-Eve solve behind a given prefix is kept here for the tests, the
 steering value against a formula with one minimum per relabeling term, and
 the closed-form square root of an effect against a spectral one.  The command
 line's row writer is checked against a renderer that formats every cell of
-every row.  The Schmidt form is checked by reassembling the state from it,
-and the scenario reader by parsing back the canonical document of a
-scenario.
+every row.  The Schmidt form is checked by reassembling the state from it.
+The chain is given party by party (``Chain``) to the slow routes, and the
+scenario reader's arrays are checked against those that ``ChainSpec.of``
+fills from the library's setting classes for the same document.
 """
 
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -48,11 +50,15 @@ from seqeve.linalg import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    X_DIR,
+    Z_DIR,
+    BlochDirection,
     dagger,
     is_hermitian,
     kron,
 )
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
+from seqeve.scenario import OutputSpec, PartySpec, Scenario, StateSpec
 from seqeve.planner import (
     EVE_UNREACHABLE,
     InfeasibleError,
@@ -62,12 +68,12 @@ from seqeve.planner import (
     _grid_solve,
     check_target_rate,
 )
-from seqeve.scenario import EveSpec, PartySpec, Scenario
 from seqeve.states import (
     PureTwoQubitState,
     TwoQubitState,
     bell_state,
     check_tilt_angle,
+    tilted_state,
 )
 from seqeve.steering import delta_for_rate, report_from_table
 from seqeve.unbounded import (
@@ -120,7 +126,39 @@ def nonselective_step(rho: np.ndarray, eve: PartySettings, bias: float) -> np.nd
     return out
 
 
-def chain_rhos(spec: ChainSpec) -> list[np.ndarray]:
+class Chain(NamedTuple):
+    """A chain party by party, as the slow routes read it; ``spec`` is the
+    kernel's input that ``ChainSpec.of`` fills from it."""
+
+    initial: PureTwoQubitState
+    alice: PartySettings
+    eves: tuple[PartySettings, ...]
+    bob: PartySettings
+    input_bias: tuple[float, ...]
+
+    @property
+    def n_eves(self) -> int:
+        return len(self.eves)
+
+    def spec(self) -> ChainSpec:
+        return ChainSpec.of(*self)
+
+
+def chain(initial, alice, eves, bob, input_bias=()) -> Chain:
+    """A ``Chain``, each Eve unbiased unless ``input_bias`` is given."""
+    eves = tuple(eves)
+    bias = tuple(input_bias) or (DEFAULT_BIAS,) * len(eves)
+    return Chain(initial, alice, eves, bob, bias)
+
+
+def mub(lambdas, initial=None) -> Chain:
+    """The ``Chain`` of ``mub_chain``: every party in the sigma_z/sigma_x bases."""
+    eves = [mub_unsharp_pair(lam) for lam in lambdas]
+    pair = mub_sharp_pair()
+    return chain(initial or bell_state(), pair, eves, pair)
+
+
+def chain_rhos(spec: Chain) -> list[np.ndarray]:
     """Density matrix seen by Eve 1..N and then by Bob, in one pass."""
     rho = spec.initial.density_matrix()
     rhos = [rho]
@@ -326,7 +364,7 @@ def eve_step(state: Assemblage, eve: PartySettings, bias: float) -> Assemblage:
     return state.after(eve_map(eve, bias))
 
 
-def kernel_positions(spec: ChainSpec) -> list[Assemblage]:
+def kernel_positions(spec: Chain) -> list[Assemblage]:
     """Assemblage seen by Eve 1..N and then by Bob, one Eve step at a time."""
     state = Assemblage.of(spec.initial, spec.alice)
     out = [state]
@@ -336,7 +374,7 @@ def kernel_positions(spec: ChainSpec) -> list[Assemblage]:
     return out
 
 
-def kernel_tables(spec: ChainSpec) -> list[np.ndarray]:
+def kernel_tables(spec: Chain) -> list[np.ndarray]:
     """Tables of Eve 1..N and then Bob, one position and one party at a time."""
     measured = list(spec.eves) + [spec.bob]
     return [
@@ -590,29 +628,58 @@ def render_rows(
     return "\n".join(lines) + "\n"
 
 
-def _with_settings(entry: dict, party: PartySpec | EveSpec) -> dict:
-    """``entry`` plus the party's ``settings`` and any explicit ``directions``."""
-    entry["settings"] = party.settings
-    if party.directions is not None:
-        entry["directions"] = [
-            {"theta": float(d.theta), "phi": float(d.phi)} for d in party.directions
+def _settings(entry: dict, kind, *args) -> PartySettings:
+    """The settings of a party's document ``entry``, as ``kind`` settings."""
+    if entry.get("settings", "mub") == "mub":
+        directions = (Z_DIR, X_DIR)
+    else:
+        directions = [
+            BlochDirection(d["theta"], d.get("phi", 0.0)) for d in entry["directions"]
         ]
-    return entry
+    return PartySettings(*(kind(d, *args) for d in directions))
 
 
-def dumps_scenario(scenario: Scenario) -> str:
-    """Canonical serialization; parsing the result restores the scenario."""
-    doc: dict = {"mode": "chain", "state": {"kind": scenario.state.kind}}
-    if scenario.state.theta is not None:
-        doc["state"]["theta"] = scenario.state.theta
-    doc["alice"] = _with_settings({}, scenario.alice)
-    doc["bob"] = _with_settings({}, scenario.bob)
-    if scenario.eves:
-        doc["eves"] = [
-            _with_settings({"lambda": eve.sharpness, "bias": eve.bias}, eve)
-            for eve in scenario.eves
-        ]
-    doc["output"] = {"format": scenario.output.format}
-    if scenario.output.path is not None:
-        doc["output"]["path"] = scenario.output.path
+def _party(entry: dict) -> PartySpec:
+    """The ``PartySpec`` of Alice's or Bob's document ``entry``."""
+    if entry.get("settings", "mub") == "mub":
+        return PartySpec()
+    return PartySpec(
+        tuple(BlochDirection(d["theta"], d.get("phi", 0.0)) for d in entry["directions"])
+    )
+
+
+def read_document(doc: dict) -> tuple[ChainSpec, Scenario]:
+    """What ``loads_scenario`` reads from a document of plain radians, built
+    party by party with the library's setting classes and ``ChainSpec.of``."""
+    sections = {key: value for key, value in doc.items() if value is not None}
+    state = sections.get("state", {"kind": "bell"})
+    alice, bob = (sections.get(name, {}) for name in ("alice", "bob"))
+    eves = sections.get("eves", [])
+    spec = ChainSpec.of(
+        bell_state() if state["kind"] == "bell" else tilted_state(state["theta"]),
+        _settings(alice, SharpSetting),
+        [_settings(eve, UnsharpSetting, eve["lambda"]) for eve in eves],
+        _settings(bob, SharpSetting),
+        [eve.get("bias", DEFAULT_BIAS) for eve in eves],
+    )
+    output = sections.get("output", {})
+    scenario = Scenario(
+        StateSpec(state.get("theta")),
+        _party(alice),
+        _party(bob),
+        tuple(eve.get("settings", "mub") for eve in eves),
+        OutputSpec(output.get("format", "csv"), output.get("path")),
+    )
+    return spec, scenario
+
+
+def scenario_values(scenario: tuple[ChainSpec, Scenario]) -> tuple:
+    """A ``loads_scenario`` result as values that compare with ==."""
+    spec, labels = scenario
+    arrays = (spec.initial.amp, spec.alice, spec.directions, spec.sharpness, spec.bias)
+    return tuple(array.tolist() for array in arrays) + (labels,)
+
+
+def dumps_scenario(doc: dict) -> str:
+    """A scenario document as YAML text, keys sorted and in block style."""
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)

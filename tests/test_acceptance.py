@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+import yaml
 
 from helpers import (
     random_direction,
@@ -19,7 +20,8 @@ from helpers import (
     random_qubit_density,
 )
 from oracles import (
-    dumps_scenario, lambda_min_for_rate, psd_sqrt, schmidt_state, tradeoff
+    dumps_scenario, lambda_min_for_rate, psd_sqrt, scenario_values, schmidt_state,
+    tradeoff,
 )
 from seqeve import (
     ADAPTED,
@@ -217,9 +219,10 @@ def test_criterion_08_no_signalling():
             )
             for _ in range(n)
         )
-        spec = ChainSpec(
+        alice = mub_sharp_pair()
+        spec = ChainSpec.of(
             initial=bell_state(),
-            alice=mub_sharp_pair(),
+            alice=alice,
             eves=eves,
             bob=mub_sharp_pair(),
             input_bias=tuple(float(rng.uniform(0.0, 1.0)) for _ in range(n)),
@@ -227,7 +230,7 @@ def test_criterion_08_no_signalling():
         initial = spec.initial.density_matrix()
         for party in list(range(1, n + 1)) + [BOB]:
             rho = propagate(spec, party).rho
-            for i, setting in enumerate(spec.alice.settings):
+            for i, setting in enumerate(alice.settings):
                 for a in (0, 1):
                     marginal_op = kron(projector(setting, a), ID2)
                     got = np.trace(marginal_op @ rho).real
@@ -324,8 +327,9 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
         "    bias: 0.25\n"
         "output: {format: json}\n"
     )
-    scenario = loads_scenario(doc)
-    assert loads_scenario(dumps_scenario(scenario)) == scenario
+    scenario = scenario_values(loads_scenario(doc))
+    again = loads_scenario(dumps_scenario(yaml.safe_load(doc)))
+    assert scenario_values(again) == scenario
 
     assert main(["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]) == 0
     capsys.readouterr()

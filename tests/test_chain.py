@@ -49,7 +49,7 @@ def random_chain(rng, max_len=4, mub_only=False) -> ChainSpec:
             for _ in range(n)
         )
         bias = tuple(float(rng.uniform(0.0, 1.0)) for _ in range(n))
-    return ChainSpec(
+    return ChainSpec.of(
         initial=bell_state(),
         alice=mub_sharp_pair(),
         eves=eves,
@@ -177,7 +177,7 @@ class TestPropagate:
 
     def test_projective_eve_kills_cross_basis_only(self):
         # A single z-measuring Eve (bias 1) zeroes x-correlation, keeps z.
-        spec = ChainSpec(
+        spec = ChainSpec.of(
             initial=bell_state(),
             alice=mub_sharp_pair(),
             eves=(mub_unsharp_pair(1.0),),
@@ -237,9 +237,9 @@ class TestConditionalTable:
         spec = mub_chain((0.552, 0.602))
         state = spec.initial.to_density()
         table = conditional_table(spec, 2)
-        eve1 = spec.eves[0]
-        eve2 = spec.eves[1]
-        alice_settings = spec.alice.settings
+        eve1 = mub_unsharp_pair(0.552)
+        eve2 = mub_unsharp_pair(0.602)
+        alice_settings = mub_sharp_pair().settings
         for i, alice in enumerate(alice_settings):
             from seqeve.measurement import projector
 
@@ -275,6 +275,7 @@ class TestNoSignalling:
         rng = np.random.default_rng(89)
         for _ in range(50):
             spec = random_chain(rng)
+            alice = mub_sharp_pair()  # random_chain's Alice
             initial = spec.initial.density_matrix()
             from seqeve.measurement import projector
 
@@ -282,7 +283,7 @@ class TestNoSignalling:
                 (i, a): float(
                     np.trace(kron(projector(s, a), ID2) @ initial).real
                 )
-                for i, s in enumerate(spec.alice.settings)
+                for i, s in enumerate(alice.settings)
                 for a in (0, 1)
             }
             for party in list(range(1, spec.n_eves + 1)) + [BOB]:
@@ -290,7 +291,7 @@ class TestNoSignalling:
                 for (i, a), expected in reference.items():
                     got = float(
                         np.trace(
-                            kron(projector(spec.alice.settings[i], a), ID2) @ rho
+                            kron(projector(alice.settings[i], a), ID2) @ rho
                         ).real
                     )
                     assert got == pytest.approx(expected, abs=1e-10)
@@ -299,7 +300,7 @@ class TestNoSignalling:
 class TestChainSpecValidation:
     def test_rejects_unsharp_alice(self):
         with pytest.raises(ValueError, match="sharp"):
-            ChainSpec(
+            ChainSpec.of(
                 initial=bell_state(),
                 alice=mub_unsharp_pair(0.5),
                 eves=(),
@@ -308,7 +309,7 @@ class TestChainSpecValidation:
 
     def test_rejects_sharp_eve(self):
         with pytest.raises(ValueError, match="unsharp"):
-            ChainSpec(
+            ChainSpec.of(
                 initial=bell_state(),
                 alice=mub_sharp_pair(),
                 eves=(mub_sharp_pair(),),
@@ -317,7 +318,7 @@ class TestChainSpecValidation:
 
     def test_rejects_bias_length_mismatch(self):
         with pytest.raises(ValueError, match="bias"):
-            ChainSpec(
+            ChainSpec.of(
                 initial=bell_state(),
                 alice=mub_sharp_pair(),
                 eves=(mub_unsharp_pair(0.5),),

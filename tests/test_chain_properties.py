@@ -20,7 +20,6 @@ import oracles
 from seqeve import (
     BOB,
     BlochDirection,
-    ChainSpec,
     PartySettings,
     PureTwoQubitState,
     SharpSetting,
@@ -86,7 +85,7 @@ def pure_states(draw):
 def general_chains(draw):
     n = draw(st.integers(0, MAX_EVES))
     eves = draw(st.lists(unsharp_pairs(tilted_directions), min_size=n, max_size=n))
-    return ChainSpec(
+    return oracles.chain(
         initial=draw(pure_states()),
         alice=draw(sharp_pairs(tilted_directions)),
         eves=tuple(eves),
@@ -99,7 +98,7 @@ def general_chains(draw):
 def chains(draw):
     n = draw(st.integers(0, MAX_EVES))
     eves = draw(st.lists(unsharp_pairs(), min_size=n, max_size=n))
-    return ChainSpec(
+    return oracles.chain(
         initial=tilted_state(draw(st.floats(0.05, math.pi / 4))),
         alice=draw(sharp_pairs()),
         eves=tuple(eves),
@@ -110,7 +109,7 @@ def chains(draw):
 
 def explicit_chain(input_bias):
     """A fixed chain of explicit Eves, one per bias."""
-    return ChainSpec(
+    return oracles.chain(
         initial=tilted_state(0.6),
         alice=PartySettings(
             SharpSetting(BlochDirection(0.1)), SharpSetting(BlochDirection(1.4, 0.3))
@@ -135,10 +134,12 @@ def parties(spec):
 
 @CHAIN_PROPERTY
 @given(chains())
-def test_kernel_matches_the_4x4_oracle(spec):
-    settings_seen = list(spec.eves) + [spec.bob]
-    for party, seen, rho in zip(parties(spec), settings_seen, oracles.chain_rhos(spec)):
-        expected = oracles.table(spec.alice, seen, rho).probs
+def test_kernel_matches_the_4x4_oracle(chain):
+    spec = chain.spec()
+    settings_seen = list(chain.eves) + [chain.bob]
+    rhos = oracles.chain_rhos(chain)
+    for party, seen, rho in zip(parties(spec), settings_seen, rhos):
+        expected = oracles.table(chain.alice, seen, rho).probs
         assert np.abs(conditional_table(spec, party).probs - expected).max() <= 1e-12
         assert np.abs(propagate(spec, party).rho - rho).max() <= 1e-12
 
@@ -147,7 +148,8 @@ def test_kernel_matches_the_4x4_oracle(spec):
 @given(chains())
 @example(explicit_chain(()))
 @example(explicit_chain((0.0, 1.0, 1.0, 0.0, 0.5)))
-def test_one_pass_reports_equal_per_party_reports(spec):
+def test_one_pass_reports_equal_per_party_reports(chain):
+    spec = chain.spec()
     stacked = tables(spec).probs
     assert stacked.shape == (spec.n_eves + 1, 2, 2, 2, 2)
     for probs, party in zip(stacked, parties(spec)):
@@ -157,15 +159,16 @@ def test_one_pass_reports_equal_per_party_reports(spec):
 
 @CHAIN_PROPERTY
 @given(general_chains())
-def test_kernel_joint_matches_the_operator_oracle(spec):
+def test_kernel_joint_matches_the_operator_oracle(chain):
     """p(a|i) and p(a|i) P(c|k,i,a) of every party, within 1e-12."""
-    measured = list(spec.eves) + [spec.bob]
+    measured = list(chain.eves) + [chain.bob]
     expected = [
-        oracles.joint_table(spec.alice, party, rho)
-        for party, rho in zip(measured, oracles.chain_rhos(spec))
+        oracles.joint_table(chain.alice, party, rho)
+        for party, rho in zip(measured, oracles.chain_rhos(chain))
     ]
+    spec = chain.spec()
     try:
-        state = Assemblage.of(spec.initial, spec.alice)
+        state = Assemblage.of(chain.initial, chain.alice)
     except ZeroProbabilityError:
         assert expected[0][0].min() < 2e-12
         return
@@ -180,9 +183,10 @@ def test_kernel_joint_matches_the_operator_oracle(spec):
 @given(chains())
 @example(explicit_chain(()))
 @example(explicit_chain((0.0, 1.0, 1.0, 0.0, 0.5)))
-def test_stacked_pass_equals_the_per_eve_loop(spec):
+def test_stacked_pass_equals_the_per_eve_loop(chain):
     """The stack does the per-Eve loop's arithmetic, so it agrees bit for bit."""
-    expected = oracles.kernel_tables(spec)
+    spec = chain.spec()
+    expected = oracles.kernel_tables(chain)
     assert np.array_equal(tables(spec).probs, np.stack(expected))
     lhs = [rep.lhs for rep in reports(spec)]
     assert lhs == [oracles.scalar_fgi_lhs(probs) for probs in expected]
@@ -213,9 +217,9 @@ def test_choi_state_sees_a_map_that_is_positive_only():
 
 @CHAIN_PROPERTY
 @given(chains())
-def test_reports_lie_in_range(spec):
+def test_reports_lie_in_range(chain):
     """lhs in [0, 1], delta = max(lhs - 3/4, 0) in [0, 1/4], rate in [0, 1]."""
-    for rep in reports(spec):
+    for rep in reports(chain.spec()):
         assert -COMPOSED_ATOL <= rep.lhs <= 1.0 + COMPOSED_ATOL
         assert rep.delta == max(rep.lhs - THRESHOLD, 0.0)
         assert rep.delta <= MAX_DELTA + COMPOSED_ATOL
@@ -259,16 +263,16 @@ def test_steering_value_is_affine_in_the_new_eve_sharpness(
 
 @CHAIN_PROPERTY
 @given(chains())
-def test_alice_marginals_ignore_every_eve(spec):
+def test_alice_marginals_ignore_every_eve(chain):
     """No signalling: P(a | i) in every party's joint table is its initial value."""
-    rhos = oracles.chain_rhos(spec)
-    measured = list(spec.eves) + [spec.bob]
-    initial = oracles.joint_table(spec.alice, spec.bob, rhos[0])[0].reshape(4)
-    marginals = Assemblage.of(spec.initial, spec.alice).p_alice
+    rhos = oracles.chain_rhos(chain)
+    measured = list(chain.eves) + [chain.bob]
+    initial = oracles.joint_table(chain.alice, chain.bob, rhos[0])[0].reshape(4)
+    marginals = Assemblage.of(chain.initial, chain.alice).p_alice
     assert np.abs(marginals - initial).max() <= 1e-12
-    joint = marginals.reshape(2, 2)[..., None] * tables(spec).probs
+    joint = marginals.reshape(2, 2)[..., None] * tables(chain.spec()).probs
     for party, rho, party_joint in zip(measured, rhos, joint):
-        oracle = oracles.joint_table(spec.alice, party, rho)[0].reshape(4)
+        oracle = oracles.joint_table(chain.alice, party, rho)[0].reshape(4)
         assert np.abs(oracle - initial).max() <= 1e-12
         # Summed over the party's outcome, for each of its inputs.
         assert np.abs(party_joint.sum(axis=-1).reshape(2, 4) - initial).max() <= 1e-12

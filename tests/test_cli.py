@@ -17,9 +17,10 @@ import seqeve.chain
 import seqeve.cli
 import seqeve.linalg
 import seqeve.unbounded
-from seqeve import CANONICAL, leaf_report, loads_scenario, reports, to_chain_spec
-from seqeve.chain import Assemblage, ConditionalTable
-from seqeve.measurement import WeakKrausSetting
+from seqeve import CANONICAL, leaf_report, loads_scenario, reports
+from seqeve.chain import Assemblage, ConditionalTable, PartySettings
+from seqeve.linalg import BlochDirection
+from seqeve.measurement import UnsharpSetting, WeakKrausSetting
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, max_eves
@@ -188,7 +189,7 @@ class TestChainCommand:
         assert [row["key_rate"] for row in parse_csv(capsys.readouterr().out)] == [rate]
 
     def test_near_product_state_is_the_canonical_leaf(self):
-        spec = to_chain_spec(loads_scenario(self.near_product_doc("1.0e-4", "2.0e-4")))
+        spec, _ = loads_scenario(self.near_product_doc("1.0e-4", "2.0e-4"))
         assert reports(spec) == [leaf_report(1e-4, CANONICAL)]
 
     def test_marginal_below_the_floor_exits_3(self, tmp_path, capsys):
@@ -267,6 +268,31 @@ class TestWorkCounts:
         assert [np.shape(table.probs)[:-4] for table, in tables] == [(n_eves + 1,)]
         assert len(states) == 0
         assert len(krons) == 0
+
+    @pytest.mark.parametrize("n_eves", [0, 1, 9])
+    def test_chain_builds_no_object_per_eve(
+        self, monkeypatch, capsys, tmp_path, n_eves
+    ):
+        # Counts, unlike wall times, repeat exactly from run to run.
+        starts = count_calls(monkeypatch, Assemblage, "start")
+        passes = count_calls(monkeypatch, Assemblage, "through")
+        scored = count_calls(monkeypatch, Assemblage, "table")
+        settings = (BlochDirection, UnsharpSetting, PartySettings)
+        built = [count_calls(monkeypatch, cls, "__init__") for cls in settings]
+        doc = explicit_chain_doc(
+            n_eves,
+            "alice: {settings: explicit, directions: [{theta: 0.1}, {theta: 1.4}]}\n",
+        )
+        assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
+        # The reader writes each Eve into her rows of the kernel's arrays:
+        # one start, one pass of N maps and one stacked table, and no
+        # direction, setting or party object per Eve; the two directions
+        # are Alice's, kept in her PartySpec.
+        assert len(starts) == 1
+        assert [len(maps) for _, maps in passes] == [n_eves]
+        assert len(scored) == 1
+        assert [len(calls) for calls in built] == [2, 0, 0]
 
     @pytest.mark.parametrize("depth", range(1, seqeve.cli.MAX_UNBOUNDED_DEPTH + 1))
     def test_branch_labels_count_in_binary(self, depth):
@@ -550,6 +576,19 @@ class TestFileSystemErrors:
         assert captured.err.startswith("input error: out: cannot write ''")
         assert captured.err.count("\n") == 1
         assert not named.exists()
+
+    @pytest.mark.parametrize("path", ["", "."], ids=["empty", "directory"])
+    def test_an_unwritable_output_path_is_named(self, tmp_path, capsys, path):
+        # The file comes from the scenario, so the message names its field,
+        # not the --out option, which was never given.
+        doc = TWO_EVE_DOC + f"output: {{path: {json.dumps(path)}}}\n"
+        argv = ["chain", "--scenario", write(tmp_path, "two.yaml", doc)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = f"input error: output.path: cannot write {path!r}"
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv",

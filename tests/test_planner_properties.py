@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from seqeve import bell_state, mub_chain, tilted_state
+from seqeve import bell_state, tilted_state
 from seqeve.chain import DEFAULT_BIAS, Assemblage, mub_sharp_pair, mub_unsharp_pair
 from oracles import lambda_min_for_rate
 from seqeve.planner import InfeasibleError, max_eves, plan_chains
@@ -54,7 +54,7 @@ def outcome(solve, *args):
 @SOLVE_PROPERTY
 @given(prefixes, targets)
 def test_exact_solve_equals_bisection_bit_for_bit(prefix, target):
-    upstream = oracles.kernel_positions(mub_chain(prefix))[-1]
+    upstream = oracles.kernel_positions(oracles.mub(prefix))[-1]
     expected = outcome(oracles.bisect_min_sharpness, upstream, len(prefix) + 1, target)
     assert outcome(lambda_min_for_rate, tuple(prefix), target) == expected
 

@@ -10,28 +10,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
-from yaml.nodes import ScalarNode
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.resolver import Resolver
 
 from helpers import count_calls, wall_clock_budget
-from oracles import dumps_scenario
+from oracles import dumps_scenario, read_document, scenario_values
 import seqeve
 import seqeve.cli
 import seqeve.scenario
-from seqeve import BlochDirection, Scenario, ScenarioError, loads_scenario
+from seqeve import Scenario, ScenarioError, loads_scenario
 from seqeve.cli import main
-from seqeve.scenario import (
-    EveSpec,
-    OutputSpec,
-    PartySpec,
-    StateSpec,
-    to_chain_spec,
-)
-from seqeve.states import check_tilt_angle
+from seqeve.states import check_tilt_angle, tilted_state
 
 LOADERS = settings(max_examples=150, deadline=None, derandomize=True)
 # The walker property is the one guard of the queue it shares with PyYAML.
@@ -80,21 +75,22 @@ eves:
 
 
 def test_parses_chain_scenario():
-    scenario = loads_scenario(CHAIN_DOC)
-    assert scenario.state.kind == "bell"
-    assert [e.sharpness for e in scenario.eves] == [0.552, 0.602]
-    spec = to_chain_spec(scenario)
+    spec, scenario = loads_scenario(CHAIN_DOC)
+    assert scenario == Scenario(eves=("mub", "mub"))
+    assert spec.sharpness.tolist() == [[0.552, 0.552], [0.602, 0.602], [1.0, 1.0]]
     assert spec.n_eves == 2
-    assert spec.input_bias == (0.5, 0.5)
+    assert spec.bias.tolist() == [0.5, 0.5]
 
 
 def test_degree_prefix_converts():
-    scenario = loads_scenario(EXPLICIT_DOC)
+    spec, scenario = loads_scenario(EXPLICIT_DOC)
+    assert scenario.state.kind == "tilted"
     assert scenario.state.theta == pytest.approx(math.pi / 6, abs=1e-12)
-    assert scenario.alice.directions[1].theta == pytest.approx(
-        math.pi / 2, abs=1e-12
+    np.testing.assert_allclose(
+        spec.initial.amp, tilted_state(math.pi / 6).amp, rtol=0, atol=1e-12
     )
-    assert scenario.eves[0].bias == 0.25
+    assert spec.alice[1, 0] == pytest.approx(math.pi / 2, abs=1e-12)
+    assert spec.bias.tolist() == [0.25]
 
 
 @pytest.mark.parametrize(
@@ -128,11 +124,11 @@ def test_validation_names_offending_field(doc, field):
 
 def test_round_trip_identity():
     for doc in (CHAIN_DOC, EXPLICIT_DOC):
-        first = loads_scenario(doc)
-        second = loads_scenario(dumps_scenario(first))
-        assert first == second
+        first = scenario_values(loads_scenario(doc))
+        text = dumps_scenario(yaml.safe_load(doc))
+        assert scenario_values(loads_scenario(text)) == first
         # A second round trip is also stable.
-        assert loads_scenario(dumps_scenario(second)) == second
+        assert dumps_scenario(yaml.safe_load(text)) == text
 
 
 def test_plan_mode_is_rejected(tmp_path, capsys):
@@ -150,7 +146,8 @@ def test_yaml_directive_version_does_not_depend_on_loader(version, fallback):
     if not fallback and not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML is built without libyaml")
     text = f"%YAML {version}\n---\n{CHAIN_DOC}"
-    expected = loads_scenario(CHAIN_DOC) if version in ("1.1", "1.2") else YAML_ERROR
+    ok = version in ("1.1", "1.2")
+    expected = scenario_values(loads_scenario(CHAIN_DOC)) if ok else YAML_ERROR
     assert _parsed(text, fallback=fallback) == expected
 
 
@@ -184,10 +181,13 @@ def test_parses_with_libyaml_and_falls_back_to_safe_loader(monkeypatch):
         return real_compose(stream, Loader=Loader)
 
     monkeypatch.setattr(yaml, "compose", spy)
-    first = loads_scenario(EXPLICIT_DOC)
+    first = scenario_values(loads_scenario(EXPLICIT_DOC))
     monkeypatch.delattr(yaml, "CSafeLoader")
-    assert loads_scenario(EXPLICIT_DOC) == first
-    assert used == [c_loader, yaml.SafeLoader]
+    assert scenario_values(loads_scenario(EXPLICIT_DOC)) == first
+    # Each read composes with its safe loader's subclass, which only resolves.
+    assert [loader.__bases__ for loader in used] == [(c_loader,), (yaml.SafeLoader,)]
+    for loader in used:
+        assert [name for name in vars(loader) if name[:2] != "__"] == ["resolve"]
 
 
 # Nesting depth --------------------------------------------------------------
@@ -252,29 +252,56 @@ def test_many_collections_at_shallow_depth_are_read(tmp_path, capsys, monkeypatc
 
 # Loader equivalence ---------------------------------------------------------
 
-directions = st.builds(
-    BlochDirection, st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi)
-)
-states = st.builds(
-    StateSpec, st.none() | st.floats(0.0, math.pi / 4, exclude_min=True)
+# (theta, phi) of a direction.
+directions = st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2.0 * math.pi))
+states = st.one_of(
+    st.builds(lambda: {"kind": "bell"}),
+    st.floats(0.0, math.pi / 4, exclude_min=True).map(
+        lambda theta: {"kind": "tilted", "theta": theta}
+    ),
 )
 sharpness = st.floats(0.0, 1.0, exclude_min=True)
 biases = st.floats(0.0, 1.0)
 
 
-def scenarios_of(directions):
-    """Scenarios whose explicit settings take their directions from ``directions``."""
-    direction_pairs = st.tuples(directions, directions)
-    parties = st.builds(PartySpec, st.none() | direction_pairs)
-    eves = st.builds(EveSpec, sharpness, st.none() | direction_pairs, biases)
+def _explicit(pair):
+    angles = [{"theta": theta, "phi": phi} for theta, phi in pair]
+    return {"settings": "explicit", "directions": angles}
+
+
+def _output(fmt, path):
+    return {"format": fmt} if path is None else {"format": fmt, "path": path}
+
+
+def _scenario_doc(state, alice, bob, eves, output):
+    """A scenario document with every section, and ``eves`` only if any."""
+    doc = {"mode": "chain", "state": state, "alice": alice, "bob": bob}
+    if eves:
+        doc["eves"] = eves
+    doc["output"] = output
+    return doc
+
+
+def documents_of(directions):
+    """Scenario documents in plain radians, whose explicit settings take
+    their directions from ``directions``; every dict is a new one, so no
+    dump of a document has an alias."""
+    parties = st.one_of(
+        st.builds(lambda: {"settings": "mub"}),
+        st.tuples(directions, directions).map(_explicit),
+    )
+    eves = st.builds(
+        lambda lam, bias, party: {"lambda": lam, "bias": bias, **party},
+        sharpness, biases, parties,
+    )
     return st.builds(
-        Scenario,
+        _scenario_doc,
         states,
         parties,
         parties,
-        st.lists(eves, max_size=4).map(tuple),
+        st.lists(eves, max_size=4),
         st.builds(
-            OutputSpec,
+            _output,
             st.sampled_from(("csv", "json")),
             # A NUL cannot be in a file name, so output.path rejects it.
             st.one_of(
@@ -285,7 +312,7 @@ def scenarios_of(directions):
     )
 
 
-scenarios = scenarios_of(directions)
+documents = documents_of(directions)
 
 WRONG_TYPES = ["abc", "deg:abc", True, None, 7, [], {}, [1, 2], {"theta": 0.1}]
 NON_FINITE = [math.nan, math.inf, -math.inf, "deg:nan", "deg:inf", "deg:-inf"]
@@ -322,7 +349,7 @@ def near_valid_documents(draw):
     """A valid document with one fault: wrong type, non-finite angle,
     list where a mapping belongs, an unclosed flow collection, or a %YAML
     directive (of a version either loader may read or refuse)."""
-    text = dumps_scenario(draw(scenarios))
+    text = dumps_scenario(draw(documents))
     doc = yaml.safe_load(text)
     kind = draw(
         st.sampled_from(
@@ -351,12 +378,13 @@ def near_valid_documents(draw):
 
 
 def _parsed(text, *, fallback):
-    """loads_scenario's result, or its error up to the parser's own detail."""
+    """loads_scenario's result as ``scenario_values``, or its error up to the
+    parser's own detail."""
     with pytest.MonkeyPatch.context() as mp:
         if fallback:
             mp.delattr(yaml, "CSafeLoader")
         try:
-            return loads_scenario(text)
+            return scenario_values(loads_scenario(text))
         except ScenarioError as exc:
             return _error_prefix(str(exc))
 
@@ -382,11 +410,13 @@ def _chain_run(text, workdir, *, fallback):
 
 @needs_libyaml
 @LOADERS
-@given(scenarios)
-def test_both_loaders_restore_dumped_scenarios(scenario):
-    text = dumps_scenario(scenario)
-    assert _parsed(text, fallback=False) == scenario
-    assert _parsed(text, fallback=True) == scenario
+@given(documents)
+def test_both_loaders_restore_dumped_scenarios(doc):
+    """Both read the arrays that the library's setting classes fill."""
+    text = dumps_scenario(doc)
+    expected = scenario_values(read_document(doc))
+    assert _parsed(text, fallback=False) == expected
+    assert _parsed(text, fallback=True) == expected
 
 
 @needs_libyaml
@@ -557,7 +587,7 @@ def test_cyclic_documents_are_read_in_bounded_time():
 @WALKER
 @given(
     st.one_of(
-        scenarios.map(dumps_scenario), near_valid_documents(), yaml_forms()
+        documents.map(dumps_scenario), near_valid_documents(), yaml_forms()
     )
 )
 def test_walker_builds_what_yaml_load_builds(text):
@@ -609,20 +639,21 @@ def _same_scalar(node, other):
     )
 
 
-# Scenarios whose directions come from a pool of up to three, so some repeat.
-pooled_scenarios = st.lists(directions, min_size=1, max_size=3).flatmap(
-    lambda pool: scenarios_of(st.sampled_from(pool))
+# Documents whose directions come from a pool of up to three, so some repeat.
+pooled_documents = st.lists(directions, min_size=1, max_size=3).flatmap(
+    lambda pool: documents_of(st.sampled_from(pool))
 )
 
 
 @LOADERS
-@given(pooled_scenarios)
-def test_anchored_and_merged_scenarios_read_back(scenario):
-    text = _anchored(dumps_scenario(scenario))
+@given(pooled_documents)
+def test_anchored_and_merged_scenarios_read_back(doc):
+    text = _anchored(dumps_scenario(doc))
+    expected = scenario_values(read_document(doc))
     with pytest.MonkeyPatch.context() as mp:
         loaded = count_calls(mp, yaml, "load")
         for fallback in FALLBACKS:
-            assert _parsed(text, fallback=fallback) == scenario
+            assert _parsed(text, fallback=fallback) == expected
     assert loaded == []
 
 
@@ -655,8 +686,8 @@ def test_a_chain_scenario_is_composed_once_and_never_constructed(
     if fallback:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
     text = _perfbench_shaped(64)
-    scenario, calls = _built_once(monkeypatch, lambda: loads_scenario(text))
-    assert len(scenario.eves) == 64
+    (spec, _), calls = _built_once(monkeypatch, lambda: loads_scenario(text))
+    assert spec.n_eves == 64
     assert calls == (1, 0, 0)
     assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
 
@@ -827,7 +858,7 @@ def _spelled(**spelling):
 def test_any_float_spelling_is_a_number(spelling, directive, fallback):
     if not fallback and not hasattr(yaml, "CSafeLoader"):
         pytest.skip("PyYAML is built without libyaml")
-    expected = loads_scenario(_spelled())
+    expected = scenario_values(loads_scenario(_spelled()))
     assert _parsed(directive + _spelled(**spelling), fallback=fallback) == expected
 
 
@@ -854,7 +885,8 @@ def test_text_bools_and_null_are_not_numbers(tmp_path, capsys, field, value):
 
 @pytest.mark.parametrize("section", ["state", "alice", "bob", "eves", "output"])
 def test_a_null_section_is_an_absent_one(section):
-    assert loads_scenario(f"mode: chain\n{section}: ~\n") == Scenario()
+    absent = scenario_values(read_document({"mode": "chain"}))
+    assert scenario_values(loads_scenario(f"mode: chain\n{section}: ~\n")) == absent
 
 
 def _tilt_texts(x):
@@ -887,3 +919,78 @@ def test_command_line_and_scenario_read_a_tilt_alike(text):
             by_file = False
     assert by_cli == by_file
     assert checked[seqeve.cli] == checked[seqeve.scenario]
+
+
+# Implicit tags from one table -----------------------------------------------
+
+# Plain scalars that reach each kind of resolver, an empty one included.
+RESOLVED_TEXTS = [
+    "", "~", "null", "Null", "<<", "=", ".inf", "-.Inf", "+.INF", ".nan", "1_0",
+    "12:30", "1:30.5", "-1:30", "0x1F", "0o17", "017", "0b101", "+1.5e+3",
+    "-0.0", ".5", "1.", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
+    "2001-12-14 21:59:43.10 -5", "yes", "No", "ON", "off", "true", "False",
+    "y", "n", "abc", " 1", "1 ", "deg:30", "!x", "&a", "*b",
+]
+scalar_texts = st.one_of(
+    st.sampled_from(RESOLVED_TEXTS),
+    st.text(alphabet="0123456789.:_-+eExXoObB~<=ntfyNTFYl ", max_size=10),
+    st.text(max_size=6),
+)
+BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+@pytest.mark.parametrize(
+    "implicit",
+    [(plain, quoted) for plain in (True, False) for quoted in (True, False)],
+    ids=["plain-quoted", "plain", "quoted", "neither"],
+)
+@pytest.mark.parametrize("kind", [ScalarNode, SequenceNode, MappingNode])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(value=scalar_texts)
+def test_the_table_resolves_as_pyyaml_resolves(kind, implicit, value):
+    for base in BASES:
+        loader = seqeve.scenario._loader(base)("")
+        try:
+            expected = Resolver.resolve(loader, kind, value, implicit)
+            assert loader.resolve(kind, value, implicit) == expected
+        finally:
+            loader.dispose()
+
+
+def _graph(root):
+    """(tag, value) of every node below ``root``; a node met again, as an
+    alias or a cycle, is the number of its first visit."""
+    seen = {}
+
+    def walk(node):
+        if id(node) in seen:
+            return seen[id(node)]
+        seen[id(node)] = len(seen)
+        if isinstance(node, ScalarNode):
+            return node.tag, node.value
+        if isinstance(node, SequenceNode):
+            return node.tag, [walk(child) for child in node.value]
+        return node.tag, [(walk(key), walk(value)) for key, value in node.value]
+
+    return walk(root)
+
+
+SCENARIO_TEXTS = {
+    **{
+        str(path.relative_to(GOLDEN.parent)): path.read_text(encoding="utf-8")
+        for path in sorted(GOLDEN.parent.glob("**/*.yaml"))
+    },
+    "CHAIN_DOC": CHAIN_DOC,
+    "EXPLICIT_DOC": EXPLICIT_DOC,
+    "SPELLED_DOC": _spelled(),
+    "perfbench-shaped": _perfbench_shaped(8),
+    **UNMODELLED_DOCUMENTS,
+}
+
+
+@pytest.mark.parametrize("text", SCENARIO_TEXTS.values(), ids=SCENARIO_TEXTS)
+def test_every_scenario_composes_to_the_same_graph(text):
+    for base in BASES:
+        expected = _graph(yaml.compose(text, Loader=base))
+        loader = seqeve.scenario._loader(base)
+        assert _graph(yaml.compose(text, Loader=loader)) == expected

@@ -17,7 +17,7 @@ from seqeve.chain import Assemblage, ChainSpec, ConditionalTable, PartySettings
 from seqeve.linalg import BlochDirection
 from seqeve.measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
 from seqeve.planner import PlanResult
-from seqeve.scenario import EveSpec, OutputSpec, PartySpec, Scenario, StateSpec
+from seqeve.scenario import OutputSpec, PartySpec, Scenario, StateSpec
 from seqeve.states import PureTwoQubitState, TwoQubitState, bell_state
 from seqeve.steering import SteeringReport
 from seqeve.unbounded import BranchNode, SchmidtForm
@@ -26,8 +26,10 @@ from seqeve.value import Value
 D = BlochDirection(0.5, 1.25)
 Z = BlochDirection(0.0)
 X = BlochDirection(1.5)
-MUB = PartySettings(SharpSetting(Z), SharpSetting(X))
-EVE = PartySettings(UnsharpSetting(Z, 0.5), UnsharpSetting(X, 0.5))
+# Alice's angles, and the directions and sharpnesses of one Eve and Bob.
+ANGLES = np.array([[0.0, 0.0], [1.5, 0.0]])
+DIRECTIONS = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]] * 2)
+SHARPNESS = np.array([[0.5, 0.5], [1.0, 1.0]])
 
 # Each class, a function giving fresh arguments (fields without a default
 # first), and the repr that the dataclass version of the class gave.
@@ -94,42 +96,29 @@ VALUES = [
     ),
     pytest.param(
         ChainSpec,
-        lambda: (bell_state(), MUB, (EVE,), MUB),
+        lambda: (bell_state(), ANGLES, DIRECTIONS, SHARPNESS),
         (
             "ChainSpec(initial=PureTwoQubitState(amp=array([0.70710678+0.j, "
             "0.        +0.j, 0.        +0.j, 0.70710678+0.j])), "
-            "alice=PartySettings(input0=SharpSetting("
-            "direction=BlochDirection(theta=0.0, phi=0.0)), "
-            "input1=SharpSetting(direction=BlochDirection(theta=1.5, "
-            "phi=0.0))), eves=(PartySettings(input0=UnsharpSetting("
-            "direction=BlochDirection(theta=0.0, phi=0.0), sharpness=0.5), "
-            "input1=UnsharpSetting(direction=BlochDirection(theta=1.5, "
-            "phi=0.0), sharpness=0.5)),), bob=PartySettings("
-            "input0=SharpSetting(direction=BlochDirection(theta=0.0, "
-            "phi=0.0)), input1=SharpSetting(direction=BlochDirection("
-            "theta=1.5, phi=0.0))), input_bias=(0.5,))"
+            "alice=array([[0. , 0. ],\n       [1.5, 0. ]]), "
+            "directions=array([[[0., 0., 1.],\n        [1., 0., 0.]],\n\n"
+            "       [[0., 0., 1.],\n        [1., 0., 0.]]]), "
+            "sharpness=array([[0.5, 0.5],\n       [1. , 1. ]]), "
+            "bias=array([0.5]))"
         ),
         id="chain-default",
     ),
     pytest.param(
         ChainSpec,
-        lambda: (bell_state(), MUB, (EVE, EVE), MUB, (0.25, 1.0)),
+        lambda: (bell_state(), ANGLES, DIRECTIONS, SHARPNESS, np.array([0.25])),
         (
             "ChainSpec(initial=PureTwoQubitState(amp=array([0.70710678+0.j, "
             "0.        +0.j, 0.        +0.j, 0.70710678+0.j])), "
-            "alice=PartySettings(input0=SharpSetting("
-            "direction=BlochDirection(theta=0.0, phi=0.0)), "
-            "input1=SharpSetting(direction=BlochDirection(theta=1.5, "
-            "phi=0.0))), eves=(PartySettings(input0=UnsharpSetting("
-            "direction=BlochDirection(theta=0.0, phi=0.0), sharpness=0.5), "
-            "input1=UnsharpSetting(direction=BlochDirection(theta=1.5, "
-            "phi=0.0), sharpness=0.5)), PartySettings(input0=UnsharpSetting("
-            "direction=BlochDirection(theta=0.0, phi=0.0), sharpness=0.5), "
-            "input1=UnsharpSetting(direction=BlochDirection(theta=1.5, "
-            "phi=0.0), sharpness=0.5))), bob=PartySettings("
-            "input0=SharpSetting(direction=BlochDirection(theta=0.0, "
-            "phi=0.0)), input1=SharpSetting(direction=BlochDirection("
-            "theta=1.5, phi=0.0))), input_bias=(0.25, 1.0))"
+            "alice=array([[0. , 0. ],\n       [1.5, 0. ]]), "
+            "directions=array([[[0., 0., 1.],\n        [1., 0., 0.]],\n\n"
+            "       [[0., 0., 1.],\n        [1., 0., 0.]]]), "
+            "sharpness=array([[0.5, 0.5],\n       [1. , 1. ]]), "
+            "bias=array([0.25]))"
         ),
         id="chain",
     ),
@@ -200,21 +189,6 @@ VALUES = [
         id="party-spec",
     ),
     pytest.param(
-        EveSpec,
-        lambda: (0.5,),
-        "EveSpec(sharpness=0.5, directions=None, bias=0.5)",
-        id="eve-spec-default",
-    ),
-    pytest.param(
-        EveSpec,
-        lambda: (0.5, (D, Z), 0.25),
-        (
-            "EveSpec(sharpness=0.5, directions=(BlochDirection(theta=0.5, "
-            "phi=1.25), BlochDirection(theta=0.0, phi=0.0)), bias=0.25)"
-        ),
-        id="eve-spec",
-    ),
-    pytest.param(
         OutputSpec,
         lambda: (),
         "OutputSpec(format='csv', path=None)",
@@ -239,15 +213,14 @@ VALUES = [
     pytest.param(
         Scenario,
         lambda: (
-            StateSpec(0.5), PartySpec((D, Z)), PartySpec(), (EveSpec(0.5),),
+            StateSpec(0.5), PartySpec((D, Z)), PartySpec(), ("mub",),
             OutputSpec("json"),
         ),
         (
             "Scenario(state=StateSpec(theta=0.5), alice=PartySpec("
             "directions=(BlochDirection(theta=0.5, phi=1.25), BlochDirection("
             "theta=0.0, phi=0.0))), bob=PartySpec(directions=None), eves=("
-            "EveSpec(sharpness=0.5, directions=None, bias=0.5),), "
-            "output=OutputSpec(format='json', path=None))"
+            "'mub',), output=OutputSpec(format='json', path=None))"
         ),
         id="scenario",
     ),
@@ -297,7 +270,7 @@ def _builds(cls, args):
 def test_every_value_class_is_covered():
     covered = {param.values[0] for param in VALUES}
     assert covered == set(Value.__subclasses__())
-    assert len(covered) == 19
+    assert len(covered) == 18
 
 
 @pytest.mark.parametrize("cls, args, text", VALUES)
