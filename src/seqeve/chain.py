@@ -69,11 +69,6 @@ class PartySettings(Value):
 
     __slots__ = ("input0", "input1")
 
-    def __init__(self, input0: Setting, input1: Setting) -> None:
-        object.__setattr__(self, "input0", input0)
-        object.__setattr__(self, "input1", input1)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if type(self.input0) is not type(self.input1):
             raise ValueError("both inputs of a party must be the same setting kind")
@@ -118,18 +113,12 @@ class ChainSpec(Value):
     """
 
     __slots__ = ("initial", "alice", "directions", "sharpness", "bias")
+    _defaults = {"bias": None}
 
-    def __init__(
-        self, initial: PureTwoQubitState, alice: np.ndarray, directions: np.ndarray,
-        sharpness: np.ndarray, bias: np.ndarray | None = None,
-    ) -> None:
-        if bias is None:
-            bias = np.full(len(directions) - 1, DEFAULT_BIAS)
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "directions", directions)
-        object.__setattr__(self, "sharpness", sharpness)
-        object.__setattr__(self, "bias", bias)
+    def __post_init__(self) -> None:
+        if self.bias is None:
+            bias = np.full(len(self.directions) - 1, DEFAULT_BIAS)
+            object.__setattr__(self, "bias", bias)
 
     @classmethod
     def of(
@@ -191,10 +180,6 @@ class ConditionalTable(Value):
 
     __slots__ = ("probs",)
 
-    def __init__(self, probs: np.ndarray) -> None:
-        object.__setattr__(self, "probs", probs)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         probs = np.asarray(self.probs, dtype=float)
         if probs.shape[-4:] != (2, 2, 2, 2):
@@ -234,11 +219,6 @@ class Assemblage(Value):
     """
 
     __slots__ = ("p_alice", "bloch")
-
-    def __init__(self, p_alice: np.ndarray, bloch: np.ndarray) -> None:
-        object.__setattr__(self, "p_alice", p_alice)
-        object.__setattr__(self, "bloch", bloch)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         length = np.sqrt((self.bloch * self.bloch).sum(axis=-1)).max()

@@ -32,7 +32,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .chain import ZeroProbabilityError
+from .chain import ZeroProbabilityError, tables
 from .measurement import check_weak_angle
 from .planner import (
     BOB_SUPREMACY, InfeasibleError, PlanResult, check_target_rate, plan_chains,
@@ -41,8 +41,8 @@ from .scenario import (
     OUTPUT_FORMATS, ScenarioError, load_scenario, parse_angle, parse_number,
 )
 from .states import check_tilt_angle
-from .steering import reports
-from .unbounded import DegenerateStateError, leaf_reports, leaf_theta
+from .steering import scores
+from .unbounded import DegenerateStateError, leaf_scores, leaf_theta
 
 # Published minimal-sharpness chains for targets 0.1 / 0.2 / 0.3 on the
 # maximally entangled state, with Bob's resulting rate; the chain length is
@@ -201,8 +201,8 @@ def cmd_chain(args: argparse.Namespace) -> int:
     models = scenario.eves + (scenario.bob.settings,)
     lambdas = spec.sharpness[:-1, 0].tolist() + [None]
     groups = [
-        ([party], [""], (model, lam, rep.lhs, rep.delta, rep.key_rate))
-        for party, model, lam, rep in zip(parties, models, lambdas, reports(spec))
+        ([party], [""], cells)
+        for party, *cells in zip(parties, models, lambdas, *scores(tables(spec)))
     ]
     fmt = args.format or scenario.output.format
     path = scenario.output.path if args.out is None else args.out
@@ -263,7 +263,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     for target in requested:
         plan = results[target]
         lines.append(
-            f"target {target:g}: max_eves={plan.max_eves} "
+            f"target {target!r}: max_eves={plan.max_eves} "
             f"bob_rate={_fmt(plan.bob_rate)}"
         )
         for idx, lam in enumerate(plan.lambdas, start=1):
@@ -302,12 +302,12 @@ def cmd_unbounded(args: argparse.Namespace) -> int:
         )
     depth = len(weak)
     theta = leaf_theta(theta1, weak)
-    rep_c, rep_a = leaf_reports(theta)
+    (lhs_c, lhs_a), _, (rate_c, rate_a) = leaf_scores(theta)
     # Every leaf shares the angle and weight, so the leaf rows are one group
     # and the weight-averaged rates equal the leaf rates.
-    leaf = (theta, 2.0**-depth, rep_c.lhs, rep_c.key_rate, rep_a.lhs, rep_a.key_rate)
+    leaf = (theta, 2.0**-depth, lhs_c, rate_c, lhs_a, rate_a)
     high, low = _branch_labels(depth)
-    summary = (None, 1.0, None, rep_c.key_rate, None, rep_a.key_rate)
+    summary = (None, 1.0, None, rate_c, None, rate_a)
     header = [
         f"seqeve {__version__}",
         f"mode=unbounded depth={depth} leaves={2**depth} "

@@ -58,11 +58,7 @@ class BlochDirection(Value):
     """Measurement direction on the Bloch sphere, angles in radians."""
 
     __slots__ = ("theta", "phi")
-
-    def __init__(self, theta: float, phi: float = 0.0) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "phi", phi)
-        self.__post_init__()
+    _defaults = {"phi": 0.0}
 
     def __post_init__(self) -> None:
         direction_components(self.theta, self.phi)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .linalg import ID2, BlochDirection, direction_operator
+from .linalg import ID2, direction_operator
 from .value import Value
 
 # sigma_x eigenstates in the computational basis.
@@ -39,19 +39,11 @@ class SharpSetting(Value):
 
     __slots__ = ("direction",)
 
-    def __init__(self, direction: BlochDirection) -> None:
-        object.__setattr__(self, "direction", direction)
-
 
 class UnsharpSetting(Value):
     """Noisy spin measurement: sharpness 1 is projective, 0 learns nothing."""
 
     __slots__ = ("direction", "sharpness")
-
-    def __init__(self, direction: BlochDirection, sharpness: float) -> None:
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "sharpness", sharpness)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_sharpness(self.sharpness)
@@ -73,10 +65,6 @@ class WeakKrausSetting(Value):
     """
 
     __slots__ = ("angle",)
-
-    def __init__(self, angle: float) -> None:
-        object.__setattr__(self, "angle", angle)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         check_weak_angle(self.angle)

@@ -30,10 +30,7 @@ from .chain import (
     mub_sharp_pair,
 )
 from .states import bell_state
-from .steering import (
-    THRESHOLD, SteeringReport, delta_for_rate, fgi_lhs, key_rate, report,
-    table_reports,
-)
+from .steering import delta_for_rate, key_rate, report, scores
 from .value import Value
 
 # Sharpness grid of the solve: 2^-20 < 1e-6 is the documented tolerance.
@@ -63,15 +60,6 @@ class PlanResult(Value):
     """Longest admissible chain for one target rate."""
 
     __slots__ = ("target_rate", "lambdas", "bob_rate", "max_eves")
-
-    def __init__(
-        self, target_rate: float, lambdas: tuple[float, ...], bob_rate: float,
-        max_eves: int,
-    ) -> None:
-        object.__setattr__(self, "target_rate", target_rate)
-        object.__setattr__(self, "lambdas", lambdas)
-        object.__setattr__(self, "bob_rate", bob_rate)
-        object.__setattr__(self, "max_eves", max_eves)
 
 
 def check_target_rate(target_rate: float) -> None:
@@ -111,9 +99,9 @@ def _eve_step(state: Assemblage, sharpness: np.ndarray) -> Assemblage:
     return state.after(_eve_maps(MUB_DIRECTIONS, _both(sharpness), _UNBIASED))
 
 
-def _bob_reports(state: Assemblage) -> list[SteeringReport]:
-    """Bob's report on each row of ``state``."""
-    return table_reports(state.table(MUB_DIRECTIONS, _SHARP))
+def _bob_scores(state: Assemblage) -> tuple[list, list, list]:
+    """Bob's (lhs, delta, key_rate) columns, one row per row of ``state``."""
+    return scores(state.table(MUB_DIRECTIONS, _SHARP))
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
@@ -145,11 +133,11 @@ def _grid_solve(
         grid = np.zeros((2, rows))
         for row, k in walking.items():
             grid[:, row] = k, k - 1
-        sharpness = _both(grid / _GRID)
-        at_k, below = fgi_lhs(state.table(MUB_DIRECTIONS, sharpness)).tolist()
+        _, _, rates = scores(state.table(MUB_DIRECTIONS, _both(grid / _GRID)))
+        at_k, below = rates[:rows], rates[rows:]
         for row, k in list(walking.items()):
             target = solves[row][0]
-            if not key_rate(max(at_k[row] - THRESHOLD, 0.0)) >= target:
+            if not at_k[row] >= target:
                 if k == _GRID:
                     raise InfeasibleError(
                         position,
@@ -157,7 +145,7 @@ def _grid_solve(
                         f"rate at sharpness 1 is below target {target}",
                     )
                 walking[row] = k + 1
-            elif k > 1 and key_rate(max(below[row] - THRESHOLD, 0.0)) >= target:
+            elif k > 1 and below[row] >= target:
                 walking[row] = k - 1
             else:
                 solved[row] = walking.pop(row) / _GRID
@@ -182,25 +170,26 @@ def plan_chains(targets: tuple[float, ...] | list[float]) -> tuple[PlanResult, .
     rows = len(distinct)
     state = Assemblage.of(bell_state(), _MUB_SHARP)
     # Bob's table is a projective next Eve's, and its rate stays above the target.
-    bob = _bob_reports(state) * rows
+    (lhs,), _, (rate,) = _bob_scores(state)
+    bob_lhs, bob_rates = [lhs] * rows, [rate] * rows
     lambdas: list[tuple[float, ...]] = [()] * rows
     planning = range(rows)
     position = 1
     while planning:
-        solves = {row: (distinct[row], bob[row].lhs) for row in planning}
+        solves = {row: (distinct[row], bob_lhs[row]) for row in planning}
         solved = _grid_solve(state, rows, solves, position)
         sharpness = np.zeros(rows)
         sharpness[list(solved)] = list(solved.values())
         state = _eve_step(state, sharpness)
-        after = _bob_reports(state)
-        planning = [row for row in planning if after[row].key_rate > distinct[row]]
+        after_lhs, _, after_rate = _bob_scores(state)
+        planning = [row for row in planning if after_rate[row] > distinct[row]]
         for row in planning:
             lambdas[row] += (solved[row],)
-            bob[row] = after[row]
+            bob_lhs[row], bob_rates[row] = after_lhs[row], after_rate[row]
         position += 1
     plans = {
-        target: PlanResult(target, lams, rep.key_rate, len(lams))
-        for target, lams, rep in zip(distinct, lambdas, bob)
+        target: PlanResult(target, lams, rate, len(lams))
+        for target, lams, rate in zip(distinct, lambdas, bob_rates)
     }
     return tuple(plans[target] for target in targets)
 

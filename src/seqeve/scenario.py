@@ -121,9 +121,7 @@ class StateSpec(Value):
     """Initial state: the Bell state when ``theta`` is None, else tilted."""
 
     __slots__ = ("theta",)
-
-    def __init__(self, theta: float | None = None) -> None:
-        object.__setattr__(self, "theta", theta)
+    _defaults = {"theta": None}
 
     @property
     def kind(self) -> str:
@@ -137,11 +135,7 @@ class PartySpec(Value):
     """Sharp settings of Alice or Bob: the MUB pair when ``directions`` is None."""
 
     __slots__ = ("directions",)
-
-    def __init__(
-        self, directions: tuple[BlochDirection, BlochDirection] | None = None
-    ) -> None:
-        object.__setattr__(self, "directions", directions)
+    _defaults = {"directions": None}
 
     @property
     def settings(self) -> str:
@@ -152,10 +146,7 @@ class OutputSpec(Value):
     """Output format, and the file to write (stdout when ``path`` is None)."""
 
     __slots__ = ("format", "path")
-
-    def __init__(self, format: str = "csv", path: str | None = None) -> None:
-        object.__setattr__(self, "format", format)
-        object.__setattr__(self, "path", path)
+    _defaults = {"format": "csv", "path": None}
 
 
 class Scenario(Value):
@@ -163,17 +154,10 @@ class Scenario(Value):
     parties, the settings model of each Eve, and its output."""
 
     __slots__ = ("state", "alice", "bob", "eves", "output")
-
-    def __init__(
-        self, state: StateSpec = StateSpec(), alice: PartySpec = PartySpec(),
-        bob: PartySpec = PartySpec(), eves: tuple[str, ...] = (),
-        output: OutputSpec = OutputSpec(),
-    ) -> None:
-        object.__setattr__(self, "state", state)
-        object.__setattr__(self, "alice", alice)
-        object.__setattr__(self, "bob", bob)
-        object.__setattr__(self, "eves", eves)
-        object.__setattr__(self, "output", output)
+    _defaults = {
+        "state": StateSpec(), "alice": PartySpec(), "bob": PartySpec(), "eves": (),
+        "output": OutputSpec(),
+    }
 
 
 def _rows(party: PartySpec) -> Directions:

@@ -34,10 +34,6 @@ class TwoQubitState(Value):
 
     __slots__ = ("rho",)
 
-    def __init__(self, rho: np.ndarray) -> None:
-        object.__setattr__(self, "rho", rho)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         rho = np.asarray(self.rho, dtype=complex)
         if rho.shape[-2:] != (4, 4):
@@ -64,10 +60,6 @@ class PureTwoQubitState(Value):
     """Length-4 amplitude vector in the |00>,|01>,|10>,|11> basis."""
 
     __slots__ = ("amp",)
-
-    def __init__(self, amp: np.ndarray) -> None:
-        object.__setattr__(self, "amp", amp)
-        self.__post_init__()
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amp, dtype=complex).reshape(-1)

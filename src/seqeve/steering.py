@@ -28,14 +28,6 @@ class SteeringReport(Value):
 
     __slots__ = ("lhs", "delta", "key_rate", "violated")
 
-    def __init__(
-        self, lhs: float, delta: float, key_rate: float, violated: bool
-    ) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "key_rate", key_rate)
-        object.__setattr__(self, "violated", violated)
-
 
 def fgi_lhs(table: ConditionalTable) -> float | np.ndarray:
     """Left-hand side of the steering inequality for a conditional table.
@@ -75,15 +67,33 @@ def delta_for_rate(rate: float) -> float:
     return THRESHOLD * (scale - 1.0) / (scale + 1.0)
 
 
-def _scored(lhs: float) -> SteeringReport:
-    delta = max(lhs - THRESHOLD, 0.0)
-    return SteeringReport(
-        lhs=lhs, delta=delta, key_rate=key_rate(delta), violated=delta > 0.0
-    )
+def scores(table: ConditionalTable) -> tuple[list, list, list]:
+    """The (lhs, delta, key_rate) columns of a stack of tables, or of one table.
+
+    Each column has one float per stacked table, in row-major order of the
+    stack axes: the inequality value, its violation degree
+    max(lhs - 3/4, 0), and the key-rate bound of that degree.  This is the
+    one place where an inequality value becomes a degree and a rate.  The
+    values come from one array computation; each key rate is a scalar
+    ``math.log2``.
+    """
+    lhs = np.ravel(fgi_lhs(table)).tolist()
+    delta = [max(value - THRESHOLD, 0.0) for value in lhs]
+    return lhs, delta, [key_rate(value) for value in delta]
+
+
+def report_rows(columns: tuple[list, list, list]) -> list[SteeringReport]:
+    """A steering report per row of ``scores`` columns."""
+    return [
+        SteeringReport(lhs, delta, rate, delta > 0.0)
+        for lhs, delta, rate in zip(*columns)
+    ]
 
 
 def report_from_table(table: ConditionalTable) -> SteeringReport:
-    return _scored(fgi_lhs(table))
+    """Steering report of one table; a stack of several raises ValueError."""
+    (one,) = report_rows(scores(table))
+    return one
 
 
 def report(spec: ChainSpec, party: int | str) -> SteeringReport:
@@ -91,15 +101,6 @@ def report(spec: ChainSpec, party: int | str) -> SteeringReport:
     return report_from_table(conditional_table(spec, party))
 
 
-def table_reports(table: ConditionalTable) -> list[SteeringReport]:
-    """Steering report of each table of a stack, or of a single table.
-
-    The inequality values come from one array computation; each key rate
-    is a scalar ``math.log2``.
-    """
-    return [_scored(lhs) for lhs in np.atleast_1d(fgi_lhs(table)).tolist()]
-
-
 def reports(spec: ChainSpec) -> list[SteeringReport]:
     """Steering reports of Eve 1..N and then Bob, from one stacked pass."""
-    return table_reports(tables(spec))
+    return report_rows(scores(tables(spec)))

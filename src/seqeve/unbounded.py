@@ -21,7 +21,7 @@ from .chain import MUB_DIRECTIONS, Assemblage, ConditionalTable
 from .linalg import ATOL, ID2
 from .measurement import WeakKrausSetting, check_weak_angle, weak_kraus
 from .states import PureTwoQubitState, check_tilt_angle, tilted_state
-from .steering import SteeringReport, table_reports
+from .steering import SteeringReport, report_rows, scores
 from .value import Value
 
 DEGENERATE_THETA = 1e-8
@@ -50,15 +50,6 @@ class SchmidtForm(Value):
 
     __slots__ = ("theta", "u_alice", "v_other", "global_phase")
 
-    def __init__(
-        self, theta: float, u_alice: np.ndarray, v_other: np.ndarray,
-        global_phase: float,
-    ) -> None:
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "u_alice", u_alice)
-        object.__setattr__(self, "v_other", v_other)
-        object.__setattr__(self, "global_phase", global_phase)
-
 
 class BranchNode(Value):
     """One leaf of the outcome-history tree.
@@ -69,16 +60,7 @@ class BranchNode(Value):
     """
 
     __slots__ = ("outcomes", "theta", "u_alice", "probability", "degenerate")
-
-    def __init__(
-        self, outcomes: tuple[int, ...], theta: float, u_alice: np.ndarray,
-        probability: float, degenerate: bool = False,
-    ) -> None:
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "u_alice", u_alice)
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "degenerate", degenerate)
+    _defaults = {"degenerate": False}
 
 
 def _fix_column_phases(u: np.ndarray, vt: np.ndarray) -> None:
@@ -116,12 +98,7 @@ def schmidt_decompose(psi: PureTwoQubitState) -> SchmidtForm:
     lead = v[int(np.argmax(np.abs(v[:, 0]))), 0]
     phase = lead / abs(lead)
     v /= phase
-    return SchmidtForm(
-        theta=theta,
-        u_alice=u,
-        v_other=v,
-        global_phase=float(np.angle(phase)),
-    )
+    return SchmidtForm(theta, u, v, float(np.angle(phase)))
 
 
 def _apply_weak(
@@ -266,15 +243,16 @@ def _leaf_tables(theta: float) -> ConditionalTable:
     return leaf.table(MUB_DIRECTIONS, np.ones(2))  # Bob's sharp sz and sx
 
 
-def leaf_reports(theta: float) -> list[SteeringReport]:
-    """Steering reports of a branch of Schmidt angle theta, [canonical, adapted]."""
-    return table_reports(_leaf_tables(theta))
+def leaf_scores(theta: float) -> tuple[list, list, list]:
+    """``steering.scores`` of a branch of Schmidt angle theta, one row per
+    Alice strategy: [canonical, adapted]."""
+    return scores(_leaf_tables(theta))
 
 
 def leaf_report(theta: float, alice_choice: str) -> SteeringReport:
     """Steering report of a branch of Schmidt angle theta for an Alice strategy."""
     row = _strategy_row(alice_choice)
-    return leaf_reports(theta)[row]
+    return report_rows(leaf_scores(theta))[row]
 
 
 def evaluate_branch(node: BranchNode, alice_choice: str) -> SteeringReport:

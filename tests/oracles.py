@@ -63,7 +63,7 @@ from seqeve.planner import (
     EVE_UNREACHABLE,
     InfeasibleError,
     PlanResult,
-    _bob_reports,
+    _bob_scores,
     _eve_step,
     _grid_solve,
     check_target_rate,
@@ -537,8 +537,8 @@ def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     upstream = Assemblage.of(bell_state(), mub_sharp_pair())
     for lam in prefix:
         upstream = _eve_step(upstream, np.array(lam))
-    (sharp,) = _bob_reports(upstream)
-    solves = {0: (target_rate, sharp.lhs)}
+    (sharp_lhs,), _, _ = _bob_scores(upstream)
+    solves = {0: (target_rate, sharp_lhs)}
     return _grid_solve(upstream, 1, solves, len(prefix) + 1)[0]
 
 

@@ -17,13 +17,14 @@ import seqeve.chain
 import seqeve.cli
 import seqeve.linalg
 import seqeve.unbounded
-from seqeve import CANONICAL, leaf_report, loads_scenario, reports
+from seqeve import CANONICAL, leaf_report, loads_scenario, mub_chain, reports
 from seqeve.chain import Assemblage, ConditionalTable, PartySettings
 from seqeve.linalg import BlochDirection
 from seqeve.measurement import UnsharpSetting, WeakKrausSetting
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, max_eves
+from seqeve.steering import SteeringReport
 
 TWO_EVE_DOC = """\
 mode: chain
@@ -277,7 +278,7 @@ class TestWorkCounts:
         starts = count_calls(monkeypatch, Assemblage, "start")
         passes = count_calls(monkeypatch, Assemblage, "through")
         scored = count_calls(monkeypatch, Assemblage, "table")
-        settings = (BlochDirection, UnsharpSetting, PartySettings)
+        settings = (BlochDirection, UnsharpSetting, PartySettings, SteeringReport)
         built = [count_calls(monkeypatch, cls, "__init__") for cls in settings]
         doc = explicit_chain_doc(
             n_eves,
@@ -288,11 +289,29 @@ class TestWorkCounts:
         # The reader writes each Eve into her rows of the kernel's arrays:
         # one start, one pass of N maps and one stacked table, and no
         # direction, setting or party object per Eve; the two directions
-        # are Alice's, kept in her PartySpec.
+        # are Alice's, kept in her PartySpec.  The rows are written from the
+        # score columns, with no report object per party.
         assert len(starts) == 1
         assert [len(maps) for _, maps in passes] == [n_eves]
         assert len(scored) == 1
-        assert [len(calls) for calls in built] == [2, 0, 0]
+        assert [len(calls) for calls in built] == [2, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--rates", "0.1,0.2,0.3"],
+            ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"],
+        ],
+        ids=["plan", "unbounded"],
+    )
+    def test_commands_build_no_steering_report(self, monkeypatch, capsys, argv):
+        built = count_calls(monkeypatch, SteeringReport, "__init__")
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert len(built) == 0
+        # The census sees a report where the library builds one.
+        reports(mub_chain((0.5,)))
+        assert len(built) == 2
 
     @pytest.mark.parametrize("depth", range(1, seqeve.cli.MAX_UNBOUNDED_DEPTH + 1))
     def test_branch_labels_count_in_binary(self, depth):
@@ -753,6 +772,16 @@ class TestPlanCommand:
     def test_unparsable_rate_exits_2(self, capsys):
         assert main(["plan", "--rates", "abc"]) == 2
 
+    def test_each_target_is_echoed_as_it_was_read(self, capsys):
+        # Six significant digits would print 0.123457, the two targets
+        # 0.30000000000000004 and 0.3 alike, and 0.9999999 as 1, which is
+        # not a valid rate.
+        rates = ["0.1234567", "0.30000000000000004", "0.3", "0.9999999"]
+        assert main(["plan", "--rates", ",".join(rates)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        echoed = [ln.split(":")[0] for ln in lines if ln.startswith("target ")]
+        assert echoed == [f"target {rate}" for rate in rates]
+
 
 class TestUnboundedCommand:
     def test_leaf_count_is_power_of_two(self, capsys):
@@ -827,7 +856,7 @@ class TestUnboundedCommand:
 
     @pytest.mark.parametrize("depth", [1, 10, 12])
     def test_one_evaluation_per_strategy(self, monkeypatch, capsys, depth):
-        evaluations = count_calls(monkeypatch, seqeve.unbounded, "leaf_reports")
+        evaluations = count_calls(monkeypatch, seqeve.unbounded, "leaf_scores")
         one_strategy = count_calls(monkeypatch, seqeve.unbounded, "leaf_report")
         starts = count_calls(monkeypatch, Assemblage, "start")
         scored = count_calls(monkeypatch, Assemblage, "table")

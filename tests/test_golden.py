@@ -35,6 +35,7 @@ CASES = {
     "unbounded_mixed4.json": UNBOUNDED_MIXED4 + JSON,
     "plan_check_paper.txt": ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"],
     "plan_mixed.txt": PLAN_MIXED,
+    "chain_mixed.csv": CHAIN_MIXED,
     "chain_mixed.json": CHAIN_MIXED + JSON,
 }
 

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import seqeve
-from seqeve.chain import Assemblage, ChainSpec, ConditionalTable, PartySettings
+from seqeve.chain import (
+    DEFAULT_BIAS, Assemblage, ChainSpec, ConditionalTable, PartySettings,
+)
 from seqeve.linalg import BlochDirection
 from seqeve.measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
 from seqeve.planner import PlanResult
@@ -331,6 +333,54 @@ def test_copies_and_pickles_round_trip(cls, args, text, clone):
     assert repr(twin) == text
     if cls not in ARRAY_HOLDERS:
         assert twin == value and hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("cls, args, text", VALUES)
+def test_keyword_and_mixed_construction_equal_positional(cls, args, text):
+    fields = cls(*args())._fields()
+    for split in range(len(fields) + 1):
+        keywords = dict(zip(cls.__slots__[split:], fields[split:]))
+        assert repr(cls(*fields[:split], **keywords)) == text
+
+
+@pytest.mark.parametrize("cls, args, text", VALUES)
+def test_a_bad_call_raises_type_error(cls, args, text):
+    fields = cls(*args())._fields()
+    first = cls.__slots__[0]
+    with pytest.raises(TypeError, match=f"takes {len(fields)} fields"):
+        cls(*fields, None)
+    with pytest.raises(TypeError, match="unexpected field 'extra'"):
+        cls(*fields, extra=None)
+    with pytest.raises(TypeError, match=f"multiple values for field '{first}'"):
+        cls(*fields, **{first: fields[0]})
+    required = [name for name in cls.__slots__ if name not in cls._defaults]
+    for name in required:
+        given = {k: v for k, v in zip(cls.__slots__, fields) if k != name}
+        with pytest.raises(TypeError, match=f"missing field '{name}'"):
+            cls(**given)
+    if not required:
+        assert repr(cls()) == repr(cls(*(cls._defaults[k] for k in cls.__slots__)))
+
+
+def test_post_init_runs_on_the_keyword_path():
+    with pytest.raises(ValueError, match="sharpness"):
+        UnsharpSetting(direction=D, sharpness=0.0)
+    with pytest.raises(ValueError, match="theta"):
+        BlochDirection(theta=4.0)
+
+
+def test_a_chain_without_bias_is_unbiased():
+    directions = np.concatenate([DIRECTIONS, DIRECTIONS])
+    sharpness = np.concatenate([SHARPNESS[:1]] * 3 + [SHARPNESS[1:]])
+    for spec in (
+        ChainSpec(bell_state(), ANGLES, directions, sharpness),
+        ChainSpec(
+            initial=bell_state(), alice=ANGLES, directions=directions,
+            sharpness=sharpness,
+        ),
+    ):
+        assert spec.bias.tolist() == [DEFAULT_BIAS] * 3
+        assert spec.n_eves == 3
 
 
 # Prints whether the import loaded ``dataclasses``, and every seqeve module
