@@ -90,7 +90,9 @@ def mub_unsharp_pair(sharpness: float) -> PartySettings:
     )
 
 
-# Unit directions (2, 3) of the sigma_z / sigma_x pair, input 0 first.
+# The sigma_z / sigma_x pair, input 0 first: its (theta, phi) angles (2, 2)
+# and its unit directions (2, 3).
+MUB_ANGLES = np.array([(Z_DIR.theta, Z_DIR.phi), (X_DIR.theta, X_DIR.phi)])
 MUB_DIRECTIONS = np.array([Z_DIR.components(), X_DIR.components()])
 
 

@@ -97,27 +97,16 @@ def _block(
     )
 
 
-def _json_row(columns: list[str]) -> tuple[str, str, list[int]]:
-    """A row object of ``json.dumps(rows, indent=2)`` as (head, tail, cells).
+def _json_row(columns: list[str]) -> tuple[str, str]:
+    """A row object of ``json.dumps(rows, indent=2)`` as (head, tail).
 
-    A row is a dict keyed by ``columns``, so a repeated column name keeps
-    its first position and its last value, which may replace the label.
-    ``head`` is the text before the label, or '' when no label is kept;
-    ``tail`` is the rest, with a '%s' slot for the value of each index in
-    ``cells``, an index into the row's cells after the label.
+    ``columns`` are distinct names, the label's first.  ``head`` is the text
+    before the label, and ``tail`` the rest, with a '%s' slot for each cell
+    after the label.
     """
-    last = {name: i for i, name in enumerate(columns)}
-    if not last:
-        return "", "  {}", []
-    opening = "  {\n    "
-    fields = [encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in last]
-    text = opening + ",\n    ".join(fields) + "\n  }"
-    cells = [i - 1 for i in last.values()]
-    if cells[0] != -1:
-        return "", text, cells
-    # The label keeps the first slot, so the text before it has no other.
-    head = opening + encode_basestring_ascii(columns[0]) + ": "
-    return head, text[len(opening) + len(fields[0]):], cells[1:]
+    label, *names = map(encode_basestring_ascii, columns)
+    fields = "".join([",\n    " + name.replace("%", "%%") + ": %s" for name in names])
+    return "  {\n    " + label + ": ", fields + "\n  }"
 
 
 def _write_rows(
@@ -140,21 +129,18 @@ def _write_rows(
     so the 2^n leaf rows of ``unbounded``, one group of 2^ceil(n/2) high and
     2^floor(n/2) low label halves, cost 2^ceil(n/2) joins and build no leaf
     label.  JSON is byte for byte ``json.dumps(rows, indent=2)`` of the rows
-    as objects keyed by ``columns``.  A failed write names ``option``.
+    as objects keyed by ``columns``, which are distinct names.  A failed
+    write names ``option``.
     """
     filled = [group for group in groups if group[0] and group[1]]
     if fmt == "json":
-        head, tail, cells = _json_row(columns)
+        head, tail = _json_row(columns)
         blocks = []
         for prefixes, suffixes, values in filled:
-            encoded = list(map(_json_cell, values))
-            if head:
-                # The escapes of a JSON string are per character.
-                prefixes = [encode_basestring_ascii(p)[:-1] for p in prefixes]
-                suffixes = [encode_basestring_ascii(s)[1:] for s in suffixes]
-            else:
-                prefixes, suffixes = [""] * len(prefixes), [""] * len(suffixes)
-            row_tail = tail % tuple([encoded[i] for i in cells])
+            # The escapes of a JSON string are per character.
+            prefixes = [encode_basestring_ascii(p)[:-1] for p in prefixes]
+            suffixes = [encode_basestring_ascii(s)[1:] for s in suffixes]
+            row_tail = tail % tuple(map(_json_cell, values))
             blocks.append(_block(prefixes, suffixes, head, row_tail, ",\n"))
         text = "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
     else:

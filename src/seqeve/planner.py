@@ -26,8 +26,7 @@ import math
 import numpy as np
 
 from .chain import (
-    BOB, DEFAULT_BIAS, MUB_DIRECTIONS, Assemblage, _eve_maps, mub_chain,
-    mub_sharp_pair,
+    BOB, DEFAULT_BIAS, MUB_ANGLES, MUB_DIRECTIONS, Assemblage, _eve_maps, mub_chain,
 )
 from .states import bell_state
 from .steering import delta_for_rate, key_rate, report, scores
@@ -40,8 +39,6 @@ _GRID = 2**20
 EVE_UNREACHABLE = "eve-rate-unreachable"
 BOB_SUPREMACY = "bob-supremacy"
 
-# Alice's and Bob's settings in every planned chain, and the Eves' directions.
-_MUB_SHARP = mub_sharp_pair()
 _UNBIASED = np.array(DEFAULT_BIAS)
 # Bob's sharpness, broadcast onto both inputs, which is also a projective Eve's.
 _SHARP = np.ones(1)
@@ -168,7 +165,7 @@ def plan_chains(targets: tuple[float, ...] | list[float]) -> tuple[PlanResult, .
         check_target_rate(target)
     distinct = list(dict.fromkeys(targets))
     rows = len(distinct)
-    state = Assemblage.of(bell_state(), _MUB_SHARP)
+    state = Assemblage.start(bell_state().amp.reshape(2, 2).tolist(), MUB_ANGLES)
     # Bob's table is a projective next Eve's, and its rate stays above the target.
     (lhs,), _, (rate,) = _bob_scores(state)
     bob_lhs, bob_rates = [lhs] * rows, [rate] * rows

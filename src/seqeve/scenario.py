@@ -10,11 +10,11 @@ Angles are radians; the string form "deg:30" is degrees.  An unreadable
 file (missing, not UTF-8, a NUL in its path) and a number beyond float range
 are ScenarioErrors too.
 
-A read gives the chain and its ``Scenario``: each Eve is checked and
-written as one row of the ``ChainSpec`` arrays that the kernel reads, and
-no object is built per Eve.  The ``Scenario`` records what the output needs
-beyond the chain: the state, Alice's and Bob's settings, each Eve's
-settings model, and the output format and path.
+A read gives the chain and its ``Scenario``: every party's directions are
+checked and written as rows of the ``ChainSpec`` arrays that the kernel
+reads, and no direction or settings object is built.  The ``Scenario``
+records what the output needs beyond the chain: the state, the settings
+model of Alice, Bob and each Eve, and the output format and path.
 
 Documents are composed once by ``CSafeLoader``, PyYAML's binding of
 libyaml, when PyYAML was built with it, else by the pure-Python
@@ -44,8 +44,8 @@ from typing import AbstractSet, Any, Callable
 
 import numpy as np
 
-from .chain import DEFAULT_BIAS, ChainSpec, check_bias
-from .linalg import X_DIR, Z_DIR, BlochDirection, direction_components
+from .chain import DEFAULT_BIAS, MUB_ANGLES, MUB_DIRECTIONS, ChainSpec, check_bias
+from .linalg import direction_components
 from .measurement import check_sharpness
 from .states import PureTwoQubitState, bell_state, check_tilt_angle, tilted_state
 from .value import Value
@@ -132,14 +132,11 @@ class StateSpec(Value):
 
 
 class PartySpec(Value):
-    """Sharp settings of Alice or Bob: the MUB pair when ``directions`` is None."""
+    """Settings model of Alice or Bob, "mub" or "explicit", as of each Eve;
+    the directions themselves are rows of the ``ChainSpec``."""
 
-    __slots__ = ("directions",)
-    _defaults = {"directions": None}
-
-    @property
-    def settings(self) -> str:
-        return "mub" if self.directions is None else "explicit"
+    __slots__ = ("settings",)
+    _defaults = {"settings": "mub"}
 
 
 class OutputSpec(Value):
@@ -151,7 +148,7 @@ class OutputSpec(Value):
 
 class Scenario(Value):
     """A validated ``chain`` scenario beyond its ``ChainSpec``: its state,
-    parties, the settings model of each Eve, and its output."""
+    the settings model of Alice, Bob and each Eve, and its output."""
 
     __slots__ = ("state", "alice", "bob", "eves", "output")
     _defaults = {
@@ -160,14 +157,8 @@ class Scenario(Value):
     }
 
 
-def _rows(party: PartySpec) -> Directions:
-    """The two directions of Alice or Bob as rows of the ``ChainSpec`` arrays."""
-    pair = party.directions or (Z_DIR, X_DIR)
-    return tuple((d.theta, d.phi, *d.components()) for d in pair)
-
-
-# The sigma_z / sigma_x pair, and the keys of what each Eve has one or two of.
-_MUB = _rows(PartySpec())
+# The sigma_z / sigma_x rows, and the keys of what each Eve has one or two of.
+_MUB = tuple(map(tuple, np.hstack([MUB_ANGLES, MUB_DIRECTIONS]).tolist()))
 _PARTY_KEYS = frozenset({"settings", "directions"})
 _EVE_KEYS = _PARTY_KEYS | {"lambda", "bias"}
 _DIRECTION_KEYS = frozenset({"theta", "phi"})
@@ -183,8 +174,8 @@ def _parse_direction(raw: object, field_name: str) -> Direction:
     return (theta, phi, *named(field_name, direction_components, theta, phi))
 
 
-def _parse_directions(mapping: dict, field_name: str) -> Directions | None:
-    """The ``settings`` and ``directions`` keys: None for MUB, else the pair."""
+def _parse_directions(mapping: dict, field_name: str) -> tuple[str, Directions]:
+    """The ``settings`` and ``directions`` keys: the model and its two rows."""
     model = mapping.get("settings", "mub")
     if model not in SETTINGS_MODELS:
         raise ScenarioError(
@@ -195,13 +186,13 @@ def _parse_directions(mapping: dict, field_name: str) -> Directions | None:
             raise ScenarioError(
                 f"{field_name}.directions: only valid for explicit settings"
             )
-        return None
+        return model, _MUB
     raw = mapping.get("directions")
     if not isinstance(raw, list) or len(raw) != 2:
         raise ScenarioError(
             f"{field_name}.directions: explicit settings need exactly 2 directions"
         )
-    return (
+    return model, (
         _parse_direction(raw[0], f"{field_name}.directions[0]"),
         _parse_direction(raw[1], f"{field_name}.directions[1]"),
     )
@@ -222,11 +213,10 @@ def _parse_state(raw: object) -> StateSpec:
     return StateSpec(parse_angle(mapping["theta"], "state.theta", check_tilt_angle))
 
 
-def _parse_party(raw: object, field_name: str) -> PartySpec:
+def _parse_party(raw: object, field_name: str) -> tuple[str, Directions]:
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, _PARTY_KEYS, field_name)
-    pair = _parse_directions(mapping, field_name)
-    return PartySpec(pair and tuple(BlochDirection(*d[:2]) for d in pair))
+    return _parse_directions(mapping, field_name)
 
 
 def _parse_output(raw: object) -> OutputSpec:
@@ -419,9 +409,9 @@ def _document(text: str) -> object:
 def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
     """Parse and validate a scenario document: its chain and its ``Scenario``.
 
-    Each Eve is checked and written straight into her rows of the
-    ``ChainSpec`` arrays, and only her settings model is kept beyond them;
-    Bob's directions follow hers.
+    Each party is checked and written straight into its rows of the
+    ``ChainSpec`` arrays, and only its settings model is kept beyond them;
+    Bob's directions follow the Eves'.
     """
     mapping = _require_mapping(_document(text), "scenario")
     # Checked before the keys, so a document of another mode is named as such.
@@ -435,8 +425,8 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
     # A null section is an absent one.
     sections = {key: value for key, value in mapping.items() if value is not None}
     state = _parse_state(sections.get("state", {"kind": "bell"}))
-    alice = _parse_party(sections.get("alice", {}), "alice")
-    bob = _parse_party(sections.get("bob", {}), "bob")
+    alice, alice_rows = _parse_party(sections.get("alice", {}), "alice")
+    bob, bob_rows = _parse_party(sections.get("bob", {}), "bob")
     raw_eves = sections.get("eves", [])
     if not isinstance(raw_eves, list):
         raise ScenarioError("eves: expected a list")
@@ -450,18 +440,19 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
         lam = parse_number(eve["lambda"], f"{field_name}.lambda", check_sharpness)
         raw_bias = eve.get("bias", DEFAULT_BIAS)
         bias.append(parse_number(raw_bias, f"{field_name}.bias", check_bias))
-        pair = _parse_directions(eve, field_name)
-        directions.append(pair or _MUB)
+        model, rows = _parse_directions(eve, field_name)
+        directions.append(rows)
         sharpness.append((lam, lam))
-        models.append("explicit" if pair else "mub")
-    directions.append(_rows(bob))
+        models.append(model)
+    directions.append(bob_rows)
     sharpness.append((1.0, 1.0))
     output = _parse_output(sections.get("output", {}))
     spec = ChainSpec(
-        state.build(), np.array(_rows(alice))[:, :2], np.array(directions)[..., 2:],
+        state.build(), np.array(alice_rows)[:, :2], np.array(directions)[..., 2:],
         np.array(sharpness), np.array(bias, dtype=float),
     )
-    return spec, Scenario(state, alice, bob, tuple(models), output)
+    scenario = Scenario(state, PartySpec(alice), PartySpec(bob), tuple(models), output)
+    return spec, scenario
 
 
 def load_scenario(path: str | Path) -> tuple[ChainSpec, Scenario]:

@@ -9,6 +9,15 @@ Alice can evaluate the steering inequality with either the tilt-matched
 ("canonical") second setting or the sine-adapted ("adapted") one; the
 leaf's tables are the no-Eve case of ``chain.Assemblage``, both strategies
 stacked in one start.
+
+Two thresholds stop a leaf that is nearly a product state, and both exit 3.
+``DEGENERATE_THETA`` bounds the Schmidt angle that ``schmidt_decompose``
+and ``leaf_theta`` still carry; the kernel's ``ZERO_PROB_ATOL`` bounds
+Alice's marginals, and p(1|0) = sin^2(theta) falls below it near
+theta = 1e-6.  A bound on a probability is a bound on the angle's square,
+so the kernel refuses first: along theta1 = pi/4 with every weak angle
+0.75, ``leaf_scores`` raises ZeroProbabilityError from depth 5,232 on, and
+``leaf_theta`` DegenerateStateError only from depth 7,068.
 """
 
 from __future__ import annotations
@@ -151,14 +160,7 @@ def branch_tree(
         u_alice: np.ndarray,
     ) -> None:
         if depth == len(settings):
-            leaves.append(
-                BranchNode(
-                    outcomes=outcomes,
-                    theta=theta,
-                    u_alice=u_alice,
-                    probability=prob,
-                )
-            )
+            leaves.append(BranchNode(outcomes, theta, u_alice, prob, False))
             return
         for c in (0, 1):
             post, p = _apply_weak(psi, settings[depth], c)
@@ -166,13 +168,7 @@ def branch_tree(
                 sf = schmidt_decompose(post)
             except DegenerateStateError:
                 leaves.append(
-                    BranchNode(
-                        outcomes=outcomes + (c,),
-                        theta=0.0,
-                        u_alice=ID2.copy(),
-                        probability=prob * p,
-                        degenerate=True,
-                    )
+                    BranchNode(outcomes + (c,), 0.0, ID2.copy(), prob * p, True)
                 )
                 continue
             descend(

@@ -639,15 +639,6 @@ def _settings(entry: dict, kind, *args) -> PartySettings:
     return PartySettings(*(kind(d, *args) for d in directions))
 
 
-def _party(entry: dict) -> PartySpec:
-    """The ``PartySpec`` of Alice's or Bob's document ``entry``."""
-    if entry.get("settings", "mub") == "mub":
-        return PartySpec()
-    return PartySpec(
-        tuple(BlochDirection(d["theta"], d.get("phi", 0.0)) for d in entry["directions"])
-    )
-
-
 def read_document(doc: dict) -> tuple[ChainSpec, Scenario]:
     """What ``loads_scenario`` reads from a document of plain radians, built
     party by party with the library's setting classes and ``ChainSpec.of``."""
@@ -665,8 +656,8 @@ def read_document(doc: dict) -> tuple[ChainSpec, Scenario]:
     output = sections.get("output", {})
     scenario = Scenario(
         StateSpec(state.get("theta")),
-        _party(alice),
-        _party(bob),
+        PartySpec(alice.get("settings", "mub")),
+        PartySpec(bob.get("settings", "mub")),
         tuple(eve.get("settings", "mub") for eve in eves),
         OutputSpec(output.get("format", "csv"), output.get("path")),
     )

@@ -20,7 +20,7 @@ import seqeve.unbounded
 from seqeve import CANONICAL, leaf_report, loads_scenario, mub_chain, reports
 from seqeve.chain import Assemblage, ConditionalTable, PartySettings
 from seqeve.linalg import BlochDirection
-from seqeve.measurement import UnsharpSetting, WeakKrausSetting
+from seqeve.measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, max_eves
@@ -286,15 +286,37 @@ class TestWorkCounts:
         )
         assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
         assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
-        # The reader writes each Eve into her rows of the kernel's arrays:
-        # one start, one pass of N maps and one stacked table, and no
-        # direction, setting or party object per Eve; the two directions
-        # are Alice's, kept in her PartySpec.  The rows are written from the
-        # score columns, with no report object per party.
+        # The reader writes every party into its rows of the kernel's
+        # arrays: one start, one pass of N maps and one stacked table, and
+        # no direction, setting or party object, Alice's explicit pair
+        # included.  The rows are written from the score columns, with no
+        # report object per party.
         assert len(starts) == 1
         assert [len(maps) for _, maps in passes] == [n_eves]
         assert len(scored) == 1
-        assert [len(calls) for calls in built] == [2, 0, 0, 0]
+        assert [len(calls) for calls in built] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"],
+            ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"],
+        ],
+        ids=["plan", "unbounded"],
+    )
+    def test_commands_build_no_settings_object(self, monkeypatch, capsys, argv):
+        # The planner and the branch tree read the sigma_z / sigma_x pair
+        # from the kernel's arrays, never from settings objects.
+        settings = (BlochDirection, SharpSetting, UnsharpSetting, PartySettings)
+        built = [count_calls(monkeypatch, cls, "__init__") for cls in settings]
+        assert main(argv) == 0
+        assert capsys.readouterr().out
+        assert [len(calls) for calls in built] == [0, 0, 0, 0]
+        # The census sees each object where one is built: a direction, and
+        # mub_chain's three parties of two settings on the shared Z_DIR/X_DIR.
+        BlochDirection(0.5)
+        mub_chain((0.5,))
+        assert [len(calls) for calls in built] == [1, 4, 2, 3]
 
     @pytest.mark.parametrize(
         "argv",

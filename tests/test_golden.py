@@ -20,6 +20,9 @@ UNBOUNDED_MIXED = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7"]
 # An even depth, so that the low halves of the leaf labels are not empty.
 UNBOUNDED_MIXED4 = ["unbounded", "--theta1", "0.6", "--lambdas", "0.3,0.5,0.7,0.4"]
 CHAIN_MIXED = ["chain", "--scenario", str(GOLDEN / "chain_mixed.yaml")]
+# Bell state, MUB Alice, explicit Bob with a nonzero phi, and output.format
+# json, so that --format csv overrides the scenario's own format.
+CHAIN_EXPLICIT = ["chain", "--scenario", str(GOLDEN / "chain_explicit.yaml")]
 # The same scenario written with anchors, aliases and merge keys.
 CHAIN_MERGE = ["chain", "--scenario", str(GOLDEN / "chain_merge.yaml")]
 # Unsorted, with a repeat, and with chains of 0 to 5 Eves that stop at
@@ -37,6 +40,8 @@ CASES = {
     "plan_mixed.txt": PLAN_MIXED,
     "chain_mixed.csv": CHAIN_MIXED,
     "chain_mixed.json": CHAIN_MIXED + JSON,
+    "chain_explicit.json": CHAIN_EXPLICIT,
+    "chain_explicit.csv": CHAIN_EXPLICIT + ["--format", "csv"],
 }
 
 

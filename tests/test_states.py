@@ -81,3 +81,10 @@ def test_two_qubit_state_rejects_negative_eigenvalue():
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(InvariantError, match="negative eigenvalue"):
         TwoQubitState(rho)
+
+
+def test_two_qubit_state_rejects_a_stack():
+    # One matrix per state: a stack of valid matrices is not a state.
+    rho = np.stack([bell_state().density_matrix()] * 2)
+    with pytest.raises(InvariantError, match=r"4x4, got shape \(2, 4, 4\)"):
+        TwoQubitState(rho)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_pure_amp
+from helpers import count_calls, random_pure_amp
 from oracles import (
     adapted_alice_measurement,
     alice_facing_count,
@@ -20,6 +20,7 @@ from seqeve import (
     CANONICAL,
     DegenerateStateError,
     PureTwoQubitState,
+    ZeroProbabilityError,
     bell_state,
     leaf_theta,
     tilted_state,
@@ -31,8 +32,10 @@ from seqeve.unbounded import (
     branch_state,
     branch_tree,
     evaluate_branch,
+    leaf_scores,
     schmidt_decompose,
 )
+from seqeve.value import Value
 
 
 def fidelity(a: np.ndarray, b: np.ndarray) -> float:
@@ -197,6 +200,12 @@ class TestBranchTree:
         with pytest.raises(ValueError, match="at least one"):
             branch_tree(math.pi / 4, ())
 
+    def test_leaves_are_built_positionally(self, monkeypatch):
+        # Every field given positionally binds in one loop, never by _bind.
+        binds = count_calls(monkeypatch, Value, "_bind")
+        assert len(branch_tree(0.7, [0.6] * 4)) == 16
+        assert len(binds) == 0
+
 
 class TestLeafTheta:
     def test_known_angles(self):
@@ -214,6 +223,17 @@ class TestLeafTheta:
             for theta1, angles in ((q, (q - eps,)), (q - eps, (q - eps, q - eps / 2))):
                 oracle = branch_tree(theta1, angles)[0].theta
                 assert leaf_theta(theta1, angles) == pytest.approx(oracle, abs=1e-12)
+
+    def test_product_state_leaf_trips_the_marginal_threshold_first(self):
+        # p(1|0) = sin^2(theta) falls below ZERO_PROB_ATOL near theta = 1e-6,
+        # long before theta itself falls below DEGENERATE_THETA = 1e-8.
+        q, weak = math.pi / 4, 0.75
+        leaf_scores(leaf_theta(q, [weak] * 5231))
+        with pytest.raises(ZeroProbabilityError, match="outcome 1"):
+            leaf_scores(leaf_theta(q, [weak] * 5232))
+        leaf_theta(q, [weak] * 7067)
+        with pytest.raises(DegenerateStateError, match="weak measurement 7068 "):
+            leaf_theta(q, [weak] * 7068)
 
     def test_degenerate_where_the_tree_prunes(self):
         assert any(leaf.degenerate for leaf in branch_tree(0.3, (1e-5, 1e-5)))

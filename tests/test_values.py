@@ -178,16 +178,13 @@ VALUES = [
     pytest.param(
         PartySpec,
         lambda: (),
-        "PartySpec(directions=None)",
+        "PartySpec(settings='mub')",
         id="party-spec-default",
     ),
     pytest.param(
         PartySpec,
-        lambda: ((D, Z),),
-        (
-            "PartySpec(directions=(BlochDirection(theta=0.5, phi=1.25), "
-            "BlochDirection(theta=0.0, phi=0.0)))"
-        ),
+        lambda: ("explicit",),
+        "PartySpec(settings='explicit')",
         id="party-spec",
     ),
     pytest.param(
@@ -207,7 +204,7 @@ VALUES = [
         lambda: (),
         (
             "Scenario(state=StateSpec(theta=None), alice=PartySpec("
-            "directions=None), bob=PartySpec(directions=None), eves=(), "
+            "settings='mub'), bob=PartySpec(settings='mub'), eves=(), "
             "output=OutputSpec(format='csv', path=None))"
         ),
         id="scenario-default",
@@ -215,13 +212,12 @@ VALUES = [
     pytest.param(
         Scenario,
         lambda: (
-            StateSpec(0.5), PartySpec((D, Z)), PartySpec(), ("mub",),
+            StateSpec(0.5), PartySpec("explicit"), PartySpec(), ("mub",),
             OutputSpec("json"),
         ),
         (
             "Scenario(state=StateSpec(theta=0.5), alice=PartySpec("
-            "directions=(BlochDirection(theta=0.5, phi=1.25), BlochDirection("
-            "theta=0.0, phi=0.0))), bob=PartySpec(directions=None), eves=("
+            "settings='explicit'), bob=PartySpec(settings='mub'), eves=("
             "'mub',), output=OutputSpec(format='json', path=None))"
         ),
         id="scenario",
