@@ -16,19 +16,26 @@ reads, and no direction or settings object is built.  The ``Scenario``
 records what the output needs beyond the chain: the state, the settings
 model of Alice, Bob and each Eve, and the output format and path.
 
-Documents are composed once by ``CSafeLoader``, PyYAML's binding of
-libyaml, when PyYAML was built with it, else by the pure-Python
-``SafeLoader``; both build the same node graph.  The loader is a subclass
-made on the first read, whose ``resolve`` finds a scalar's implicit tag in
-one table keyed by its first character.  ``_plain`` builds plain
-mappings, sequences, strings and floats from the nodes, and one
-``SafeConstructor`` builds every other node in the same queue and with the
-same node cache, so the document is the safe loader's, aliases, cycles
-and merge keys included.  A ``%YAML`` directive other than 1.1 or 1.2, a
-constructor error and nesting deeper than MAX_NESTING (or than Python's
+A block-style text is read by ``_block`` in one pass over its lines: ASCII
+block mappings and '- ' sequences indented with spaces, compact '- key:'
+items, plain keys, and one-line plain scalars and flow mappings of them,
+such as ``{theta: deg:80, phi: 0.3}``.  It keeps a scalar only when it is a
+``str`` or a float that ``float`` reads, and declines any other text, such
+as one with a quote, anchor, comment, directive, int or null.  Those are
+composed once by ``CSafeLoader``, PyYAML's binding of libyaml, when PyYAML
+was built with it, else by the pure-Python ``SafeLoader``; both build the
+same node graph.  The loader is a subclass made on the first read, whose
+``resolve`` finds a scalar's implicit tag in one table keyed by its first
+character, the table that types the line reader's scalars too.  ``_plain``
+builds plain mappings, sequences, strings and floats from the nodes, and
+one ``SafeConstructor`` builds every other node in the same queue and with
+the same node cache, so the document is the safe loader's, aliases, cycles
+and merge keys included.  On either route the document, the messages and
+the exit codes are PyYAML's.  A ``%YAML`` directive other than 1.1 or 1.2,
+a constructor error and nesting deeper than MAX_NESTING (or than Python's
 recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
-imported on the first read: ``plan`` and ``unbounded`` never load it.
-A read pauses the cyclic collector, since the transient node graph only
+imported on the first read: ``plan`` and ``unbounded`` never load it.  A
+read pauses the cyclic collector, since the transient node graph only
 gives it work that frees nothing, and then restores the caller's setting.
 """
 
@@ -38,6 +45,7 @@ import functools
 import gc
 import math
 import os
+import re
 from collections import deque
 from pathlib import Path
 from typing import AbstractSet, Any, Callable
@@ -247,16 +255,30 @@ def _malformed(exc: Exception) -> ValueError:
     return ValueError(str(exc))
 
 
+def _plain_scalar(tag: str, value: str) -> object:
+    """The ``str`` or float that a plain scalar of ``tag`` builds, else None.
+
+    A float without the characters above is read by ``float``, which gives
+    what the constructor gives bit for bit or raises ValueError, such as on
+    '--1', where the constructor takes over.
+    """
+    if tag == _STR:
+        return value
+    if tag == _FLOAT and _NOT_PLAIN_FLOAT.isdisjoint(value):
+        try:
+            return float(value)
+        except ValueError:
+            pass
+    return None
+
+
 def _plain(root):
     """The document that PyYAML's safe loader constructs from ``root``.
 
-    Plain mappings and sequences, ``str`` scalars and plain floats are
-    built here; a float without the characters above is read by ``float``,
-    which gives what the constructor gives bit for bit or raises
-    ValueError, such as on '--1', where the constructor takes over.  Every
-    other node goes to one ``SafeConstructor``, which shares the node cache
-    and the first-in first-out queue of containers to fill, keys before
-    values.  That is the batch order of ``construct_document``, so a
+    Plain mappings and sequences, and the scalars of ``_plain_scalar``, are
+    built here.  Every other node goes to one ``SafeConstructor``, which
+    shares the node cache and the first-in first-out queue of containers to
+    fill, keys before values.  That is the batch order of ``construct_document``, so a
     collection reached twice is one object and the first bad node raises
     the error the loader raises.
     """
@@ -283,13 +305,9 @@ def _plain(root):
     def read(node):
         kind, tag = node.__class__, node.tag
         if kind is ScalarNode:
-            if tag == _STR:
-                return node.value
-            if tag == _FLOAT and _NOT_PLAIN_FLOAT.isdisjoint(node.value):
-                try:
-                    return float(node.value)
-                except ValueError:
-                    pass
+            data = _plain_scalar(tag, node.value)
+            if data is not None:
+                return data
         elif node in built:
             return built[node]
         elif kind is SequenceNode and tag == _SEQ:
@@ -330,18 +348,16 @@ def _plain(root):
 
 
 @functools.cache
-def _loader(base: type) -> type:
-    """``base``, a safe loader, resolving implicit tags from one table.
+def _implicit(base: type) -> Callable[[str], str]:
+    """The implicit tag of a plain scalar under ``base``, a safe loader.
 
     PyYAML's ``resolve`` joins the resolvers of a plain scalar's first
     character to the wildcard ones for each scalar; the table holds every
-    first character's joined list, taken when the class is made, and any
-    other character gets the wildcards alone.  That is PyYAML's tag for
-    every node as long as no path resolver can make a tag depend on where
-    the node is.
+    first character's joined list, taken when it is made, and any other
+    character gets the wildcards alone.  That is PyYAML's tag for every
+    node as long as no path resolver can make a tag depend on where the
+    node is.
     """
-    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
-
     assert not base.yaml_path_resolvers, "a path resolver would bypass the table"
     resolvers = base.yaml_implicit_resolvers
     wildcard = tuple(resolvers.get(None, ()))
@@ -349,6 +365,24 @@ def _loader(base: type) -> type:
         first: tuple(pairs) + wildcard
         for first, pairs in resolvers.items() if first is not None
     }
+    default = base.DEFAULT_SCALAR_TAG
+
+    def tag_of(value: str) -> str:
+        # value[:1] is '' for the empty scalar, the key of its resolver.
+        for tag, regexp in table.get(value[:1], wildcard):
+            if regexp.match(value):
+                return tag
+        return default
+
+    return tag_of
+
+
+@functools.cache
+def _loader(base: type) -> type:
+    """``base``, a safe loader, resolving implicit tags from ``_implicit``."""
+    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+
+    tag_of = _implicit(base)
     defaults = {
         ScalarNode: base.DEFAULT_SCALAR_TAG,
         SequenceNode: base.DEFAULT_SEQUENCE_TAG,
@@ -358,26 +392,148 @@ def _loader(base: type) -> type:
     class Loader(base):
         def resolve(self, kind, value, implicit):
             if kind is ScalarNode and implicit[0]:
-                # value[:1] is '' for the empty scalar, the key of its resolver.
-                for tag, regexp in table.get(value[:1], wildcard):
-                    if regexp.match(value):
-                        return tag
+                return tag_of(value)
             return defaults.get(kind)
 
     return Loader
 
 
+@functools.cache
+def _scalar_pattern() -> Callable:
+    """``fullmatch`` of a plain scalar that ``_block`` reads: words of these
+    characters, a colon only inside a word, and no '-' alone in front."""
+    char = r"[-\w.+/~=<]"
+    word = rf"{char}+(?::+{char}+)*"
+    return re.compile(rf"(?!-(?!{char})){word}(?: +{word})*", re.ASCII).fullmatch
+
+
+def _block(text: str, tag_of: Callable[[str], str]) -> object:
+    """The document of ``text`` if it is in the block subset, else None.
+
+    One pass over the lines, with a stack of the open block collections and
+    their columns.  It declines a scalar outside ``_scalar_pattern`` or one
+    that ``_plain_scalar`` does not build, an empty value, a scalar that
+    runs on to the next line, an indent the stack does not place, a
+    document marker, a line past the 1024 characters that both parsers
+    allow a key, and nesting deeper than MAX_NESTING.  It never raises.
+    """
+    if text.startswith(("---", "...")) or "\n---" in text or "\n..." in text:
+        return None
+    is_scalar = _scalar_pattern()
+    document = [None]
+    stack = [(-1, document)]  # (column, collection), the document's holder first
+    # The key of stack[-1], or -1 for its new last item, whose value is to come.
+    hold = -1
+    seen = {}  # each scalar text read, and what it reads as (None: declined)
+
+    def scalar(raw):
+        value = seen.get(raw, False)  # no scalar reads as False
+        if value is False:
+            value = _plain_scalar(tag_of(raw), raw)
+            # A float read here is signs, digits, dots and an exponent: plain.
+            if value.__class__ is str and not is_scalar(raw):
+                value = None
+            seen[raw] = value
+        return value
+
+    def node(raw):
+        if raw[0] != "{":
+            return scalar(raw)
+        if raw[-1] != "}" or len(stack) > MAX_NESTING:
+            return None
+        mapping = {}
+        for pair in raw[1:-1].split(","):
+            # A key without ': ' has the empty value, a null.
+            key, _, value = pair.strip(" ").partition(": ")
+            key, value = scalar(key), scalar(value.lstrip(" "))
+            if key is None or value is None:
+                return None
+            mapping[key] = value
+        return mapping
+
+    for line in text.split("\n"):
+        rest = line.strip(" ")
+        if not rest:
+            continue
+        if len(line) > 1024:
+            return None
+        col = len(line) - len(line.lstrip(" "))
+        while True:  # one entry of the line: '- ', a key, or a value
+            top_col, top = stack[-1]
+            if rest[:2] == "- ":
+                kind = list
+            elif rest[0] == "{":
+                kind = None
+            elif rest[-1] == ":":
+                kind, key, value = dict, rest[:-1], ""
+            else:
+                key, sep, value = rest.partition(": ")
+                kind = dict if sep else None
+            if kind is None:  # the line ends in a value, held before it
+                value = node(rest)
+                if value is None or hold is None or col <= top_col:
+                    return None
+                top[hold] = value
+                hold = None
+                break
+            if hold is None:
+                # A key at a sequence's column ends it: it sat at its key's column.
+                while top_col > col or (
+                    top_col == col and kind is dict and top.__class__ is list
+                ):
+                    stack.pop()
+                    top_col, top = stack[-1]
+                if top_col != col or top.__class__ is not kind:
+                    return None
+            elif col > top_col or (
+                kind is list and col == top_col and top.__class__ is dict
+            ):
+                # The held value opens here: deeper, or a sequence at its key's column.
+                if len(stack) > MAX_NESTING:
+                    return None
+                top[hold] = kind()
+                top = top[hold]
+                stack.append((col, top))
+            else:
+                return None
+            if kind is list:
+                top.append(None)
+                hold = -1
+                after = rest[2:].lstrip(" ")
+                col += len(rest) - len(after)
+                rest = after
+                continue
+            hold = scalar(key)
+            if hold is None:
+                return None
+            if value:
+                value = node(value.lstrip(" "))
+                if value is None:
+                    return None
+                top[hold] = value
+                hold = None
+            break
+    return None if hold is not None else document[0]
+
+
 def _document(text: str) -> object:
-    """The YAML document of ``text`` as PyYAML's safe loader builds it."""
+    """The YAML document of ``text`` as PyYAML's safe loader builds it.
+
+    ``_block`` reads a block-style text; PyYAML composes any other.
+    """
     import yaml
 
-    loader = _loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     # Compose leaves thousands of tracked nodes alive, which reference
     # counting frees; a collection run meanwhile frees none of them, only
     # promotes them, until a full collection walks them all.
     collecting = gc.isenabled()
     gc.disable()
     try:
+        document = _block(text, _implicit(base))
+        if document is not None:
+            return document
+        loader = _loader(base)
         # Every directive starts with '%'; only those ahead of the first
         # document are scanned.
         if "%" in text:

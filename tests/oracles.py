@@ -10,7 +10,8 @@ conditional states can see.  The stacked chain pass is also checked, bit for
 bit, against a per-Eve loop of the kernel with maps and settings arrays built
 setting by setting and scalar steering values.  The planner's exact
 sharpness solve is checked against plain bisection, its lockstep plans
-against a one-target loop that scores one grid point per table, its
+against a one-target loop that scores one grid point per table and
+against the same greedy chain in 60-digit decimal arithmetic, its
 one-Eve solve behind a given prefix is kept here for the tests, the
 steering value against a formula with one minimum per relabeling term, and
 the closed-form square root of an effect against a spectral one.  The command
@@ -24,6 +25,7 @@ fills from the library's setting classes for the same document.
 import json
 import math
 from dataclasses import dataclass
+from decimal import ROUND_CEILING, Decimal, localcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -519,6 +521,49 @@ def longest_chain(target_rate: float, points: int = 4) -> int:
 
     start = Assemblage.of(bell_state(), mub_sharp_pair())
     return longest(start, _mub_score(start, 1.0).lhs)
+
+
+class ExactPlan(NamedTuple):
+    """A plan in exact arithmetic: the grid index k of each kept Eve (her
+    sharpness is k / GRID), and each decision with its margin, how far the
+    value it compares lies from the threshold."""
+
+    grid: tuple[int, ...]
+    margins: tuple[tuple[str, Decimal], ...]
+
+
+def exact_plan(target_rate: float) -> ExactPlan:
+    """The planner's greedy chain for one target, in 60-digit ``decimal``.
+
+    Behind Eves of sharpness s_1..s_m both matched-basis correlations are
+    D = prod (1 + sqrt(1 - s_j^2)) / 2, so an Eve of sharpness s scores
+    lhs = (1 + s D) / 2, and Bob, behind her, (1 + D') / 2 with her factor
+    in D'.  A rate reaches the target t iff its lhs reaches 3/4 + delta,
+    with delta = 3/4 (2^t - 1) / (2^t + 1).  Each Eve takes the least grid
+    point that reaches it, and is kept while Bob's lhs exceeds it; Bob's
+    lhs is hers at s = 1, so the next Eve can always reach it.
+    """
+    with localcontext() as context:
+        context.prec = 60
+        scale = (Decimal(target_rate) * Decimal(2).ln()).exp()
+        threshold = Decimal("0.75") + Decimal("0.75") * (scale - 1) / (scale + 1)
+        damping, grid, margins = Decimal(1), [], []
+        while True:
+            eve = f"Eve {len(grid) + 1}"
+            least = GRID * (2 * threshold - 1) / damping
+            k = max(int(least.to_integral_value(ROUND_CEILING)), 1)
+            at_k, below = ((1 + j * damping / GRID) / 2 for j in (k, k - 1))
+            margins.append((f"{eve} reaches it at k = {k}", at_k - threshold))
+            if k > 1:
+                margins.append((f"{eve} misses it at k - 1", threshold - below))
+            sharpness = Decimal(k) / GRID
+            behind = damping * (1 + (1 - sharpness * sharpness).sqrt()) / 2
+            bob = (1 + behind) / 2
+            margins.append((f"Bob behind {eve}", abs(bob - threshold)))
+            if bob <= threshold:
+                return ExactPlan(tuple(grid), tuple(margins))
+            grid.append(k)
+            damping = behind
 
 
 def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:

@@ -1,8 +1,9 @@
 """Byte-for-byte comparison of command output against files in tests/golden/.
 
 A golden file is the stdout of ``seqeve <argv>`` for the argv listed next to
-its name below.  Regenerate one only when a change of output is intended,
-and say why in the change that does it.
+its name below; each chain golden is also printed from its scenario read by
+PyYAML instead of the line reader.  Regenerate one only when a change of
+output is intended, and say why in the change that does it.
 """
 
 from pathlib import Path
@@ -48,6 +49,23 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+# The chain goldens, read again behind a directive that the line reader
+# declines, so that PyYAML composes the scenario.
+DECLINED = "%YAML 1.1\n---\n"
+CHAIN_CASES = [name for name in sorted(CASES) if name.startswith("chain_")]
+
+
+@pytest.mark.parametrize("name", CHAIN_CASES)
+def test_a_composed_scenario_prints_the_same_golden_file(name, capsys, tmp_path):
+    argv = list(CASES[name])
+    source = Path(argv[argv.index("--scenario") + 1])
+    copy = tmp_path / source.name
+    copy.write_text(DECLINED + source.read_text(encoding="utf-8"), encoding="utf-8")
+    argv[argv.index("--scenario") + 1] = str(copy)
+    assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 

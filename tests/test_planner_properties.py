@@ -10,7 +10,9 @@ identity is checked on general upstream states.  The lockstep planner
 must give each target of a batch the plan of the one-target loop in
 ``tests/oracles.py``, bit for bit, whatever other targets share the batch,
 and no chain that a depth-first search over sharpnesses finds may be longer
-than its plan.
+than its plan.  Its grid points and chain lengths must be those of the
+same greedy chain in 60-digit decimal arithmetic, where no decision may lie
+within 1e-13 of its threshold.
 """
 
 import math
@@ -125,3 +127,21 @@ def test_lockstep_plans_equal_the_one_target_loop_bit_for_bit(targets):
     # A plan does not depend on the other rows of its batch, nor on their order.
     assert plan_chains(targets[::-1]) == plans[::-1]
     assert plans[0] == max_eves(targets[0])
+
+
+# A decision this close to its threshold is a near-tie: roundoff could decide it.
+NEAR_TIE = 1e-13
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+# Within ~4e-13 of 0 the first Eve's threshold lies that close to the grid
+# point 1/2, and near 1 to the grid point 1: ties in all but name.
+@given(st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=4))
+@example([0.1, 0.2, 0.3])
+def test_plans_equal_the_exact_decimal_plan(targets):
+    for target, plan in zip(targets, plan_chains(targets)):
+        exact = oracles.exact_plan(target)
+        tight = [name for name, margin in exact.margins if margin < NEAR_TIE]
+        assert not tight, f"target {target!r}: near-ties {tight}"
+        assert [lam * oracles.GRID for lam in plan.lambdas] == list(exact.grid)
+        assert plan.max_eves == len(exact.grid)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
 from yaml.nodes import MappingNode, ScalarNode, SequenceNode
@@ -37,6 +37,8 @@ needs_libyaml = pytest.mark.skipif(
 # The detail after this prefix is worded by whichever parser found the error.
 YAML_ERROR = "scenario: not valid YAML ("
 GOLDEN = Path(__file__).parent / "golden"
+# A prefix that the line reader declines, so that PyYAML composes the text.
+DECLINED = "%YAML 1.1\n---\n"
 # libyaml reads only 1.1 and 1.2; PyYAML's Python parser takes any 1.x.
 YAML_VERSIONS = ["1.0", "1.1", "1.2", "1.3", "1.9", "1.10", "2.0"]
 
@@ -159,7 +161,11 @@ def test_not_yaml_is_a_scenario_error():
 def test_cli_import_leaves_yaml_unloaded():
     src = str(Path(seqeve.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, seqeve.cli; print('yaml' in sys.modules)"
+    # Nor does it compile the line reader's pattern.
+    code = (
+        "import sys, seqeve.cli; print('yaml' in sys.modules, "
+        "seqeve.scenario._scalar_pattern.cache_info().currsize)"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": path},
@@ -167,7 +173,7 @@ def test_cli_import_leaves_yaml_unloaded():
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "False 0"
 
 
 @needs_libyaml
@@ -181,9 +187,11 @@ def test_parses_with_libyaml_and_falls_back_to_safe_loader(monkeypatch):
         return real_compose(stream, Loader=Loader)
 
     monkeypatch.setattr(yaml, "compose", spy)
-    first = scenario_values(loads_scenario(EXPLICIT_DOC))
+    # The directive makes the line reader decline, so PyYAML composes.
+    text = DECLINED + EXPLICIT_DOC
+    first = scenario_values(loads_scenario(text))
     monkeypatch.delattr(yaml, "CSafeLoader")
-    assert scenario_values(loads_scenario(EXPLICIT_DOC)) == first
+    assert scenario_values(loads_scenario(text)) == first
     # Each read composes with its safe loader's subclass, which only resolves.
     assert [loader.__bases__ for loader in used] == [(c_loader,), (yaml.SafeLoader,)]
     for loader in used:
@@ -248,6 +256,29 @@ def test_many_collections_at_shallow_depth_are_read(tmp_path, capsys, monkeypatc
     assert second.err == (
         f"input error: {YAML_ERROR}nested deeper than 2 levels)\n"
     )
+
+
+def test_a_block_document_past_the_cap_is_refused_by_the_guard(
+    tmp_path, capsys, monkeypatch
+):
+    """The line reader declines a block document nested past MAX_NESTING,
+    and the guard in front of PyYAML refuses it as at any depth."""
+    text = "mode: chain\na:\n  b:\n    c:\n      d: x\n"  # 4 deep
+    path = tmp_path / "deep.yaml"
+    path.write_text(text, encoding="utf-8")
+    tag_of = seqeve.scenario._implicit(yaml.SafeLoader)
+    monkeypatch.setattr(seqeve.scenario, "MAX_NESTING", 4)
+    assert seqeve.scenario._block(text, tag_of) is not None
+    monkeypatch.setattr(seqeve.scenario, "MAX_NESTING", 3)
+    assert seqeve.scenario._block(text, tag_of) is None
+    for fallback in FALLBACKS:
+        with pytest.MonkeyPatch.context() as mp:
+            if fallback:
+                mp.delattr(yaml, "CSafeLoader", raising=False)
+            assert main(["chain", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"input error: {YAML_ERROR}nested deeper than 3 levels)\n"
+        )
 
 
 # Loader equivalence ---------------------------------------------------------
@@ -448,15 +479,22 @@ def _construct(root):
 READ_BUDGET_S = 5
 
 
-def _read(text, *, fallback, walk):
+def _decline(text, tag_of):
+    return None
+
+
+def _read(text, *, fallback, walk, lines=True):
     """repr of the document that ``_document`` reads from ``text``, or its
-    error; with ``walk`` off PyYAML's constructor builds every document.  A
-    read past READ_BUDGET_S gives its TimeoutError, which no loader gives."""
+    error; with ``lines`` off the line reader declines every text, and with
+    ``walk`` off PyYAML composes and its constructor builds every document.
+    A read past READ_BUDGET_S gives its TimeoutError, which no loader gives."""
     with pytest.MonkeyPatch.context() as mp:
         if fallback:
             mp.delattr(yaml, "CSafeLoader", raising=False)
         if not walk:
             mp.setattr(seqeve.scenario, "_plain", _construct)
+        if not (walk and lines):
+            mp.setattr(seqeve.scenario, "_block", _decline)
         try:
             with wall_clock_budget(READ_BUDGET_S):
                 # repr tells 1, 1.0 and True apart, and -0.0 from 0.0; NaN equals NaN.
@@ -591,9 +629,11 @@ def test_cyclic_documents_are_read_in_bounded_time():
     )
 )
 def test_walker_builds_what_yaml_load_builds(text):
+    """The walker alone, and after the line reader, builds what PyYAML builds."""
     for fallback in FALLBACKS:
-        walked = _read(text, fallback=fallback, walk=True)
-        assert walked == _read(text, fallback=fallback, walk=False)
+        expected = _read(text, fallback=fallback, walk=False)
+        assert _read(text, fallback=fallback, walk=True, lines=False) == expected
+        assert _read(text, fallback=fallback, walk=True) == expected
 
 
 def _anchored(text):
@@ -683,13 +723,17 @@ def _perfbench_shaped(n_eves):
 def test_a_chain_scenario_is_composed_once_and_never_constructed(
     monkeypatch, fallback
 ):
+    """The line reader reads a 64-Eve file without PyYAML; behind a directive,
+    which it declines, the file is composed once and never constructed."""
     if fallback:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    text = _perfbench_shaped(64)
-    (spec, _), calls = _built_once(monkeypatch, lambda: loads_scenario(text))
-    assert spec.n_eves == 64
-    assert calls == (1, 0, 0)
-    assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
+    for prefix, expected in (("", (0, 0, 0)), (DECLINED, (1, 0, 0))):
+        text = prefix + _perfbench_shaped(64)
+        with pytest.MonkeyPatch.context() as mp:
+            (spec, _), calls = _built_once(mp, lambda: loads_scenario(text))
+        assert spec.n_eves == 64
+        assert calls == expected
+        assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
 
 
 # One document per class of graph that the walker does not build itself:
@@ -743,8 +787,8 @@ def test_an_alias_of_a_scalar_is_read_twice(monkeypatch):
 @pytest.mark.parametrize("directive, scans", [("", 0), ("%YAML 1.2\n---\n", 1)])
 def test_only_a_document_with_a_percent_sign_is_scanned(monkeypatch, directive, scans):
     """Every directive starts with '%', so a document without one is read by
-    one parser, not two."""
-    text = directive + _perfbench_shaped(64)
+    one parser, not two.  The comment makes the line reader decline."""
+    text = directive + "# a 64-Eve chain\n" + _perfbench_shaped(64)
     scanned = count_calls(monkeypatch, yaml, "scan")
     assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
     assert len(scanned) == scans
@@ -752,10 +796,11 @@ def test_only_a_document_with_a_percent_sign_is_scanned(monkeypatch, directive, 
 
 def test_a_read_runs_no_cyclic_collection():
     """The transient node graph gives the collector nothing to free, so the
-    read runs no collection; one that left the collector on ran some 400
-    at these thresholds on a 64-Eve document."""
-    text = _perfbench_shaped(64)
-    seqeve.scenario._document(text)  # the first read imports, which collects
+    read runs no collection, by the line reader or by PyYAML; one that left
+    the collector on ran some 400 at these thresholds on a 64-Eve document."""
+    texts = [_perfbench_shaped(64), DECLINED + _perfbench_shaped(64)]
+    for text in texts:
+        seqeve.scenario._document(text)  # the first read imports, which collects
     started = []
 
     def record(phase, info):
@@ -764,13 +809,14 @@ def test_a_read_runs_no_cyclic_collection():
 
     assert gc.isenabled()
     thresholds = gc.get_threshold()
-    gc.callbacks.append(record)
-    gc.set_threshold(10, 10**6, 10**6)
-    try:
-        seqeve.scenario._document(text)
-    finally:
-        gc.set_threshold(*thresholds)
-        gc.callbacks.remove(record)
+    for text in texts:
+        gc.callbacks.append(record)
+        gc.set_threshold(10, 10**6, 10**6)
+        try:
+            seqeve.scenario._document(text)
+        finally:
+            gc.set_threshold(*thresholds)
+            gc.callbacks.remove(record)
     assert started == []
 
 
@@ -919,6 +965,116 @@ def test_command_line_and_scenario_read_a_tilt_alike(text):
             by_file = False
     assert by_cli == by_file
     assert checked[seqeve.cli] == checked[seqeve.scenario]
+
+
+# The line reader -----------------------------------------------------------
+
+# Scalars that the line reader reads, most of them, and RESOLVED_TEXTS below.
+PLAIN_TEXTS = [
+    "x", "mub", "a b", "a  b", "0.5", "-1.25", "+.5", "1.5e+3", "1.", "-0.0",
+    "deg:80", "deg:-12.5", "deg:30", "a:b", "a::b", "/tmp/out.csv", "-x", "x-",
+    "~x", "=x", "<x", "1e-3", "0.1.2",
+]
+BLOCK_KEYS = ["a", "b", "theta", "phi", "deg:30", "1.5"]
+
+
+@st.composite
+def block_scalars(draw, common):
+    """A scalar from ``common`` seven times in eight, else from RESOLVED_TEXTS."""
+    if draw(st.integers(0, 7)):
+        return draw(st.sampled_from(common))
+    return draw(st.sampled_from(RESOLVED_TEXTS))
+
+
+def _collection(draw, col, depth, first):
+    """The lines of a block mapping or sequence whose entries sit at column
+    ``col``, and whose first line starts with ``first``."""
+    keys, values = block_scalars(BLOCK_KEYS), block_scalars(PLAIN_TEXTS)
+    sequence = draw(st.booleans())
+    lines = []
+    for i in range(draw(st.integers(1, 3))):
+        head = (first if i == 0 else " " * col) + (
+            "- " if sequence else draw(keys) + ":"
+        )
+        forms = ("scalar", "flow", "block") if depth < 3 else ("scalar", "flow")
+        form = draw(st.sampled_from(forms))
+        if form == "scalar":
+            lines.append(head + ("" if sequence else " ") + draw(values))
+        elif form == "flow":
+            pairs = draw(st.lists(st.tuples(keys, values), min_size=1, max_size=3))
+            flow = ", ".join(f"{key}: {value}" for key, value in pairs)
+            lines.append(head + ("" if sequence else " ") + "{" + flow + "}")
+        elif sequence:
+            # A compact item: '- key: value' or '- - value' on the entry's line.
+            lines += _collection(draw, col + 2, depth + 1, head)
+        else:
+            # Step 0 puts a sequence at its key's column, or a mapping or a
+            # value beside it.
+            step = draw(st.integers(0, 3))
+            lines.append(head)
+            if draw(st.integers(0, 3)):
+                lines += _collection(draw, col + step, depth + 1, " " * (col + step))
+            else:
+                lines.append(" " * (col + step) + draw(values))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(" " * draw(st.integers(0, 3)))
+    return lines
+
+
+@st.composite
+def block_documents(draw):
+    """Block-style text: mappings and sequences nested at mixed indents,
+    compact items, one-line flow mappings, values on their own line, blank
+    lines and repeated keys; one draw in eight moves a line one column in or
+    out, and one in eight puts a document marker in front of a line."""
+    col = draw(st.integers(0, 2))
+    lines = _collection(draw, col, 0, " " * col)
+    edit = draw(st.integers(0, 7))
+    at = draw(st.integers(0, len(lines) - 1))
+    if edit == 0:
+        line = lines[at]
+        lines[at] = line[1:] if line[:1] == " " and draw(st.booleans()) else " " + line
+    elif edit == 1:
+        lines[at] = draw(st.sampled_from(("---", "..."))) + " " + lines[at]
+    return "\n".join(lines) + "\n"
+
+
+def _loaded(text, base):
+    """repr of ``yaml.load``'s document of ``text``, or the ScenarioError
+    that ``_document`` gives for its error."""
+    try:
+        return repr(yaml.load(text, Loader=base))
+    except (yaml.YAMLError, ValueError) as exc:
+        return f"ScenarioError: {YAML_ERROR}{exc})"
+
+
+# Of the draws of block_documents, the least share that the line reader reads.
+READ_SHARE = 0.25
+
+
+def test_the_line_reader_reads_block_documents_as_yaml_load():
+    """Under both loaders a block document reads as ``yaml.load`` reads it,
+    or fails with its error, and the line reader reads a fixed share."""
+    read = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(block_documents())
+    # Both parsers allow a key 1024 characters.
+    @example("a" * 1024 + ": b\n")
+    @example("a" * 1025 + ": b\n")
+    @example("x: {" + "a" * 1025 + ": b}\n")
+    # A line that starts a document alone is a scalar to the reader.
+    @example("---\n")
+    @example("--- a\n")
+    def reads_alike(text):
+        tag_of = seqeve.scenario._implicit(yaml.SafeLoader)
+        read.append(seqeve.scenario._block(text, tag_of) is not None)
+        for fallback in FALLBACKS:
+            base = yaml.SafeLoader if fallback else yaml.CSafeLoader
+            assert _read(text, fallback=fallback, walk=True) == _loaded(text, base)
+
+    reads_alike()
+    assert sum(read) >= READ_SHARE * len(read), (sum(read), len(read))
 
 
 # Implicit tags from one table -----------------------------------------------
