@@ -280,8 +280,9 @@ class Assemblage(Value):
         """This assemblage and the one after each of the N maps, stacked (N+1, 4, 3)."""
         out = np.empty((len(maps) + 1,) + self.bloch.shape)
         out[0] = self.bloch
-        for j, step in enumerate(maps):
-            out[j + 1] = out[j] @ step.T
+        rows = list(out)  # views, taken once
+        for prev, after, step in zip(rows, rows[1:], maps.swapaxes(-1, -2)):
+            np.matmul(prev, step, out=after)
         return Assemblage(self.p_alice, out)
 
     def table(self, directions: np.ndarray, sharpness: np.ndarray) -> ConditionalTable:

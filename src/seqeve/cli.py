@@ -7,9 +7,11 @@ sharing ``values``, the tuple of cells after the label, in column order.
 tree shares by a scalar recursion, evaluates both Alice strategies in one
 stacked kernel pass and writes the 2^n leaf labels as one group, their high
 and low halves, each leaf of weight exactly 2^-n.  The text of a row is
-built once per call, as a CSV tail or as the JSON object around the label,
-each group fills it with its cells, and each prefix's rows are one join over
-the suffixes, so no leaf row or leaf label costs a Python call.
+built once per call, as a CSV row or a JSON object with a slot per cell.  A
+run of two or more one-row groups, all of ``chain``'s rows, fills it
+repeated once per row with one '%', each column's floats formatted in one
+batch.  Any other group fills it once, and each prefix's rows are one join
+over the suffixes, so no leaf row or leaf label costs a Python call.
 Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
@@ -84,29 +86,21 @@ def _json_cell(value: object) -> str:
     return json.dumps(value)  # None, bool and int
 
 
-def _block(
-    prefixes: list[str], suffixes: list[str], head: str, tail: str, sep: str
-) -> str:
-    """The rows head + p + s + tail, for each prefix p and then each suffix s.
-
-    Rows are joined by ``sep``, and each prefix's rows by one join over the
-    suffixes, so no row is built by its own Python call.
-    """
-    return sep.join(
-        head + p + (tail + sep + head + p).join(suffixes) + tail for p in prefixes
-    )
-
-
-def _json_row(columns: list[str]) -> tuple[str, str]:
-    """A row object of ``json.dumps(rows, indent=2)`` as (head, tail).
-
-    ``columns`` are distinct names, the label's first.  ``head`` is the text
-    before the label, and ``tail`` the rest, with a '%s' slot for each cell
-    after the label.
-    """
-    label, *names = map(encode_basestring_ascii, columns)
-    fields = "".join([",\n    " + name.replace("%", "%%") + ": %s" for name in names])
-    return "  {\n    " + label + ": ", fields + "\n  }"
+def _cells(values: tuple, quote) -> list[str]:
+    """Each value as ``_fmt`` writes it or, given ``quote``, ``_json_cell``:
+    strings alone in one ``map``, and floats in one '%.6g' batch that JSON
+    reads back only where the text is not already the float's repr."""
+    if set(map(type, values)) == {str}:
+        return list(values if quote is None else map(quote, values))
+    floats = [v for v in values if v.__class__ is float]
+    texts = ("%.6g " * len(floats) % tuple(floats)).split()
+    if quote is not None:
+        # Fixed point with a fraction, 1e-4 <= |x| < 1e6, is already repr's.
+        other = [t for t in dict.fromkeys(texts) if "e" in t or "." not in t]
+        spelled = dict(zip(other, map(repr, map(float, other)))) | JSON_NONFINITE
+        texts = [spelled.get(t, t) for t in texts]
+    cell, texts = (_fmt if quote is None else _json_cell), iter(texts)
+    return [next(texts) if v.__class__ is float else cell(v) for v in values]
 
 
 def _write_rows(
@@ -122,35 +116,47 @@ def _write_rows(
     A group writes one row labelled p + s for each ``str`` prefix p and then
     each ``str`` suffix s, all sharing ``values``, the row's cells after the
     label in the order of ``columns``; a group with no prefixes or no
-    suffixes writes nothing.  The text of a row is built once per call: CSV
-    as the tail after the label, JSON as the row's object around its label,
-    with a slot per cell, which each group fills with its cells, each
-    formatted once.  Each prefix's rows are then one join over the suffixes,
-    so the 2^n leaf rows of ``unbounded``, one group of 2^ceil(n/2) high and
-    2^floor(n/2) low label halves, cost 2^ceil(n/2) joins and build no leaf
-    label.  JSON is byte for byte ``json.dumps(rows, indent=2)`` of the rows
-    as objects keyed by ``columns``, which are distinct names.  A failed
-    write names ``option``.
+    suffixes writes nothing.  JSON is byte for byte ``json.dumps(rows,
+    indent=2)`` of the rows as objects keyed by ``columns``, which are
+    distinct names.  A failed write names ``option``.
     """
     filled = [group for group in groups if group[0] and group[1]]
     if fmt == "json":
-        head, tail = _json_row(columns)
-        blocks = []
-        for prefixes, suffixes, values in filled:
-            # The escapes of a JSON string are per character.
-            prefixes = [encode_basestring_ascii(p)[:-1] for p in prefixes]
-            suffixes = [encode_basestring_ascii(s)[1:] for s in suffixes]
-            row_tail = tail % tuple(map(_json_cell, values))
-            blocks.append(_block(prefixes, suffixes, head, row_tail, ",\n"))
+        # A row object of json.dumps(rows, indent=2): before and after the label.
+        label, *names = map(encode_basestring_ascii, columns)
+        head = "  {\n    " + label + ": "
+        fields = [",\n    " + name.replace("%", "%%") + ": %s" for name in names]
+        tail = "".join(fields) + "\n  }"
+        sep, cell, quote = ",\n", _json_cell, encode_basestring_ascii
+    else:
+        head, tail = "", ",%s" * (len(columns) - 1) + "\n"
+        sep, cell, quote = "", _fmt, None
+    row, width, blocks = head.replace("%", "%%") + "%s" + tail, len(columns), []
+    runs = itertools.groupby(filled, lambda group: len(group[0]) == len(group[1]) == 1)
+    for one_row, run in runs:
+        run = list(run)
+        if one_row and len(run) > 1:  # a lone row has nothing to batch
+            labels = [prefixes[0] + suffixes[0] for prefixes, suffixes, _ in run]
+            slots = [None] * (len(run) * width)
+            # A column at a time, the labels first.
+            for j, column in enumerate([labels, *zip(*[group[2] for group in run])]):
+                slots[j::width] = _cells(column, quote)
+            blocks.append(sep.join([row] * len(run)) % tuple(slots))
+            continue
+        for prefixes, suffixes, values in run:
+            if quote is not None:
+                # The escapes of a JSON string are per character.
+                prefixes = [quote(p)[:-1] for p in prefixes]
+                suffixes = [quote(s)[1:] for s in suffixes]
+            cells = tail % tuple(map(cell, values))
+            # Each prefix's rows are one join over the suffixes.
+            glue = cells + sep + head
+            blocks += [head + p + (glue + p).join(suffixes) + cells for p in prefixes]
+    if fmt == "json":
         text = "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
     else:
-        tail = ",%s" * (len(columns) - 1) + "\n"
-        parts = [f"# {line}\n" for line in header_lines]
-        parts.append(",".join(columns) + "\n")
-        for prefixes, suffixes, values in filled:
-            row_tail = tail % tuple(map(_fmt, values))
-            parts.append(_block(prefixes, suffixes, "", row_tail, ""))
-        text = "".join(parts)
+        header = [f"# {line}\n" for line in header_lines] + [",".join(columns) + "\n"]
+        text = "".join(header + blocks)
     _emit(text, path, option)
 
 

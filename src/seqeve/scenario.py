@@ -12,31 +12,36 @@ are ScenarioErrors too.
 
 A read gives the chain and its ``Scenario``: every party's directions are
 checked and written as rows of the ``ChainSpec`` arrays that the kernel
-reads, and no direction or settings object is built.  The ``Scenario``
-records what the output needs beyond the chain: the state, the settings
-model of Alice, Bob and each Eve, and the output format and path.
+reads, and no direction or settings object is built.  An Eve whose numbers
+are floats in range is checked in one pass; any other goes field by field,
+which names a fault.  The ``Scenario`` records what the output needs beyond
+the chain: the state, the settings model of Alice, Bob and each Eve, and
+the output format and path.
 
 A block-style text is read by ``_block`` in one pass over its lines: ASCII
 block mappings and '- ' sequences indented with spaces, compact '- key:'
 items, plain keys, and one-line plain scalars and flow mappings of them,
 such as ``{theta: deg:80, phi: 0.3}``.  It keeps a scalar only when it is a
-``str`` or a float that ``float`` reads, and declines any other text, such
-as one with a quote, anchor, comment, directive, int or null.  Those are
-composed once by ``CSafeLoader``, PyYAML's binding of libyaml, when PyYAML
-was built with it, else by the pure-Python ``SafeLoader``; both build the
-same node graph.  The loader is a subclass made on the first read, whose
-``resolve`` finds a scalar's implicit tag in one table keyed by its first
-character, the table that types the line reader's scalars too.  ``_plain``
-builds plain mappings, sequences, strings and floats from the nodes, and
-one ``SafeConstructor`` builds every other node in the same queue and with
-the same node cache, so the document is the safe loader's, aliases, cycles
-and merge keys included.  On either route the document, the messages and
-the exit codes are PyYAML's.  A ``%YAML`` directive other than 1.1 or 1.2,
-a constructor error and nesting deeper than MAX_NESTING (or than Python's
-recursion limit) are ``not valid YAML`` like a syntax error.  yaml is
-imported on the first read: ``plan`` and ``unbounded`` never load it.  A
-read pauses the cyclic collector, since the transient node graph only
-gives it work that frees nothing, and then restores the caller's setting.
+``str`` or a decimal that ``float`` reads, signed digits, a dot and digits
+or an unsigned dot and digits, then a signed exponent or none (-1.5, 1.,
+.5e-3; +.5 and 1.0e5 are strings to YAML 1.1).  It declines any other text,
+such as one with a quote, anchor, comment, directive, int or null.  Those
+are composed once by ``CSafeLoader``, PyYAML's binding of libyaml, when
+PyYAML was built with it, else by the pure-Python ``SafeLoader``; both
+build the same node graph.  The loader is a subclass made on the first
+read, whose ``resolve`` finds a scalar's implicit tag in one table keyed by
+its first character, the table that types the line reader's other scalars
+too.  ``_plain`` builds plain mappings, sequences, strings and decimals from
+the nodes, and one ``SafeConstructor`` builds every other node in the same
+queue and with the same node cache, so the document is the safe loader's,
+aliases, cycles and merge keys included.  On either route the document,
+the messages and the exit codes are PyYAML's.  A ``%YAML`` directive other
+than 1.1 or 1.2, a constructor error and nesting deeper than MAX_NESTING
+(or than Python's recursion limit) are ``not valid YAML`` like a syntax
+error.  yaml is imported on the first read: ``plan`` and ``unbounded``
+never load it.  A read pauses the cyclic collector, since the transient
+node graph only gives it work that frees nothing, and then restores the
+caller's setting.
 """
 
 from __future__ import annotations
@@ -206,6 +211,46 @@ def _parse_directions(mapping: dict, field_name: str) -> tuple[str, Directions]:
     )
 
 
+def _parse_eve(raw: object, field_name: str) -> tuple[float, float, str, Directions]:
+    """An Eve's (lambda, bias, settings model, direction rows), field by field."""
+    eve = _require_mapping(raw, field_name)
+    _check_keys(eve, _EVE_KEYS, field_name)
+    if "lambda" not in eve:
+        raise ScenarioError(f"{field_name}.lambda: required key is missing")
+    lam = parse_number(eve["lambda"], f"{field_name}.lambda", check_sharpness)
+    bias = parse_number(eve.get("bias", DEFAULT_BIAS), f"{field_name}.bias", check_bias)
+    return (lam, bias, *_parse_directions(eve, field_name))
+
+
+def _plain_eve(eve: object) -> tuple[float, float, str, Directions] | None:
+    """``_parse_eve`` of an Eve whose numbers are floats in range, checked in
+    one pass with no field name; None for any other Eve."""
+    if eve.__class__ is not dict or not eve.keys() <= _EVE_KEYS:
+        return None
+    lam, bias = eve.get("lambda"), eve.get("bias", DEFAULT_BIAS)
+    model, raw = eve.get("settings", "mub"), eve.get("directions")
+    if not lam.__class__ is bias.__class__ is float:
+        return None
+    try:
+        check_sharpness(lam)
+        check_bias(bias)
+        if model == "mub" and "directions" not in eve:
+            return lam, bias, model, _MUB
+        if model != "explicit" or raw.__class__ is not list or len(raw) != 2:
+            return None
+        rows = []
+        for angles in raw:
+            if angles.__class__ is not dict or not angles.keys() <= _DIRECTION_KEYS:
+                return None
+            theta, phi = angles.get("theta"), angles.get("phi", 0.0)
+            if not theta.__class__ is phi.__class__ is float:
+                return None
+            rows.append((theta, phi, *direction_components(theta, phi)))
+    except ValueError:
+        return None
+    return lam, bias, model, tuple(rows)
+
+
 def _parse_state(raw: object) -> StateSpec:
     mapping = _require_mapping(raw, "state")
     _check_keys(mapping, {"kind", "theta"}, "state")
@@ -245,8 +290,6 @@ _CORE = "tag:yaml.org,2002:"
 _STR, _FLOAT, _SEQ, _MAP = (_CORE + name for name in ("str", "float", "seq", "map"))
 # Keys that SafeConstructor.flatten_mapping rewrites: '<<' and '='.
 _FLATTENED = (_CORE + "merge", _CORE + "value")
-# Float spellings left to the constructor: 1_0, 1:30 (base 60), .inf, .nan.
-_NOT_PLAIN_FLOAT = frozenset("_:nN")
 
 
 def _malformed(exc: Exception) -> ValueError:
@@ -258,17 +301,14 @@ def _malformed(exc: Exception) -> ValueError:
 def _plain_scalar(tag: str, value: str) -> object:
     """The ``str`` or float that a plain scalar of ``tag`` builds, else None.
 
-    A float without the characters above is read by ``float``, which gives
-    what the constructor gives bit for bit or raises ValueError, such as on
-    '--1', where the constructor takes over.
+    A float is kept when its text is a plain decimal, which ``float`` reads
+    as the constructor does, bit for bit; the constructor takes any other
+    float text, such as 1_0, 1:30, .inf or a tagged '!!float 1e5'.
     """
     if tag == _STR:
         return value
-    if tag == _FLOAT and _NOT_PLAIN_FLOAT.isdisjoint(value):
-        try:
-            return float(value)
-        except ValueError:
-            pass
+    if tag == _FLOAT and _number_patterns()[0](value):
+        return float(value)
     return None
 
 
@@ -407,6 +447,19 @@ def _scalar_pattern() -> Callable:
     return re.compile(rf"(?!-(?!{char})){word}(?: +{word})*", re.ASCII).fullmatch
 
 
+# A plain decimal (see above), a float to YAML 1.1 that ``float`` reads.
+_DECIMAL = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?"
+
+
+@functools.cache
+def _number_patterns() -> tuple[Callable, Callable]:
+    """``fullmatch`` of a plain decimal, and of a flow mapping of two word
+    keys and decimals such as ``{theta: 0.5, phi: 1.25}``, in four groups."""
+    pair = rf"(\w+): +({_DECIMAL}) *"
+    flow = rf"\{{ *{pair}, *{pair}\}}"
+    return tuple(re.compile(p, re.ASCII).fullmatch for p in (_DECIMAL, flow))
+
+
 def _block(text: str, tag_of: Callable[[str], str]) -> object:
     """The document of ``text`` if it is in the block subset, else None.
 
@@ -419,19 +472,20 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
     """
     if text.startswith(("---", "...")) or "\n---" in text or "\n..." in text:
         return None
-    is_scalar = _scalar_pattern()
+    is_scalar, (is_decimal, is_pair) = _scalar_pattern(), _number_patterns()
     document = [None]
     stack = [(-1, document)]  # (column, collection), the document's holder first
     # The key of stack[-1], or -1 for its new last item, whose value is to come.
     hold = -1
-    seen = {}  # each scalar text read, and what it reads as (None: declined)
+    seen = {}  # each non-decimal scalar read, and what it reads as (None: declined)
 
     def scalar(raw):
         value = seen.get(raw, False)  # no scalar reads as False
         if value is False:
-            value = _plain_scalar(tag_of(raw), raw)
-            # A float read here is signs, digits, dots and an exponent: plain.
-            if value.__class__ is str and not is_scalar(raw):
+            if is_decimal(raw):
+                return float(raw)
+            value = _plain_scalar(tag_of(raw), raw)  # a str, or None
+            if value is not None and not is_scalar(raw):
                 value = None
             seen[raw] = value
         return value
@@ -441,23 +495,26 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
             return scalar(raw)
         if raw[-1] != "}" or len(stack) > MAX_NESTING:
             return None
-        mapping = {}
-        for pair in raw[1:-1].split(","):
-            # A key without ': ' has the empty value, a null.
-            key, _, value = pair.strip(" ").partition(": ")
-            key, value = scalar(key), scalar(value.lstrip(" "))
-            if key is None or value is None:
-                return None
-            mapping[key] = value
-        return mapping
+        pair = is_pair(raw)
+        if pair:
+            key, value, key2, value2 = pair.groups()
+            key, key2 = seen.get(key) or scalar(key), seen.get(key2) or scalar(key2)
+            if key is not None and key2 is not None:
+                return {key: float(value), key2: float(value2)}
+            return None
+        # A key without ': ' has the empty value, a null.
+        pairs = [pair.strip(" ").partition(": ") for pair in raw[1:-1].split(",")]
+        pairs = [(scalar(key), scalar(value.lstrip(" "))) for key, _, value in pairs]
+        return None if any(None in pair for pair in pairs) else dict(pairs)
 
-    for line in text.split("\n"):
-        rest = line.strip(" ")
+    lines = text.split("\n")
+    if max(map(len, lines)) > 1024:
+        return None
+    for line in lines:
+        rest = line.lstrip(" ")
         if not rest:
             continue
-        if len(line) > 1024:
-            return None
-        col = len(line) - len(line.lstrip(" "))
+        col, rest = len(line) - len(rest), rest.rstrip(" ")
         while True:  # one entry of the line: '- ', a key, or a value
             top_col, top = stack[-1]
             if rest[:2] == "- ":
@@ -503,11 +560,12 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
                 col += len(rest) - len(after)
                 rest = after
                 continue
-            hold = scalar(key)
+            hold = seen.get(key) or scalar(key)  # a memo hit costs no call
             if hold is None:
                 return None
             if value:
-                value = node(value.lstrip(" "))
+                value = value.lstrip(" ")
+                value = seen.get(value) or node(value)
                 if value is None:
                     return None
                 top[hold] = value
@@ -586,28 +644,19 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
     raw_eves = sections.get("eves", [])
     if not isinstance(raw_eves, list):
         raise ScenarioError("eves: expected a list")
-    directions, sharpness, bias, models = [], [], [], []
-    for idx, raw in enumerate(raw_eves):
-        field_name = f"eves[{idx}]"
-        eve = _require_mapping(raw, field_name)
-        _check_keys(eve, _EVE_KEYS, field_name)
-        if "lambda" not in eve:
-            raise ScenarioError(f"{field_name}.lambda: required key is missing")
-        lam = parse_number(eve["lambda"], f"{field_name}.lambda", check_sharpness)
-        raw_bias = eve.get("bias", DEFAULT_BIAS)
-        bias.append(parse_number(raw_bias, f"{field_name}.bias", check_bias))
-        model, rows = _parse_directions(eve, field_name)
-        directions.append(rows)
-        sharpness.append((lam, lam))
-        models.append(model)
-    directions.append(bob_rows)
-    sharpness.append((1.0, 1.0))
+    # The per-field route reads only an Eve that the one-pass check declines.
+    eves = [
+        _plain_eve(raw) or _parse_eve(raw, f"eves[{idx}]")
+        for idx, raw in enumerate(raw_eves)
+    ]
+    lambdas, bias, models, rows = zip(*eves) if eves else ((),) * 4
     output = _parse_output(sections.get("output", {}))
     spec = ChainSpec(
-        state.build(), np.array(alice_rows)[:, :2], np.array(directions)[..., 2:],
-        np.array(sharpness), np.array(bias, dtype=float),
+        state.build(), np.array(alice_rows)[:, :2],
+        np.array([*rows, bob_rows])[..., 2:],
+        np.repeat([*lambdas, 1.0], 2).reshape(-1, 2), np.array(bias, dtype=float),
     )
-    scenario = Scenario(state, PartySpec(alice), PartySpec(bob), tuple(models), output)
+    scenario = Scenario(state, PartySpec(alice), PartySpec(bob), models, output)
     return spec, scenario
 
 

@@ -36,6 +36,15 @@ LEAF_COLUMNS = ["branch", "a", "b", "c"]
 # A character outside the BMP split into two lone surrogates, one in the
 # prefix and one in the suffix: JSON escapes them one at a time.
 SPLIT_PAIR = (["a\ud83d"], ["\ude00b", ""], ("q\"\\\x00",))
+# A run of one-row groups, as ``chain`` writes them: a column of every
+# spelling the renderer knows beside a column of floats alone.
+SPELLINGS = [0.0, -0.0, 1.0, 1e-05, 1234567.0, 2.5e20, float("nan"), float("inf"),
+             None, "s\u00e9", 7]
+FLOAT_RUN = [0.5, -0.0, 1e-300, 0.000123457, 999999.5, 1e16, -float("inf"), 0.1, 3.0,
+             5e-324, 123456.7]
+ONE_ROW_RUN = [
+    ([f"eve{k}"], [""], cells) for k, cells in enumerate(zip(SPELLINGS, FLOAT_RUN))
+]
 scalars = st.one_of(
     st.none(),
     st.text(max_size=6),
@@ -100,6 +109,7 @@ def written(groups, columns, header_lines, fmt):
 @example((LOOKALIKE_GROUPS, ["branch", "theta", "weight"]), [])
 @example(([(LEAF_HALVES, LEAF_HALVES, (0.1234567, 2.0**-12, None))], LEAF_COLUMNS), [])
 @example(([SPLIT_PAIR], ["branch", "cell"]), [])
+@example((ONE_ROW_RUN, ["party", "cell", "float%s"]), ["seqeve"])
 def test_rows_match_the_oracle_renderer(table, header_lines):
     groups, columns = table
     for fmt in ("csv", "json"):

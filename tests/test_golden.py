@@ -24,6 +24,10 @@ CHAIN_MIXED = ["chain", "--scenario", str(GOLDEN / "chain_mixed.yaml")]
 # Bell state, MUB Alice, explicit Bob with a nonzero phi, and output.format
 # json, so that --format csv overrides the scenario's own format.
 CHAIN_EXPLICIT = ["chain", "--scenario", str(GOLDEN / "chain_explicit.yaml")]
+# A sharp Eve at bias 0, an Eve of lambda 1e-9 (a string to YAML 1.1) with
+# explicit directions at bias 1, and a MUB Eve: the writer's spellings of
+# 1, 1e-09 and 0 in CSV and JSON.
+CHAIN_EDGES = ["chain", "--scenario", str(GOLDEN / "chain_edges.yaml")]
 # The same scenario written with anchors, aliases and merge keys.
 CHAIN_MERGE = ["chain", "--scenario", str(GOLDEN / "chain_merge.yaml")]
 # Unsorted, with a repeat, and with chains of 0 to 5 Eves that stop at
@@ -43,6 +47,8 @@ CASES = {
     "chain_mixed.json": CHAIN_MIXED + JSON,
     "chain_explicit.json": CHAIN_EXPLICIT,
     "chain_explicit.csv": CHAIN_EXPLICIT + ["--format", "csv"],
+    "chain_edges.csv": CHAIN_EDGES,
+    "chain_edges.json": CHAIN_EDGES + JSON,
 }
 
 

@@ -161,10 +161,11 @@ def test_not_yaml_is_a_scenario_error():
 def test_cli_import_leaves_yaml_unloaded():
     src = str(Path(seqeve.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    # Nor does it compile the line reader's pattern.
+    # Nor does it compile the line reader's patterns.
     code = (
         "import sys, seqeve.cli; print('yaml' in sys.modules, "
-        "seqeve.scenario._scalar_pattern.cache_info().currsize)"
+        "seqeve.scenario._scalar_pattern.cache_info().currsize, "
+        "seqeve.scenario._number_patterns.cache_info().currsize)"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
@@ -173,7 +174,7 @@ def test_cli_import_leaves_yaml_unloaded():
         text=True,
         check=True,
     )
-    assert proc.stdout.strip() == "False 0"
+    assert proc.stdout.strip() == "False 0 0"
 
 
 @needs_libyaml
@@ -1066,6 +1067,10 @@ def test_the_line_reader_reads_block_documents_as_yaml_load():
     # A line that starts a document alone is a scalar to the reader.
     @example("---\n")
     @example("--- a\n")
+    # A sign before a leading dot makes a string, not a decimal.
+    @example("- +.5\n")
+    # Word keys of a flow mapping of decimals that are a bool and an int.
+    @example("- {y: 0.5, 1: 1.5}\n")
     def reads_alike(text):
         tag_of = seqeve.scenario._implicit(yaml.SafeLoader)
         read.append(seqeve.scenario._block(text, tag_of) is not None)
@@ -1086,6 +1091,9 @@ RESOLVED_TEXTS = [
     "-0.0", ".5", "1.", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
     "2001-12-14 21:59:43.10 -5", "yes", "No", "ON", "off", "true", "False",
     "y", "n", "abc", " 1", "1 ", "deg:30", "!x", "&a", "*b",
+    # The edges of the decimal rule: no sign before a leading dot, and an
+    # exponent only with its sign.
+    "+.5", "-.5", "+.5e-3", "1.0e5", "1.e+5", "0.", "-0.", "00.50", "+1.5",
 ]
 scalar_texts = st.one_of(
     st.sampled_from(RESOLVED_TEXTS),
@@ -1111,6 +1119,31 @@ def test_the_table_resolves_as_pyyaml_resolves(kind, implicit, value):
             assert loader.resolve(kind, value, implicit) == expected
         finally:
             loader.dispose()
+
+
+# Texts near the decimal rule: signs, dots, exponents, underscores, colons.
+decimal_texts = st.one_of(
+    st.sampled_from(RESOLVED_TEXTS + PLAIN_TEXTS),
+    st.text(alphabet="0123456789.+-eE_: ", max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(decimal_texts)
+@example("-0.")
+@example("+.5")
+def test_the_decimal_rule_types_only_what_yaml_types_a_float(text):
+    """A text the rule reads is a float to both loaders, with the repr, the
+    sign of zero included, that ``float`` gives it."""
+    is_decimal, _ = seqeve.scenario._number_patterns()
+    for base in BASES:
+        tag_of = seqeve.scenario._implicit(base)
+        built = seqeve.scenario._plain_scalar(tag_of(text), text)
+        assert (built.__class__ is float) == bool(is_decimal(text))
+        if is_decimal(text):
+            assert tag_of(text) == Resolver.DEFAULT_SCALAR_TAG.replace("str", "float")
+            loaded = yaml.load(text, Loader=base)
+            assert repr(loaded) == repr(float(text)) == repr(built)
 
 
 def _graph(root):
@@ -1150,3 +1183,118 @@ def test_every_scenario_composes_to_the_same_graph(text):
         expected = _graph(yaml.compose(text, Loader=base))
         loader = seqeve.scenario._loader(base)
         assert _graph(yaml.compose(text, Loader=loader)) == expected
+
+
+# The one-pass Eve check ------------------------------------------------------
+
+
+# Values that replace one field of a valid Eve: the bounds of each number
+# field and the floats just past them, non-finite floats, values that are
+# numbers only to the field checks or not at all, and other collections.
+EVE_FIELD_VALUES = [
+    0.0, -0.0, 1.0, math.pi, 2.0 * math.pi, math.nextafter(0.0, -1.0),
+    math.nextafter(1.0, 2.0), math.nextafter(math.pi, 4.0),
+    math.nextafter(2.0 * math.pi, 7.0), math.nan, math.inf, -math.inf,
+    0, 1, True, False, None, "deg:30", "0.5", "x", "mub", "explicit",
+    [], {}, [{"theta": 0.5}], [{"theta": 0.5}] * 3,
+]
+
+
+@st.composite
+def eve_mappings(draw):
+    """A valid Eve, explicit, MUB by default or MUB by name, with one fault
+    one time in two: a field replaced, a key or item removed, or an unknown
+    key or a third item added."""
+    eve = {"lambda": draw(sharpness)}
+    if draw(st.booleans()):
+        eve["bias"] = draw(biases)
+    if draw(st.integers(0, 3)):
+        eve.update(_explicit(draw(st.tuples(directions, directions))))
+    elif draw(st.booleans()):
+        eve["settings"] = "mub"
+    if draw(st.booleans()):
+        return eve
+    path = draw(st.sampled_from(list(_paths(eve))))
+    action = draw(st.sampled_from(["replace", "remove", "add"]))
+    if action == "replace" or not path:
+        return _replaced(eve, path, draw(st.sampled_from(EVE_FIELD_VALUES)))
+    eve = copy.deepcopy(eve)
+    parent = _at(eve, path[:-1])
+    if action == "remove":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent["psi"] = 0.5
+    else:
+        parent.append({"theta": 0.5})
+    return eve
+
+
+def _chain_of(eves, *, one_pass):
+    """repr of ``scenario_values`` of a chain document of ``eves``, or the
+    error message, with the one-pass check on or off."""
+    with pytest.MonkeyPatch.context() as mp:
+        document = {"mode": "chain", "eves": eves}
+        mp.setattr(seqeve.scenario, "_document", lambda text: document)
+        if not one_pass:
+            mp.setattr(seqeve.scenario, "_plain_eve", lambda eve: None)
+        try:
+            return repr(scenario_values(loads_scenario("")))
+        except ScenarioError as exc:
+            return str(exc)
+
+
+def _assert_one_reading(eves):
+    """Each Eve the one-pass check accepts is read field by field with a
+    bit-identical row, and the chain of ``eves`` reads, or fails, alike with
+    the check on and off; whether the check accepted each Eve."""
+    accepted = []
+    for eve in eves:
+        plain = seqeve.scenario._plain_eve(eve)
+        accepted.append(plain is not None)
+        if plain is not None:
+            assert repr(seqeve.scenario._parse_eve(eve, "eves[0]")) == repr(plain)
+    assert _chain_of(eves, one_pass=True) == _chain_of(eves, one_pass=False)
+    return accepted
+
+
+# Of the Eves drawn, the least share that the one-pass check accepts.
+ONE_PASS_SHARE = 0.2
+
+
+def test_the_one_pass_check_accepts_only_what_the_field_checks_accept():
+    """An Eve the one-pass check accepts is accepted field by field with a
+    bit-identical row, and any chain reads alike, or fails alike, either way."""
+    accepted = []
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(st.lists(eve_mappings(), min_size=1, max_size=3))
+    @example([{"lambda": 1.0, "bias": 0.0, "settings": "mub"}])
+    @example([{"lambda": 5e-324, "directions": [{"theta": math.pi}, {"theta": -0.0}],
+               "settings": "explicit", "bias": 1.0}])
+    def agrees(eves):
+        accepted.extend(_assert_one_reading(eves))
+
+    agrees()
+    share = (sum(accepted), len(accepted))
+    assert share[0] >= ONE_PASS_SHARE * share[1], share
+
+
+FAULTLESS_EVES = [
+    {"lambda": 0.5, "bias": 0.25, **_explicit([(0.5, 1.5), (2.0, 4.0)])},
+    {"lambda": 1.0, "settings": "mub"},
+]
+
+
+@pytest.mark.parametrize("eve", FAULTLESS_EVES, ids=["explicit", "mub"])
+def test_every_one_field_fault_reads_alike_either_way(eve):
+    """Each field of an Eve, replaced by each of EVE_FIELD_VALUES or removed,
+    or an unknown key beside it, gives one reading or one message."""
+    for path in list(_paths(eve))[1:]:
+        parent = copy.deepcopy(_at(eve, path[:-1]))
+        del parent[path[-1]]
+        variants = [_replaced(eve, path[:-1], parent)]
+        if isinstance(parent, dict):
+            variants.append(_replaced(eve, path[:-1], {**parent, "psi": 0.5}))
+        variants += [_replaced(eve, path, value) for value in EVE_FIELD_VALUES]
+        for faulted in variants:
+            _assert_one_reading([faulted])
