@@ -21,27 +21,23 @@ the output format and path.
 A block-style text is read by ``_block`` in one pass over its lines: ASCII
 block mappings and '- ' sequences indented with spaces, compact '- key:'
 items, plain keys, and one-line plain scalars and flow mappings of them,
-such as ``{theta: deg:80, phi: 0.3}``.  It keeps a scalar only when it is a
-``str`` or a decimal that ``float`` reads, signed digits, a dot and digits
-or an unsigned dot and digits, then a signed exponent or none (-1.5, 1.,
-.5e-3; +.5 and 1.0e5 are strings to YAML 1.1).  It declines any other text,
-such as one with a quote, anchor, comment, directive, int or null.  Those
-are composed once by ``CSafeLoader``, PyYAML's binding of libyaml, when
-PyYAML was built with it, else by the pure-Python ``SafeLoader``; both
-build the same node graph.  The loader is a subclass made on the first
-read, whose ``resolve`` finds a scalar's implicit tag in one table keyed by
-its first character, the table that types the line reader's other scalars
-too.  ``_plain`` builds plain mappings, sequences, strings and decimals from
-the nodes, and one ``SafeConstructor`` builds every other node in the same
-queue and with the same node cache, so the document is the safe loader's,
-aliases, cycles and merge keys included.  On either route the document,
-the messages and the exit codes are PyYAML's.  A ``%YAML`` directive other
-than 1.1 or 1.2, a constructor error and nesting deeper than MAX_NESTING
-(or than Python's recursion limit) are ``not valid YAML`` like a syntax
-error.  yaml is imported on the first read: ``plan`` and ``unbounded``
-never load it.  A read pauses the cyclic collector, since the transient
-node graph only gives it work that frees nothing, and then restores the
-caller's setting.
+such as ``{theta: deg:80, phi: 0.3}``.  A '#' at the start of a line or
+after a space starts a comment, which ends the line.  It keeps a scalar
+only when it is a ``str`` or a decimal that ``float`` reads, signed
+digits, a dot and digits or an unsigned dot and digits, then a signed
+exponent or none (-1.5, 1., .5e-3; +.5 and 1.0e5 are strings to YAML
+1.1); the loader's implicit resolvers, in one table keyed by a scalar's
+first character, type the rest.  It declines any other text, such as one
+with a quote, anchor, tag, directive, int or null, and ``yaml.load`` reads
+that with ``CSafeLoader``, PyYAML's binding of libyaml, when PyYAML was
+built with it, else with the pure-Python ``SafeLoader``.  On either route
+the document, the messages and the exit codes are PyYAML's.  A ``%YAML``
+directive other than 1.1 or 1.2, a constructor error and nesting deeper
+than MAX_NESTING (or than Python's recursion limit) are ``not valid
+YAML`` like a syntax error.  yaml is imported on the first read: ``plan``
+and ``unbounded`` never load it.  A read pauses the cyclic collector,
+since the transient node graph only gives it work that frees nothing, and
+then restores the caller's setting.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ import gc
 import math
 import os
 import re
-from collections import deque
 from pathlib import Path
 from typing import AbstractSet, Any, Callable
 
@@ -286,105 +281,21 @@ def _parse_output(raw: object) -> OutputSpec:
     return OutputSpec(fmt, path)
 
 
-_CORE = "tag:yaml.org,2002:"
-_STR, _FLOAT, _SEQ, _MAP = (_CORE + name for name in ("str", "float", "seq", "map"))
-# Keys that SafeConstructor.flatten_mapping rewrites: '<<' and '='.
-_FLATTENED = (_CORE + "merge", _CORE + "value")
-
-
-def _malformed(exc: Exception) -> ValueError:
-    """The ValueError for a LookupError or AttributeError that a constructor
-    raised on a malformed tagged scalar: !!int "", !!bool x, !!timestamp x."""
-    return ValueError(str(exc))
+_STR, _FLOAT = "tag:yaml.org,2002:str", "tag:yaml.org,2002:float"
 
 
 def _plain_scalar(tag: str, value: str) -> object:
     """The ``str`` or float that a plain scalar of ``tag`` builds, else None.
 
     A float is kept when its text is a plain decimal, which ``float`` reads
-    as the constructor does, bit for bit; the constructor takes any other
-    float text, such as 1_0, 1:30, .inf or a tagged '!!float 1e5'.
+    as the constructor does, bit for bit; any other float text, such as
+    1_0, 1:30 or .inf, is left to ``yaml.load``.
     """
     if tag == _STR:
         return value
     if tag == _FLOAT and _number_patterns()[0](value):
         return float(value)
     return None
-
-
-def _plain(root):
-    """The document that PyYAML's safe loader constructs from ``root``.
-
-    Plain mappings and sequences, and the scalars of ``_plain_scalar``, are
-    built here.  Every other node goes to one ``SafeConstructor``, which
-    shares the node cache and the first-in first-out queue of containers to
-    fill, keys before values.  That is the batch order of ``construct_document``, so a
-    collection reached twice is one object and the first bad node raises
-    the error the loader raises.
-    """
-    from yaml.constructor import ConstructorError, SafeConstructor
-    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
-
-    constructor = SafeConstructor()
-    built = constructor.constructed_objects
-    # Only construct_document, never called here, replaces this list.
-    generators = constructor.state_generators
-    # (collection node, its container yet to fill), or a generator of PyYAML's.
-    pending = deque()
-
-    def by_pyyaml(build, work):
-        """``build(work)``, with the generators it leaves queued behind the rest."""
-        try:
-            data = build(work)
-        except (LookupError, AttributeError) as exc:
-            raise _malformed(exc) from None
-        pending.extend(generators)
-        generators.clear()
-        return data
-
-    def read(node):
-        kind, tag = node.__class__, node.tag
-        if kind is ScalarNode:
-            data = _plain_scalar(tag, node.value)
-            if data is not None:
-                return data
-        elif node in built:
-            return built[node]
-        elif kind is SequenceNode and tag == _SEQ:
-            data = built[node] = []
-            pending.append((node, data))
-            return data
-        elif kind is MappingNode and tag == _MAP:
-            data = built[node] = {}
-            pending.append((node, data))
-            return data
-        return by_pyyaml(constructor.construct_object, node)
-
-    document = read(root)
-    while pending:
-        work = pending.popleft()
-        if work.__class__ is not tuple:
-            by_pyyaml(list, work)  # list() runs the generator to its end
-            continue
-        node, data = work
-        if data.__class__ is list:
-            data.extend([read(child) for child in node.value])
-            continue
-        for key_node, _ in node.value:
-            if key_node.tag in _FLATTENED:
-                constructor.flatten_mapping(node)
-                break
-        for key_node, value_node in node.value:
-            key = read(key_node)
-            # Only a list, dict or set, none of them collections.abc.Hashable,
-            # which is the constructor's own check.
-            if key.__hash__ is None:
-                raise ConstructorError(
-                    "while constructing a mapping", node.start_mark,
-                    "found unhashable key", key_node.start_mark,
-                )
-            data[key] = read(value_node)
-    return document
 
 
 @functools.cache
@@ -418,27 +329,6 @@ def _implicit(base: type) -> Callable[[str], str]:
 
 
 @functools.cache
-def _loader(base: type) -> type:
-    """``base``, a safe loader, resolving implicit tags from ``_implicit``."""
-    from yaml.nodes import MappingNode, ScalarNode, SequenceNode
-
-    tag_of = _implicit(base)
-    defaults = {
-        ScalarNode: base.DEFAULT_SCALAR_TAG,
-        SequenceNode: base.DEFAULT_SEQUENCE_TAG,
-        MappingNode: base.DEFAULT_MAPPING_TAG,
-    }
-
-    class Loader(base):
-        def resolve(self, kind, value, implicit):
-            if kind is ScalarNode and implicit[0]:
-                return tag_of(value)
-            return defaults.get(kind)
-
-    return Loader
-
-
-@functools.cache
 def _scalar_pattern() -> Callable:
     """``fullmatch`` of a plain scalar that ``_block`` reads: words of these
     characters, a colon only inside a word, and no '-' alone in front."""
@@ -464,7 +354,8 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
     """The document of ``text`` if it is in the block subset, else None.
 
     One pass over the lines, with a stack of the open block collections and
-    their columns.  It declines a scalar outside ``_scalar_pattern`` or one
+    their columns; in a text with a '#', each comment is cut off its line
+    first.  It declines a scalar outside ``_scalar_pattern`` or one
     that ``_plain_scalar`` does not build, an empty value, a scalar that
     runs on to the next line, an indent the stack does not place, a
     document marker, a line past the 1024 characters that both parsers
@@ -508,6 +399,9 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
         return None if any(None in pair for pair in pairs) else dict(pairs)
 
     lines = text.split("\n")
+    if "#" in text:
+        # A '#' that starts a line or follows a space starts a comment.
+        lines = ["" if line[:1] == "#" else line.partition(" #")[0] for line in lines]
     if max(map(len, lines)) > 1024:
         return None
     for line in lines:
@@ -574,28 +468,17 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
     return None if hold is not None else document[0]
 
 
-def _document(text: str) -> object:
-    """The YAML document of ``text`` as PyYAML's safe loader builds it.
-
-    ``_block`` reads a block-style text; PyYAML composes any other.
-    """
+def _pyyaml(text: str, base: type) -> object:
+    """``yaml.load``'s document of ``text`` under ``base``, a safe loader,
+    behind the ``%YAML`` version check and the nesting guard; each error of
+    PyYAML's is a ScenarioError."""
     import yaml
 
-    base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    # Compose leaves thousands of tracked nodes alive, which reference
-    # counting frees; a collection run meanwhile frees none of them, only
-    # promotes them, until a full collection walks them all.
-    collecting = gc.isenabled()
-    gc.disable()
     try:
-        document = _block(text, _implicit(base))
-        if document is not None:
-            return document
-        loader = _loader(base)
         # Every directive starts with '%'; only those ahead of the first
         # document are scanned.
         if "%" in text:
-            for token in yaml.scan(text, Loader=loader):
+            for token in yaml.scan(text, Loader=base):
                 if isinstance(token, yaml.DirectiveToken):
                     if token.name == "YAML" and token.value not in YAML_VERSIONS:
                         version = "%d.%d" % token.value
@@ -605,16 +488,39 @@ def _document(text: str) -> object:
         # Each collection opens with one of these, so fewer cannot nest deeper.
         if sum(map(text.count, "[{-:?")) > MAX_NESTING:
             depth = 0
-            for event in yaml.parse(text, Loader=loader):
+            for event in yaml.parse(text, Loader=base):
                 depth += isinstance(event, yaml.CollectionStartEvent)
                 depth -= isinstance(event, yaml.CollectionEndEvent)
                 if depth > MAX_NESTING:
                     raise yaml.YAMLError(f"nested deeper than {MAX_NESTING} levels")
-        root = yaml.compose(text, Loader=loader)
-        return None if root is None else _plain(root)
+        try:
+            return yaml.load(text, Loader=base)
+        # The constructor's own errors on a malformed tagged scalar:
+        # !!int "", !!bool x, !!timestamp x.
+        except (LookupError, AttributeError) as exc:
+            raise ValueError(exc) from None
     # The constructor raises a plain ValueError on a bad tagged scalar: !!int "0x".
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         raise ScenarioError(f"scenario: not valid YAML ({exc})")
+
+
+def _document(text: str) -> object:
+    """The YAML document of ``text`` as PyYAML's safe loader builds it.
+
+    ``_block`` reads a block-style text and ``_pyyaml`` any other; an error
+    of the line reader's own is no ScenarioError.
+    """
+    import yaml
+
+    base = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # A load leaves thousands of tracked nodes alive, which reference
+    # counting frees; a collection run meanwhile frees none of them, only
+    # promotes them, until a full collection walks them all.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        document = _block(text, _implicit(base))
+        return _pyyaml(text, base) if document is None else document
     finally:
         if collecting:
             gc.enable()

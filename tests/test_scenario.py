@@ -6,6 +6,7 @@ import gc
 import io
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +16,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from yaml.constructor import SafeConstructor
-from yaml.nodes import MappingNode, ScalarNode, SequenceNode
+from yaml.nodes import ScalarNode
 from yaml.resolver import Resolver
 
 from helpers import count_calls, wall_clock_budget
@@ -29,15 +29,15 @@ from seqeve.cli import main
 from seqeve.states import check_tilt_angle, tilted_state
 
 LOADERS = settings(max_examples=150, deadline=None, derandomize=True)
-# The walker property is the one guard of the queue it shares with PyYAML.
-WALKER = settings(max_examples=500, deadline=None, derandomize=True)
+# The document property is the one guard of both routes against yaml.load.
+DOCUMENTS = settings(max_examples=500, deadline=None, derandomize=True)
 needs_libyaml = pytest.mark.skipif(
     not hasattr(yaml, "CSafeLoader"), reason="PyYAML is built without libyaml"
 )
 # The detail after this prefix is worded by whichever parser found the error.
 YAML_ERROR = "scenario: not valid YAML ("
 GOLDEN = Path(__file__).parent / "golden"
-# A prefix that the line reader declines, so that PyYAML composes the text.
+# A prefix that the line reader declines, so that yaml.load reads the text.
 DECLINED = "%YAML 1.1\n---\n"
 # libyaml reads only 1.1 and 1.2; PyYAML's Python parser takes any 1.x.
 YAML_VERSIONS = ["1.0", "1.1", "1.2", "1.3", "1.9", "1.10", "2.0"]
@@ -180,23 +180,20 @@ def test_cli_import_leaves_yaml_unloaded():
 @needs_libyaml
 def test_parses_with_libyaml_and_falls_back_to_safe_loader(monkeypatch):
     used = []
-    real_compose = yaml.compose
+    real_load = yaml.load
     c_loader = yaml.CSafeLoader
 
     def spy(stream, Loader):
         used.append(Loader)
-        return real_compose(stream, Loader=Loader)
+        return real_load(stream, Loader=Loader)
 
-    monkeypatch.setattr(yaml, "compose", spy)
-    # The directive makes the line reader decline, so PyYAML composes.
+    monkeypatch.setattr(yaml, "load", spy)
+    # The directive makes the line reader decline, so yaml.load reads it.
     text = DECLINED + EXPLICIT_DOC
     first = scenario_values(loads_scenario(text))
     monkeypatch.delattr(yaml, "CSafeLoader")
     assert scenario_values(loads_scenario(text)) == first
-    # Each read composes with its safe loader's subclass, which only resolves.
-    assert [loader.__bases__ for loader in used] == [(c_loader,), (yaml.SafeLoader,)]
-    for loader in used:
-        assert [name for name in vars(loader) if name[:2] != "__"] == ["resolve"]
+    assert used == [c_loader, yaml.SafeLoader]
 
 
 # Nesting depth --------------------------------------------------------------
@@ -462,21 +459,11 @@ def test_both_loaders_agree_on_near_valid_documents(tmp_path_factory, text):
     assert fast[0] in (0, 2, 3)
 
 
-# Compose and walk -----------------------------------------------------------
+# Both routes against yaml.load ---------------------------------------------
 
 
-def _construct(root):
-    """``yaml.load``'s document: PyYAML's own construction of the node ``root``,
-    its LookupError or AttributeError a ValueError as ``_document`` has it."""
-    try:
-        return SafeConstructor().construct_document(root)
-    except (LookupError, AttributeError) as exc:
-        raise ValueError(str(exc)) from None
-
-
-# Wall time for one read of a small document, which takes milliseconds: a
-# walker that reads a cycle without end (see CYCLIC_DOCUMENTS) grows memory
-# by some 50 MB/s until it stops.
+# Wall time for one read of a small document, which takes milliseconds, so
+# that a read without end fails instead of hanging the suite.
 READ_BUDGET_S = 5
 
 
@@ -484,17 +471,14 @@ def _decline(text, tag_of):
     return None
 
 
-def _read(text, *, fallback, walk, lines=True):
+def _read(text, *, fallback, lines=True):
     """repr of the document that ``_document`` reads from ``text``, or its
-    error; with ``lines`` off the line reader declines every text, and with
-    ``walk`` off PyYAML composes and its constructor builds every document.
-    A read past READ_BUDGET_S gives its TimeoutError, which no loader gives."""
+    error; with ``lines`` off the line reader declines every text.  A read
+    past READ_BUDGET_S gives its TimeoutError, which no loader gives."""
     with pytest.MonkeyPatch.context() as mp:
         if fallback:
             mp.delattr(yaml, "CSafeLoader", raising=False)
-        if not walk:
-            mp.setattr(seqeve.scenario, "_plain", _construct)
-        if not (walk and lines):
+        if not lines:
             mp.setattr(seqeve.scenario, "_block", _decline)
         try:
             with wall_clock_budget(READ_BUDGET_S):
@@ -516,7 +500,7 @@ SCALAR_FORMS = [
     '!!float ""', '!!int ""', "!!bool x", "!!timestamp x", "!!str 1",
     "!!float 3", "!!int 0x1F", "!!null x", "!!binary aGVsbG8=",
 ]
-# Forms that the walker does not build itself, in whole or in part.
+# Forms that the line reader declines: anchors, aliases, merges and tags.
 UNMODELLED_FORMS = [
     "&s [1, 2]", "*s", "&m {x: 1}", "*m", "&v 5", "*v", "&c [*c]",
     "{<<: {x: 1}, y: 2}", "{<<: [{x: 1}, {x: 3}], y: 2}", "{<<: 1}",
@@ -575,8 +559,8 @@ def yaml_forms(draw):
 FALLBACKS = (False, True) if hasattr(yaml, "CSafeLoader") else (True,)
 
 
-# Documents whose graph is a cycle, and what the safe loader reads: the
-# walker's node cache ends each read; without it an alias is read forever.
+# Documents whose graph is a cycle, and what the safe loader reads: a
+# reader without a node cache would read such an alias forever.
 CYCLIC_DOCUMENTS = {
     "a: &c [1, *c]\n": "{'a': [1, [...]]}",
     "a: &c [*c]\n": "{'a': [[...]]}",
@@ -608,7 +592,7 @@ for fallback in (False, True):
 
 
 def test_cyclic_documents_are_read_in_bounded_time():
-    """Read in a child interpreter, so that a walker that loops on a cycle
+    """Read in a child interpreter, so that a reader that loops on a cycle
     fails at the timeout or at the memory cap instead of hanging the suite."""
     src = str(Path(seqeve.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -623,18 +607,22 @@ def test_cyclic_documents_are_read_in_bounded_time():
     assert proc.stdout.splitlines() == list(CYCLIC_DOCUMENTS.values()) * len(FALLBACKS)
 
 
-@WALKER
+@DOCUMENTS
 @given(
     st.one_of(
         documents.map(dumps_scenario), near_valid_documents(), yaml_forms()
     )
 )
-def test_walker_builds_what_yaml_load_builds(text):
-    """The walker alone, and after the line reader, builds what PyYAML builds."""
+def test_document_builds_what_yaml_load_builds(text):
+    """``_document``, with and without the line reader, builds what
+    ``yaml.load`` builds, or fails with its error; a text with a '%' may
+    also fail the ``%YAML`` version check."""
     for fallback in FALLBACKS:
-        expected = _read(text, fallback=fallback, walk=False)
-        assert _read(text, fallback=fallback, walk=True, lines=False) == expected
-        assert _read(text, fallback=fallback, walk=True) == expected
+        expected = _read(text, fallback=fallback, lines=False)
+        if "%" not in text:
+            base = yaml.SafeLoader if fallback else yaml.CSafeLoader
+            assert expected == _loaded(text, base)
+        assert _read(text, fallback=fallback) == expected
 
 
 def _anchored(text):
@@ -691,11 +679,8 @@ pooled_documents = st.lists(directions, min_size=1, max_size=3).flatmap(
 def test_anchored_and_merged_scenarios_read_back(doc):
     text = _anchored(dumps_scenario(doc))
     expected = scenario_values(read_document(doc))
-    with pytest.MonkeyPatch.context() as mp:
-        loaded = count_calls(mp, yaml, "load")
-        for fallback in FALLBACKS:
-            assert _parsed(text, fallback=fallback) == expected
-    assert loaded == []
+    for fallback in FALLBACKS:
+        assert _parsed(text, fallback=fallback) == expected
 
 
 def _perfbench_shaped(n_eves):
@@ -720,25 +705,40 @@ def _perfbench_shaped(n_eves):
     return "\n".join(lines) + "\n"
 
 
+# The calls of yaml that read a text.
+YAML_READS = ("scan", "parse", "compose", "load")
+
+
 @pytest.mark.parametrize("fallback", [False, True])
-def test_a_chain_scenario_is_composed_once_and_never_constructed(
-    monkeypatch, fallback
-):
-    """The line reader reads a 64-Eve file without PyYAML; behind a directive,
-    which it declines, the file is composed once and never constructed."""
+def test_a_chain_scenario_is_read_without_yaml_or_loaded_once(monkeypatch, fallback):
+    """The line reader reads a 64-Eve file with no yaml call; behind a
+    directive, which it declines, the file is scanned and loaded once."""
     if fallback:
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    for prefix, expected in (("", (0, 0, 0)), (DECLINED, (1, 0, 0))):
+    for prefix, expected in (("", [0, 0, 0, 0]), (DECLINED, [1, 0, 0, 1])):
         text = prefix + _perfbench_shaped(64)
         with pytest.MonkeyPatch.context() as mp:
-            (spec, _), calls = _built_once(mp, lambda: loads_scenario(text))
+            calls = [count_calls(mp, yaml, name) for name in YAML_READS]
+            spec, _ = loads_scenario(text)
         assert spec.n_eves == 64
-        assert calls == expected
+        assert list(map(len, calls)) == expected
         assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
 
 
-# One document per class of graph that the walker does not build itself:
-# the constructor builds it, or the part of it that the walker leaves.
+def test_the_readme_example_is_read_by_the_line_reader(monkeypatch):
+    """README's example scenario, comments and all, is read with no yaml
+    call, as ``yaml.safe_load`` reads it."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    text = re.search(r"```yaml\n(.*?)```", readme, re.S).group(1)
+    assert "#" in text
+    expected = yaml.safe_load(text)
+    calls = [count_calls(monkeypatch, yaml, name) for name in YAML_READS]
+    assert repr(seqeve.scenario._document(text)) == repr(expected)
+    assert calls == [[]] * len(YAML_READS)
+    assert loads_scenario(text)[0].n_eves == 2
+
+
+# One document per class of graph that the line reader declines.
 UNMODELLED_DOCUMENTS = {
     "shared-sequence": "a: &s [1, 2]\nb: *s\n",
     "shared-mapping": "a: &m {x: 1}\nb: [*m]\n",
@@ -759,37 +759,23 @@ UNMODELLED_DOCUMENTS = {
 }
 
 
-def _built_once(monkeypatch, read):
-    """``read()``, and its (compose, load, construct_document) call counts."""
-    calls = [
-        count_calls(monkeypatch, yaml, "compose"),
-        count_calls(monkeypatch, yaml, "load"),
-        count_calls(monkeypatch, SafeConstructor, "construct_document"),
-    ]
-    return read(), tuple(map(len, calls))
-
-
 @pytest.mark.parametrize("fallback", [pytest.param(False, marks=needs_libyaml), True])
 @pytest.mark.parametrize("doc", UNMODELLED_DOCUMENTS.values(), ids=UNMODELLED_DOCUMENTS)
 def test_each_unmodelled_graph_is_loaded_once(monkeypatch, doc, fallback):
-    """One compose and one construction, in the walker's queue: no yaml.load
-    and no construct_document."""
-    expected = _read(doc, fallback=fallback, walk=False)
-    walked = _built_once(monkeypatch, lambda: _read(doc, fallback=fallback, walk=True))
-    assert walked == (expected, (1, 0, 0))
-
-
-def test_an_alias_of_a_scalar_is_read_twice(monkeypatch):
-    loaded = count_calls(monkeypatch, yaml, "load")
-    assert seqeve.scenario._document("a: &x 0.5\nb: *x\n") == {"a": 0.5, "b": 0.5}
-    assert len(loaded) == 0
+    """One yaml.load and no other yaml call reads the document, or fails
+    with the error, that yaml.load gives."""
+    base = yaml.SafeLoader if fallback else yaml.CSafeLoader
+    expected = _loaded(doc, base)
+    calls = [count_calls(monkeypatch, yaml, name) for name in YAML_READS]
+    assert _read(doc, fallback=fallback) == expected
+    assert list(map(len, calls)) == [0, 0, 0, 1]
 
 
 @pytest.mark.parametrize("directive, scans", [("", 0), ("%YAML 1.2\n---\n", 1)])
 def test_only_a_document_with_a_percent_sign_is_scanned(monkeypatch, directive, scans):
     """Every directive starts with '%', so a document without one is read by
-    one parser, not two.  The comment makes the line reader decline."""
-    text = directive + "# a 64-Eve chain\n" + _perfbench_shaped(64)
+    one parser, not two.  The anchor makes the line reader decline."""
+    text = directive + _perfbench_shaped(64).replace("mode:", "mode: &mode", 1)
     scanned = count_calls(monkeypatch, yaml, "scan")
     assert repr(seqeve.scenario._document(text)) == repr(yaml.safe_load(text))
     assert len(scanned) == scans
@@ -821,26 +807,29 @@ def test_a_read_runs_no_cyclic_collection():
     assert started == []
 
 
-def _walker_fault(root):
-    raise KeyError("walker")
+def _reader_fault(text, tag_of):
+    raise KeyError("reader")
 
 
-# Each way out of a read: its text, nesting cap and walker, and what it raises.
-_CAP, _WALK = seqeve.scenario.MAX_NESTING, seqeve.scenario._plain
+# Each way out of a read: its text, nesting cap, line reader (None: its
+# own), and what it raises.
+_CAP = seqeve.scenario.MAX_NESTING
 WAYS_OUT = {
-    "document": ("a: 1\n", _CAP, _WALK, None),
-    "syntax-error": ("a: [\n", _CAP, _WALK, ScenarioError),
-    "nesting-guard": (_nested(3), 2, _WALK, ScenarioError),
-    "walker-fault": ("a: 1\n", _CAP, _walker_fault, KeyError),
+    "document": ("a: 1\n", _CAP, None, None),
+    "line-reader": ("a: b\n", _CAP, None, None),
+    "syntax-error": ("a: [\n", _CAP, None, ScenarioError),
+    "nesting-guard": (_nested(3), 2, None, ScenarioError),
+    "reader-fault": ("a: b\n", _CAP, _reader_fault, KeyError),
 }
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
 @pytest.mark.parametrize("way_out", WAYS_OUT.values(), ids=WAYS_OUT)
 def test_a_read_leaves_the_collector_as_it_found_it(monkeypatch, collecting, way_out):
-    text, cap, walker, error = way_out
+    text, cap, reader, error = way_out
     monkeypatch.setattr(seqeve.scenario, "MAX_NESTING", cap)
-    monkeypatch.setattr(seqeve.scenario, "_plain", walker)
+    if reader:
+        monkeypatch.setattr(seqeve.scenario, "_block", reader)
     was = gc.isenabled()
     (gc.enable if collecting else gc.disable)()
     try:
@@ -851,7 +840,9 @@ def test_a_read_leaves_the_collector_as_it_found_it(monkeypatch, collecting, way
         (gc.enable if was else gc.disable)()
 
 
-@pytest.mark.parametrize("value", ['!!float ""', '!!int "-"', "!!bool x", "!!timestamp x"])
+@pytest.mark.parametrize(
+    "value", ['!!float ""', '!!int ""', '!!int "-"', "!!bool x", "!!timestamp x"]
+)
 def test_a_malformed_tagged_scalar_exits_2(tmp_path, capsys, value):
     path = tmp_path / "s.yaml"
     path.write_text(f"mode: chain\neves:\n  - lambda: {value}\n", encoding="utf-8")
@@ -859,14 +850,26 @@ def test_a_malformed_tagged_scalar_exits_2(tmp_path, capsys, value):
     assert capsys.readouterr().err.startswith(f"input error: {YAML_ERROR}")
 
 
-@pytest.mark.parametrize("error", [KeyError, AttributeError])
-def test_a_fault_in_the_walker_is_not_bad_input(monkeypatch, error):
-    def broken(root):
-        raise error("walker")
+@pytest.mark.parametrize("error", [KeyError, AttributeError, ValueError])
+def test_a_fault_in_the_line_reader_is_not_bad_input(tmp_path, capsys, monkeypatch, error):
+    """Only PyYAML's errors are ``not valid YAML``: a fault of the line
+    reader's own leaves the read as it is, and a ValueError exits 5."""
 
-    monkeypatch.setattr(seqeve.scenario, "_plain", broken)
+    def broken(text, tag_of):
+        raise error("reader")
+
+    monkeypatch.setattr(seqeve.scenario, "_block", broken)
     with pytest.raises(error):
-        seqeve.scenario._document("a: 1\n")
+        seqeve.scenario._document(CHAIN_DOC)
+    path = tmp_path / "s.yaml"
+    path.write_text(CHAIN_DOC, encoding="utf-8")
+    argv = ["chain", "--scenario", str(path)]
+    if error is ValueError:
+        assert main(argv) == 5
+        assert capsys.readouterr().err == "internal error: reader\n"
+    else:
+        with pytest.raises(error):
+            main(argv)
 
 
 # Numbers and null sections --------------------------------------------------
@@ -1022,12 +1025,19 @@ def _collection(draw, col, depth, first):
     return lines
 
 
+# Comment lines, and tails of a line: a '#' after a tab or inside a word
+# starts no comment, and a '{' or ': ' in a comment is no part of the text.
+COMMENT_LINES = ["# x", "#", "  # a: b", " #{", "\t# x", "#---"]
+COMMENT_TAILS = [" # x", "  #", " # a: b", " #{c: d}", " # - x", "\t# x", "#c"]
+
+
 @st.composite
 def block_documents(draw):
     """Block-style text: mappings and sequences nested at mixed indents,
     compact items, one-line flow mappings, values on their own line, blank
     lines and repeated keys; one draw in eight moves a line one column in or
-    out, and one in eight puts a document marker in front of a line."""
+    out, and one in eight puts a document marker in front of a line.  One
+    draw in two adds comment lines or tails of a line."""
     col = draw(st.integers(0, 2))
     lines = _collection(draw, col, 0, " " * col)
     edit = draw(st.integers(0, 7))
@@ -1037,6 +1047,12 @@ def block_documents(draw):
         lines[at] = line[1:] if line[:1] == " " and draw(st.booleans()) else " " + line
     elif edit == 1:
         lines[at] = draw(st.sampled_from(("---", "..."))) + " " + lines[at]
+    for _ in range(draw(st.integers(0, 3)) if draw(st.booleans()) else 0):
+        at = draw(st.integers(0, len(lines)))
+        if at == len(lines) or draw(st.booleans()):
+            lines.insert(at, draw(st.sampled_from(COMMENT_LINES)))
+        else:
+            lines[at] += draw(st.sampled_from(COMMENT_TAILS))
     return "\n".join(lines) + "\n"
 
 
@@ -1045,7 +1061,8 @@ def _loaded(text, base):
     that ``_document`` gives for its error."""
     try:
         return repr(yaml.load(text, Loader=base))
-    except (yaml.YAMLError, ValueError) as exc:
+    # The constructor's errors on a malformed tagged scalar: !!int "", !!bool x.
+    except (yaml.YAMLError, ValueError, LookupError, AttributeError) as exc:
         return f"ScenarioError: {YAML_ERROR}{exc})"
 
 
@@ -1071,12 +1088,25 @@ def test_the_line_reader_reads_block_documents_as_yaml_load():
     @example("- +.5\n")
     # Word keys of a flow mapping of decimals that are a bool and an int.
     @example("- {y: 0.5, 1: 1.5}\n")
+    # Comments: whole lines, tails after a space, and '#' that starts none.
+    @example("# x\na: b\n  # x\n")
+    @example("a: b # x\nc: 0.5  # y: z\n")
+    @example("a: b\t# x\n")
+    @example("\t# x\na: b\n")
+    @example("a: b#c\n")
+    @example("- # x\n")
+    @example("- a # x\n- # y\n")
+    @example("a: # x\n  b: c\n")
+    @example("a: # x\n- b\n")
+    @example("a: {b: c, #{d: e}}\n")
+    @example("a: {b: 0.5, c: 1.5} #}\n")
+    @example("a: b #\n  c\n")
     def reads_alike(text):
         tag_of = seqeve.scenario._implicit(yaml.SafeLoader)
         read.append(seqeve.scenario._block(text, tag_of) is not None)
         for fallback in FALLBACKS:
             base = yaml.SafeLoader if fallback else yaml.CSafeLoader
-            assert _read(text, fallback=fallback, walk=True) == _loaded(text, base)
+            assert _read(text, fallback=fallback) == _loaded(text, base)
 
     reads_alike()
     assert sum(read) >= READ_SHARE * len(read), (sum(read), len(read))
@@ -1103,20 +1133,16 @@ scalar_texts = st.one_of(
 BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 
-@pytest.mark.parametrize(
-    "implicit",
-    [(plain, quoted) for plain in (True, False) for quoted in (True, False)],
-    ids=["plain-quoted", "plain", "quoted", "neither"],
-)
-@pytest.mark.parametrize("kind", [ScalarNode, SequenceNode, MappingNode])
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(value=scalar_texts)
-def test_the_table_resolves_as_pyyaml_resolves(kind, implicit, value):
+def test_the_table_resolves_as_pyyaml_resolves(value):
+    """The line reader's table gives a plain scalar the tag that PyYAML's
+    resolver gives it."""
     for base in BASES:
-        loader = seqeve.scenario._loader(base)("")
+        loader = base("")
         try:
-            expected = Resolver.resolve(loader, kind, value, implicit)
-            assert loader.resolve(kind, value, implicit) == expected
+            expected = Resolver.resolve(loader, ScalarNode, value, (True, False))
+            assert seqeve.scenario._implicit(base)(value) == expected
         finally:
             loader.dispose()
 
@@ -1146,24 +1172,6 @@ def test_the_decimal_rule_types_only_what_yaml_types_a_float(text):
             assert repr(loaded) == repr(float(text)) == repr(built)
 
 
-def _graph(root):
-    """(tag, value) of every node below ``root``; a node met again, as an
-    alias or a cycle, is the number of its first visit."""
-    seen = {}
-
-    def walk(node):
-        if id(node) in seen:
-            return seen[id(node)]
-        seen[id(node)] = len(seen)
-        if isinstance(node, ScalarNode):
-            return node.tag, node.value
-        if isinstance(node, SequenceNode):
-            return node.tag, [walk(child) for child in node.value]
-        return node.tag, [(walk(key), walk(value)) for key, value in node.value]
-
-    return walk(root)
-
-
 SCENARIO_TEXTS = {
     **{
         str(path.relative_to(GOLDEN.parent)): path.read_text(encoding="utf-8")
@@ -1177,12 +1185,28 @@ SCENARIO_TEXTS = {
 }
 
 
+def _commented(text):
+    """``text`` with a comment line in front, and a comment after its first line."""
+    first, _, rest = text.partition("\n")
+    return f"# a scenario\n{first}  # the first line\n{rest}"
+
+
 @pytest.mark.parametrize("text", SCENARIO_TEXTS.values(), ids=SCENARIO_TEXTS)
-def test_every_scenario_composes_to_the_same_graph(text):
-    for base in BASES:
-        expected = _graph(yaml.compose(text, Loader=base))
-        loader = seqeve.scenario._loader(base)
-        assert _graph(yaml.compose(text, Loader=loader)) == expected
+def test_every_scenario_reads_as_yaml_load_reads(text):
+    """Each scenario, and the same text with comments, reads as yaml.load
+    reads it; the line reader reads the commented text when it reads the text."""
+    commented = _commented(text)
+    for fallback in FALLBACKS:
+        base = yaml.SafeLoader if fallback else yaml.CSafeLoader
+        expected = _loaded(text, base)
+        assert _read(text, fallback=fallback) == expected
+        loaded = _loaded(commented, base)
+        assert _read(commented, fallback=fallback) == loaded
+        # The comments move only the place that a parser's error names.
+        assert loaded == expected or expected.startswith("ScenarioError")
+    tag_of = seqeve.scenario._implicit(yaml.SafeLoader)
+    read = seqeve.scenario._block(text, tag_of)
+    assert repr(seqeve.scenario._block(commented, tag_of)) == repr(read)
 
 
 # The one-pass Eve check ------------------------------------------------------
