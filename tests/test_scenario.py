@@ -16,7 +16,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from yaml.nodes import ScalarNode
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 from yaml.resolver import Resolver
 
 from helpers import count_calls, wall_clock_budget
@@ -1133,18 +1133,55 @@ scalar_texts = st.one_of(
 BASES = [yaml.SafeLoader] + ([yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+def _written(kind, implicit, value):
+    """A one-key document whose node of ``kind`` holds ``value``: written
+    plain when ``implicit`` marks it plain, else double-quoted, and tagged
+    ``!!str`` when it marks it neither plain nor quoted."""
+    if not implicit[0]:
+        value = yaml.dump(value, Dumper=yaml.SafeDumper, default_style='"', width=1 << 16)
+        value = value.rstrip("\n")
+        if not implicit[1]:
+            value = "!!str " + value
+    if kind is ScalarNode:
+        return f"k: {value}\n"
+    if kind is SequenceNode:
+        return f"k:\n- {value}\n"
+    return f"k:\n  {value}: v\n"
+
+
+@pytest.mark.parametrize(
+    "implicit",
+    [(plain, quoted) for plain in (True, False) for quoted in (True, False)],
+    ids=["plain-quoted", "plain", "quoted", "neither"],
+)
+@pytest.mark.parametrize("kind", [ScalarNode, SequenceNode, MappingNode])
+@settings(max_examples=100, deadline=None, derandomize=True)
 @given(value=scalar_texts)
-def test_the_table_resolves_as_pyyaml_resolves(value):
+def test_the_table_resolves_as_pyyaml_resolves(kind, implicit, value):
     """The line reader's table gives a plain scalar the tag that PyYAML's
-    resolver gives it."""
+    resolver gives it.  In a node of each kind, the reader reads a plain
+    scalar as ``yaml.load`` does or declines it, and declines each quoted or
+    tagged one, which the table would mistype: PyYAML resolves only plain
+    scalars by their text."""
+    text = _written(kind, implicit, value)
     for base in BASES:
+        tag_of = seqeve.scenario._implicit(base)
         loader = base("")
         try:
-            expected = Resolver.resolve(loader, ScalarNode, value, (True, False))
-            assert seqeve.scenario._implicit(base)(value) == expected
+            expected = Resolver.resolve(loader, kind, value, implicit)
         finally:
             loader.dispose()
+        if kind is ScalarNode and implicit[0]:
+            assert tag_of(value) == expected
+        read = seqeve.scenario._block(text, tag_of)
+        if read is None:
+            continue
+        assert implicit[0], f"read a non-plain scalar from {text!r}"
+        # repr tells 1.0 from '1.0', and -0.0 from 0.0.
+        assert repr(read) == repr(yaml.load(text, Loader=base))
+        if kind is not ScalarNode:
+            tags = {list: base.DEFAULT_SEQUENCE_TAG, dict: base.DEFAULT_MAPPING_TAG}
+            assert tags[read["k"].__class__] == expected
 
 
 # Texts near the decimal rule: signs, dots, exponents, underscores, colons.
