@@ -422,6 +422,9 @@ def main(argv: list[str] | None = None) -> int:
         # no Bell-state target reaches the planner's InfeasibleError.
         print(f"internal error: {exc}", file=sys.stderr)
         return 5
+    except Exception as exc:  # any other fault is ours too; SystemExit passes
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
 
 
 def entry() -> None:

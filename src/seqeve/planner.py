@@ -10,17 +10,20 @@ lambda = 1 and gives the exact minimum lambda* = (1/4 + delta(target)) / C.
 The solve snaps lambda* up to the 2^-20 grid and checks it against the
 neighbouring grid point below.  ``plan_chains`` plans every target of a
 request in lockstep, one target per row of an assemblage stack, so the cost
-is per chain position and shared by all targets: one stacked table of both
-grid points (and another for each row whose grid point must move), one
-stacked Eve step and one stacked Bob table with the new Eves in place,
-which is also the next Eve's table at lambda = 1.  Targets in (0, 1) need
-at most 6 positions.  A closed-form recursion valid for the maximally
+is per chain position and shared by all targets: one round per position
+(and one more for each row whose grid point must move) stacks the upstream
+assemblage twice and once moved by the new Eves at their grid points, and
+one table of that stack holds both grid points of every row and Bob's table
+behind the new Eves, which is also the next Eve's table at lambda = 1.
+Targets in (0, 1) need at most 6 positions, and the Bell start is built
+once per process.  A closed-form recursion valid for the maximally
 entangled state with sigma_z/sigma_x settings and unbiased inputs serves as
 an independent oracle for both searches.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -86,19 +89,17 @@ def _both(sharpness: np.ndarray) -> np.ndarray:
     return sharpness[..., None]
 
 
-def _eve_step(state: Assemblage, sharpness: np.ndarray) -> Assemblage:
-    """``state`` after an unbiased Eve in Bob's bases, one per ``sharpness``.
+@functools.cache
+def _bell_start() -> tuple[Assemblage, float, float]:
+    """The Bell state's assemblage in Bob's bases, and Bob's lhs and rate there.
 
-    A (T,) array of sharpnesses moves row r of a (T, 4, 3) stack, or the
-    one shared assemblage, by the map at sharpness[r]; sharpness 0 is the
-    identity.
+    Built on the first plan of a process and shared by every later one, so
+    its arrays are read-only.
     """
-    return state.after(_eve_maps(MUB_DIRECTIONS, _both(sharpness), _UNBIASED))
-
-
-def _bob_scores(state: Assemblage) -> tuple[list, list, list]:
-    """Bob's (lhs, delta, key_rate) columns, one row per row of ``state``."""
-    return scores(state.table(MUB_DIRECTIONS, _SHARP))
+    start = Assemblage.start(bell_state().amp.reshape(2, 2).tolist(), MUB_ANGLES)
+    start.p_alice.flags.writeable = start.bloch.flags.writeable = False
+    (lhs,), _, (rate,) = scores(start.table(MUB_DIRECTIONS, _SHARP))
+    return start, lhs, rate
 
 
 def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
@@ -107,16 +108,20 @@ def bob_rate(lambdas: tuple[float, ...] | list[float]) -> float:
 
 
 def _grid_solve(
-    state: Assemblage, rows: int, solves: dict[int, tuple[float, float]], position: int
-) -> dict[int, float]:
+    p_alice: np.ndarray, upstream: np.ndarray, solves: dict, position: int
+) -> tuple[dict[int, float], np.ndarray, tuple[list, list]]:
     """Smallest grid sharpness k / 2^20 reaching its target, for each row solved.
 
-    ``solves`` maps a row of ``state`` (a stack of ``rows`` assemblages, or
-    one shared by all rows) to its target and lhs(1) there.  Each round
-    scores k and k - 1 of every row in one stacked table: a row that misses
-    its target at k moves up, a row that also reaches it at k - 1 moves
-    down, and the others are solved.  A row that misses its target at
-    k = 2^20, sharpness 1, raises InfeasibleError.
+    ``upstream`` is the (T, 4, 3) stack of conditional Bloch vectors, with
+    Alice's marginals ``p_alice``, and ``solves`` maps a row to its target
+    and lhs(1) there.  Each round stacks the upstream twice and once moved
+    by an Eve at each such row's current k (the other rows ride along at
+    sharpness 0, the identity), and scores one table of that stack at
+    sharpness (k, k - 1, 1): a row that misses its target at k moves up, a
+    row that also reaches it at k - 1 moves down, and the others are
+    solved.  Returns the solved sharpnesses, and the moved stack and Bob's
+    (lhs, key_rate) columns behind it, both of the last round.  A row that
+    misses its target at k = 2^20, sharpness 1, raises InfeasibleError.
     """
     walking = {}
     for row, (target, sharp_lhs) in solves.items():
@@ -125,13 +130,21 @@ def _grid_solve(
         exact = (0.25 + delta_for_rate(target)) / slope if slope > 0.0 else math.inf
         # Roundoff can put the exact minimum on either side of a grid point.
         walking[row] = max(math.ceil(exact * _GRID), 1) if exact < 1.0 else _GRID
+    rows = len(upstream)
+    stack = np.empty((3, rows, 4, 3))
+    stack[:2] = upstream
+    grid = np.zeros((3, rows))
+    grid[2] = _GRID  # Bob, sharpness 1
     solved = {}
     while walking:
-        grid = np.zeros((2, rows))
         for row, k in walking.items():
-            grid[:, row] = k, k - 1
-        _, _, rates = scores(state.table(MUB_DIRECTIONS, _both(grid / _GRID)))
-        at_k, below = rates[:rows], rates[rows:]
+            grid[:2, row] = k, k - 1
+        sharpness = _both(grid / _GRID)
+        maps = _eve_maps(MUB_DIRECTIONS, sharpness[0], _UNBIASED)
+        np.matmul(stack[0], maps.swapaxes(-1, -2), out=stack[2])
+        table = Assemblage(p_alice, stack).table(MUB_DIRECTIONS, sharpness)
+        lhs, _, rates = scores(table)
+        at_k, below = rates[:rows], rates[rows:2 * rows]
         for row, k in list(walking.items()):
             target = solves[row][0]
             if not at_k[row] >= target:
@@ -146,7 +159,7 @@ def _grid_solve(
                 walking[row] = k - 1
             else:
                 solved[row] = walking.pop(row) / _GRID
-    return solved
+    return solved, stack[2], (lhs[2 * rows:], rates[2 * rows:])
 
 
 def plan_chains(targets: tuple[float, ...] | list[float]) -> tuple[PlanResult, ...]:
@@ -154,31 +167,29 @@ def plan_chains(targets: tuple[float, ...] | list[float]) -> tuple[PlanResult, .
 
     Each distinct target is one row of a (T, 4, 3) assemblage stack that
     starts from the Bell state's.  At each chain position one stacked solve
-    finds the grid sharpness of every row still planning, one stacked Eve
-    step moves every row, and one stacked Bob table decides which rows keep
-    their new Eve.  A row stops when Bob's rate with her in place no longer
-    exceeds its target, and rides along at sharpness 0, the identity, from
-    then on.  Each row's arithmetic is that of a batch of one, so a plan
-    does not depend on the other targets of its batch.
+    finds the grid sharpness of every row still planning, moves every row
+    by its new Eve and scores Bob behind her, which decides which rows keep
+    her.  A row stops when Bob's rate with her in place no longer exceeds
+    its target, and rides along at sharpness 0, the identity, from then on.
+    Each row's arithmetic is that of a batch of one, so a plan does not
+    depend on the other targets of its batch.
     """
     for target in targets:
         check_target_rate(target)
     distinct = list(dict.fromkeys(targets))
     rows = len(distinct)
-    state = Assemblage.start(bell_state().amp.reshape(2, 2).tolist(), MUB_ANGLES)
     # Bob's table is a projective next Eve's, and its rate stays above the target.
-    (lhs,), _, (rate,) = _bob_scores(state)
+    start, lhs, rate = _bell_start()
+    upstream = np.broadcast_to(start.bloch, (rows, 4, 3))
     bob_lhs, bob_rates = [lhs] * rows, [rate] * rows
     lambdas: list[tuple[float, ...]] = [()] * rows
     planning = range(rows)
     position = 1
     while planning:
         solves = {row: (distinct[row], bob_lhs[row]) for row in planning}
-        solved = _grid_solve(state, rows, solves, position)
-        sharpness = np.zeros(rows)
-        sharpness[list(solved)] = list(solved.values())
-        state = _eve_step(state, sharpness)
-        after_lhs, _, after_rate = _bob_scores(state)
+        solved, upstream, (after_lhs, after_rate) = _grid_solve(
+            start.p_alice, upstream, solves, position
+        )
         planning = [row for row in planning if after_rate[row] > distinct[row]]
         for row in planning:
             lambdas[row] += (solved[row],)

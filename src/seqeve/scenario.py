@@ -281,21 +281,8 @@ def _parse_output(raw: object) -> OutputSpec:
     return OutputSpec(fmt, path)
 
 
-_STR, _FLOAT = "tag:yaml.org,2002:str", "tag:yaml.org,2002:float"
-
-
-def _plain_scalar(tag: str, value: str) -> object:
-    """The ``str`` or float that a plain scalar of ``tag`` builds, else None.
-
-    A float is kept when its text is a plain decimal, which ``float`` reads
-    as the constructor does, bit for bit; any other float text, such as
-    1_0, 1:30 or .inf, is left to ``yaml.load``.
-    """
-    if tag == _STR:
-        return value
-    if tag == _FLOAT and _number_patterns()[0](value):
-        return float(value)
-    return None
+# The one implicit tag of a scalar that ``_block`` keeps as its text.
+_STR = "tag:yaml.org,2002:str"
 
 
 @functools.cache
@@ -337,7 +324,9 @@ def _scalar_pattern() -> Callable:
     return re.compile(rf"(?!-(?!{char})){word}(?: +{word})*", re.ASCII).fullmatch
 
 
-# A plain decimal (see above), a float to YAML 1.1 that ``float`` reads.
+# A plain decimal: a float to YAML 1.1 that ``float`` reads as the loader
+# does, bit for bit.  Any other float text, such as 1_0, 1:30 or .inf, is
+# left to ``yaml.load``.
 _DECIMAL = r"(?:[-+]?[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+][0-9]+)?"
 
 
@@ -355,11 +344,12 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
 
     One pass over the lines, with a stack of the open block collections and
     their columns; in a text with a '#', each comment is cut off its line
-    first.  It declines a scalar outside ``_scalar_pattern`` or one
-    that ``_plain_scalar`` does not build, an empty value, a scalar that
-    runs on to the next line, an indent the stack does not place, a
-    document marker, a line past the 1024 characters that both parsers
-    allow a key, and nesting deeper than MAX_NESTING.  It never raises.
+    first.  It declines a scalar outside ``_scalar_pattern`` or one that is
+    neither a plain decimal nor a ``str`` to ``tag_of``, an empty value, a
+    scalar that runs on to the next line, an indent the stack does not
+    place, a document marker, a line past the 1024 characters that both
+    parsers allow a key, and nesting deeper than MAX_NESTING.  It never
+    raises.
     """
     if text.startswith(("---", "...")) or "\n---" in text or "\n..." in text:
         return None
@@ -375,9 +365,8 @@ def _block(text: str, tag_of: Callable[[str], str]) -> object:
         if value is False:
             if is_decimal(raw):
                 return float(raw)
-            value = _plain_scalar(tag_of(raw), raw)  # a str, or None
-            if value is not None and not is_scalar(raw):
-                value = None
+            # Any other scalar is kept only as a str; the rest go to yaml.load.
+            value = raw if tag_of(raw) == _STR and is_scalar(raw) else None
             seen[raw] = value
         return value
 

@@ -65,8 +65,6 @@ from seqeve.planner import (
     EVE_UNREACHABLE,
     InfeasibleError,
     PlanResult,
-    _bob_scores,
-    _eve_step,
     _grid_solve,
     check_target_rate,
 )
@@ -461,6 +459,12 @@ def _mub_score(state: Assemblage, sharpness: float):
     return report_from_table(state.table(MUB_DIRECTIONS, np.full(2, sharpness)))
 
 
+def _eve_step(state: Assemblage, sharpness: float) -> Assemblage:
+    """``state`` after an unbiased Eve in Bob's bases at ``sharpness``."""
+    step = _eve_maps(MUB_DIRECTIONS, np.full(2, sharpness), np.array(DEFAULT_BIAS))
+    return state.after(step)
+
+
 def _min_sharpness(upstream: Assemblage, sharp_lhs: float, target_rate: float) -> float:
     """Smallest grid sharpness at ``upstream``, where lhs(1) = ``sharp_lhs``."""
     exact = (0.25 + delta_for_rate(target_rate)) / (sharp_lhs - 0.5)
@@ -489,8 +493,7 @@ def sequential_plan(target_rate: float) -> PlanResult:
     bob = _mub_score(upstream, 1.0)
     while True:
         lam = _min_sharpness(upstream, bob.lhs, target_rate)
-        step = _eve_maps(MUB_DIRECTIONS, np.full(2, lam), np.array(DEFAULT_BIAS))
-        candidate = upstream.after(step)
+        candidate = _eve_step(upstream, lam)
         after = _mub_score(candidate, 1.0)
         if after.key_rate <= target_rate:
             break
@@ -512,8 +515,7 @@ def longest_chain(target_rate: float, points: int = 4) -> int:
         least = _min_sharpness(upstream, bob_lhs, target_rate)
         depth = 0
         for lam in np.linspace(least, 1.0, points).tolist():
-            step = _eve_maps(MUB_DIRECTIONS, np.full(2, lam), np.array(DEFAULT_BIAS))
-            candidate = upstream.after(step)
+            candidate = _eve_step(upstream, lam)
             bob = _mub_score(candidate, 1.0)
             if bob.key_rate > target_rate:
                 depth = max(depth, 1 + longest(candidate, bob.lhs))
@@ -581,10 +583,11 @@ def lambda_min_for_rate(prefix: tuple[float, ...], target_rate: float) -> float:
     prefix = tuple(prefix)
     upstream = Assemblage.of(bell_state(), mub_sharp_pair())
     for lam in prefix:
-        upstream = _eve_step(upstream, np.array(lam))
-    (sharp_lhs,), _, _ = _bob_scores(upstream)
-    solves = {0: (target_rate, sharp_lhs)}
-    return _grid_solve(upstream, 1, solves, len(prefix) + 1)[0]
+        upstream = _eve_step(upstream, lam)
+    solves = {0: (target_rate, _mub_score(upstream, 1.0).lhs)}
+    position = len(prefix) + 1
+    solved, _, _ = _grid_solve(upstream.p_alice, upstream.bloch[None], solves, position)
+    return solved[0]
 
 
 # Negative eigenvalues above this magnitude signal a corrupted state rather

@@ -16,6 +16,7 @@ from helpers import count_calls
 import seqeve.chain
 import seqeve.cli
 import seqeve.linalg
+import seqeve.planner
 import seqeve.unbounded
 from seqeve import CANONICAL, leaf_report, loads_scenario, mub_chain, reports
 from seqeve.chain import Assemblage, ConditionalTable, PartySettings
@@ -213,26 +214,32 @@ class TestWorkCounts:
     def test_plan_check_paper_scores_each_chain_position_once(
         self, monkeypatch, capsys
     ):
+        seqeve.planner._bell_start.cache_clear()
         checks = count_calls(monkeypatch, Assemblage, "__post_init__")
         tables = count_calls(monkeypatch, Assemblage, "table")
         steps = count_calls(monkeypatch, Assemblage, "after")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
-        assert main(["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]) == 0
+        argv = ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]
+        assert main(argv) == 0
         assert capsys.readouterr().out.count(": ok (") == 15
         # The three targets are planned in lockstep over 5 chain positions
         # (0.1 accepts 4 Eves and stops at the fifth).  One Bell Bob table,
-        # then per position one stacked table of both grid points of every
-        # row (no grid point moves here) and one stacked Bob table, which is
-        # also the next Eve's table at sharpness 1.
-        assert len(tables) == 1 + 5 * 2
-        assert [np.shape(sharpness)[:-1] for _, _, sharpness in tables[1::2]] == [
-            (2, 3)
+        # then per position one table of a (3, 3) stack, no grid point
+        # moving here: both grid points of every row and Bob behind the
+        # new Eves, which is also the next Eve's table at sharpness 1.
+        assert len(tables) == 1 + 5
+        assert [np.shape(sharpness)[:-1] for _, _, sharpness in tables[1:]] == [
+            (3, 3)
         ] * 5
-        assert len(steps) == 5
+        assert len(steps) == 0
         # Each assemblage is checked once, where it is built: the start and
-        # the 5 stacked steps, not once per table.
+        # the 5 stacks, not once per table.
         assert len(checks) == 1 + 5
         assert len(krons) == 0
+        # A second plan in the process reuses the start.
+        assert main(argv) == 0
+        assert len(tables) == 6 + 5
+        assert len(checks) == 6 + 5
 
     def test_chain_command_propagates_once(self, monkeypatch, capsys):
         starts = count_calls(monkeypatch, Assemblage, "start")
@@ -519,6 +526,25 @@ class TestRangeOwners:
             "internal error: no valid sharpness for Eve 2 (eve-rate-unreachable): "
             "required sharpness 1.2 exceeds 1\n"
         )
+
+    def test_a_type_error_in_the_planner_is_internal(self, monkeypatch, capsys):
+        def broken(p_alice, upstream, solves, position):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(seqeve.planner, "_grid_solve", broken)
+        assert main(["plan", "--rates", "0.1"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: TypeError: unsupported operand\n"
+
+    def test_an_interrupt_is_not_an_internal_error(self, monkeypatch, capsys):
+        def interrupted(targets):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(seqeve.cli, "plan_chains", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["plan", "--rates", "0.1"])
+        assert capsys.readouterr().err == ""
 
 
 class TestParserReuse:

@@ -6,7 +6,7 @@ import pytest
 from helpers import count_calls
 from oracles import lambda_min_for_rate
 from seqeve import bell_state, max_eves, mub_chain, planner, report, tilted_state
-from seqeve.chain import Assemblage, mub_sharp_pair
+from seqeve.chain import MUB_DIRECTIONS, Assemblage, mub_sharp_pair
 from seqeve.planner import (
     BOB_SUPREMACY,
     EVE_UNREACHABLE,
@@ -15,7 +15,7 @@ from seqeve.planner import (
     closed_form_chain,
     shrink_factor,
 )
-from seqeve.steering import delta_for_rate
+from seqeve.steering import delta_for_rate, scores
 
 # On this weakly entangled state Bob's rate with no Eve is 0.377, so no
 # sharpness of a first Eve reaches the target 0.5.
@@ -62,12 +62,14 @@ class TestGridWalk:
         needed = 0.25 + delta_for_rate(0.1)
         sharp_lhs = 0.5 + needed / (expected + (offset - 0.5) / grid)
         tables = count_calls(monkeypatch, Assemblage, "table")
-        assert planner._grid_solve(upstream, 1, {0: (0.1, sharp_lhs)}, 1) == {
-            0: expected
-        }
-        # One round per grid point, from the start to the minimum.
+        solved, _, _ = planner._grid_solve(
+            upstream.p_alice, upstream.bloch[None], {0: (0.1, sharp_lhs)}, 1
+        )
+        assert solved == {0: expected}
+        # One round per grid point, from the start to the minimum; the k
+        # slice of each round's table is sharpness[0].
         visited = [
-            round((np.max(sharpness[:, 0]) - expected) * grid)
+            round((sharpness[0, 0, 0] - expected) * grid)
             for _, _, sharpness in tables
         ]
         toward = -1 if offset > 0 else 1
@@ -83,20 +85,32 @@ class TestGridWalk:
         tables = count_calls(monkeypatch, Assemblage, "table")
         solves = {0: (UNREACHABLE_TARGET, sharp_lhs)}
         with pytest.raises(InfeasibleError) as err:
-            planner._grid_solve(upstream, 1, solves, 3)
+            planner._grid_solve(upstream.p_alice, upstream.bloch[None], solves, 3)
         assert (err.value.position, err.value.reason) == (3, EVE_UNREACHABLE)
         assert str(err.value).endswith("rate at sharpness 1 is below target 0.5")
         # Rounds at 2^20 - 2, 2^20 - 1 and 2^20, each with the point below.
-        top = [np.max(sharpness[:, 0]) * grid for _, _, sharpness in tables]
+        top = [sharpness[0, 0, 0] * grid for _, _, sharpness in tables]
         assert top == [grid - 2, grid - 1, grid]
 
     def test_unreachable_first_eve_is_infeasible(self, monkeypatch):
-        monkeypatch.setattr(planner, "bell_state", lambda: tilted_state(WEAK_THETA))
+        start = Assemblage.of(tilted_state(WEAK_THETA), mub_sharp_pair())
+        (lhs,), _, (rate,) = scores(start.table(MUB_DIRECTIONS, np.ones(1)))
+        monkeypatch.setattr(planner, "_bell_start", lambda: (start, lhs, rate))
         with pytest.raises(InfeasibleError) as err:
             max_eves(UNREACHABLE_TARGET)
         assert (err.value.position, err.value.reason) == (1, EVE_UNREACHABLE)
         message = f"rate at sharpness 1 is below target {UNREACHABLE_TARGET}"
         assert str(err.value).endswith(message)
+
+
+class TestBellStart:
+    def test_the_cached_start_is_shared_and_read_only(self):
+        start, lhs, rate = planner._bell_start()
+        assert planner._bell_start()[0] is start
+        assert (lhs, rate) == (1.0, 1.0)
+        for array in (start.p_alice, start.bloch):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
 
 class TestMaxEves:

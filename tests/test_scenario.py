@@ -853,7 +853,7 @@ def test_a_malformed_tagged_scalar_exits_2(tmp_path, capsys, value):
 @pytest.mark.parametrize("error", [KeyError, AttributeError, ValueError])
 def test_a_fault_in_the_line_reader_is_not_bad_input(tmp_path, capsys, monkeypatch, error):
     """Only PyYAML's errors are ``not valid YAML``: a fault of the line
-    reader's own leaves the read as it is, and a ValueError exits 5."""
+    reader's own leaves the read as it is, and exits 5, an internal error."""
 
     def broken(text, tag_of):
         raise error("reader")
@@ -863,13 +863,13 @@ def test_a_fault_in_the_line_reader_is_not_bad_input(tmp_path, capsys, monkeypat
         seqeve.scenario._document(CHAIN_DOC)
     path = tmp_path / "s.yaml"
     path.write_text(CHAIN_DOC, encoding="utf-8")
-    argv = ["chain", "--scenario", str(path)]
-    if error is ValueError:
-        assert main(argv) == 5
-        assert capsys.readouterr().err == "internal error: reader\n"
-    else:
-        with pytest.raises(error):
-            main(argv)
+    assert main(["chain", "--scenario", str(path)]) == 5
+    expected = {
+        KeyError: "internal error: KeyError: 'reader'\n",
+        AttributeError: "internal error: AttributeError: reader\n",
+        ValueError: "internal error: reader\n",
+    }
+    assert capsys.readouterr().err == expected[error]
 
 
 # Numbers and null sections --------------------------------------------------
@@ -1199,14 +1199,12 @@ def test_the_decimal_rule_types_only_what_yaml_types_a_float(text):
     """A text the rule reads is a float to both loaders, with the repr, the
     sign of zero included, that ``float`` gives it."""
     is_decimal, _ = seqeve.scenario._number_patterns()
+    if not is_decimal(text):
+        return
     for base in BASES:
         tag_of = seqeve.scenario._implicit(base)
-        built = seqeve.scenario._plain_scalar(tag_of(text), text)
-        assert (built.__class__ is float) == bool(is_decimal(text))
-        if is_decimal(text):
-            assert tag_of(text) == Resolver.DEFAULT_SCALAR_TAG.replace("str", "float")
-            loaded = yaml.load(text, Loader=base)
-            assert repr(loaded) == repr(float(text)) == repr(built)
+        assert tag_of(text) == Resolver.DEFAULT_SCALAR_TAG.replace("str", "float")
+        assert repr(yaml.load(text, Loader=base)) == repr(float(text))
 
 
 SCENARIO_TEXTS = {
