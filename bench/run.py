@@ -4,12 +4,10 @@ Run from the repository root:
 
     python3 bench/run.py --calls 200 --out BENCH.json
     python3 bench/run.py --src ../other/src --calls 200 --out BENCH.json
-    python3 bench/run.py --ab ../other --workload plan-reference --seed 1 \\
-        --seconds 30 --pairs 10 --out BENCH.json
 
-The first two forms time ``seqeve.cli.main`` in this process on the
-requests of every perfbench workload, whose generators and output gates
-come from ``perfbench/workloads.py``: the minimum and median wall time of
+Both forms time ``seqeve.cli.main`` in this process on the requests of
+every perfbench workload, whose generators and output gates come from
+``perfbench/workloads.py``: the minimum and median wall time of
 ``--calls`` calls per workload, cycling through its variants after one
 warm-up call of each.  Every output is gated: a variant's first output is
 checked in full, and every later one must repeat it byte for byte.  A
@@ -17,17 +15,12 @@ second, untimed pass runs each variant once with counters on
 ``Assemblage.table`` and ``Assemblage.__post_init__``, the tables and
 checks of a request.  ``--src`` times the ``seqeve`` package under another
 directory, so two checkouts are timed by the same harness: alternate the
-two runs on one machine.
-
-``--ab`` runs perfbench's end-to-end benchmark (``--trace 0``) of another
-checkout and of this one in alternating pairs, the other first in every
-other pair, and records each run's metrics and output digests, which pair
-the change won on each metric, and the medians and quartiles.
+two runs on one machine, and tell them apart by the recorded digest of
+the timed sources, ``environment.src_sha256``.
 
 With ``--out`` the run is appended to that JSON file (made if absent),
-under "runs" or "pairs", with the environment it ran in and the digest of
-the code it timed; the summary is printed either way.  Wall times are
-unscaled.
+under "runs", with the environment it ran in; the summary is printed
+either way.  Wall times are unscaled.
 """
 
 from __future__ import annotations
@@ -40,7 +33,6 @@ import json
 import os
 import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -52,12 +44,6 @@ sys.path.insert(0, str(PERFBENCH))
 from workloads import WORKLOADS, requests_for  # noqa: E402
 
 COUNTED = ("table", "__post_init__")
-LABELS = ("base", "change")
-# The benchmark's end-to-end metrics, each with whether lower is better.
-LOWER_IS_BETTER = {
-    metric["name"]: metric["better"] == "lower"
-    for metric in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-}
 
 
 def environment(src: Path) -> dict:
@@ -187,7 +173,7 @@ def time_workload(cli, chain, workload, seed: int, calls: int, workdir: Path) ->
     }
 
 
-def run_in_process(args) -> tuple[str, dict, bool]:
+def run(args) -> tuple[dict, bool]:
     src = Path(args.src).resolve()
     cli, chain = load_program(src)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
@@ -207,81 +193,12 @@ def run_in_process(args) -> tuple[str, dict, bool]:
             f"{row['failed']} failed"
         )
     record = {
-        "label": args.label,
         "environment": environment(src),
         "seed": args.seed,
         "workloads": workloads,
     }
     ok = all(row["failed"] == 0 for row in workloads.values())
-    return "runs", record, ok
-
-
-def perfbench_run(checkout: Path, args) -> dict:
-    """One perfbench end-to-end run of ``checkout``: metrics, failures, digests."""
-    argv = [
-        sys.executable, str(checkout / "perfbench" / "run.py"),
-        "--workload", args.workload, "--seed", str(args.seed),
-        "--seconds", str(args.seconds), "--trace", "0",
-    ]
-    proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
-    if proc.returncode not in (0, 1):  # 1 is a run whose outputs failed the gate
-        raise SystemExit(f"error: perfbench failed in {checkout}: {proc.stderr[-500:]}")
-    summary = json.loads(proc.stdout.strip().splitlines()[-1])
-    name = f"{args.workload}-seed{args.seed}-trace0.json"
-    details = json.loads((checkout / ".perfbench-out" / "results" / name).read_text())
-    return {
-        "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
-        "failed": summary["failed"],
-        "outputs_sha256": details["outputs_sha256"],
-    }
-
-
-def quartiles(values: list[float]) -> list[float]:
-    return statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-
-
-def run_pairs(args) -> tuple[str, dict, bool]:
-    checkouts = {"base": Path(args.ab).resolve(), "change": ROOT}
-    pairs = []
-    for n in range(args.pairs):
-        order = list(checkouts.items())
-        if n % 2:
-            order.reverse()
-        pair = {label: perfbench_run(checkout, args) for label, checkout in order}
-        pairs.append(pair)
-        p50 = [pair[label]["metrics"]["request_s_p50"] * 1e3 for label in LABELS]
-        print(f"pair {n + 1}: p50 {p50[0]:.3f} ms base, {p50[1]:.3f} ms change")
-    metrics = {}
-    for name, lower in LOWER_IS_BETTER.items():
-        base, change = ([p[label]["metrics"][name] for p in pairs] for label in LABELS)
-        wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
-        metrics[name] = {
-            "base_median": statistics.median(base),
-            "base_quartiles": quartiles(base),
-            "change_median": statistics.median(change),
-            "change_quartiles": quartiles(change),
-            "change_won": wins,
-        }
-        print(
-            f"{name}: base {statistics.median(base):.6g}, change "
-            f"{statistics.median(change):.6g}, change won {wins} of {len(pairs)}"
-        )
-    digests = [[p[label]["outputs_sha256"] for label in LABELS] for p in pairs]
-    same = all(base == change for base, change in digests)
-    failed = sum(p[label]["failed"] for p in pairs for label in LABELS)
-    print(f"outputs_sha256 equal in every pair: {same}; failed requests: {failed}")
-    record = {
-        "environment": environment(ROOT / "src"),
-        "base_src_sha256": environment(checkouts["base"] / "src")["src_sha256"],
-        "workload": args.workload,
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "outputs_equal": same,
-        "failed": failed,
-        "metrics": metrics,
-        "runs": pairs,
-    }
-    return "pairs", record, same and failed == 0
+    return record, ok
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -290,21 +207,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--calls", type=int, default=200, help="timed calls each")
-    parser.add_argument("--ab", default=None, help="checkout to pair with this one")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
-    parser.add_argument("--label", default="", help="name of the timed code, recorded")
     parser.add_argument("--out", default=None, help="JSON file to append the run to")
     args = parser.parse_args(argv)
-    if args.ab is not None and args.workload == "all":
-        parser.error("--ab times one workload")
-    if args.calls < 1 or args.pairs < 1:
-        parser.error("--calls and --pairs must be at least 1")
-    key, record, ok = run_pairs(args) if args.ab else run_in_process(args)
+    if args.calls < 1:
+        parser.error("--calls must be at least 1")
+    record, ok = run(args)
     if args.out is not None:
         out = Path(args.out)
         data = json.loads(out.read_text()) if out.exists() else {}
-        data.setdefault(key, []).append(record)
+        data.setdefault("runs", []).append(record)
         out.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
     return 0 if ok else 1
 
