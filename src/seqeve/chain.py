@@ -268,14 +268,6 @@ class Assemblage(Value):
         angles = [(s.direction.theta, s.direction.phi) for s in alice.settings]
         return cls.start(initial.amp.reshape(2, 2).tolist(), angles)
 
-    def after(self, step: np.ndarray) -> Assemblage:
-        """The assemblage after one Eve, whose 3x3 map is ``step``.
-
-        A (T, 3, 3) stack of maps moves row r of a (T, 4, 3) stack, or the
-        one unstacked assemblage, by map r.
-        """
-        return Assemblage(self.p_alice, self.bloch @ step.swapaxes(-1, -2))
-
     def through(self, maps: np.ndarray) -> Assemblage:
         """This assemblage and the one after each of the N maps, stacked (N+1, 4, 3)."""
         out = np.empty((len(maps) + 1,) + self.bloch.shape)

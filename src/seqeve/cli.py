@@ -190,20 +190,20 @@ def _list_tokens(text: str, option: str) -> list[str]:
 def cmd_chain(args: argparse.Namespace) -> int:
     spec, scenario = load_scenario(args.scenario)
     parties = [f"eve{m}" for m in range(1, spec.n_eves + 1)] + ["bob"]
-    models = scenario.eves + (scenario.bob.settings,)
+    models = scenario.eves + (scenario.bob,)
     lambdas = spec.sharpness[:-1, 0].tolist() + [None]
     groups = [
         ([party], [""], cells)
         for party, *cells in zip(parties, models, lambdas, *scores(tables(spec)))
     ]
-    fmt = args.format or scenario.output.format
-    path = scenario.output.path if args.out is None else args.out
+    fmt = args.format or scenario.format
+    path = scenario.path if args.out is None else args.out
     # A write error names what chose the file: the scenario's output.path,
     # or --out, which also stands for stdout.
     option = "output.path" if args.out is None and path is not None else "out"
     header = [
         f"seqeve {__version__}",
-        f"mode=chain state={scenario.state.kind} eves={spec.n_eves}",
+        f"mode=chain state={scenario.state} eves={spec.n_eves}",
     ]
     columns = ["party", "input_model", "lambda", "lhs", "delta", "key_rate"]
     _write_rows(groups, columns, header, fmt, path, option)

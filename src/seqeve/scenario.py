@@ -11,12 +11,13 @@ file (missing, not UTF-8, a NUL in its path) and a number beyond float range
 are ScenarioErrors too.
 
 A read gives the chain and its ``Scenario``: every party's directions are
-checked and written as rows of the ``ChainSpec`` arrays that the kernel
-reads, and no direction or settings object is built.  An Eve whose numbers
-are floats in range is checked in one pass; any other goes field by field,
-which names a fault.  The ``Scenario`` records what the output needs beyond
-the chain: the state, the settings model of Alice, Bob and each Eve, and
-the output format and path.
+checked and written as rows of the ``ChainSpec`` arrays in the shape that
+the kernel reads, Alice's as (theta, phi) and every other party's as unit
+vectors, and no direction or settings object is built.  An Eve whose
+numbers are floats in range is checked in one pass; any other goes field
+by field, which names a fault.  The ``Scenario`` is one record of the
+plain labels that the output needs beyond the chain: the state's kind, the
+settings model of Alice, Bob and each Eve, and the output format and path.
 
 A block-style text is read by ``_block`` in one pass over its lines: ASCII
 block mappings and '- ' sequences indented with spaces, compact '- key:'
@@ -120,70 +121,41 @@ def _check_keys(mapping: dict, allowed: AbstractSet[str], field_name: str) -> No
         raise ScenarioError(f"{field_name}.{unknown[0]}: unknown key")
 
 
-# A direction as (theta, phi, x, y, z): its angles and its unit vector.
-Direction = tuple[float, float, float, float, float]
-Directions = tuple[Direction, Direction]
-
-
-class StateSpec(Value):
-    """Initial state: the Bell state when ``theta`` is None, else tilted."""
-
-    __slots__ = ("theta",)
-    _defaults = {"theta": None}
-
-    @property
-    def kind(self) -> str:
-        return "bell" if self.theta is None else "tilted"
-
-    def build(self) -> PureTwoQubitState:
-        return bell_state() if self.theta is None else tilted_state(self.theta)
-
-
-class PartySpec(Value):
-    """Settings model of Alice or Bob, "mub" or "explicit", as of each Eve;
-    the directions themselves are rows of the ``ChainSpec``."""
-
-    __slots__ = ("settings",)
-    _defaults = {"settings": "mub"}
-
-
-class OutputSpec(Value):
-    """Output format, and the file to write (stdout when ``path`` is None)."""
-
-    __slots__ = ("format", "path")
-    _defaults = {"format": "csv", "path": None}
-
-
 class Scenario(Value):
-    """A validated ``chain`` scenario beyond its ``ChainSpec``: its state,
-    the settings model of Alice, Bob and each Eve, and its output."""
+    """A validated ``chain`` scenario beyond its ``ChainSpec``, as labels:
+    the ``state`` kind, "bell" or "tilted", the settings model of ``alice``,
+    ``bob`` and each of the ``eves``, "mub" or "explicit", and the output
+    ``format`` and ``path`` (stdout when None)."""
 
-    __slots__ = ("state", "alice", "bob", "eves", "output")
+    __slots__ = ("state", "alice", "bob", "eves", "format", "path")
     _defaults = {
-        "state": StateSpec(), "alice": PartySpec(), "bob": PartySpec(), "eves": (),
-        "output": OutputSpec(),
+        "state": "bell", "alice": "mub", "bob": "mub", "eves": (), "format": "csv",
+        "path": None,
     }
 
 
-# The sigma_z / sigma_x rows, and the keys of what each Eve has one or two of.
-_MUB = tuple(map(tuple, np.hstack([MUB_ANGLES, MUB_DIRECTIONS]).tolist()))
+# The sigma_z / sigma_x unit vectors, and the keys of what each Eve has one or two of.
+_MUB = tuple(map(tuple, MUB_DIRECTIONS.tolist()))
 _PARTY_KEYS = frozenset({"settings", "directions"})
 _EVE_KEYS = _PARTY_KEYS | {"lambda", "bias"}
 _DIRECTION_KEYS = frozenset({"theta", "phi"})
 
 
-def _parse_direction(raw: object, field_name: str) -> Direction:
+def _parse_direction(raw: object, field_name: str) -> tuple[float, float]:
+    """A direction's (theta, phi), checked as the angles of a unit vector."""
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, _DIRECTION_KEYS, field_name)
     if "theta" not in mapping:
         raise ScenarioError(f"{field_name}.theta: required key is missing")
     theta = parse_angle(mapping["theta"], f"{field_name}.theta")
     phi = parse_angle(mapping.get("phi", 0.0), f"{field_name}.phi")
-    return (theta, phi, *named(field_name, direction_components, theta, phi))
+    named(field_name, direction_components, theta, phi)
+    return theta, phi
 
 
-def _parse_directions(mapping: dict, field_name: str) -> tuple[str, Directions]:
-    """The ``settings`` and ``directions`` keys: the model and its two rows."""
+def _parse_directions(mapping: dict, field_name: str) -> tuple[str, tuple | None]:
+    """The ``settings`` and ``directions`` keys: the model, and the (theta,
+    phi) of both directions, or None for the MUB pair."""
     model = mapping.get("settings", "mub")
     if model not in SETTINGS_MODELS:
         raise ScenarioError(
@@ -194,7 +166,7 @@ def _parse_directions(mapping: dict, field_name: str) -> tuple[str, Directions]:
             raise ScenarioError(
                 f"{field_name}.directions: only valid for explicit settings"
             )
-        return model, _MUB
+        return model, None
     raw = mapping.get("directions")
     if not isinstance(raw, list) or len(raw) != 2:
         raise ScenarioError(
@@ -206,18 +178,26 @@ def _parse_directions(mapping: dict, field_name: str) -> tuple[str, Directions]:
     )
 
 
-def _parse_eve(raw: object, field_name: str) -> tuple[float, float, str, Directions]:
-    """An Eve's (lambda, bias, settings model, direction rows), field by field."""
+def _unit_rows(angles: tuple | None) -> tuple:
+    """The unit vector of each (theta, phi), or the MUB pair's for None."""
+    if angles is None:
+        return _MUB
+    return tuple(direction_components(theta, phi) for theta, phi in angles)
+
+
+def _parse_eve(raw: object, field_name: str) -> tuple[float, float, str, tuple]:
+    """An Eve's (lambda, bias, settings model, unit vectors), field by field."""
     eve = _require_mapping(raw, field_name)
     _check_keys(eve, _EVE_KEYS, field_name)
     if "lambda" not in eve:
         raise ScenarioError(f"{field_name}.lambda: required key is missing")
     lam = parse_number(eve["lambda"], f"{field_name}.lambda", check_sharpness)
     bias = parse_number(eve.get("bias", DEFAULT_BIAS), f"{field_name}.bias", check_bias)
-    return (lam, bias, *_parse_directions(eve, field_name))
+    model, angles = _parse_directions(eve, field_name)
+    return lam, bias, model, _unit_rows(angles)
 
 
-def _plain_eve(eve: object) -> tuple[float, float, str, Directions] | None:
+def _plain_eve(eve: object) -> tuple[float, float, str, tuple] | None:
     """``_parse_eve`` of an Eve whose numbers are floats in range, checked in
     one pass with no field name; None for any other Eve."""
     if eve.__class__ is not dict or not eve.keys() <= _EVE_KEYS:
@@ -240,13 +220,13 @@ def _plain_eve(eve: object) -> tuple[float, float, str, Directions] | None:
             theta, phi = angles.get("theta"), angles.get("phi", 0.0)
             if not theta.__class__ is phi.__class__ is float:
                 return None
-            rows.append((theta, phi, *direction_components(theta, phi)))
+            rows.append(direction_components(theta, phi))
     except ValueError:
         return None
     return lam, bias, model, tuple(rows)
 
 
-def _parse_state(raw: object) -> StateSpec:
+def _parse_state(raw: object) -> tuple[str, PureTwoQubitState]:
     mapping = _require_mapping(raw, "state")
     _check_keys(mapping, {"kind", "theta"}, "state")
     kind = mapping.get("kind")
@@ -255,19 +235,20 @@ def _parse_state(raw: object) -> StateSpec:
     if kind == "bell":
         if "theta" in mapping:
             raise ScenarioError("state.theta: only valid for kind 'tilted'")
-        return StateSpec()
+        return kind, bell_state()
     if "theta" not in mapping:
         raise ScenarioError("state.theta: required for kind 'tilted'")
-    return StateSpec(parse_angle(mapping["theta"], "state.theta", check_tilt_angle))
+    theta = parse_angle(mapping["theta"], "state.theta", check_tilt_angle)
+    return kind, tilted_state(theta)
 
 
-def _parse_party(raw: object, field_name: str) -> tuple[str, Directions]:
+def _parse_party(raw: object, field_name: str) -> tuple[str, tuple | None]:
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, _PARTY_KEYS, field_name)
     return _parse_directions(mapping, field_name)
 
 
-def _parse_output(raw: object) -> OutputSpec:
+def _parse_output(raw: object) -> tuple[str, str | None]:
     mapping = _require_mapping(raw, "output")
     _check_keys(mapping, {"format", "path"}, "output")
     fmt = mapping.get("format", "csv")
@@ -278,7 +259,7 @@ def _parse_output(raw: object) -> OutputSpec:
     path = mapping.get("path")
     if path is not None and (not isinstance(path, str) or "\0" in path):
         raise ScenarioError(f"output.path: expected a file name, got {path!r}")
-    return OutputSpec(fmt, path)
+    return fmt, path
 
 
 # The one implicit tag of a scalar that ``_block`` keeps as its text.
@@ -519,8 +500,9 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
     """Parse and validate a scenario document: its chain and its ``Scenario``.
 
     Each party is checked and written straight into its rows of the
-    ``ChainSpec`` arrays, and only its settings model is kept beyond them;
-    Bob's directions follow the Eves'.
+    ``ChainSpec`` arrays in the kernel's shape, Alice's as (theta, phi) and
+    the unit vectors of each Eve and then Bob, and only its settings model
+    is kept beyond them.
     """
     mapping = _require_mapping(_document(text), "scenario")
     # Checked before the keys, so a document of another mode is named as such.
@@ -533,9 +515,9 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
 
     # A null section is an absent one.
     sections = {key: value for key, value in mapping.items() if value is not None}
-    state = _parse_state(sections.get("state", {"kind": "bell"}))
-    alice, alice_rows = _parse_party(sections.get("alice", {}), "alice")
-    bob, bob_rows = _parse_party(sections.get("bob", {}), "bob")
+    kind, initial = _parse_state(sections.get("state", {"kind": "bell"}))
+    alice, alice_angles = _parse_party(sections.get("alice", {}), "alice")
+    bob, bob_angles = _parse_party(sections.get("bob", {}), "bob")
     raw_eves = sections.get("eves", [])
     if not isinstance(raw_eves, list):
         raise ScenarioError("eves: expected a list")
@@ -545,14 +527,13 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
         for idx, raw in enumerate(raw_eves)
     ]
     lambdas, bias, models, rows = zip(*eves) if eves else ((),) * 4
-    output = _parse_output(sections.get("output", {}))
+    fmt, path = _parse_output(sections.get("output", {}))
     spec = ChainSpec(
-        state.build(), np.array(alice_rows)[:, :2],
-        np.array([*rows, bob_rows])[..., 2:],
+        initial, np.array(alice_angles or MUB_ANGLES),
+        np.array([*rows, _unit_rows(bob_angles)]),
         np.repeat([*lambdas, 1.0], 2).reshape(-1, 2), np.array(bias, dtype=float),
     )
-    scenario = Scenario(state, PartySpec(alice), PartySpec(bob), models, output)
-    return spec, scenario
+    return spec, Scenario(kind, alice, bob, models, fmt, path)
 
 
 def load_scenario(path: str | Path) -> tuple[ChainSpec, Scenario]:

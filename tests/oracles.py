@@ -60,7 +60,7 @@ from seqeve.linalg import (
     kron,
 )
 from seqeve.measurement import SharpSetting, effect, projector, sqrt_effect
-from seqeve.scenario import OutputSpec, PartySpec, Scenario, StateSpec
+from seqeve.scenario import Scenario
 from seqeve.planner import (
     EVE_UNREACHABLE,
     InfeasibleError,
@@ -361,7 +361,8 @@ def eve_map(eve: PartySettings, bias: float) -> np.ndarray:
 
 
 def eve_step(state: Assemblage, eve: PartySettings, bias: float) -> Assemblage:
-    return state.after(eve_map(eve, bias))
+    step = eve_map(eve, bias)
+    return Assemblage(state.p_alice, state.bloch @ step.swapaxes(-1, -2))
 
 
 def kernel_positions(spec: Chain) -> list[Assemblage]:
@@ -462,7 +463,7 @@ def _mub_score(state: Assemblage, sharpness: float):
 def _eve_step(state: Assemblage, sharpness: float) -> Assemblage:
     """``state`` after an unbiased Eve in Bob's bases at ``sharpness``."""
     step = _eve_maps(MUB_DIRECTIONS, np.full(2, sharpness), np.array(DEFAULT_BIAS))
-    return state.after(step)
+    return Assemblage(state.p_alice, state.bloch @ step.swapaxes(-1, -2))
 
 
 def _min_sharpness(upstream: Assemblage, sharp_lhs: float, target_rate: float) -> float:
@@ -703,11 +704,12 @@ def read_document(doc: dict) -> tuple[ChainSpec, Scenario]:
     )
     output = sections.get("output", {})
     scenario = Scenario(
-        StateSpec(state.get("theta")),
-        PartySpec(alice.get("settings", "mub")),
-        PartySpec(bob.get("settings", "mub")),
+        state["kind"],
+        alice.get("settings", "mub"),
+        bob.get("settings", "mub"),
         tuple(eve.get("settings", "mub") for eve in eves),
-        OutputSpec(output.get("format", "csv"), output.get("path")),
+        output.get("format", "csv"),
+        output.get("path"),
     )
     return spec, scenario
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import collections
 import errno
 import json
 import math
@@ -19,13 +20,14 @@ import seqeve.linalg
 import seqeve.planner
 import seqeve.unbounded
 from seqeve import CANONICAL, leaf_report, loads_scenario, mub_chain, reports
-from seqeve.chain import Assemblage, ConditionalTable, PartySettings
+from seqeve.chain import Assemblage, ChainSpec, ConditionalTable, PartySettings
 from seqeve.linalg import BlochDirection
 from seqeve.measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
 from seqeve.states import TwoQubitState
 from seqeve.cli import main
 from seqeve.planner import EVE_UNREACHABLE, InfeasibleError, max_eves
 from seqeve.steering import SteeringReport
+from seqeve.value import Value
 
 TWO_EVE_DOC = """\
 mode: chain
@@ -217,7 +219,6 @@ class TestWorkCounts:
         seqeve.planner._bell_start.cache_clear()
         checks = count_calls(monkeypatch, Assemblage, "__post_init__")
         tables = count_calls(monkeypatch, Assemblage, "table")
-        steps = count_calls(monkeypatch, Assemblage, "after")
         krons = count_calls(monkeypatch, seqeve.linalg, "kron")
         argv = ["plan", "--rates", "0.1,0.2,0.3", "--check-paper"]
         assert main(argv) == 0
@@ -231,7 +232,6 @@ class TestWorkCounts:
         assert [np.shape(sharpness)[:-1] for _, _, sharpness in tables[1:]] == [
             (3, 3)
         ] * 5
-        assert len(steps) == 0
         # Each assemblage is checked once, where it is built: the start and
         # the 5 stacks, not once per table.
         assert len(checks) == 1 + 5
@@ -302,6 +302,32 @@ class TestWorkCounts:
         assert [len(maps) for _, maps in passes] == [n_eves]
         assert len(scored) == 1
         assert [len(calls) for calls in built] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("n_eves", [0, 1, 9])
+    def test_chain_builds_one_value_of_each_record(
+        self, monkeypatch, capsys, tmp_path, n_eves
+    ):
+        built = count_calls(monkeypatch, Value, "__init__")
+        doc = explicit_chain_doc(
+            n_eves,
+            "alice: {settings: explicit, directions: [{theta: 0.1}, {theta: 1.4}]}\n",
+        )
+        assert main(["chain", "--scenario", write(tmp_path, "n.yaml", doc)]) == 0
+        assert len(parse_csv(capsys.readouterr().out)) == n_eves + 1
+        # The state, the chain and its labels as one flat record, Alice's
+        # start and the stacked pass, and one stacked table.
+        census = collections.Counter(type(value).__name__ for value, *_ in built)
+        assert census == {
+            "PureTwoQubitState": 1, "ChainSpec": 1, "Scenario": 1, "Assemblage": 2,
+            "ConditionalTable": 1,
+        }
+        # The reader builds each party's rows in the kernel's shape: no
+        # strided view of a wider array.
+        (spec,) = [value for value, *_ in built if value.__class__ is ChainSpec]
+        assert spec.alice.shape == (2, 2)
+        assert spec.directions.shape == (n_eves + 1, 2, 3)
+        assert spec.alice.flags.c_contiguous
+        assert spec.directions.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "argv",

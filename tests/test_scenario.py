@@ -86,8 +86,9 @@ def test_parses_chain_scenario():
 
 def test_degree_prefix_converts():
     spec, scenario = loads_scenario(EXPLICIT_DOC)
-    assert scenario.state.kind == "tilted"
-    assert scenario.state.theta == pytest.approx(math.pi / 6, abs=1e-12)
+    assert scenario.state == "tilted"
+    tilt = math.atan2(spec.initial.amp[3].real, spec.initial.amp[0].real)
+    assert tilt == pytest.approx(math.pi / 6, abs=1e-12)
     np.testing.assert_allclose(
         spec.initial.amp, tilted_state(math.pi / 6).amp, rtol=0, atol=1e-12
     )

@@ -19,7 +19,7 @@ from seqeve.chain import (
 from seqeve.linalg import BlochDirection
 from seqeve.measurement import SharpSetting, UnsharpSetting, WeakKrausSetting
 from seqeve.planner import PlanResult
-from seqeve.scenario import OutputSpec, PartySpec, Scenario, StateSpec
+from seqeve.scenario import Scenario
 from seqeve.states import PureTwoQubitState, TwoQubitState, bell_state
 from seqeve.steering import SteeringReport
 from seqeve.unbounded import BranchNode, SchmidtForm
@@ -164,61 +164,20 @@ VALUES = [
         id="plan",
     ),
     pytest.param(
-        StateSpec,
-        lambda: (),
-        "StateSpec(theta=None)",
-        id="state-default",
-    ),
-    pytest.param(
-        StateSpec,
-        lambda: (0.5,),
-        "StateSpec(theta=0.5)",
-        id="state",
-    ),
-    pytest.param(
-        PartySpec,
-        lambda: (),
-        "PartySpec(settings='mub')",
-        id="party-spec-default",
-    ),
-    pytest.param(
-        PartySpec,
-        lambda: ("explicit",),
-        "PartySpec(settings='explicit')",
-        id="party-spec",
-    ),
-    pytest.param(
-        OutputSpec,
-        lambda: (),
-        "OutputSpec(format='csv', path=None)",
-        id="output-default",
-    ),
-    pytest.param(
-        OutputSpec,
-        lambda: ("json", "out.json"),
-        "OutputSpec(format='json', path='out.json')",
-        id="output",
-    ),
-    pytest.param(
         Scenario,
         lambda: (),
         (
-            "Scenario(state=StateSpec(theta=None), alice=PartySpec("
-            "settings='mub'), bob=PartySpec(settings='mub'), eves=(), "
-            "output=OutputSpec(format='csv', path=None))"
+            "Scenario(state='bell', alice='mub', bob='mub', eves=(), "
+            "format='csv', path=None)"
         ),
         id="scenario-default",
     ),
     pytest.param(
         Scenario,
-        lambda: (
-            StateSpec(0.5), PartySpec("explicit"), PartySpec(), ("mub",),
-            OutputSpec("json"),
-        ),
+        lambda: ("tilted", "explicit", "mub", ("mub",), "json", "out.json"),
         (
-            "Scenario(state=StateSpec(theta=0.5), alice=PartySpec("
-            "settings='explicit'), bob=PartySpec(settings='mub'), eves=("
-            "'mub',), output=OutputSpec(format='json', path=None))"
+            "Scenario(state='tilted', alice='explicit', bob='mub', eves=("
+            "'mub',), format='json', path='out.json')"
         ),
         id="scenario",
     ),
@@ -268,7 +227,7 @@ def _builds(cls, args):
 def test_every_value_class_is_covered():
     covered = {param.values[0] for param in VALUES}
     assert covered == set(Value.__subclasses__())
-    assert len(covered) == 18
+    assert len(covered) == 15
 
 
 @pytest.mark.parametrize("cls, args, text", VALUES)
