@@ -8,15 +8,19 @@ Run from the repository root:
 Both forms time ``seqeve.cli.main`` in this process on the requests of
 every perfbench workload, whose generators and output gates come from
 ``perfbench/workloads.py``: the minimum and median wall time of
-``--calls`` calls per workload, cycling through its variants after one
-warm-up call of each.  Every output is gated: a variant's first output is
-checked in full, and every later one must repeat it byte for byte.  A
-second, untimed pass runs each variant once with counters on
-``Assemblage.table`` and ``Assemblage.__post_init__``, the tables and
-checks of a request.  ``--src`` times the ``seqeve`` package under another
-directory, so two checkouts are timed by the same harness: alternate the
-two runs on one machine, and tell them apart by the recorded digest of
-the timed sources, ``environment.src_sha256``.
+``--calls`` hot calls per workload, back to back, cycling through its
+variants after one warm-up call of each, and the median of ``--calls``
+cold calls, each right after perfbench's calibration kernel
+(``perfbench/calibration.py``), as perfbench sends every request.  Every
+output is gated: a variant's first output is checked in full, and every
+later one must repeat it byte for byte.  A last, untimed pass runs each
+variant once with counters on ``Assemblage.table`` and
+``Assemblage.__post_init__``, the tables and checks of a request, and on
+``cli._parser``, the argparse parser it asks for.  ``--src`` times the
+``seqeve`` package under another directory, so two checkouts are timed by
+the same harness: alternate the two runs on one machine, and tell them
+apart by the recorded digest of the timed sources,
+``environment.src_sha256``.
 
 With ``--out`` the run is appended to that JSON file (made if absent),
 under "runs", with the environment it ran in; the summary is printed
@@ -41,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
+from calibration import calibrate  # noqa: E402
 from workloads import WORKLOADS, requests_for  # noqa: E402
 
 COUNTED = ("table", "__post_init__")
@@ -126,10 +131,10 @@ class Gate:
 
 
 @contextlib.contextmanager
-def counting(owner: type):
-    """Count calls of each of ``owner``'s COUNTED methods while in the block."""
-    counts = dict.fromkeys(COUNTED, 0)
-    originals = {name: owner.__dict__[name] for name in COUNTED}
+def counting(owner, names):
+    """Count calls of each of ``owner``'s attributes ``names`` while in the block."""
+    counts = dict.fromkeys(names, 0)
+    originals = {name: vars(owner)[name] for name in names}
 
     def counted(name, original):
         def call(*args, **kwargs):
@@ -148,7 +153,8 @@ def counting(owner: type):
 
 
 def time_workload(cli, chain, workload, seed: int, calls: int, workdir: Path) -> dict:
-    """Wall times of ``calls`` gated calls and the work counts of one request."""
+    """Wall times of ``calls`` hot and ``calls`` cold gated calls, and the
+    work counts of one request."""
     requests = requests_for(workload, seed, workdir)
     gate = Gate(workload)
     for k, request in enumerate(requests):  # warm-up, and the full checks
@@ -159,17 +165,28 @@ def time_workload(cli, chain, workload, seed: int, calls: int, workdir: Path) ->
         result = send(cli.main, requests[k])
         gate.check(k, requests[k], result)
         times.append(result[1])
-    with counting(chain.Assemblage) as counts:
+    cold = []
+    for n in range(calls):
+        k = n % len(requests)
+        calibrate()
+        result = send(cli.main, requests[k])
+        gate.check(k, requests[k], result)
+        cold.append(result[1])
+    with counting(chain.Assemblage, COUNTED) as counts, counting(
+        cli, ("_parser",)
+    ) as parses:
         for k, request in enumerate(requests):
             gate.check(k, request, send(cli.main, request))
-    per_request = {name: counts[name] / len(requests) for name in COUNTED}
+    per_request = {name: n / len(requests) for name, n in (counts | parses).items()}
     return {
         "calls": calls,
         "failed": gate.failed,
         "call_s_min": min(times),
         "call_s_median": statistics.median(times),
+        "cold_call_s_median": statistics.median(cold),
         "tables_per_request": per_request["table"],
         "checks_per_request": per_request["__post_init__"],
+        "parses_per_request": per_request["_parser"],
     }
 
 
@@ -187,9 +204,11 @@ def run(args) -> tuple[dict, bool]:
     for name, row in workloads.items():
         print(
             f"{name}: min {row['call_s_min'] * 1e6:.0f} us, median "
-            f"{row['call_s_median'] * 1e6:.0f} us over {row['calls']} calls; "
-            f"{row['tables_per_request']:g} tables and "
-            f"{row['checks_per_request']:g} checks per request; "
+            f"{row['call_s_median'] * 1e6:.0f} us over {row['calls']} calls, "
+            f"cold median {row['cold_call_s_median'] * 1e6:.0f} us; "
+            f"{row['tables_per_request']:g} tables, "
+            f"{row['checks_per_request']:g} checks and "
+            f"{row['parses_per_request']:g} parser calls per request; "
             f"{row['failed']} failed"
         )
     record = {
@@ -206,7 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--src", default=str(ROOT / "src"), help="seqeve's parent")
     parser.add_argument("--workload", choices=(*WORKLOADS, "all"), default="all")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--calls", type=int, default=200, help="timed calls each")
+    parser.add_argument(
+        "--calls", type=int, default=200, help="hot and cold calls each"
+    )
     parser.add_argument("--out", default=None, help="JSON file to append the run to")
     args = parser.parse_args(argv)
     if args.calls < 1:

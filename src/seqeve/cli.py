@@ -15,6 +15,15 @@ over the suffixes, so no leaf row or leaf label costs a Python call.
 Numbers and angles in arguments go through the scenario file's parsers,
 ``parse_number`` and ``parse_angle``, so both read the same text alike.
 
+A command line takes one of two routes, each with one owner.  ``_plain_args``
+reads a plain argv in one pass: a command, then each of its flags at most
+once, required ones included, each with a value that does not start with
+'-' and is one of its choices, if it has any.  argparse reads every other
+argv, such as '--flag=value', a repeat, a dash value, help, an unknown or
+abbreviated flag or a missing required flag, and owns every help text, usage
+line and error.  Both routes build the same namespace from one table of
+options, ``COMMANDS``.
+
 Exit codes: 0 success, 2 input error (a ScenarioError, which names the field
 or option, or results or help that cannot be written), 3 a degenerate branch
 or an Alice outcome too improbable to condition on, 4 reference-value
@@ -332,6 +341,34 @@ class _Parser(argparse.ArgumentParser):
             super().print_help(file)
 
 
+# Each command's help, handler and options, an option as its add_argument
+# keywords: ``build_parser`` adds them and ``_plain_args`` reads them, so a
+# flag, default or choice is written once.
+COMMANDS = {
+    "chain": ("evaluate a chain scenario file", cmd_chain, {
+        "--scenario": {"required": True, "help": "scenario file path"},
+        "--out": {"default": None, "help": "output file (default stdout)"},
+        "--format": {"choices": OUTPUT_FORMATS, "default": None},
+    }),
+    "plan": ("minimal sharpness chains per target rate", cmd_plan, {
+        "--rates": {"required": True, "help": "comma-separated target key rates"},
+        "--check-paper": {
+            "action": "store_true",
+            "default": False,
+            "help": "compare against the built-in reference table; exit 4 on mismatch",
+        },
+    }),
+    "unbounded": ("branch tree of the weak strategy", cmd_unbounded, {
+        "--theta1": {"required": True, "help": "initial tilt angle (radians)"},
+        "--lambdas": {
+            "required": True, "help": "comma-separated weak angles (radians)"
+        },
+        "--out": {"default": None, "help": "output file (default stdout)"},
+        "--format": {"choices": OUTPUT_FORMATS, "default": "csv"},
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="seqeve",
@@ -342,45 +379,18 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chain = sub.add_parser(
-        "chain", help="evaluate a chain scenario file", allow_abbrev=False
-    )
-    p_chain.add_argument("--scenario", required=True, help="scenario file path")
-    p_chain.add_argument("--out", default=None, help="output file (default stdout)")
-    p_chain.add_argument("--format", choices=OUTPUT_FORMATS, default=None)
-    p_chain.set_defaults(func=cmd_chain)
-
-    p_plan = sub.add_parser(
-        "plan", help="minimal sharpness chains per target rate", allow_abbrev=False
-    )
-    p_plan.add_argument(
-        "--rates", required=True, help="comma-separated target key rates"
-    )
-    p_plan.add_argument(
-        "--check-paper",
-        action="store_true",
-        help="compare against the built-in reference table; exit 4 on mismatch",
-    )
-    p_plan.set_defaults(func=cmd_plan)
-
-    p_unb = sub.add_parser(
-        "unbounded", help="branch tree of the weak strategy", allow_abbrev=False
-    )
-    p_unb.add_argument("--theta1", required=True, help="initial tilt angle (radians)")
-    p_unb.add_argument(
-        "--lambdas", required=True, help="comma-separated weak angles (radians)"
-    )
-    p_unb.add_argument("--out", default=None, help="output file (default stdout)")
-    p_unb.add_argument("--format", choices=OUTPUT_FORMATS, default="csv")
-    p_unb.set_defaults(func=cmd_unbounded)
-
+    for command, (help_text, func, options) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag, keywords in options.items():
+            command_parser.add_argument(flag, **keywords)
+        command_parser.set_defaults(func=func)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call of a process and reused.
+    """The parser, built on the first argv of a process that ``_plain_args``
+    declines, and reused.
 
     Each parse fills a fresh namespace, so no option value or default
     carries over from one call to the next.
@@ -406,10 +416,51 @@ def _attach_dash_values(argv: list[str]) -> list[str]:
     return out
 
 
+def _plain_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``_parser().parse_args(argv)`` builds, for a plain
+    argv; None for any other.
+
+    A plain argv is a command and then each of its flags at most once, every
+    required flag included, each followed by its value except a
+    ``store_true`` flag; no value starts with '-', and a value with choices
+    is one of them.  argparse reads every other argv: '--flag=value', a
+    repeat, a dash value, help, an unknown or abbreviated flag, a missing
+    required flag or no command, and writes its help, usage and errors.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, options = COMMANDS[argv[0]]
+    given: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        keywords = options.get(flag)
+        if keywords is None or flag in given:
+            return None
+        if keywords.get("action") == "store_true":
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        given[flag] = value
+    if any(keywords.get("required") and flag not in given
+           for flag, keywords in options.items()):
+        return None
+    values = {
+        flag[2:].replace("-", "_"): given.get(flag, keywords.get("default"))
+        for flag, keywords in options.items()
+    }
+    return argparse.Namespace(command=argv[0], **values, func=func)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(_attach_dash_values(argv))
+        args = _plain_args(argv)
+        if args is None:
+            args = _parser().parse_args(_attach_dash_values(argv))
         return args.func(args)
     except ScenarioError as exc:
         print(f"input error: {exc}", file=sys.stderr)

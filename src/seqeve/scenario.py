@@ -141,21 +141,20 @@ _EVE_KEYS = _PARTY_KEYS | {"lambda", "bias"}
 _DIRECTION_KEYS = frozenset({"theta", "phi"})
 
 
-def _parse_direction(raw: object, field_name: str) -> tuple[float, float]:
-    """A direction's (theta, phi), checked as the angles of a unit vector."""
+def _parse_direction(raw: object, field_name: str) -> tuple[tuple, tuple]:
+    """A direction's (theta, phi) and the unit vector they are checked as."""
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, _DIRECTION_KEYS, field_name)
     if "theta" not in mapping:
         raise ScenarioError(f"{field_name}.theta: required key is missing")
     theta = parse_angle(mapping["theta"], f"{field_name}.theta")
     phi = parse_angle(mapping.get("phi", 0.0), f"{field_name}.phi")
-    named(field_name, direction_components, theta, phi)
-    return theta, phi
+    return (theta, phi), named(field_name, direction_components, theta, phi)
 
 
-def _parse_directions(mapping: dict, field_name: str) -> tuple[str, tuple | None]:
+def _parse_directions(mapping: dict, field_name: str) -> tuple[str, Any, tuple]:
     """The ``settings`` and ``directions`` keys: the model, and the (theta,
-    phi) of both directions, or None for the MUB pair."""
+    phi) and the unit vector of both directions, the MUB pair's for mub."""
     model = mapping.get("settings", "mub")
     if model not in SETTINGS_MODELS:
         raise ScenarioError(
@@ -166,23 +165,17 @@ def _parse_directions(mapping: dict, field_name: str) -> tuple[str, tuple | None
             raise ScenarioError(
                 f"{field_name}.directions: only valid for explicit settings"
             )
-        return model, None
+        return model, MUB_ANGLES, _MUB
     raw = mapping.get("directions")
     if not isinstance(raw, list) or len(raw) != 2:
         raise ScenarioError(
             f"{field_name}.directions: explicit settings need exactly 2 directions"
         )
-    return model, (
+    angles, units = zip(
         _parse_direction(raw[0], f"{field_name}.directions[0]"),
         _parse_direction(raw[1], f"{field_name}.directions[1]"),
     )
-
-
-def _unit_rows(angles: tuple | None) -> tuple:
-    """The unit vector of each (theta, phi), or the MUB pair's for None."""
-    if angles is None:
-        return _MUB
-    return tuple(direction_components(theta, phi) for theta, phi in angles)
+    return model, angles, units
 
 
 def _parse_eve(raw: object, field_name: str) -> tuple[float, float, str, tuple]:
@@ -193,8 +186,8 @@ def _parse_eve(raw: object, field_name: str) -> tuple[float, float, str, tuple]:
         raise ScenarioError(f"{field_name}.lambda: required key is missing")
     lam = parse_number(eve["lambda"], f"{field_name}.lambda", check_sharpness)
     bias = parse_number(eve.get("bias", DEFAULT_BIAS), f"{field_name}.bias", check_bias)
-    model, angles = _parse_directions(eve, field_name)
-    return lam, bias, model, _unit_rows(angles)
+    model, _, units = _parse_directions(eve, field_name)
+    return lam, bias, model, units
 
 
 def _plain_eve(eve: object) -> tuple[float, float, str, tuple] | None:
@@ -242,7 +235,7 @@ def _parse_state(raw: object) -> tuple[str, PureTwoQubitState]:
     return kind, tilted_state(theta)
 
 
-def _parse_party(raw: object, field_name: str) -> tuple[str, tuple | None]:
+def _parse_party(raw: object, field_name: str) -> tuple[str, Any, tuple]:
     mapping = _require_mapping(raw, field_name)
     _check_keys(mapping, _PARTY_KEYS, field_name)
     return _parse_directions(mapping, field_name)
@@ -516,8 +509,8 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
     # A null section is an absent one.
     sections = {key: value for key, value in mapping.items() if value is not None}
     kind, initial = _parse_state(sections.get("state", {"kind": "bell"}))
-    alice, alice_angles = _parse_party(sections.get("alice", {}), "alice")
-    bob, bob_angles = _parse_party(sections.get("bob", {}), "bob")
+    alice, alice_angles, _ = _parse_party(sections.get("alice", {}), "alice")
+    bob, _, bob_units = _parse_party(sections.get("bob", {}), "bob")
     raw_eves = sections.get("eves", [])
     if not isinstance(raw_eves, list):
         raise ScenarioError("eves: expected a list")
@@ -529,8 +522,7 @@ def loads_scenario(text: str) -> tuple[ChainSpec, Scenario]:
     lambdas, bias, models, rows = zip(*eves) if eves else ((),) * 4
     fmt, path = _parse_output(sections.get("output", {}))
     spec = ChainSpec(
-        initial, np.array(alice_angles or MUB_ANGLES),
-        np.array([*rows, _unit_rows(bob_angles)]),
+        initial, np.array(alice_angles), np.array([*rows, bob_units]),
         np.repeat([*lambdas, 1.0], 2).reshape(-1, 2), np.array(bias, dtype=float),
     )
     return spec, Scenario(kind, alice, bob, models, fmt, path)

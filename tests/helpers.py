@@ -1,5 +1,6 @@
 """Shared random-object generators for the test suite (always seeded by
-callers), a call counter and a wall-clock budget."""
+callers), a call counter, a wall-clock budget and the '--flag=value' form
+of a command line."""
 
 import contextlib
 import signal
@@ -82,3 +83,15 @@ def wall_clock_budget(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def attached(argv):
+    """``argv`` with each '--flag value' pair written '--flag=value', a form
+    that only argparse reads."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and not token.startswith("--"):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out

@@ -32,6 +32,10 @@ def test_harness_times_every_workload_and_appends_its_run(tmp_path):
     assert set(workloads) == {"plan-reference", "unbounded-tree", "chain-scenario"}
     for row in workloads.values():
         assert row["failed"] == 0 and row["call_s_min"] > 0
+        assert row["cold_call_s_median"] > 0
+        # The benchmark's argvs are plain: the one-pass reader reads them,
+        # and no request asks for the argparse parser.
+        assert row["parses_per_request"] == 0
     # Counts, unlike wall times, repeat.  Each seed-1 plan request takes 5
     # chain positions, with no grid point moving: one table and one check
     # each.  The Bell start is built once per process, in the warm-up.

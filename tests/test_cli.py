@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import count_calls
+from helpers import attached, count_calls
 import seqeve.chain
 import seqeve.cli
 import seqeve.linalg
@@ -374,6 +374,21 @@ class TestWorkCounts:
         labels = [h + l for h in high for l in low]
         assert labels == [format(k, f"0{depth}b") for k in range(2**depth)]
 
+    def test_plain_argvs_make_no_parser_call(self, monkeypatch, capsys, tmp_path):
+        parses = count_calls(monkeypatch, seqeve.cli, "_parser")
+        # The shapes of the benchmark's requests.
+        argvs = [
+            ["plan", "--rates", "0.1,0.2,0.3,0.07,0.38", "--check-paper"],
+            ["unbounded", "--theta1", "0.61", "--lambdas", ",".join(["0.4"] * 10)],
+            ["chain", "--scenario", str(CHAIN_MIXED), "--format", "json",
+             "--out", str(tmp_path / "chain.json")],
+        ]
+        for argv in argvs:
+            assert main(argv) == 0
+        assert len(parses) == 0
+        assert main(["plan", "--rates=0.1"]) == 0
+        assert len(parses) == 1
+
     def test_unbounded_formats_each_distinct_row_tail_once(self, monkeypatch, capsys):
         cells = count_calls(monkeypatch, seqeve.cli, "_fmt")
         for depth in (10, 12):
@@ -585,13 +600,24 @@ class TestParserReuse:
             assert main(argv) == 0
             return capsys.readouterr().out
 
-        assert json.loads(output(UNBOUNDED_SMALL + ["--format", "json"]))
-        assert len(json.loads(output(json_chain))) == 3
-        assert len(parse_csv(output(csv_chain))) == 3
-        assert len(parse_csv(output(UNBOUNDED_SMALL))) == 3
-        assert output(["plan", "--rates", "0.3"]).startswith("target 0.3:")
-        assert len(parse_csv(output(json_chain + ["--format", "csv"]))) == 3
-        assert len(json.loads(output(json_chain))) == 3
+        argvs = [
+            UNBOUNDED_SMALL + ["--format", "json"],
+            json_chain,
+            csv_chain,
+            UNBOUNDED_SMALL,
+            ["plan", "--rates", "0.3"],
+            json_chain + ["--format", "csv"],
+            json_chain,
+        ]
+        outputs = [output(argv) for argv in argvs]
+        assert [len(json.loads(outputs[k])) for k in (0, 1, 6)] == [3, 3, 3]
+        assert [len(parse_csv(outputs[k])) for k in (2, 3, 5)] == [3, 3, 3]
+        assert outputs[4].startswith("target 0.3:")
+        # The one-pass reader reads these plain argvs: no parser is built.
+        assert len(builds) == 0
+        # The same requests as '--flag=value' go through argparse, which
+        # builds the parser once and gives each call its own defaults.
+        assert [output(attached(argv)) for argv in argvs] == outputs
         assert len(builds) == 1
 
 

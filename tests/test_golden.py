@@ -1,16 +1,19 @@
 """Byte-for-byte comparison of command output against files in tests/golden/.
 
 A golden file is the stdout of ``seqeve <argv>`` for the argv listed next to
-its name below; each chain golden is also printed from its scenario read by
-PyYAML instead of the line reader.  Regenerate one only when a change of
-output is intended, and say why in the change that does it.
+its name below, read by the one-pass argv reader and again, written
+'--flag=value', by argparse; each chain golden is also printed from its
+scenario read by PyYAML instead of the line reader.  Regenerate one only
+when a change of output is intended, and say why in the change that does
+it.
 """
 
 from pathlib import Path
 
 import pytest
 
-from seqeve.cli import main
+from helpers import attached
+from seqeve.cli import _plain_args, main
 
 GOLDEN = Path(__file__).parent / "golden"
 PI_4 = "0.7853981633974483"
@@ -55,6 +58,15 @@ CASES = {
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name, capsys):
     assert main(CASES[name]) == 0
+    assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_the_argparse_route_prints_the_same_golden_file(name, capsys):
+    # The one-pass reader declines '--flag=value', which argparse reads.
+    argv = attached(CASES[name])
+    assert _plain_args(argv) is None
+    assert main(argv) == 0
     assert capsys.readouterr().out.encode() == (GOLDEN / name).read_bytes()
 
 

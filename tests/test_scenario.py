@@ -1358,3 +1358,35 @@ def test_every_one_field_fault_reads_alike_either_way(eve):
         variants += [_replaced(eve, path, value) for value in EVE_FIELD_VALUES]
         for faulted in variants:
             _assert_one_reading([faulted])
+
+
+# Explicit Alice and Bob, an Eve that the one-pass check declines (a degree
+# string) and one that it reads: 8 explicit directions in all.
+EXPLICIT_PARTIES_DOC = """\
+mode: chain
+state: {kind: tilted, theta: 0.6}
+alice:
+  settings: explicit
+  directions: [{theta: 0.2, phi: 0.1}, {theta: 1.4}]
+bob:
+  settings: explicit
+  directions: [{theta: 0.3, phi: 0.7}, {theta: 1.8}]
+eves:
+  - {lambda: 0.5, settings: explicit, directions: [{theta: "deg:30"}, {theta: 1.0}]}
+  - {lambda: 0.4, settings: explicit, directions: [{theta: 0.9}, {theta: 2.0, phi: 3.0}]}
+"""
+
+
+def test_each_explicit_direction_is_checked_and_built_once(monkeypatch):
+    """One ``direction_components`` call gives both the range check and the
+    unit vector of each direction, whichever route reads its party."""
+    calls = count_calls(monkeypatch, seqeve.linalg, "direction_components")
+    spec, scenario = loads_scenario(EXPLICIT_PARTIES_DOC)
+    assert (scenario.alice, scenario.bob) == ("explicit", "explicit")
+    assert len(calls) == 8
+    # Alice keeps her angles; the Eves and then Bob keep the vectors of theirs.
+    assert spec.alice.tolist() == [[0.2, 0.1], [1.4, 0.0]]
+    angles = [(math.radians(30), 0.0), (1.0, 0.0), (0.9, 0.0), (2.0, 3.0),
+              (0.3, 0.7), (1.8, 0.0)]
+    vectors = [list(seqeve.linalg.direction_components(*pair)) for pair in angles]
+    assert spec.directions.reshape(6, 3).tolist() == vectors
